@@ -87,7 +87,6 @@ def run_sanitize_case(
     procs: int,
     reference: Optional[ChaosReference] = None,
     start_method: Optional[str] = None,
-    representation=None,
 ) -> SanitizeCaseResult:
     """Replay ``workload`` under ``preset`` with the sanitizer watching.
 
@@ -104,8 +103,7 @@ def run_sanitize_case(
     runtime = _build_runtime(procs, start_method)
     try:
         maintainer, metrics = _run_maintenance(
-            workload, faults=injector, runtime=runtime, sanitize=sanitizer,
-            representation=representation,
+            workload, faults=injector, runtime=runtime, sanitize=sanitizer
         )
     except Exception as exc:  # noqa: BLE001 - survey, don't abort the sweep
         result.failures.append(f"run raised {type(exc).__name__}: {exc}")
@@ -148,14 +146,12 @@ def sanitize_suite(
     procs: int = 2,
     workloads: Sequence[ChaosWorkload] = CHAOS_WORKLOADS,
     start_method: Optional[str] = None,
-    representation=None,
 ) -> List[SanitizeCaseResult]:
     """Sweep ``presets x seeds`` over ``workloads`` under the sanitizer.
 
     The inline fault-free reference is computed once per workload (without
-    the sanitizer — it is the bit-identity target, not the subject; it
-    always runs on the dict path so a ``csr`` case is checked against the
-    reference layout).  Returns one :class:`SanitizeCaseResult` per case;
+    the sanitizer — it is the bit-identity target, not the subject).
+    Returns one :class:`SanitizeCaseResult` per case;
     callers decide whether any race/failure is fatal (``repro-mis
     sanitize`` exits non-zero).
     """
@@ -167,8 +163,7 @@ def sanitize_suite(
                 results.append(
                     run_sanitize_case(
                         workload, preset, seed, procs,
-                        reference=reference, start_method=start_method,
-                        representation=representation,
+                        reference=reference, start_method=start_method
                     )
                 )
     return results

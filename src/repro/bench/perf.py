@@ -22,13 +22,13 @@ inline executor against the multi-process :mod:`repro.runtime` backend
 across ``procs`` ∈ {1, 2, 4, 8}, asserting bit-identical logical meters and
 recording the measured speedup curve (trend data, machine-dependent — the
 entry carries ``cpu_count`` so a 1-core runner's flat curve reads as what
-it is).  ``csr_*`` scenarios run the same workloads on the flat-array CSR
-layout (:mod:`repro.graph.csr`), assert bit-identity against an in-scenario
-dict run, and record the speedup; ``csr_frames_*`` additionally compare the
-process runtime's barrier-frame byte traffic between pickled dict frames
-and shared-memory CSR deltas.  ``serve_*`` scenarios push a seeded bursty
-trace through the durable ingestion service (:mod:`repro.serve`) and record
-sustained updates/s and per-window latency percentiles; their logical
+it is).  Every scenario sweeps on the default flat-array CSR layout
+(:mod:`repro.graph.csr`); ``csr_frames_*`` is the one dict-vs-csr
+comparison: it asserts bit-identity against an in-scenario dict run and
+records the process runtime's barrier-frame byte traffic for pickled dict
+frames and shared-memory CSR deltas.  ``serve_*`` scenarios push a seeded
+bursty trace through the durable ingestion service (:mod:`repro.serve`) and
+record sustained updates/s and per-window latency percentiles; their logical
 sections are pinned too, because every serve control decision is a function
 of logical meters and event time only.
 """
@@ -92,23 +92,22 @@ def _sections(members, metrics: RunMetrics, graph) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 # scenarios (each returns the params echo plus logical/perf sections)
 # ---------------------------------------------------------------------------
-def _static_oimis(tag: str, runtime=None, representation=None) -> Dict[str, Any]:
+def _static_oimis(tag: str, runtime=None) -> Dict[str, Any]:
     graph = load_dataset(tag)
     run = run_oimis(graph, num_workers=10, strategy=ActivationStrategy.ALL,
-                    runtime=runtime, representation=representation)
+                    runtime=runtime)
     result = _sections(run.independent_set, run.metrics, graph)
     result["params"] = {"kind": "static_oimis", "dataset": tag,
                         "workers": 10, "strategy": "all"}
     return result
 
 
-def _fig10_single(tag: str, k: int, seed: int, runtime=None,
-                  representation=None) -> Dict[str, Any]:
+def _fig10_single(tag: str, k: int, seed: int, runtime=None) -> Dict[str, Any]:
     base = load_dataset(tag)
     ops = delete_reinsert_workload(base, k, seed=seed)
     maintainer = DOIMISMaintainer(
         base.copy(), num_workers=10, strategy=ActivationStrategy.SAME_STATUS,
-        runtime=runtime, representation=representation,
+        runtime=runtime,
     )
     maintainer.apply_stream(ops, batch_size=1)
     result = _sections(
@@ -121,13 +120,12 @@ def _fig10_single(tag: str, k: int, seed: int, runtime=None,
     return result
 
 
-def _fig10_single_scall(tag: str, k: int, seed: int, runtime=None,
-                        representation=None) -> Dict[str, Any]:
+def _fig10_single_scall(tag: str, k: int, seed: int,
+                        runtime=None) -> Dict[str, Any]:
     base = load_dataset(tag)
     ops = delete_reinsert_workload(base, k, seed=seed)
     maintainer = make_algorithm(
-        "SCALL", load_dataset(tag), num_workers=10, runtime=runtime,
-        representation=representation,
+        "SCALL", load_dataset(tag), num_workers=10, runtime=runtime
     )
     maintainer.apply_stream(ops, batch_size=1)
     result = _sections(
@@ -141,12 +139,12 @@ def _fig10_single_scall(tag: str, k: int, seed: int, runtime=None,
 
 
 def _fig11_batch(tag: str, k: int, seed: int, batch_size: int,
-                 runtime=None, representation=None) -> Dict[str, Any]:
+                 runtime=None) -> Dict[str, Any]:
     base = load_dataset(tag)
     ops = delete_reinsert_workload(base, k, seed=seed)
     maintainer = DOIMISMaintainer(
         base.copy(), num_workers=10, strategy=ActivationStrategy.SAME_STATUS,
-        runtime=runtime, representation=representation,
+        runtime=runtime,
     )
     maintainer.apply_stream(ops, batch_size=batch_size)
     result = _sections(
@@ -222,33 +220,6 @@ def _runtime_static_oimis(tag: str) -> Dict[str, Any]:
         "procs": curve,
     }
     return result
-
-
-def _csr_vs_dict(build: Callable[[Any], Dict[str, Any]]) -> Dict[str, Any]:
-    """Run the same workload on the dict and csr layouts.
-
-    The csr run's sections become the scenario entry (its logical section is
-    pinned by ``--check`` like any other scenario); the dict run is the
-    bit-identity oracle — any divergence in a logical field or in
-    ``compute_work`` raises instead of being recorded.  The dict wall time
-    and the derived speedup ride along as trend data.
-    """
-    dict_entry = build("dict")
-    entry = build("csr")
-    if _stable_sections(dict_entry) != _stable_sections(entry):
-        raise RuntimeError(
-            "csr layout diverged from the dict reference: "
-            f"dict={_stable_sections(dict_entry)!r} "
-            f"csr={_stable_sections(entry)!r}"
-        )
-    dict_wall = dict_entry["perf"]["wall_time_s"]
-    csr_wall = entry["perf"]["wall_time_s"]
-    entry["params"]["representation"] = "csr"
-    entry["perf"]["representation"] = {
-        "dict_wall_time_s": dict_wall,
-        "speedup_vs_dict": round(dict_wall / csr_wall, 3) if csr_wall else 0.0,
-    }
-    return entry
 
 
 def _csr_frames_static_oimis(tag: str, procs: int = 2) -> Dict[str, Any]:
@@ -697,12 +668,6 @@ SCENARIOS: Dict[str, Callable[[], Dict[str, Any]]] = {
     "fig11_batch_AM": lambda: _fig11_batch("AM", 100, 13, 20),
     "runtime_static_oimis_SKI": lambda: _runtime_static_oimis("SKI"),
     "runtime_static_oimis_TW": lambda: _runtime_static_oimis("TW"),
-    "csr_static_oimis_SKI": lambda: _csr_vs_dict(
-        lambda rep: _static_oimis("SKI", representation=rep)),
-    "csr_fig10_single_SKI": lambda: _csr_vs_dict(
-        lambda rep: _fig10_single("SKI", 60, 7, representation=rep)),
-    "csr_fig11_batch_TW": lambda: _csr_vs_dict(
-        lambda rep: _fig11_batch("TW", 150, 11, 25, representation=rep)),
     "csr_frames_static_oimis_SKI": lambda: _csr_frames_static_oimis("SKI"),
     "serve_bursty_AM": lambda: _serve_bursty("AM", 400, 7),
     "serve_poison_SL": lambda: _serve_bursty(

@@ -108,11 +108,6 @@ def _print_metrics(label: str, metrics) -> None:
 # subcommand implementations
 # ---------------------------------------------------------------------------
 def _cmd_compute(args: argparse.Namespace) -> int:
-    representation = getattr(args, "representation", None)
-    if representation == "csr" and args.algorithm != "oimis":
-        print("error: --representation csr is only supported for "
-              "--algorithm oimis", file=sys.stderr)
-        return 2
     graph = read_edge_list(args.graph)
     print(f"loaded {graph}")
     runtime = _resolve_cli_runtime(args)
@@ -120,14 +115,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if args.algorithm == "oimis":
             if args.engine == "pregel":
                 run = run_oimis_pregel(
-                    graph, num_workers=args.workers, runtime=runtime,
-                    representation=representation,
+                    graph, num_workers=args.workers, runtime=runtime
                 )
             else:
                 run = run_oimis(
                     graph, num_workers=args.workers,
-                    strategy=_STRATEGIES[args.strategy], runtime=runtime,
-                    representation=representation,
+                    strategy=_STRATEGIES[args.strategy], runtime=runtime
                 )
             members = run.independent_set
             metrics = run.metrics
@@ -153,13 +146,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_maintain(args: argparse.Namespace) -> int:
     runtime = _resolve_cli_runtime(args)
-    representation = getattr(args, "representation", None)
     if args.resume:
         # an explicit --workers must match the checkpoint's partitioning —
         # load() raises CheckpointError("partition mismatch: ...") otherwise
         maintainer = MISMaintainer.load(
-            args.resume, num_workers=args.workers, runtime=runtime,
-            representation=representation,
+            args.resume, num_workers=args.workers, runtime=runtime
         )
         print(f"resumed checkpoint: {maintainer.graph}, |M|={len(maintainer)}")
     else:
@@ -169,7 +160,6 @@ def _cmd_maintain(args: argparse.Namespace) -> int:
             num_workers=args.workers if args.workers is not None else 10,
             strategy=_STRATEGIES[args.strategy],
             runtime=runtime,
-            representation=representation,
         )
         print(f"loaded {maintainer.graph}; initial |M|={len(maintainer)}")
     with maintainer:
@@ -303,7 +293,6 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         procs=args.procs,
         workloads=workloads,
         start_method=args.start_method,
-        representation=getattr(args, "representation", None),
     )
     if args.format == "json":
         print(json.dumps([r.as_dict() for r in results], indent=2))
@@ -379,8 +368,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             overrides["delta_log_depth"] = args.delta_log_depth
         membership = MembershipConfig(**overrides)
     results = chaos.chaos_suite(
-        presets=presets, seeds=seeds, membership=membership,
-        representation=getattr(args, "representation", None),
+        presets=presets, seeds=seeds, membership=membership
     )
     if args.format == "json":
         print(json.dumps([r.as_dict() for r in results], indent=2))
@@ -432,8 +420,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         bursty_trace,
     )
 
-    representation = getattr(args, "representation", None)
-
     if args.chaos:
         from repro.faults.chaos import serve_crash_replay
 
@@ -444,9 +430,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             runtime_factory = lambda: ParallelRuntime(procs=args.procs)
         result = serve_crash_replay(
             tag=args.dataset, num_ops=args.ops, seed=args.seed,
-            poison_prob=args.poison_prob,
-            runtime_factory=runtime_factory,
-            representation=representation,
+            poison_prob=args.poison_prob, runtime_factory=runtime_factory,
         )
         if args.format == "json":
             print(json.dumps(result.as_dict(), indent=2))
@@ -481,8 +465,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ))
     runtime = _resolve_cli_runtime(args)
     maintainer = MISMaintainer(
-        load_dataset(args.dataset), num_workers=args.workers,
-        runtime=runtime, representation=representation,
+        load_dataset(args.dataset), num_workers=args.workers, runtime=runtime
     )
     wal_dir = args.wal_dir or tempfile.mkdtemp(prefix="repro-serve-")
     try:
@@ -640,10 +623,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from repro.serve import QueryEngine, SnapshotRegistry
 
     runtime = _resolve_cli_runtime(args)
-    representation = getattr(args, "representation", None)
     maintainer = MISMaintainer.load(
-        args.checkpoint, num_workers=args.workers, runtime=runtime,
-        representation=representation,
+        args.checkpoint, num_workers=args.workers, runtime=runtime
     )
     registry = None
     try:
@@ -739,15 +720,13 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
             "rebalance needs at least one --drain or --join (WORKER[@RUN])"
         )
     plan = FaultPlan(seed=0, drains=drains, joins=joins)
-    representation = getattr(args, "representation", None)
 
     def run_once(faults):
         runtime = _resolve_cli_runtime(args)
         maintainer = MISMaintainer(
             load_dataset(args.dataset), num_workers=args.workers,
             strategy=ActivationStrategy.SAME_STATUS,
-            faults=faults, runtime=runtime,
-            representation=representation,
+            faults=faults, runtime=runtime
         )
         ops = delete_reinsert_workload(
             load_dataset(args.dataset), args.k, seed=args.seed
@@ -891,12 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker process count for --runtime process "
         "(default: os.cpu_count())",
     )
-    compute.add_argument(
-        "--representation", choices=("dict", "csr"), default=None,
-        help="partition-local layout: dict (reference, default) or csr "
-        "(flat numpy arrays; bit-identical meters, oimis only; "
-        "default from REPRO_REPRESENTATION)",
-    )
     compute.add_argument("--output", "-o", help="write member ids to this file")
     compute.set_defaults(fn=_cmd_compute)
 
@@ -926,12 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--procs", type=int, default=None, metavar="N",
         help="worker process count for --runtime process "
         "(default: os.cpu_count())",
-    )
-    maintain.add_argument(
-        "--representation", choices=("dict", "csr"), default=None,
-        help="partition-local layout: dict (reference, default) or csr "
-        "(flat numpy arrays; bit-identical meters; "
-        "default from REPRO_REPRESENTATION)",
     )
     maintain.add_argument("--output", "-o", help="write member ids to this file")
     maintain.set_defaults(fn=_cmd_maintain)
@@ -991,11 +958,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--delta-log-depth", type=int, default=None,
         help="uncompacted delta-log frames kept for solitary-vertex "
         "reconstruction (default: 8)",
-    )
-    chaos.add_argument(
-        "--representation", choices=("dict", "csr"), default=None,
-        help="partition-local layout for every case (default dict, or "
-        "REPRO_REPRESENTATION)",
     )
     chaos.add_argument("--format", choices=("table", "json"), default="table")
     chaos.set_defaults(fn=_cmd_chaos)
@@ -1066,11 +1028,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend (bit-identical results either way)",
     )
     serve.add_argument("--procs", type=int, default=None, metavar="N")
-    serve.add_argument(
-        "--representation", choices=("dict", "csr"), default=None,
-        help="partition-local layout (default dict, or "
-        "REPRO_REPRESENTATION)",
-    )
     serve.add_argument(
         "--read-mix", type=float, default=0.0, metavar="R",
         help="fraction of traffic served as reads, in [0, 1): interleave "
@@ -1145,9 +1102,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--runtime", choices=("inline", "process"), default="inline",
     )
     query.add_argument("--procs", type=int, default=None, metavar="N")
-    query.add_argument(
-        "--representation", choices=("dict", "csr"), default=None,
-    )
     query.add_argument("--format", choices=("table", "json"),
                        default="table")
     query.set_defaults(fn=_cmd_query)
@@ -1181,9 +1135,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--runtime", choices=("inline", "process"), default="inline",
     )
     rebalance.add_argument("--procs", type=int, default=None, metavar="N")
-    rebalance.add_argument(
-        "--representation", choices=("dict", "csr"), default=None,
-    )
     rebalance.add_argument("--format", choices=("table", "json"),
                            default="table")
     rebalance.set_defaults(fn=_cmd_rebalance)
@@ -1272,11 +1223,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="multiprocessing start method for the worker pool "
         "(default: spawn)",
-    )
-    sanitize.add_argument(
-        "--representation", choices=("dict", "csr"), default=None,
-        help="partition-local layout for the sanitized run (default dict, "
-        "or REPRO_REPRESENTATION; the inline reference always runs dict)",
     )
     sanitize.add_argument("--format", choices=("table", "json"), default="table")
     sanitize.set_defaults(fn=_cmd_sanitize)

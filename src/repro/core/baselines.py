@@ -135,30 +135,24 @@ def make_algorithm(
     num_workers: int = 10,
     partitioner: Optional[Partitioner] = None,
     runtime=None,
-    representation=None,
 ):
     """Build a distributed maintenance algorithm by its paper name.
 
     Accepted names: ``SCALL``, ``DOIMIS``, ``DOIMIS+``, ``DOIMIS*``,
     ``Naive``, ``dDisMIS``.  All returned objects share the
     ``apply_batch / apply_stream / independent_set / update_metrics``
-    interface.  ``runtime`` selects the execution backend and
-    ``representation`` the partition layout for the DOIMIS variants (the
-    recompute baselines always run inline on the dict path).
+    interface.  ``runtime`` selects the execution backend for the DOIMIS
+    variants (the recompute baselines always run inline).
     """
     if name in _DOIMIS_VARIANTS:
         return DOIMISMaintainer(
             graph, num_workers=num_workers, partitioner=partitioner,
-            runtime=runtime, representation=representation,
+            runtime=runtime,
             **_DOIMIS_VARIANTS[name],
         )
     if runtime is not None:
         raise WorkloadError(
             f"algorithm {name!r} does not support a custom runtime"
-        )
-    if representation is not None and representation != "dict":
-        raise WorkloadError(
-            f"algorithm {name!r} does not support a custom representation"
         )
     if name == "Naive":
         return NaiveRecompute(graph, num_workers=num_workers, partitioner=partitioner)

@@ -89,10 +89,10 @@ class DOIMISMaintainer:
         backend is then wrapped to record per-worker read/write sets each
         superstep and flag races (see :mod:`repro.analysis.parallel`).
     representation:
-        Partition representation for the engine's sweeps — ``"dict"``
-        (the bit-identity reference) or ``"csr"`` (flat-array mirror,
-        vectorized sweeps + shared-memory worker frames); ``None``
-        defers to the ``REPRO_REPRESENTATION`` env flag.
+        Partition representation for the engine's sweeps — ``None``/
+        ``"csr"`` (the default: flat-array mirror, vectorized sweeps +
+        shared-memory worker frames) or ``"dict"`` (the bit-identity
+        reference).
     """
 
     def __init__(

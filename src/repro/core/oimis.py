@@ -98,10 +98,8 @@ class OIMISProgram(ScaleGProgram):
         return STATUS_BYTES
 
     def csr_kernel(self):
-        from repro.graph.csr import OIMISKernel, numpy_available
+        from repro.graph.csr import OIMISKernel
 
-        if not numpy_available():  # pragma: no cover - numpy-less installs
-            return None
         return OIMISKernel(self.strategy, self.full_scan)
 
     def contract_members(self, states: Dict[int, bool]) -> Set[int]:
@@ -183,7 +181,8 @@ def run_oimis(
     :class:`~repro.runtime.base.ExecutionBackend`); a string-selected
     process runtime is closed before returning, a backend instance stays
     owned by the caller.  ``representation`` selects the partition layout
-    (``"dict"``/``"csr"``, see :class:`~repro.scaleg.engine.ScaleGEngine`).
+    (default CSR, ``"dict"`` for the reference path; see
+    :class:`~repro.scaleg.engine.ScaleGEngine`).
     """
     dgraph = DistributedGraph(
         graph, partitioner or HashPartitioner(num_workers)
@@ -210,19 +209,12 @@ def run_oimis_pregel(
     partitioner=None,
     metrics: Optional[RunMetrics] = None,
     runtime=None,
-    representation=None,
 ) -> "OIMISRun":
-    """Compute the independent set with the message-passing variant.
-
-    ``representation`` is accepted for engine parity; the message-passing
-    variant keeps per-vertex dict states (the broadcast cache), so it
-    validates the flag and stays on the dict hot path.
-    """
+    """Compute the independent set with the message-passing variant."""
     dgraph = DistributedGraph(
         graph, partitioner or HashPartitioner(num_workers)
     )
-    engine = PregelEngine(dgraph, runtime=runtime,
-                          representation=representation)
+    engine = PregelEngine(dgraph, runtime=runtime)
     try:
         result = engine.run(OIMISPregelProgram(), metrics=metrics)
     finally:

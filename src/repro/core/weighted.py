@@ -143,6 +143,10 @@ class WeightedOIMISProgram(OIMISProgram):
             self._rank_cache = cache
         return cache
 
+    def csr_kernel(self):
+        # the inherited kernel ranks by the packed (degree, id) key, not ≺_w
+        return None
+
     def weight_changed(self, u: int) -> None:
         """Reposition ``u`` in the attached ``≺_w`` cache after a weight change."""
         if self._rank_cache is not None:

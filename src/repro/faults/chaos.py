@@ -204,7 +204,7 @@ def _logical_fingerprint(metrics) -> Dict[str, int]:
 
 def _run_maintenance(
     workload: ChaosWorkload, faults=None, membership=None,
-    runtime=None, sanitize=None, representation=None,
+    runtime=None, sanitize=None,
 ) -> Tuple[DOIMISMaintainer, Any]:
     graph, ops = _build_case(workload)
     maintainer = DOIMISMaintainer(
@@ -215,7 +215,6 @@ def _run_maintenance(
         membership=membership,
         runtime=runtime,
         sanitize=sanitize,
-        representation=representation,
     )
     try:
         maintainer.apply_stream(ops, batch_size=workload.batch_size)
@@ -225,13 +224,9 @@ def _run_maintenance(
     return maintainer, maintainer.update_metrics
 
 
-def reference_run(
-    workload: ChaosWorkload, representation=None
-) -> ChaosReference:
+def reference_run(workload: ChaosWorkload) -> ChaosReference:
     """The fault-free observables every chaos case compares against."""
-    maintainer, metrics = _run_maintenance(
-        workload, faults=None, representation=representation
-    )
+    maintainer, metrics = _run_maintenance(workload, faults=None)
     return ChaosReference(
         members=sorted(maintainer.independent_set()),
         logical=_logical_fingerprint(metrics),
@@ -245,7 +240,6 @@ def run_chaos_case(
     seed: int,
     reference: Optional[ChaosReference] = None,
     membership=None,
-    representation=None,
 ) -> ChaosCaseResult:
     """Replay ``workload`` under ``preset``'s seeded plan; check the oracle.
 
@@ -256,15 +250,14 @@ def run_chaos_case(
     reported on the result so a sweep surveys the whole grid.
     """
     if reference is None:
-        reference = reference_run(workload, representation=representation)
+        reference = reference_run(workload)
     result = ChaosCaseResult(workload=workload.name, preset=preset, seed=seed)
     plan = plan_for(preset, seed)
     injector = FaultInjector(plan)
 
     try:
         maintainer, metrics = _run_maintenance(
-            workload, faults=injector, membership=membership,
-            representation=representation,
+            workload, faults=injector, membership=membership
         )
     except ReproError as exc:
         # SyncRetryExhausted (drops beyond the retry budget) is the one
@@ -414,7 +407,6 @@ def serve_crash_replay(
     poison_prob: float = 0.0,
     crash_commits: int = 4,
     runtime_factory=None,
-    representation=None,
     faults_factory=None,
     wal_root: Optional[str] = None,
 ) -> ServeChaosResult:
@@ -460,7 +452,6 @@ def serve_crash_replay(
             num_workers=10,
             strategy=ActivationStrategy.SAME_STATUS,
             runtime=runtime_factory() if runtime_factory else None,
-            representation=representation,
             faults=faults_factory() if faults_factory else None,
         )
 
@@ -502,7 +493,6 @@ def serve_crash_replay(
             dir_crash,
             maintainer_kwargs={
                 "runtime": runtime_factory() if runtime_factory else None,
-                "representation": representation,
                 "faults": faults_factory() if faults_factory else None,
             },
             controller=make_controller(), retry=retry, checkpoint_every=3,
@@ -550,7 +540,6 @@ def serve_drain_replay(
     seed: int = 7,
     preset: str = "drain-under-stream",
     runtime_factory=None,
-    representation=None,
     wal_root: Optional[str] = None,
 ) -> ServeChaosResult:
     """Drain worker(s) mid-window of a bursty serve trace; assert the oracle.
@@ -593,7 +582,6 @@ def serve_drain_replay(
             num_workers=10,
             strategy=ActivationStrategy.SAME_STATUS,
             runtime=runtime_factory() if runtime_factory else None,
-            representation=representation,
             faults=faults,
         )
 
@@ -656,7 +644,6 @@ def chaos_suite(
     seeds: Iterable[int] = (0,),
     workloads: Sequence[ChaosWorkload] = CHAOS_WORKLOADS,
     membership=None,
-    representation=None,
 ) -> List[ChaosCaseResult]:
     """Sweep ``presets x seeds`` over ``workloads`` (reference once each).
 
@@ -674,14 +661,13 @@ def chaos_suite(
             )
     results: List[ChaosCaseResult] = []
     for workload in workloads:
-        reference = reference_run(workload, representation=representation)
+        reference = reference_run(workload)
         for preset in selected:
             for seed in seeds:
                 results.append(
                     run_chaos_case(
                         workload, preset, seed,
-                        reference=reference, membership=membership,
-                        representation=representation,
+                        reference=reference, membership=membership
                     )
                 )
     return results

@@ -32,9 +32,6 @@ For the multi-process runtime the arrays are published once into a single
 and compact typed delta arrays back — no pickled state dicts, no
 activation-request object graphs.  The master's bitmap *is* the shared
 view after publication, so barrier commits propagate without reshipping.
-
-numpy is an optional dependency: importing this module without it is
-fine; constructing a :class:`CSRPartition` raises a clear error.
 """
 
 from __future__ import annotations
@@ -42,43 +39,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-try:  # numpy is optional at import time (CI lint jobs, minimal installs)
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
-
-#: env flag consulted when an engine/maintainer is built without an
-#: explicit ``representation=`` argument
-REPRESENTATION_ENV = "REPRO_REPRESENTATION"
+import numpy as np
 
 _REPRESENTATIONS = ("dict", "csr")
-
-
-def numpy_available() -> bool:
-    """Whether the optional numpy dependency is importable."""
-    return np is not None
 
 
 def resolve_representation(value: Optional[str]) -> str:
     """Resolve an engine's ``representation=`` argument.
 
-    ``None`` defers to the ``REPRO_REPRESENTATION`` environment variable
-    (default ``"dict"``); explicit values are validated.  Choosing
-    ``"csr"`` without numpy installed raises immediately — a silent
-    fallback would invalidate any speedup comparison.
+    ``None`` means ``"csr"``: programs that provide a kernel sweep on the
+    array mirror.  ``"dict"`` selects the reference path; anything else
+    raises.
     """
     if value is None:
-        import os
-
-        value = os.environ.get(REPRESENTATION_ENV) or "dict"
+        return "csr"
     if value not in _REPRESENTATIONS:
         raise ValueError(
             f"unknown representation {value!r}: expected one of "
             f"{_REPRESENTATIONS}"
-        )
-    if value == "csr" and np is None:
-        raise RuntimeError(
-            "representation='csr' requires numpy, which is not installed"
         )
     return value
 
@@ -104,10 +82,6 @@ class CSRPartition:
     mutations via the graph's observer protocol (see module docstring)."""
 
     def __init__(self, dgraph) -> None:
-        if np is None:
-            raise RuntimeError(
-                "CSRPartition requires numpy, which is not installed"
-            )
         self._dgraph = dgraph
         self._graph = dgraph.graph
         self.ids = None
@@ -200,8 +174,9 @@ class CSRPartition:
         if n:
             if int(ids[0]) < 0 or int(ids[-1]) >= 1 << 32:
                 raise ValueError(
-                    "representation='csr' requires vertex ids in "
-                    "[0, 2^32): the packed rank key would misorder"
+                    "the CSR layout requires vertex ids in [0, 2^32): the "
+                    "packed rank key would misorder; build the engine with "
+                    "representation='dict' for other ids"
                 )
         keys = (degs << 32) | ids
         indptr = np.zeros(n + 1, np.int64)

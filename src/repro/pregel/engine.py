@@ -159,8 +159,7 @@ class PregelEngine:
     """Executes a :class:`PregelProgram` over a :class:`DistributedGraph`."""
 
     def __init__(self, dgraph: "DistributedGraph", contracts=None, faults=None,
-                 membership=None, runtime=None, sanitize=None,
-                 representation=None):
+                 membership=None, runtime=None, sanitize=None):
         """``contracts``: ``None`` defers to the ``REPRO_CONTRACTS`` env
         flag, ``True``/``False`` force runtime contract checking on/off, or
         pass a :class:`~repro.analysis.runtime.ContractChecker` directly.
@@ -179,21 +178,14 @@ class PregelEngine:
         :class:`~repro.runtime.base.ExecutionBackend` instance.
         ``sanitize``: ``None`` defers to the ``REPRO_SANITIZE`` env flag,
         ``True``/``False`` force the superstep race sanitizer on/off, or
-        pass a :class:`~repro.analysis.parallel.RaceSanitizer` directly.
-        ``representation``: accepted (and validated) for parity with
-        :class:`~repro.scaleg.engine.ScaleGEngine`; the Pregel message
-        discipline keeps per-vertex message payloads and arbitrary state
-        dicts, so ``"csr"`` currently documents intent only — the sweep
-        stays on the dict reference path."""
+        pass a :class:`~repro.analysis.parallel.RaceSanitizer` directly."""
         from repro.analysis.parallel.sanitizer import resolve_sanitizer
         from repro.analysis.runtime import resolve_contracts
         from repro.faults.injector import resolve_faults
         from repro.faults.membership import resolve_membership
-        from repro.graph.csr import resolve_representation
         from repro.runtime import resolve_runtime
 
         self.dgraph = dgraph
-        self._representation = resolve_representation(representation)
         self._outbox: List[Message] = []
         self._aggregators = AggregatorRegistry()
         self._contracts = resolve_contracts(contracts)

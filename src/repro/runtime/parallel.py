@@ -530,8 +530,9 @@ class ParallelRuntime(ExecutionBackend):
             self.procs = max(self.procs + 1, len(self._workers) + 1)
             self._needs_init = True
             return self.procs
-        prologue = self._take_prologue()
         program = self._shipped_program
+        # light incumbents hold no replica to apply a prologue to
+        prologue = self._take_prologue() if self._init_kind == "full" else None
         if prologue is not None:
             if prologue[3] is not None:
                 program = prologue[3]

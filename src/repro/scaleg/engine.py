@@ -96,13 +96,14 @@ class ScaleGProgram(ABC):
         return graph.rank_cache()
 
     def csr_kernel(self):
-        """Array-native sweep kernel for ``representation="csr"``, or
-        ``None`` (the default) when this program only runs the dict path.
+        """Array-native sweep kernel, or ``None`` (the default) when this
+        program only runs the dict path.
 
         A kernel (e.g. :class:`~repro.graph.csr.OIMISKernel`) replays the
         whole compute sweep as vectorized array passes and must be
-        bit-identical to ``compute`` on every meter; programs without one
-        silently keep the dict path even under ``representation="csr"``.
+        bit-identical to ``compute`` on every meter.  Engines sweep on it
+        unless built with ``representation="dict"``; programs without
+        one always keep the dict path.
         """
         return None
 
@@ -281,10 +282,10 @@ class ScaleGEngine:
         pass a :class:`~repro.analysis.parallel.RaceSanitizer` directly;
         when on, the backend is wrapped to record per-worker read/write
         sets each superstep and flag races.
-        ``representation``: ``"dict"`` (the reference hot path) or
-        ``"csr"`` (flat-array partition mirror, vectorized sweeps for
-        programs that provide a :meth:`ScaleGProgram.csr_kernel`);
-        ``None`` defers to the ``REPRO_REPRESENTATION`` env flag."""
+        ``representation``: ``None``/``"csr"`` (the default) sweeps on the
+        flat-array partition mirror whenever the program provides a
+        :meth:`ScaleGProgram.csr_kernel`; ``"dict"`` forces the reference
+        path."""
         from repro.analysis.parallel.sanitizer import resolve_sanitizer
         from repro.analysis.runtime import resolve_contracts
         from repro.faults.injector import resolve_faults
@@ -327,11 +328,6 @@ class ScaleGEngine:
     def sanitizer(self):
         """The attached race sanitizer (``None`` when sanitizing is off)."""
         return self._sanitizer
-
-    @property
-    def representation(self) -> str:
-        """Partition representation driving the sweeps (``dict``/``csr``)."""
-        return self._representation
 
     def close(self) -> None:
         """Release the execution backend's resources (worker processes,

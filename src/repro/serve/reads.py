@@ -10,14 +10,14 @@ the maintained set at each committed window (the
 right after every WAL commit).  Two backings, chosen automatically:
 
 - **shared** — when the maintainer already runs the array-native sweep
-  path over a published shared-memory frame (process runtime +
-  ``representation="csr"``), the registry *pins* the live segment via
+  path over a published shared-memory frame (process runtime with the
+  default CSR representation), the registry *pins* the live segment via
   :meth:`CSRPartition.pin_shared`: the frame becomes the epoch, readers
   map it zero-copy, the writer detaches and republishes the next barrier
   into a fresh segment, and the pinned segment is unlinked only when the
   last reader retires its pin.  Readers never block the writer; the
   writer never mutates a published epoch.
-- **local** — for dict/inline maintainers the registry keeps private
+- **local** — for inline or dict-path maintainers the registry keeps private
   array copies: structure arrays are re-copied only when the CSR
   mirror's ``structure_version`` moved, the membership bitmap is rebuilt
   from ``independent_set()`` per epoch.
@@ -43,14 +43,11 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import QueryError
-from repro.graph.csr import CSRPartition, WorkerCSRView, numpy_available
-from repro.util import percentile
+import numpy as np
 
-try:  # optional at import time, like repro.graph.csr
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+from repro.errors import QueryError
+from repro.graph.csr import CSRPartition, WorkerCSRView
+from repro.util import percentile
 
 
 class EpochSnapshot:
@@ -126,11 +123,6 @@ class SnapshotRegistry:
 
     def __init__(self, maintainer,
                  frontier_fn: Optional[Callable[[], int]] = None):
-        if not numpy_available():
-            raise QueryError(
-                "the snapshot read path requires numpy, which is not "
-                "installed"
-            )
         self._maintainer = maintainer
         self._frontier_fn = frontier_fn
         self._part: Optional[CSRPartition] = None

@@ -17,27 +17,22 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.workloads import delete_reinsert_workload
+from repro.core.dismis import DisMISProgram
+from repro.core.doimis import DOIMISMaintainer
 from repro.core.maintainer import MISMaintainer
-from repro.core.oimis import run_oimis
-from repro.errors import WorkloadError
-from repro.graph.csr import (
-    REPRESENTATION_ENV,
-    CSRPartition,
-    WorkerCSRView,
-    numpy_available,
-    resolve_representation,
-)
+from repro.core.oimis import OIMISProgram, run_oimis
+from repro.core.weighted import WeightedMISMaintainer
+from repro.graph.csr import CSRPartition, WorkerCSRView, resolve_representation
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.generators import barabasi_albert, chung_lu, erdos_renyi
 from repro.graph.updates import EdgeDeletion, EdgeInsertion
+from repro.scaleg.engine import ScaleGEngine
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -72,26 +67,30 @@ def _maintain(graph, ops, batch_size, representation, runtime=None):
 # representation resolution
 # ---------------------------------------------------------------------------
 def test_resolve_representation():
+    assert resolve_representation(None) == "csr"
     assert resolve_representation("dict") == "dict"
     assert resolve_representation("csr") == "csr"
     with pytest.raises(ValueError, match="unknown representation"):
         resolve_representation("sparse")
-    assert numpy_available()
 
 
-def test_representation_env_default(monkeypatch):
-    monkeypatch.delenv(REPRESENTATION_ENV, raising=False)
-    assert resolve_representation(None) == "dict"
-    monkeypatch.setenv(REPRESENTATION_ENV, "csr")
-    assert resolve_representation(None) == "csr"
+def test_default_sweeps_on_csr_only_for_kernel_programs():
+    graph = erdos_renyi(30, 80, seed=3)
+    maintainer = DOIMISMaintainer(graph.copy(), num_workers=4)
+    assert maintainer._engine._csr is not None
 
-
-def test_non_oimis_algorithms_reject_csr():
-    from repro.core.baselines import make_algorithm
-
-    with pytest.raises(WorkloadError, match="does not support"):
-        make_algorithm("GreedyRecompute", erdos_renyi(10, 20, seed=0),
-                       num_workers=2, representation="csr")
+    dgraph = DistributedGraph.create(graph.copy(), 4)
+    engine = ScaleGEngine(dgraph)
+    engine.run(OIMISProgram())
+    assert engine._csr is not None
+    # programs without an array kernel stay on the dict sweep
+    engine.run(DisMISProgram())
+    assert engine._csr is None
+    weighted = WeightedMISMaintainer(graph.copy(), num_workers=4)
+    assert weighted._engine._csr is None
+    assert DOIMISMaintainer(
+        graph.copy(), num_workers=4, representation="dict"
+    )._engine._csr is None
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +352,7 @@ def test_csr_parallel_matches_dict_inline(procs):
 def test_chaos_preset_bit_identical_under_csr(preset):
     from repro.faults.chaos import CHAOS_WORKLOADS, run_chaos_case
 
-    result = run_chaos_case(
-        CHAOS_WORKLOADS[0], preset, seed=0, representation="csr"
-    )
+    result = run_chaos_case(CHAOS_WORKLOADS[0], preset, seed=0)
     assert result.ok, result.failures
 
 

@@ -385,7 +385,6 @@ class TestDrainedFaultExclusion:
 # ---------------------------------------------------------------------------
 class TestCSRTransitions:
     def test_mark_membership_change_bumps_structure_version(self):
-        pytest.importorskip("numpy")
         from repro.graph.csr import CSRPartition
 
         graph = erdos_renyi(30, 60, seed=2)
@@ -396,7 +395,6 @@ class TestCSRTransitions:
         assert csr.structure_version == before + 1
 
     def test_transition_invalidates_published_csr_frame(self):
-        pytest.importorskip("numpy")
         graph, ops = _workload(n=50, m=120)
         plan = FaultPlan(seed=0, drains=(
             DrainSpec(superstep=0, worker=1, run=1),
@@ -415,7 +413,6 @@ class TestCSRTransitions:
 
     @pytest.mark.parametrize("procs", [1, 2, 4])
     def test_csr_elastic_bit_identical_across_procs(self, procs):
-        pytest.importorskip("numpy")
         graph, ops = _workload(n=50, m=120)
         plan_kwargs = dict(
             seed=0,
@@ -448,7 +445,10 @@ class TestCSRTransitions:
 # the resizable process pool
 # ---------------------------------------------------------------------------
 class TestRuntimeElasticity:
-    def test_add_worker_mid_stream_bit_identical(self):
+    # "csr" joins a light (array-sweep) pool: the newcomer needs only the
+    # shared frame meta, and the incumbents no replica prologue
+    @pytest.mark.parametrize("representation", ["dict", "csr"])
+    def test_add_worker_mid_stream_bit_identical(self, representation):
         graph, ops = _workload(n=50, m=120)
 
         def run(resize):
@@ -456,6 +456,7 @@ class TestRuntimeElasticity:
             maintainer = DOIMISMaintainer(
                 graph.copy(), num_workers=6,
                 strategy=ActivationStrategy.SAME_STATUS, runtime=runtime,
+                representation=representation,
             )
             try:
                 maintainer.apply_stream(ops[:20], batch_size=5)

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.core.maintainer import MISMaintainer
 from repro.bench.workloads import delete_reinsert_workload

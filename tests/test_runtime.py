@@ -341,7 +341,8 @@ def test_unpicklable_program_raises_parallel_runtime_error():
     dgraph = DistributedGraph(graph, HashPartitioner(4))
     runtime = ParallelRuntime(procs=1, start_method="fork")
     try:
-        engine = ScaleGEngine(dgraph, runtime=runtime)
+        # the dict path pickles the program into the worker frame
+        engine = ScaleGEngine(dgraph, runtime=runtime, representation="dict")
         with pytest.raises(ParallelRuntimeError, match="picklable"):
             engine.run(_UnpicklableProgram())
     finally:

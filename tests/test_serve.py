@@ -759,7 +759,6 @@ class TestServeChaos:
             tag="AM", num_ops=200, seed=5, crash_commits=3,
             runtime_factory=lambda: ParallelRuntime(
                 procs=2, start_method="fork"),
-            representation="csr",
         )
         assert result.ok, result.failures
 

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from repro.core.doimis import DOIMISMaintainer
 from repro.core.verification import is_independent_set, is_maximal_independent_set
 from repro.core.weighted import (
     WeightedMISMaintainer,
+    WeightedOIMISProgram,
     is_weighted_fixpoint,
     set_weight_of,
     weighted_greedy_mis,
@@ -100,12 +102,20 @@ class TestOracle:
 
 
 class TestMaintainer:
-    def test_initial_matches_oracle(self):
+    # an explicit "csr" must not hand ≺_w to the unweighted (degree, id)
+    # array kernel: the weighted program keeps its dict sweep either way
+    @pytest.mark.parametrize("representation", ["dict", "csr"])
+    def test_initial_matches_oracle(self, representation):
         g = erdos_renyi(40, 130, seed=3)
         w = _weights(g, seed=3)
-        m = WeightedMISMaintainer(g.copy(), weights=w, num_workers=4)
+        m = DOIMISMaintainer(
+            g.copy(), num_workers=4, program=WeightedOIMISProgram(w),
+            representation=representation,
+        )
         assert m.independent_set() == weighted_greedy_mis(m.graph, w)
-        m.verify()
+        for edge in g.sorted_edges()[:8]:
+            m.apply_batch([EdgeDeletion(*edge)])
+        assert m.independent_set() == weighted_greedy_mis(m.graph, w)
 
     def test_default_unit_weights(self):
         g = erdos_renyi(30, 90, seed=4)
