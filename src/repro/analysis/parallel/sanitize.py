@@ -25,10 +25,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.faults.chaos import (
     CHAOS_WORKLOADS,
-    LOGICAL_METERS,
-    ChaosReference,
     ChaosWorkload,
-    _logical_fingerprint,
+    Observables,
     _run_maintenance,
     plan_for,
     reference_run,
@@ -85,7 +83,7 @@ def run_sanitize_case(
     preset: str,
     seed: int,
     procs: int,
-    reference: Optional[ChaosReference] = None,
+    reference: Optional[Observables] = None,
     start_method: Optional[str] = None,
 ) -> SanitizeCaseResult:
     """Replay ``workload`` under ``preset`` with the sanitizer watching.
@@ -102,7 +100,7 @@ def run_sanitize_case(
     sanitizer = RaceSanitizer(strict=False)
     runtime = _build_runtime(procs, start_method)
     try:
-        maintainer, metrics = _run_maintenance(
+        maintainer = _run_maintenance(
             workload, faults=injector, runtime=runtime, sanitize=sanitizer
         )
     except Exception as exc:  # noqa: BLE001 - survey, don't abort the sweep
@@ -117,26 +115,7 @@ def run_sanitize_case(
     result.trace_digest = sanitizer.trace_digest()
     result.races = [str(v) for v in sanitizer.violations]
 
-    members = sorted(maintainer.independent_set())
-    if members != reference.members:
-        result.failures.append(
-            f"final set diverged from the inline reference: "
-            f"|sanitized|={len(members)} |reference|={len(reference.members)}"
-        )
-    logical = _logical_fingerprint(metrics)
-    init_logical = _logical_fingerprint(maintainer.init_metrics)
-    for name in LOGICAL_METERS:
-        if logical[name] != reference.logical[name]:
-            result.failures.append(
-                f"logical meter {name} drifted under the sanitizer: "
-                f"sanitized={logical[name]} reference={reference.logical[name]}"
-            )
-        if init_logical[name] != reference.init_logical[name]:
-            result.failures.append(
-                f"init logical meter {name} drifted under the sanitizer: "
-                f"sanitized={init_logical[name]} "
-                f"reference={reference.init_logical[name]}"
-            )
+    result.failures = reference.diff(Observables.of(maintainer), "sanitized")
     return result
 
 

@@ -397,42 +397,3 @@ def fig13_updates(
                 }
             )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Chaos — fault-injection sweep with the Theorem 4.2/6.1 convergence oracle
-# ---------------------------------------------------------------------------
-def chaos_oracle(seeds: Sequence[int] = (0,)) -> List[Dict]:
-    """One row per (workload, preset, seed) chaos case.
-
-    DOIMIS under seeded faults (crashes, drops, duplicates, stragglers,
-    reorders, permanent worker losses, silent guest-copy corruption) must
-    converge to the *same* set with the *same* logical meters as the
-    fault-free run — ``verdict`` is "ok" exactly when it did.
-    """
-    from repro.faults.chaos import chaos_suite
-
-    rows: List[Dict] = []
-    for result in chaos_suite(seeds=seeds):
-        rows.append(
-            {
-                "workload": result.workload,
-                "preset": result.preset,
-                "seed": result.seed,
-                "injected": result.injected_total,
-                "recovery_crashes": int(
-                    result.recovery.get("recovery_crashes", 0)
-                ),
-                "recovery_failovers": int(
-                    result.recovery.get("recovery_failovers", 0)
-                ),
-                "recovery_resync_bytes": int(
-                    result.recovery.get("recovery_resync_bytes", 0)
-                ),
-                "divergence_detected": int(
-                    result.divergence.get("divergence_detected", 0)
-                ),
-                "verdict": "ok" if result.ok else "FAIL",
-            }
-        )
-    return rows

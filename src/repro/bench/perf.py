@@ -92,68 +92,33 @@ def _sections(members, metrics: RunMetrics, graph) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 # scenarios (each returns the params echo plus logical/perf sections)
 # ---------------------------------------------------------------------------
-def _static_oimis(tag: str, runtime=None) -> Dict[str, Any]:
+def _static_oimis(tag: str) -> Dict[str, Any]:
     graph = load_dataset(tag)
-    run = run_oimis(graph, num_workers=10, strategy=ActivationStrategy.ALL,
-                    runtime=runtime)
+    run = run_oimis(graph, num_workers=10, strategy=ActivationStrategy.ALL)
     result = _sections(run.independent_set, run.metrics, graph)
     result["params"] = {"kind": "static_oimis", "dataset": tag,
                         "workers": 10, "strategy": "all"}
     return result
 
 
-def _fig10_single(tag: str, k: int, seed: int, runtime=None) -> Dict[str, Any]:
+def _maintenance(
+    tag: str, k: int, seed: int, batch_size: int, algorithm: str = "DOIMIS*"
+) -> Dict[str, Any]:
+    """Replay a delete-reinsert stream: one update at a time (Fig. 10) or
+    in batches (Fig. 11)."""
     base = load_dataset(tag)
     ops = delete_reinsert_workload(base, k, seed=seed)
-    maintainer = DOIMISMaintainer(
-        base.copy(), num_workers=10, strategy=ActivationStrategy.SAME_STATUS,
-        runtime=runtime,
-    )
-    maintainer.apply_stream(ops, batch_size=1)
-    result = _sections(
-        maintainer.independent_set(), maintainer.update_metrics,
-        maintainer.graph,
-    )
-    result["params"] = {"kind": "fig10_single", "dataset": tag, "k": k,
-                        "seed": seed, "batch_size": 1, "workers": 10,
-                        "algorithm": "DOIMIS*"}
-    return result
-
-
-def _fig10_single_scall(tag: str, k: int, seed: int,
-                        runtime=None) -> Dict[str, Any]:
-    base = load_dataset(tag)
-    ops = delete_reinsert_workload(base, k, seed=seed)
-    maintainer = make_algorithm(
-        "SCALL", load_dataset(tag), num_workers=10, runtime=runtime
-    )
-    maintainer.apply_stream(ops, batch_size=1)
-    result = _sections(
-        maintainer.independent_set(), maintainer.update_metrics,
-        maintainer.graph,
-    )
-    result["params"] = {"kind": "fig10_single", "dataset": tag, "k": k,
-                        "seed": seed, "batch_size": 1, "workers": 10,
-                        "algorithm": "SCALL"}
-    return result
-
-
-def _fig11_batch(tag: str, k: int, seed: int, batch_size: int,
-                 runtime=None) -> Dict[str, Any]:
-    base = load_dataset(tag)
-    ops = delete_reinsert_workload(base, k, seed=seed)
-    maintainer = DOIMISMaintainer(
-        base.copy(), num_workers=10, strategy=ActivationStrategy.SAME_STATUS,
-        runtime=runtime,
-    )
+    maintainer = make_algorithm(algorithm, base.copy(), num_workers=10)
     maintainer.apply_stream(ops, batch_size=batch_size)
     result = _sections(
         maintainer.independent_set(), maintainer.update_metrics,
         maintainer.graph,
     )
-    result["params"] = {"kind": "fig11_batch", "dataset": tag, "k": k,
-                        "seed": seed, "batch_size": batch_size, "workers": 10,
-                        "algorithm": "DOIMIS*"}
+    result["params"] = {
+        "kind": "fig10_single" if batch_size == 1 else "fig11_batch",
+        "dataset": tag, "k": k, "seed": seed, "batch_size": batch_size,
+        "workers": 10, "algorithm": algorithm,
+    }
     return result
 
 
@@ -273,7 +238,7 @@ def _csr_frames_static_oimis(tag: str, procs: int = 2) -> Dict[str, Any]:
     return entry
 
 
-def _serve_bursty(
+def _serve(
     tag: str,
     num_ops: int,
     seed: int,
@@ -283,22 +248,32 @@ def _serve_bursty(
     low_watermark: int = 128,
     max_window: int = 64,
     backoff_s: float = 0.2,
+    read_mix: float = 0.0,
+    read_batch: int = 32,
 ) -> Dict[str, Any]:
-    """Sustained ingestion through the durable service (ROADMAP item 2).
+    """A seeded bursty trace through the durable ingestion service.
 
-    Replays a seeded bursty trace through a full
+    Replays the trace through a full
     :class:`~repro.serve.service.IngestionService` — WAL, admission
-    control, adaptive windowing, retry/quarantine — and records sustained
-    updates/s plus per-window latency percentiles.  The logical section is
-    pinned like any other scenario: every control decision (window
-    boundaries, sheds, retries, quarantines) reads logical meters and
-    event time only, so the applied stream is deterministic per seed even
-    with poison operations in the trace.  Exactly-once accounting is
-    asserted in-scenario via the WAL audit.
+    control, adaptive windowing, retry/quarantine — via
+    :func:`repro.serve.drive`.  The logical section is pinned like any
+    other scenario: every control decision (window boundaries, sheds,
+    retries, quarantines) reads logical meters and event time only, so the
+    applied stream is deterministic per seed even with poison operations
+    in the trace.  Exactly-once accounting is asserted via the WAL audit.
+
+    With ``read_mix`` > 0 the epoch snapshot read path is on and a seeded
+    query stream is interleaved (0.99 → 99 reads per accepted write: a
+    read-heavy serving tier over a trickle of updates).  The read
+    *counters* — queries by kind, vertices answered, epochs published, the
+    epoch-staleness distribution — are pure functions of the seed and land
+    in the pinned logical section; read latency percentiles and reads/s
+    are wall-clock trend data under ``perf.reads``.  Without reads,
+    sustained updates/s and per-window latency percentiles are recorded
+    under ``perf.serve``.
     """
     import shutil
     import tempfile
-    from time import perf_counter
 
     from repro.core.maintainer import MISMaintainer
     from repro.serve import (
@@ -310,8 +285,11 @@ def _serve_bursty(
         WindowConfig,
         audit_log,
         bursty_trace,
+        drive,
     )
+    from repro.util import percentile
 
+    kind = "serve_read_mix" if read_mix else "serve_bursty"
     ops, timestamps = bursty_trace(
         load_dataset(tag),
         TraceConfig(num_ops=num_ops, seed=seed, poison_prob=poison_prob),
@@ -322,7 +300,7 @@ def _serve_bursty(
     )
     wal_dir = tempfile.mkdtemp(prefix="serve-bench-")
     try:
-        service = IngestionService(
+        with IngestionService(
             maintainer, wal_dir,
             controller=AdaptiveWindowController(WindowConfig(
                 min_window=4, max_window=max_window, initial_window=8,
@@ -333,17 +311,16 @@ def _serve_bursty(
             ),
             retry=RetryPolicy(max_retries=1, backoff_base_s=backoff_s),
             checkpoint_every=0,  # checkpoint cost stays out of the timing
-        )
-        start = perf_counter()
-        for op, ts in zip(ops, timestamps):
-            service.submit(op, ts)
-        service.drain()
-        ingest_wall = perf_counter() - start
-        service.close()
+            serve_reads=read_mix > 0,
+        ) as service:
+            ingest_wall, stale_samples = drive(
+                service, ops, timestamps, read_mix=read_mix,
+                read_batch=read_batch, seed=seed,
+            )
         problems, audit = audit_log(wal_dir)
         if problems:
             raise RuntimeError(
-                f"serve_bursty_{tag}: WAL audit failed: {problems[:3]}"
+                f"{kind}_{tag}: WAL audit failed: {problems[:3]}"
             )
     finally:
         shutil.rmtree(wal_dir, ignore_errors=True)
@@ -351,131 +328,34 @@ def _serve_bursty(
         maintainer.independent_set(), maintainer.update_metrics,
         maintainer.graph,
     )
-    session = service.session.totals()
-    entry["params"] = {"kind": "serve_bursty", "dataset": tag,
-                       "num_ops": num_ops, "seed": seed,
-                       "poison_prob": poison_prob,
-                       "admission": admission_policy, "workers": 10}
-    entry["perf"]["serve"] = {
-        # throughput/latency are trend data; the counters are deterministic
-        "updates_per_s": round(audit["applied"] / ingest_wall, 1)
-        if ingest_wall else 0.0,
-        "ingest_wall_s": round(ingest_wall, 3),
-        "window_wall_p50_s": round(session["wall_time_p50_s"], 5),
-        "window_wall_p95_s": round(session["wall_time_p95_s"], 5),
-        "window_wall_p99_s": round(session["wall_time_p99_s"], 5),
-        "applied": audit["applied"],
-        "accepted": service.admission.stats.accepted,
-        "shed": service.admission.stats.shed,
-        "blocked": service.admission.stats.blocked,
-        "quarantined": audit["quarantined"],
-        "windows": audit["commits"],
-        "window_failures": service.stats.window_failures,
-        "bisections": service.stats.bisections,
-        "max_pending": session["max_pending"],
-        "controller": service.controller.as_dict(),
-    }
-    return entry
-
-
-def _serve_read_mix(
-    tag: str,
-    num_ops: int,
-    seed: int,
-    read_mix: float = 0.99,
-    read_batch: int = 32,
-    max_window: int = 64,
-) -> Dict[str, Any]:
-    """Mixed read/write serving through the epoch snapshot read path.
-
-    Replays a seeded bursty trace through the ingestion service with
-    ``serve_reads=True`` and interleaves a seeded query stream at
-    ``read_mix`` (0.99 → 99 reads per accepted write: a read-heavy serving
-    tier over a trickle of updates).  Reads are answered against the last
-    committed epoch, never blocking ingestion.  The read *counters* —
-    queries by kind, vertices answered, epochs published, the
-    epoch-staleness distribution (admitted-but-invisible events per read)
-    — are pure functions of the seed and land in the pinned logical
-    section; read latency percentiles and reads/s are wall-clock trend
-    data under ``perf.reads``.
-    """
-    import random
-    import shutil
-    import tempfile
-    from time import perf_counter
-
-    from repro.core.maintainer import MISMaintainer
-    from repro.serve import (
-        AdaptiveWindowController,
-        AdmissionConfig,
-        IngestionService,
-        RetryPolicy,
-        TraceConfig,
-        WindowConfig,
-        audit_log,
-        bursty_trace,
-    )
-    from repro.util import percentile
-
-    ops, timestamps = bursty_trace(
-        load_dataset(tag), TraceConfig(num_ops=num_ops, seed=seed)
-    )
-    maintainer = MISMaintainer(
-        load_dataset(tag), num_workers=10,
-        strategy=ActivationStrategy.SAME_STATUS,
-    )
-    wal_dir = tempfile.mkdtemp(prefix="serve-bench-")
-    rng = random.Random(seed + 0x5EED)
-    ratio = read_mix / (1.0 - read_mix)
-    acc = 0.0
-    stale_samples: List[int] = []
-    try:
-        service = IngestionService(
-            maintainer, wal_dir,
-            controller=AdaptiveWindowController(WindowConfig(
-                min_window=4, max_window=max_window, initial_window=8,
-            )),
-            admission=AdmissionConfig(policy="block"),
-            retry=RetryPolicy(max_retries=1, backoff_base_s=0.2),
-            checkpoint_every=0,
-            serve_reads=True,
-        )
-        start = perf_counter()
-        for op, ts in zip(ops, timestamps):
-            service.submit(op, ts)
-            acc += ratio
-            while acc >= 1.0:
-                acc -= 1.0
-                ids = service.reads.latest().ids
-                if not ids.size:
-                    break
-                stale_samples.append(service.reads.staleness())
-                draw = rng.random()
-                if draw < 0.10:
-                    service.query_why_not(
-                        int(ids[rng.randrange(ids.size)])
-                    )
-                elif draw < 0.20:
-                    service.query_batch([
-                        int(ids[rng.randrange(ids.size)])
-                        for _ in range(read_batch)
-                    ])
-                else:
-                    service.query_point(int(ids[rng.randrange(ids.size)]))
-        service.drain()
-        ingest_wall = perf_counter() - start
-        service.close()
-        problems, audit = audit_log(wal_dir)
-        if problems:
-            raise RuntimeError(
-                f"serve_read_mix_{tag}: WAL audit failed: {problems[:3]}"
-            )
-    finally:
-        shutil.rmtree(wal_dir, ignore_errors=True)
-    entry = _sections(
-        maintainer.independent_set(), maintainer.update_metrics,
-        maintainer.graph,
-    )
+    updates_per_s = (round(audit["applied"] / ingest_wall, 1)
+                     if ingest_wall else 0.0)
+    if not read_mix:
+        session = service.session.totals()
+        entry["params"] = {"kind": kind, "dataset": tag,
+                           "num_ops": num_ops, "seed": seed,
+                           "poison_prob": poison_prob,
+                           "admission": admission_policy, "workers": 10}
+        entry["perf"]["serve"] = {
+            # throughput/latency are trend data; the counters are
+            # deterministic
+            "updates_per_s": updates_per_s,
+            "ingest_wall_s": round(ingest_wall, 3),
+            "window_wall_p50_s": round(session["wall_time_p50_s"], 5),
+            "window_wall_p95_s": round(session["wall_time_p95_s"], 5),
+            "window_wall_p99_s": round(session["wall_time_p99_s"], 5),
+            "applied": audit["applied"],
+            "accepted": service.admission.stats.accepted,
+            "shed": service.admission.stats.shed,
+            "blocked": service.admission.stats.blocked,
+            "quarantined": audit["quarantined"],
+            "windows": audit["commits"],
+            "window_failures": service.stats.window_failures,
+            "bisections": service.stats.bisections,
+            "max_pending": session["max_pending"],
+            "controller": service.controller.as_dict(),
+        }
+        return entry
     engine = service.query_engine
     reads_logical = dict(engine.logical_stats())
     stale_sorted = sorted(stale_samples)
@@ -486,7 +366,7 @@ def _serve_read_mix(
     read_stats = engine.read_stats()
     reads_logical["final_epoch"] = read_stats["epoch"]
     reads_logical["final_watermark"] = read_stats["watermark"]
-    entry["params"] = {"kind": "serve_read_mix", "dataset": tag,
+    entry["params"] = {"kind": kind, "dataset": tag,
                        "num_ops": num_ops, "seed": seed,
                        "read_mix": read_mix, "read_batch": read_batch,
                        "workers": 10}
@@ -497,8 +377,7 @@ def _serve_read_mix(
         "latency_p50_ms": read_stats["latency_p50_ms"],
         "latency_p95_ms": read_stats["latency_p95_ms"],
         "latency_p99_ms": read_stats["latency_p99_ms"],
-        "updates_per_s": round(audit["applied"] / ingest_wall, 1)
-        if ingest_wall else 0.0,
+        "updates_per_s": updates_per_s,
         "ingest_wall_s": round(ingest_wall, 3),
     }
     return entry
@@ -511,77 +390,43 @@ def _elastic_transitions(
 ) -> Dict[str, Any]:
     """Voluntary joins/drains mid-stream vs a static-membership reference.
 
-    The static run is the bit-identity oracle (any drift in a logical
-    field or ``compute_work`` raises); the elastic run's sections become
-    the entry, with the deterministic ``rebalance_*`` meters pinned inside
-    the logical section (movement cost is part of the contract) and the
-    per-transition trace — moved counts, modelled barrier stall,
-    post-transition residency skew — recorded under ``perf.elastic``.
-    ``joins``/``drains`` are ``(worker, run)`` pairs.
+    :func:`repro.faults.chaos.rebalance_case` is the oracle (any failure —
+    drift from the static run, no transition applied, no movement charged
+    — raises); the elastic run's sections become the entry, with the
+    deterministic ``rebalance_*`` meters pinned inside the logical section
+    (movement cost is part of the contract) and the per-transition trace —
+    moved counts, modelled barrier stall, post-transition residency skew —
+    recorded under ``perf.elastic``.  ``joins``/``drains`` are
+    ``(worker, run)`` pairs.
     """
-    from repro.faults import DrainSpec, FaultInjector, FaultPlan, JoinSpec
+    from repro.faults.chaos import ChaosWorkload, rebalance_case
 
-    def run(faults):
-        base = load_dataset(tag)
-        ops = delete_reinsert_workload(base, k, seed=seed)
-        maintainer = DOIMISMaintainer(
-            base.copy(), num_workers=10,
-            strategy=ActivationStrategy.SAME_STATUS, faults=faults,
+    result = rebalance_case(
+        ChaosWorkload(tag=tag, k=k, batch_size=batch_size,
+                      workload_seed=seed),
+        joins=joins, drains=drains,
+    )
+    if result.failures:
+        raise RuntimeError(
+            f"elastic_transitions_{tag}: {'; '.join(result.failures)}"
         )
-        maintainer.apply_stream(ops, batch_size=batch_size)
-        return maintainer
-
-    static = run(None)
-    plan = FaultPlan(
-        seed=0,
-        joins=tuple(JoinSpec(superstep=0, worker=w, run=r)
-                    for w, r in joins),
-        drains=tuple(DrainSpec(superstep=0, worker=w, run=r)
-                     for w, r in drains),
-    )
-    elastic = run(FaultInjector(plan))
-    static_entry = _sections(
-        static.independent_set(), static.update_metrics, static.graph
-    )
+    elastic = result.elastic
     entry = _sections(
         elastic.independent_set(), elastic.update_metrics, elastic.graph
     )
-    if _stable_sections(static_entry) != _stable_sections(entry):
-        raise RuntimeError(
-            f"elastic_transitions_{tag}: elastic membership diverged from "
-            "the static-membership reference"
-        )
-    failover = elastic.failover
-    if failover is None or not failover.transitions:
-        raise RuntimeError(
-            f"elastic_transitions_{tag}: no membership transition applied"
-        )
-    rebalance = elastic.update_metrics.rebalance_summary()
-    entry["logical"]["rebalance"] = dict(rebalance)
+    entry["logical"]["rebalance"] = dict(result.rebalance)
     num_vertices = elastic.graph.num_vertices
-    members = failover.view.members()
-    counts = {w: 0 for w in members}
-    for u in sorted(elastic.graph.vertices()):
-        w = failover.worker_of(u)
-        counts[w] = counts.get(w, 0) + 1
-    loads = list(counts.values())
-    mean = sum(loads) / len(loads) if loads else 0.0
     entry["params"] = {"kind": "elastic_transitions", "dataset": tag,
                        "k": k, "seed": seed, "batch_size": batch_size,
                        "workers": 10, "joins": [list(j) for j in joins],
                        "drains": [list(d) for d in drains]}
     entry["perf"]["elastic"] = {
-        "transitions": [
-            {"superstep": e.superstep, "joined": list(e.joined),
-             "drained": list(e.drained), "moved": e.moved,
-             "epoch": e.epoch, "stall_s": e.stall_s}
-            for e in failover.transitions
-        ],
-        "members_after": len(members),
+        "transitions": result.transitions,
+        "members_after": len(result.members),
         "moved_fraction": round(
-            rebalance["rebalance_moved_vertices"] / num_vertices, 4
+            result.rebalance["rebalance_moved_vertices"] / num_vertices, 4
         ) if num_vertices else 0.0,
-        "post_skew": round(max(loads) / mean, 4) if mean else 1.0,
+        "post_skew": round(result.skew, 4),
     }
     return entry
 
@@ -662,18 +507,18 @@ def _autoscale_policy_chung_lu(
 SCENARIOS: Dict[str, Callable[[], Dict[str, Any]]] = {
     "static_oimis_SKI": lambda: _static_oimis("SKI"),
     "static_oimis_TW": lambda: _static_oimis("TW"),
-    "fig10_single_SKI": lambda: _fig10_single("SKI", 60, 7),
-    "fig10_single_scall_SKI": lambda: _fig10_single_scall("SKI", 60, 7),
-    "fig11_batch_TW": lambda: _fig11_batch("TW", 150, 11, 25),
-    "fig11_batch_AM": lambda: _fig11_batch("AM", 100, 13, 20),
+    "fig10_single_SKI": lambda: _maintenance("SKI", 60, 7, 1),
+    "fig10_single_scall_SKI": lambda: _maintenance("SKI", 60, 7, 1, "SCALL"),
+    "fig11_batch_TW": lambda: _maintenance("TW", 150, 11, 25),
+    "fig11_batch_AM": lambda: _maintenance("AM", 100, 13, 20),
     "runtime_static_oimis_SKI": lambda: _runtime_static_oimis("SKI"),
     "runtime_static_oimis_TW": lambda: _runtime_static_oimis("TW"),
     "csr_frames_static_oimis_SKI": lambda: _csr_frames_static_oimis("SKI"),
-    "serve_bursty_AM": lambda: _serve_bursty("AM", 400, 7),
-    "serve_poison_SL": lambda: _serve_bursty(
+    "serve_bursty_AM": lambda: _serve("AM", 400, 7),
+    "serve_poison_SL": lambda: _serve(
         "SL", 300, 11, poison_prob=0.05, admission_policy="shed",
         high_watermark=24, low_watermark=8, max_window=16, backoff_s=0.5),
-    "serve_read_mix_AM": lambda: _serve_read_mix("AM", 300, 7),
+    "serve_read_mix_AM": lambda: _serve("AM", 300, 7, read_mix=0.99),
     "elastic_scale_up_TW": lambda: _elastic_transitions(
         "TW", 100, 11, 25, joins=((10, 2), (11, 3))),
     "elastic_drain_SKI": lambda: _elastic_transitions(

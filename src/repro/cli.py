@@ -96,6 +96,16 @@ def _resolve_cli_runtime(args: argparse.Namespace):
     return ParallelRuntime(procs=args.procs)
 
 
+def _runtime_factory(args: argparse.Namespace):
+    """A fresh-backend factory for commands that run several maintainers
+    (``None`` keeps the engines' inline default)."""
+    if args.runtime != "process":
+        return None
+    from repro.runtime import ParallelRuntime
+
+    return lambda: ParallelRuntime(procs=args.procs)
+
+
 def _print_metrics(label: str, metrics) -> None:
     summary = metrics.summary()
     print(f"{label}:")
@@ -401,12 +411,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import random
     import shutil
     import tempfile
-    from time import perf_counter
 
-    from repro.errors import BackpressureError
     from repro.graph.datasets import load_dataset
     from repro.serve import (
         AdaptiveWindowController,
@@ -418,19 +425,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         WindowConfig,
         audit_log,
         bursty_trace,
+        drive,
     )
 
     if args.chaos:
         from repro.faults.chaos import serve_crash_replay
 
-        runtime_factory = None
-        if args.runtime == "process":
-            from repro.runtime import ParallelRuntime
-
-            runtime_factory = lambda: ParallelRuntime(procs=args.procs)
         result = serve_crash_replay(
             tag=args.dataset, num_ops=args.ops, seed=args.seed,
-            poison_prob=args.poison_prob, runtime_factory=runtime_factory,
+            poison_prob=args.poison_prob,
+            runtime_factory=_runtime_factory(args),
         )
         if args.format == "json":
             print(json.dumps(result.as_dict(), indent=2))
@@ -469,7 +473,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     wal_dir = args.wal_dir or tempfile.mkdtemp(prefix="repro-serve-")
     try:
-        service = IngestionService(
+        with IngestionService(
             maintainer, wal_dir, controller=controller,
             admission=AdmissionConfig(
                 policy=args.admission, high_watermark=args.high_watermark,
@@ -482,44 +486,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             autoscale=args.autoscale,
             target_utilization=args.target_utilization,
             serve_reads=args.read_mix > 0,
-        )
-        # seeded read interleaving: an accumulator turns the requested
-        # read fraction R into reads-per-write R/(1-R), so e.g. 0.99
-        # issues ~99 queries between consecutive submissions
-        read_rng = random.Random(args.seed + 0x5EED) if args.read_mix else None
-        read_ratio = (args.read_mix / (1.0 - args.read_mix)
-                      if args.read_mix else 0.0)
-        read_acc = 0.0
-        start = perf_counter()
-        for i, op in enumerate(operations):
-            try:
-                service.submit(op, timestamps[i])
-            except BackpressureError:
-                # the error policy pushes overload onto the producer; the
-                # trace runner's answer is to drop and move on (the
-                # rejection is already on the admission account)
-                continue
-            if read_rng is not None:
-                read_acc += read_ratio
-                while read_acc >= 1.0:
-                    read_acc -= 1.0
-                    ids = service.reads.latest().ids
-                    if not ids.size:
-                        break
-                    if args.read_batch > 1:
-                        service.query_batch([
-                            int(ids[read_rng.randrange(ids.size)])
-                            for _ in range(args.read_batch)
-                        ])
-                    else:
-                        vertex = int(ids[read_rng.randrange(ids.size)])
-                        if read_rng.random() < 0.1:
-                            service.query_why_not(vertex)
-                        else:
-                            service.query_point(vertex)
-        service.drain()
-        ingest_wall = perf_counter() - start
-        service.close()
+        ) as service:
+            ingest_wall, _ = drive(
+                service, operations, timestamps, read_mix=args.read_mix,
+                read_batch=args.read_batch, seed=args.seed,
+            )
         problems, audit = audit_log(wal_dir)
         summary = service.stats_summary()
         session = summary["session"]
@@ -702,105 +673,40 @@ def _parse_transition(text: str):
 
 def _cmd_rebalance(args: argparse.Namespace) -> int:
     """Scripted elastic transitions on one workload + the identity oracle."""
-    from repro.bench.workloads import delete_reinsert_workload
-    from repro.faults import DrainSpec, FaultInjector, FaultPlan, JoinSpec
-    from repro.faults.chaos import LOGICAL_METERS
-    from repro.graph.datasets import load_dataset
+    from repro.faults.chaos import ChaosWorkload, rebalance_case
 
-    drains = tuple(
-        DrainSpec(superstep=0, worker=w, run=r)
-        for w, r in (_parse_transition(t) for t in args.drain or ())
+    drains = [_parse_transition(t) for t in args.drain or ()]
+    joins = [_parse_transition(t) for t in args.join or ()]
+    result = rebalance_case(
+        ChaosWorkload(tag=args.dataset, k=args.k, batch_size=args.batch_size,
+                      workload_seed=args.seed, workers=args.workers),
+        joins=joins, drains=drains, runtime_factory=_runtime_factory(args),
     )
-    joins = tuple(
-        JoinSpec(superstep=0, worker=w, run=r)
-        for w, r in (_parse_transition(t) for t in args.join or ())
-    )
-    if not drains and not joins:
-        raise ReproError(
-            "rebalance needs at least one --drain or --join (WORKER[@RUN])"
-        )
-    plan = FaultPlan(seed=0, drains=drains, joins=joins)
-
-    def run_once(faults):
-        runtime = _resolve_cli_runtime(args)
-        maintainer = MISMaintainer(
-            load_dataset(args.dataset), num_workers=args.workers,
-            strategy=ActivationStrategy.SAME_STATUS,
-            faults=faults, runtime=runtime
-        )
-        ops = delete_reinsert_workload(
-            load_dataset(args.dataset), args.k, seed=args.seed
-        )
-        try:
-            maintainer.apply_stream(ops, batch_size=args.batch_size)
-        finally:
-            if runtime is not None:
-                maintainer.close()
-        return maintainer
-
-    reference = run_once(None)
-    elastic = run_once(FaultInjector(plan))
-
-    failures: List[str] = []
-    if sorted(elastic.independent_set()) != \
-            sorted(reference.independent_set()):
-        failures.append("members diverged from the static-membership run")
-    for name in LOGICAL_METERS:
-        ours = getattr(elastic.update_metrics, name)
-        theirs = getattr(reference.update_metrics, name)
-        if ours != theirs:
-            failures.append(
-                f"logical meter {name} drifted: elastic={ours} "
-                f"static={theirs}"
-            )
-
-    failover = elastic.failover
-    events = failover.transitions if failover is not None else []
-    rebalance = elastic.update_metrics.rebalance_summary()
-    # post-transition residency skew under the effective placement
-    skew = 1.0
-    members = []
-    if failover is not None:
-        members = failover.view.members()
-        counts = {w: 0 for w in members}
-        for u in sorted(elastic.graph.vertices()):
-            counts[failover.worker_of(u)] = \
-                counts.get(failover.worker_of(u), 0) + 1
-        loads = [c for c in counts.values()]
-        mean = sum(loads) / len(loads) if loads else 0.0
-        skew = max(loads) / mean if mean else 1.0
-
+    rebalance = result.rebalance
     if args.format == "json":
         print(json.dumps({
             "dataset": args.dataset,
             "k": args.k,
             "batch_size": args.batch_size,
             "workers": args.workers,
-            "drains": [[s.worker, s.run] for s in drains],
-            "joins": [[s.worker, s.run] for s in joins],
-            "epoch": failover.epoch if failover is not None else 0,
-            "members": len(members),
-            "transitions": [
-                {"superstep": e.superstep, "joined": list(e.joined),
-                 "drained": list(e.drained), "moved": e.moved,
-                 "epoch": e.epoch, "stall_s": e.stall_s}
-                for e in events
-            ],
+            "drains": [list(d) for d in drains],
+            "joins": [list(j) for j in joins],
+            "epoch": result.epoch,
+            "members": len(result.members),
+            "transitions": result.transitions,
             "rebalance": rebalance,
-            "post_skew": round(skew, 4),
-            "ok": not failures,
-            "failures": failures,
+            "post_skew": round(result.skew, 4),
+            "ok": result.ok,
+            "failures": result.failures,
         }, indent=2, sort_keys=True))
     else:
         print(f"rebalance: dataset={args.dataset} k={args.k} "
               f"batch={args.batch_size} workers={args.workers}")
-        print(f"  joins             "
-              f"{[f'{s.worker}@{s.run}' for s in joins] or '-'}")
-        print(f"  drains            "
-              f"{[f'{s.worker}@{s.run}' for s in drains] or '-'}")
-        print(f"  epoch             "
-              f"{failover.epoch if failover is not None else 0} "
-              f"({len(events)} transition(s), {len(members)} member(s))")
+        print(f"  joins             {[f'{w}@{r}' for w, r in joins] or '-'}")
+        print(f"  drains            {[f'{w}@{r}' for w, r in drains] or '-'}")
+        print(f"  epoch             {result.epoch} "
+              f"({len(result.transitions)} transition(s), "
+              f"{len(result.members)} member(s))")
         print(f"  moved             "
               f"{rebalance['rebalance_moved_vertices']} vertex(es)")
         print(f"  resync            {rebalance['rebalance_resync_bytes']} B "
@@ -808,12 +714,12 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
               f"{rebalance['rebalance_rank_entries']} rank entr(ies)")
         print(f"  stall             {rebalance['rebalance_stall_s']} s "
               f"(modelled)")
-        print(f"  post skew         {skew:.4f} (max/mean residents)")
-        for failure in failures:
+        print(f"  post skew         {result.skew:.4f} (max/mean residents)")
+        for failure in result.failures:
             print(f"  FAIL {failure}")
     stream = sys.stderr if args.format == "json" else sys.stdout
-    if failures:
-        print(f"{len(failures)} rebalance oracle violation(s)",
+    if result.failures:
+        print(f"{len(result.failures)} rebalance oracle violation(s)",
               file=sys.stderr)
         return 1
     print("ok: elastic run is bit-identical to the static-membership run "
@@ -834,7 +740,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "fig11": (harness.fig11_batch_size, {"k": args.k}),
         "fig12": (harness.fig12_machines, {"k": args.k}),
         "fig13": (harness.fig13_updates, {}),
-        "chaos": (harness.chaos_oracle, {}),
     }
     driver, kwargs = drivers[args.experiment]
     rows = driver(**kwargs)
@@ -922,8 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run one experiment driver")
     bench.add_argument("experiment", choices=(
-        "table2", "table3", "table4", "fig10", "fig11", "fig12", "fig13",
-        "chaos"))
+        "table2", "table3", "table4", "fig10", "fig11", "fig12", "fig13"))
     bench.add_argument("--k", type=int, default=100)
     bench.set_defaults(fn=_cmd_bench)
 
@@ -1036,10 +940,9 @@ def build_parser() -> argparse.ArgumentParser:
         "off)",
     )
     serve.add_argument(
-        "--read-batch", type=int, default=1, metavar="N",
-        help="vertices per interleaved read: 1 issues point/why-not "
-        "queries, N>1 issues vectorized batch lookups of N vertices "
-        "(default: 1)",
+        "--read-batch", type=int, default=32, metavar="N",
+        help="vertices per batch lookup; interleaved reads are 80%% point, "
+        "10%% why-not and 10%% batch queries (default: 32)",
     )
     serve.add_argument(
         "--check", action="store_true",
@@ -1243,11 +1146,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error("--checkpoint-every needs --checkpoint PATH")
     if args.command == "generate" and args.model == "dataset" and not args.dataset:
         parser.error("generate dataset needs --dataset TAG")
-    if args.command == "serve" and not args.chaos:
-        if not 0.0 <= args.read_mix < 1.0:
-            parser.error("--read-mix must be in [0, 1)")
-        if args.read_batch < 1:
-            parser.error("--read-batch must be >= 1")
     if args.command == "query":
         if (not args.vertex and not args.batch
                 and args.neighborhood is None and args.why_not is None):

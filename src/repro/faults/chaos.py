@@ -18,6 +18,9 @@ every logical meter must match too.  Each chaos case therefore asserts:
 
 Workloads are scaled-down Fig. 10/11 protocols (delete ``k`` random edges,
 re-insert them; single-update and batched) on the small stand-in datasets.
+The same members + meters comparison (:class:`Observables`) backs
+:func:`rebalance_case` (scripted joins/drains vs static membership) and
+the serve crash/drain oracles.
 """
 
 from __future__ import annotations
@@ -105,6 +108,7 @@ class ChaosWorkload:
     k: int  # delete k random edges, re-insert them (2k ops)
     batch_size: int
     workload_seed: int = 0
+    workers: int = 10
 
     @property
     def name(self) -> str:
@@ -142,15 +146,58 @@ def plan_for(preset: str, seed: int) -> FaultPlan:
     return FaultPlan(seed=seed, **kwargs)
 
 
+def _logical_fingerprint(metrics) -> Dict[str, int]:
+    return {name: getattr(metrics, name) for name in LOGICAL_METERS}
+
+
 @dataclass
-class ChaosReference:
-    """The fault-free run's observables for one workload."""
+class Observables:
+    """What Theorems 4.2/6.1 pin across runs: the final members and the
+    logical meters (update run, plus the initial static run's when
+    recorded)."""
 
     members: List[int]
     logical: Dict[str, int]
     #: logical meters of the initial static computation (faults fire there
     #: too — run 0 of the injector's schedule)
     init_logical: Dict[str, int] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, maintainer) -> "Observables":
+        return cls(
+            members=sorted(maintainer.independent_set()),
+            logical=_logical_fingerprint(maintainer.update_metrics),
+            init_logical=_logical_fingerprint(maintainer.init_metrics),
+        )
+
+    @classmethod
+    def of_service(cls, service) -> "Observables":
+        """A serve run: members + cumulative committed-window meters."""
+        return cls(
+            members=sorted(service.maintainer.independent_set()),
+            logical=service.logical_totals(),
+        )
+
+    def diff(self, run: "Observables", label: str,
+             ref_label: str = "reference") -> List[str]:
+        """Bit-identity failures of ``run`` against these observables."""
+        failures: List[str] = []
+        if run.members != self.members:
+            failures.append(
+                f"members diverged: |{label}|={len(run.members)} "
+                f"|{ref_label}|={len(self.members)}"
+            )
+        for kind, ours, theirs in (
+            ("logical", run.logical, self.logical),
+            ("init logical", run.init_logical, self.init_logical),
+        ):
+            for name in theirs:
+                if ours[name] != theirs[name]:
+                    failures.append(
+                        f"{kind} meter {name} drifted: {label}={ours[name]} "
+                        f"{ref_label}={theirs[name]}"
+                    )
+        return failures
 
 
 @dataclass
@@ -188,28 +235,20 @@ class ChaosCaseResult:
         }
 
 
-def _build_case(workload: ChaosWorkload):
-    """(graph copy, ops) for one workload — deterministic per workload."""
-    from repro.bench.workloads import delete_reinsert_workload
-    from repro.graph.datasets import load_dataset
-
-    base = load_dataset(workload.tag)
-    ops = delete_reinsert_workload(base, workload.k, seed=workload.workload_seed)
-    return base, ops
-
-
-def _logical_fingerprint(metrics) -> Dict[str, int]:
-    return {name: getattr(metrics, name) for name in LOGICAL_METERS}
-
-
 def _run_maintenance(
     workload: ChaosWorkload, faults=None, membership=None,
     runtime=None, sanitize=None,
-) -> Tuple[DOIMISMaintainer, Any]:
-    graph, ops = _build_case(workload)
+) -> DOIMISMaintainer:
+    from repro.bench.workloads import delete_reinsert_workload
+    from repro.graph.datasets import load_dataset
+
+    graph = load_dataset(workload.tag)
+    ops = delete_reinsert_workload(
+        graph, workload.k, seed=workload.workload_seed
+    )
     maintainer = DOIMISMaintainer(
         graph,
-        num_workers=10,
+        num_workers=workload.workers,
         strategy=ActivationStrategy.SAME_STATUS,
         faults=faults,
         membership=membership,
@@ -221,24 +260,44 @@ def _run_maintenance(
     finally:
         if runtime is not None:
             maintainer.close()
-    return maintainer, maintainer.update_metrics
+    return maintainer
 
 
-def reference_run(workload: ChaosWorkload) -> ChaosReference:
+def reference_run(workload: ChaosWorkload) -> Observables:
     """The fault-free observables every chaos case compares against."""
-    maintainer, metrics = _run_maintenance(workload, faults=None)
-    return ChaosReference(
-        members=sorted(maintainer.independent_set()),
-        logical=_logical_fingerprint(metrics),
-        init_logical=_logical_fingerprint(maintainer.init_metrics),
-    )
+    return Observables.of(_run_maintenance(workload))
+
+
+def _summed(maintainer, family: str) -> Dict[str, float]:
+    """A quarantined meter family (``recovery``, ``divergence``,
+    ``rebalance``) summed over the initial static run and the updates."""
+    init = getattr(maintainer.init_metrics, f"{family}_summary")()
+    update = getattr(maintainer.update_metrics, f"{family}_summary")()
+    return {name: init[name] + update[name] for name in update}
+
+
+def _transition_failures(
+    injected: Dict[str, int], rebalance: Dict[str, float]
+) -> List[str]:
+    """A plan that schedules joins/drains must apply one and charge the
+    movement to the ``rebalance_*`` meters."""
+    failures: List[str] = []
+    if not injected.get("drains", 0) + injected.get("joins", 0):
+        failures.append(
+            "plan schedules membership transitions but none applied"
+        )
+    if not rebalance.get("rebalance_moved_vertices"):
+        failures.append(
+            "no membership movement was charged to the rebalance meters"
+        )
+    return failures
 
 
 def run_chaos_case(
     workload: ChaosWorkload,
     preset: str,
     seed: int,
-    reference: Optional[ChaosReference] = None,
+    reference: Optional[Observables] = None,
     membership=None,
 ) -> ChaosCaseResult:
     """Replay ``workload`` under ``preset``'s seeded plan; check the oracle.
@@ -256,7 +315,7 @@ def run_chaos_case(
     injector = FaultInjector(plan)
 
     try:
-        maintainer, metrics = _run_maintenance(
+        maintainer = _run_maintenance(
             workload, faults=injector, membership=membership
         )
     except ReproError as exc:
@@ -271,26 +330,11 @@ def run_chaos_case(
     maintainer.final_audit()
 
     result.injected = injector.stats.as_dict()
-    # faults fire during the initial static run too — its recovery charges
-    # live on init_metrics, so report both meters combined
-    init_recovery = maintainer.init_metrics.recovery_summary()
-    update_recovery = metrics.recovery_summary()
-    result.recovery = {
-        name: init_recovery[name] + update_recovery[name]
-        for name in update_recovery
-    }
-    init_divergence = maintainer.init_metrics.divergence_summary()
-    update_divergence = metrics.divergence_summary()
-    result.divergence = {
-        name: init_divergence[name] + update_divergence[name]
-        for name in update_divergence
-    }
-    init_rebalance = maintainer.init_metrics.rebalance_summary()
-    update_rebalance = metrics.rebalance_summary()
-    result.rebalance = {
-        name: init_rebalance[name] + update_rebalance[name]
-        for name in update_rebalance
-    }
+    # faults fire during the initial static run too — its charges live on
+    # init_metrics, so report both meters combined
+    result.recovery = _summed(maintainer, "recovery")
+    result.divergence = _summed(maintainer, "divergence")
+    result.rebalance = _summed(maintainer, "rebalance")
 
     failover = maintainer.failover
     if failover is not None:
@@ -301,64 +345,111 @@ def run_chaos_case(
                 f"final audit: {leftover[:5]}"
             )
 
-    members = sorted(maintainer.independent_set())
-    if members != reference.members:
-        result.failures.append(
-            f"final set diverged: |faulted|={len(members)} "
-            f"|reference|={len(reference.members)}"
-        )
+    result.failures.extend(reference.diff(Observables.of(maintainer), "faulted"))
     try:
         maintainer.verify()
     except ReproError as exc:
         result.failures.append(f"fixpoint verification failed: {exc}")
-
-    logical = _logical_fingerprint(metrics)
-    init_logical = _logical_fingerprint(maintainer.init_metrics)
-    for name in LOGICAL_METERS:
-        if logical[name] != reference.logical[name]:
-            result.failures.append(
-                f"logical meter {name} drifted: faulted={logical[name]} "
-                f"reference={reference.logical[name]}"
-            )
-        if init_logical[name] != reference.init_logical[name]:
-            result.failures.append(
-                f"init logical meter {name} drifted: "
-                f"faulted={init_logical[name]} "
-                f"reference={reference.init_logical[name]}"
-            )
 
     if plan.is_empty:
         if result.injected_total:
             result.failures.append(
                 f"empty plan injected {result.injected_total} fault(s)"
             )
-        recovery_total = sum(result.recovery.values())
-        if recovery_total:
-            result.failures.append(
-                f"empty plan charged recovery meters: {result.recovery}"
-            )
-        divergence_total = sum(result.divergence.values())
-        if divergence_total:
-            result.failures.append(
-                f"empty plan charged divergence meters: {result.divergence}"
-            )
-        rebalance_total = sum(result.rebalance.values())
-        if rebalance_total:
-            result.failures.append(
-                f"empty plan charged rebalance meters: {result.rebalance}"
-            )
+        for family in ("recovery", "divergence", "rebalance"):
+            charged = getattr(result, family)
+            if sum(charged.values()):
+                result.failures.append(
+                    f"empty plan charged {family} meters: {charged}"
+                )
     if plan.schedules_transitions:
-        applied = (result.injected.get("drains", 0)
-                   + result.injected.get("joins", 0))
-        if not applied:
-            result.failures.append(
-                "plan schedules membership transitions but none applied"
-            )
-        if not result.rebalance.get("rebalance_moved_vertices"):
-            result.failures.append(
-                "membership transitions applied but no movement was "
-                "charged to the rebalance meters"
-            )
+        result.failures.extend(
+            _transition_failures(result.injected, result.rebalance)
+        )
+    return result
+
+
+@dataclass
+class RebalanceResult:
+    """Outcome of one scripted join/drain run against static membership."""
+
+    #: the elastic run's maintainer (its execution backend already closed)
+    elastic: Any
+    #: one dict per applied membership transition, in barrier order
+    transitions: List[Dict[str, Any]] = field(default_factory=list)
+    rebalance: Dict[str, float] = field(default_factory=dict)
+    #: max/mean residents per worker under the final placement
+    skew: float = 1.0
+    failures: List[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    @property
+    def epoch(self) -> int:
+        failover = self.elastic.failover
+        return failover.epoch if failover is not None else 0
+
+    @property
+    def members(self) -> List[int]:
+        failover = self.elastic.failover
+        return failover.view.members() if failover is not None else []
+
+
+def rebalance_case(
+    workload: ChaosWorkload,
+    joins: Sequence[Tuple[int, int]] = (),
+    drains: Sequence[Tuple[int, int]] = (),
+    runtime_factory=None,
+) -> RebalanceResult:
+    """Scripted voluntary joins/drains vs the static-membership run.
+
+    ``joins``/``drains`` are ``(worker, run)`` pairs firing at the barrier
+    of update run ``run``.  Theorems 4.2/6.1 make the comparison exact:
+    members and every logical meter must be bit-identical to the static
+    run, with a transition applied and its movement charged to the
+    ``rebalance_*`` family.  ``runtime_factory`` builds a fresh execution
+    backend for each of the two runs.  Never raises for an oracle
+    violation — failures are reported on the result.
+    """
+    if not joins and not drains:
+        raise WorkloadError(
+            "rebalance needs at least one join or drain (worker, run)"
+        )
+    plan = FaultPlan(
+        seed=0,
+        joins=tuple(JoinSpec(superstep=0, worker=w, run=r) for w, r in joins),
+        drains=tuple(DrainSpec(superstep=0, worker=w, run=r)
+                     for w, r in drains),
+    )
+
+    def runtime():
+        return runtime_factory() if runtime_factory else None
+
+    static = _run_maintenance(workload, runtime=runtime())
+    injector = FaultInjector(plan)
+    elastic = _run_maintenance(workload, faults=injector, runtime=runtime())
+    result = RebalanceResult(
+        elastic=elastic, rebalance=_summed(elastic, "rebalance")
+    )
+    result.failures = Observables.of(static).diff(
+        Observables.of(elastic), "elastic", "static"
+    ) + _transition_failures(injector.stats.as_dict(), result.rebalance)
+    failover = elastic.failover
+    if failover is not None:
+        result.transitions = [
+            {"superstep": e.superstep, "joined": list(e.joined),
+             "drained": list(e.drained), "moved": e.moved,
+             "epoch": e.epoch, "stall_s": e.stall_s}
+            for e in failover.transitions
+        ]
+        counts = dict.fromkeys(result.members, 0)
+        for u in sorted(elastic.graph.vertices()):
+            w = failover.worker_of(u)
+            counts[w] = counts.get(w, 0) + 1
+        mean = sum(counts.values()) / len(counts) if counts else 0.0
+        result.skew = max(counts.values()) / mean if mean else 1.0
     return result
 
 
@@ -400,6 +491,14 @@ class ServeChaosResult:
         }
 
 
+def _serve_controller():
+    from repro.serve import AdaptiveWindowController, WindowConfig
+
+    return AdaptiveWindowController(
+        WindowConfig(min_window=4, max_window=64, initial_window=8)
+    )
+
+
 def serve_crash_replay(
     tag: str = "AM",
     num_ops: int = 240,
@@ -426,13 +525,12 @@ def serve_crash_replay(
     from repro.core.maintainer import MISMaintainer
     from repro.graph.datasets import load_dataset
     from repro.serve import (
-        AdaptiveWindowController,
         IngestionService,
         RetryPolicy,
         TraceConfig,
-        WindowConfig,
         audit_log,
         bursty_trace,
+        drive,
     )
 
     result = ServeChaosResult(tag=tag, seed=seed, num_ops=num_ops)
@@ -440,11 +538,6 @@ def serve_crash_replay(
         load_dataset(tag),
         TraceConfig(num_ops=num_ops, seed=seed, poison_prob=poison_prob),
     )
-
-    def make_controller():
-        return AdaptiveWindowController(
-            WindowConfig(min_window=4, max_window=64, initial_window=8)
-        )
 
     def make_maintainer():
         return MISMaintainer(
@@ -460,18 +553,14 @@ def serve_crash_replay(
     dir_ref = f"{root}/reference"
     dir_crash = f"{root}/crashed"
     try:
-        reference = IngestionService(
-            make_maintainer(), dir_ref, controller=make_controller(),
+        with IngestionService(
+            make_maintainer(), dir_ref, controller=_serve_controller(),
             retry=retry, checkpoint_every=3,
-        )
-        for op, ts in zip(ops, timestamps):
-            reference.submit(op, ts)
-        reference.close()
-        ref_members = sorted(reference.maintainer.independent_set())
-        ref_totals = reference.logical_totals()
+        ) as reference:
+            drive(reference, ops, timestamps)
 
         crashed = IngestionService(
-            make_maintainer(), dir_crash, controller=make_controller(),
+            make_maintainer(), dir_crash, controller=_serve_controller(),
             retry=retry, checkpoint_every=3,
         )
         cut = 0
@@ -489,34 +578,22 @@ def serve_crash_replay(
         crashed.abandon()  # the "kill": no drain, no commit, no checkpoint
         result.crashed_after = cut
 
-        recovered = IngestionService.recover(
+        with IngestionService.recover(
             dir_crash,
             maintainer_kwargs={
                 "runtime": runtime_factory() if runtime_factory else None,
                 "faults": faults_factory() if faults_factory else None,
             },
-            controller=make_controller(), retry=retry, checkpoint_every=3,
-        )
-        result.replayed_windows = recovered.stats.replayed_windows
-        result.replayed_events = recovered.stats.replayed_events
-        for op, ts in zip(ops[cut:], timestamps[cut:]):
-            recovered.submit(op, ts)
-        recovered.close()
+            controller=_serve_controller(), retry=retry, checkpoint_every=3,
+        ) as recovered:
+            result.replayed_windows = recovered.stats.replayed_windows
+            result.replayed_events = recovered.stats.replayed_events
+            drive(recovered, ops[cut:], timestamps[cut:])
         result.quarantined = recovered.stats.quarantined
 
-        rec_members = sorted(recovered.maintainer.independent_set())
-        rec_totals = recovered.logical_totals()
-        if rec_members != ref_members:
-            result.failures.append(
-                f"members diverged after replay: |recovered|="
-                f"{len(rec_members)} |reference|={len(ref_members)}"
-            )
-        for name in LOGICAL_METERS:
-            if rec_totals[name] != ref_totals[name]:
-                result.failures.append(
-                    f"cumulative meter {name} drifted: recovered="
-                    f"{rec_totals[name]} reference={ref_totals[name]}"
-                )
+        result.failures.extend(Observables.of_service(reference).diff(
+            Observables.of_service(recovered), "recovered"
+        ))
         for label, directory in (("reference", dir_ref),
                                  ("crashed", dir_crash)):
             problems, summary = audit_log(directory)
@@ -557,12 +634,11 @@ def serve_drain_replay(
     from repro.core.maintainer import MISMaintainer
     from repro.graph.datasets import load_dataset
     from repro.serve import (
-        AdaptiveWindowController,
         IngestionService,
         TraceConfig,
-        WindowConfig,
         audit_log,
         bursty_trace,
+        drive,
     )
 
     result = ServeChaosResult(tag=tag, seed=seed, num_ops=num_ops)
@@ -570,61 +646,33 @@ def serve_drain_replay(
         load_dataset(tag),
         TraceConfig(num_ops=num_ops, seed=seed),
     )
-
-    def make_controller():
-        return AdaptiveWindowController(
-            WindowConfig(min_window=4, max_window=64, initial_window=8)
-        )
-
-    def make_maintainer(faults):
-        return MISMaintainer(
-            load_dataset(tag),
-            num_workers=10,
-            strategy=ActivationStrategy.SAME_STATUS,
-            runtime=runtime_factory() if runtime_factory else None,
-            faults=faults,
-        )
-
+    injector = FaultInjector(plan_for(preset, seed))
     root = wal_root or tempfile.mkdtemp(prefix="serve-drain-")
     try:
         runs = {}
-        for label, faults in (
-            ("static", None),
-            ("elastic", FaultInjector(plan_for(preset, seed))),
-        ):
-            service = IngestionService(
-                make_maintainer(faults), f"{root}/{label}",
-                controller=make_controller(), checkpoint_every=3,
-            )
-            for op, ts in zip(ops, timestamps):
-                service.submit(op, ts)
-            service.close()
+        for label, faults in (("static", None), ("elastic", injector)):
+            with IngestionService(
+                MISMaintainer(
+                    load_dataset(tag),
+                    num_workers=10,
+                    strategy=ActivationStrategy.SAME_STATUS,
+                    runtime=runtime_factory() if runtime_factory else None,
+                    faults=faults,
+                ),
+                f"{root}/{label}",
+                controller=_serve_controller(), checkpoint_every=3,
+            ) as service:
+                drive(service, ops, timestamps)
             runs[label] = service
         static, elastic = runs["static"], runs["elastic"]
 
-        if sorted(elastic.maintainer.independent_set()) != \
-                sorted(static.maintainer.independent_set()):
-            result.failures.append(
-                "members diverged between elastic and static membership"
-            )
-        static_totals = static.logical_totals()
-        elastic_totals = elastic.logical_totals()
-        for name in LOGICAL_METERS:
-            if elastic_totals[name] != static_totals[name]:
-                result.failures.append(
-                    f"cumulative meter {name} drifted: elastic="
-                    f"{elastic_totals[name]} static={static_totals[name]}"
-                )
-        metrics = elastic.maintainer.update_metrics
-        rebalance = metrics.rebalance_summary()
-        if not rebalance["rebalance_drains"]:
-            result.failures.append(
-                f"preset {preset!r} applied no drain mid-stream"
-            )
-        if not rebalance["rebalance_moved_vertices"]:
-            result.failures.append(
-                "drain applied but no movement charged to rebalance meters"
-            )
+        result.failures.extend(Observables.of_service(static).diff(
+            Observables.of_service(elastic), "elastic", "static"
+        ))
+        result.failures.extend(_transition_failures(
+            injector.stats.as_dict(),
+            elastic.maintainer.update_metrics.rebalance_summary(),
+        ))
         failover = elastic.maintainer.failover
         if failover is not None and failover.epoch < 1:
             result.failures.append("membership epoch never advanced")

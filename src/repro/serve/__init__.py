@@ -5,6 +5,10 @@ write-ahead log + crash recovery, admission control/backpressure,
 retry-with-quarantine for poison windows, and adaptive windowing.  See
 DESIGN.md §13 for the architecture and the WAL format.
 
+:func:`drive` is the one loop that pushes a trace through a service
+(interleaving seeded reads) for the CLI, the perf bench and the chaos
+oracles.
+
 The read path (:mod:`repro.serve.reads`, DESIGN.md §15) publishes an
 immutable epoch-tagged snapshot at every committed window and answers
 point/batch/neighbourhood/why-not queries against it.
@@ -34,6 +38,7 @@ from repro.serve.service import (
     ServeStats,
     SubmitResult,
     audit_log,
+    drive,
 )
 from repro.serve.trace import (
     POISON_ID_GAP,
@@ -73,5 +78,6 @@ __all__ = [
     "WriteAheadLog",
     "audit_log",
     "bursty_trace",
+    "drive",
     "is_poison",
 ]

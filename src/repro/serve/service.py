@@ -47,11 +47,14 @@ from __future__ import annotations
 
 import json
 import os
+import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from time import perf_counter
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
+    BackpressureError,
     RecoveryError,
     ReproError,
     WALError,
@@ -339,18 +342,6 @@ class IngestionService:
         self._queue.append((seq, op, timestamp))
         self._pump()
         return SubmitResult(accepted=True, seq=seq)
-
-    def submit_many(
-        self,
-        operations: List[EdgeUpdate],
-        timestamps: Optional[List[float]] = None,
-    ) -> List[SubmitResult]:
-        return [
-            self.submit(
-                op, timestamps[i] if timestamps is not None else None
-            )
-            for i, op in enumerate(operations)
-        ]
 
     def drain(self) -> None:
         """Apply everything pending now (retry deadlines ignored)."""
@@ -980,6 +971,62 @@ class IngestionService:
     def audit(self) -> Tuple[List[str], Dict[str, int]]:
         """Audit this service's log directory; see :func:`audit_log`."""
         return audit_log(self.wal_dir)
+
+
+def drive(
+    service: IngestionService,
+    operations: Sequence[EdgeUpdate],
+    timestamps: Sequence[float],
+    read_mix: float = 0.0,
+    read_batch: int = 32,
+    seed: int = 0,
+) -> Tuple[float, List[int]]:
+    """Push a trace through ``service`` with seeded interleaved reads, then
+    drain; returns ``(submit→drain wall seconds, per-read staleness)``.
+
+    A ``read_mix`` of R issues R/(1-R) reads per accepted write (0.99 →
+    ~99 queries between submissions) against the last committed epoch,
+    so the service must be built with ``serve_reads=True``.  Each read
+    draws from ``Random(seed + 0x5EED)``: 10% why-not, 10% a batch of
+    ``read_batch`` vertices, 80% point.  A :class:`BackpressureError`
+    (the ``error`` admission policy) drops the event and moves on — the
+    rejection is already on the admission account.
+    """
+    if not 0.0 <= read_mix < 1.0:
+        raise WorkloadError(f"read_mix must be in [0, 1), got {read_mix}")
+    if read_batch < 1:
+        raise WorkloadError(f"read_batch must be >= 1, got {read_batch}")
+    if read_mix and service.reads is None:
+        raise WorkloadError("read_mix needs a service with serve_reads=True")
+    rng = random.Random(seed + 0x5EED)
+    ratio = read_mix / (1.0 - read_mix)
+    acc = 0.0
+    staleness: List[int] = []
+    start = perf_counter()
+    for op, ts in zip(operations, timestamps):
+        try:
+            service.submit(op, ts)
+        except BackpressureError:
+            continue
+        acc += ratio
+        while acc >= 1.0:
+            acc -= 1.0
+            ids = service.reads.latest().ids
+            if not ids.size:
+                break
+            staleness.append(service.reads.staleness())
+            draw = rng.random()
+            if draw < 0.10:
+                service.query_why_not(int(ids[rng.randrange(ids.size)]))
+            elif draw < 0.20:
+                service.query_batch([
+                    int(ids[rng.randrange(ids.size)])
+                    for _ in range(read_batch)
+                ])
+            else:
+                service.query_point(int(ids[rng.randrange(ids.size)]))
+    service.drain()
+    return perf_counter() - start, staleness
 
 
 def audit_log(wal_dir: str) -> Tuple[List[str], Dict[str, int]]:

@@ -220,8 +220,24 @@ class TestChaosCommand:
         assert main(["chaos", "--preset", "explode"]) == 1
         assert "unknown chaos preset" in capsys.readouterr().err
 
-    def test_bench_chaos_driver(self, capsys):
-        assert main(["bench", "chaos"]) == 0
+    def test_every_preset_at_seed_zero(self, capsys):
+        from repro.faults.chaos import PLAN_PRESETS
+
+        assert main(["chaos", "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert "experiment chaos" in out
         assert "FAIL" not in out
+        for preset in PLAN_PRESETS:
+            assert f" {preset} " in out
+
+
+class TestServeCommand:
+    def test_read_mix_check(self, capsys):
+        code = main(["serve", "--ops", "80", "--read-mix", "0.9", "--check"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "reads served" in out
+        assert "exactly-once audit clean" in out
+
+    def test_read_mix_out_of_range_is_clean_error(self, capsys):
+        assert main(["serve", "--ops", "20", "--read-mix", "1.0"]) == 1
+        assert "read_mix must be in [0, 1)" in capsys.readouterr().err

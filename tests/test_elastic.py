@@ -797,6 +797,18 @@ class TestElasticCLI:
 
         assert main(["rebalance"]) != 0
 
+    def test_rebalance_fails_when_no_transition_fires(self, capsys):
+        from repro.cli import main
+
+        code = main([
+            "rebalance", "--dataset", "AM", "--k", "10",
+            "--batch-size", "5", "--drain", "3@999",
+        ])
+        captured = capsys.readouterr()
+        assert code != 0
+        assert "none applied" in captured.out
+        assert "bit-identical" not in captured.out
+
     def test_serve_autoscale_flag(self, capsys):
         from repro.cli import main
 

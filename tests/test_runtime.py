@@ -34,9 +34,12 @@ from repro.core.oimis import (
     run_oimis,
 )
 from repro.bench import perf
+from repro.bench.workloads import delete_reinsert_workload
+from repro.core.baselines import make_algorithm
 from repro.errors import ParallelRuntimeError
 from repro.faults.chaos import plan_for
 from repro.faults.plan import FaultPlan
+from repro.graph.datasets import load_dataset
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import erdos_renyi, path_graph
@@ -130,19 +133,33 @@ def test_backend_kinds():
 # ---------------------------------------------------------------------------
 # process runtime reproduces the committed bench baseline bit-for-bit
 # ---------------------------------------------------------------------------
+def _static_on(runtime, tag):
+    graph = load_dataset(tag)
+    run = run_oimis(graph, num_workers=10, strategy=ActivationStrategy.ALL,
+                    runtime=runtime)
+    return perf._sections(run.independent_set, run.metrics, graph)
+
+
+def _maintained_on(runtime, tag, k, seed, batch_size, algorithm="DOIMIS*"):
+    base = load_dataset(tag)
+    maintainer = make_algorithm(algorithm, base.copy(), num_workers=10,
+                                runtime=runtime)
+    maintainer.apply_stream(delete_reinsert_workload(base, k, seed=seed),
+                            batch_size=batch_size)
+    return perf._sections(maintainer.independent_set(),
+                          maintainer.update_metrics, maintainer.graph)
+
+
+#: the bench-perf scenarios' workloads, rebuilt on a caller-given runtime
 _SCENARIO_BUILDERS = {
-    "static_oimis_SKI": lambda rt: perf._static_oimis("SKI", runtime=rt),
-    "static_oimis_TW": lambda rt: perf._static_oimis("TW", runtime=rt),
-    "fig10_single_SKI": lambda rt: perf._fig10_single("SKI", 60, 7, runtime=rt),
-    "fig10_single_scall_SKI": lambda rt: perf._fig10_single_scall(
-        "SKI", 60, 7, runtime=rt
+    "static_oimis_SKI": lambda rt: _static_on(rt, "SKI"),
+    "static_oimis_TW": lambda rt: _static_on(rt, "TW"),
+    "fig10_single_SKI": lambda rt: _maintained_on(rt, "SKI", 60, 7, 1),
+    "fig10_single_scall_SKI": lambda rt: _maintained_on(
+        rt, "SKI", 60, 7, 1, "SCALL"
     ),
-    "fig11_batch_TW": lambda rt: perf._fig11_batch(
-        "TW", 150, 11, 25, runtime=rt
-    ),
-    "fig11_batch_AM": lambda rt: perf._fig11_batch(
-        "AM", 100, 13, 20, runtime=rt
-    ),
+    "fig11_batch_TW": lambda rt: _maintained_on(rt, "TW", 150, 11, 25),
+    "fig11_batch_AM": lambda rt: _maintained_on(rt, "AM", 100, 13, 20),
 }
 
 

@@ -39,6 +39,7 @@ from repro.serve import (
     WriteAheadLog,
     audit_log,
     bursty_trace,
+    drive,
     is_poison,
 )
 
@@ -485,6 +486,37 @@ class _FlakyMaintainer:
             self._failures -= 1
             raise WorkloadError("injected transient apply failure")
         return self._inner.apply_batch(ops)
+
+
+class TestDrive:
+    def test_rejects_bad_read_knobs_before_submitting(self, tmp_path):
+        service = _service(tmp_path)
+        ops, timestamps = bursty_trace(
+            load_dataset("AM"), TraceConfig(num_ops=8, seed=3))
+        with pytest.raises(WorkloadError, match=r"read_mix must be in \[0, 1\)"):
+            drive(service, ops, timestamps, read_mix=1.0)
+        with pytest.raises(WorkloadError, match="read_batch"):
+            drive(service, ops, timestamps, read_batch=0)
+        with pytest.raises(WorkloadError, match="serve_reads"):
+            drive(service, ops, timestamps, read_mix=0.5)
+        assert service.admission.stats.accepted == 0
+        service.close()
+
+    def test_error_policy_drops_rejected_events(self, tmp_path):
+        service = _service(tmp_path, admission=AdmissionConfig(
+            policy="error", high_watermark=4, low_watermark=1))
+        ops, timestamps = bursty_trace(
+            load_dataset("AM"), TraceConfig(num_ops=40, seed=3))
+        wall, staleness = drive(service, ops, timestamps)
+        stats = service.admission.stats
+        assert wall >= 0.0 and staleness == []
+        assert stats.rejected > 0
+        assert stats.accepted + stats.rejected == len(ops)
+        assert service.pending == 0  # drive drained what it accepted
+        service.close()
+        problems, summary = audit_log(service.wal_dir)
+        assert problems == []
+        assert summary["applied"] == stats.accepted
 
 
 class TestRetryQuarantine:
