@@ -350,9 +350,6 @@ class SanitizedBackend(ExecutionBackend):
         self._pending = None
         self.inner.begin_run(program, states)
 
-    def predraw(self, injector, superstep: int, num_workers: int):
-        return self.inner.predraw(injector, superstep, num_workers)
-
     def close(self) -> None:
         self.inner.close()
 

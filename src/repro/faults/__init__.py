@@ -45,7 +45,11 @@ from repro.faults.plan import (
     SyncDropSpec,
     SyncDuplicateSpec,
 )
-from repro.faults.recovery import SuperstepCheckpoint, guest_rebuild_cost
+from repro.faults.recovery import (
+    SuperstepCheckpoint,
+    fault_barrier,
+    guest_rebuild_cost,
+)
 
 __all__ = [
     "CorruptGuestSpec",
@@ -68,6 +72,7 @@ __all__ = [
     "TransitionEvent",
     "SyncDuplicateSpec",
     "chaos_suite",
+    "fault_barrier",
     "guest_rebuild_cost",
     "rendezvous_worker",
     "resolve_faults",

@@ -17,8 +17,8 @@ The injector is the mutable half of the fault layer: it wraps a pure
   ``recovery_backoff_s``); more drops than retries escalate to
   :class:`~repro.errors.SyncRetryExhausted`.
 
-One injector may serve many engine runs (an update stream), and both
-engines accept it through their constructors or ``run(..., faults=...)``.
+One injector may serve many engine runs (an update stream); both engines
+accept it through their constructors.
 """
 
 from __future__ import annotations

@@ -5,8 +5,10 @@ ScaleG/Pregel recovery follows the classic BSP rollback protocol:
 1. at the top of every superstep (while an injector is active) the engine
    captures a :class:`SuperstepCheckpoint` — vertex states, the pending
    activation set, and the guest directory;
-2. a crash detected at the barrier aborts the attempt *before* any buffered
-   write commits, raises-and-handles a typed
+2. :func:`fault_barrier` wraps every sweep: it draws the barrier's fault
+   schedule once, before the sweep, on every backend; a crash detected at
+   the barrier aborts the attempt *before* any buffered write commits,
+   raises-and-handles a typed
    :class:`~repro.errors.WorkerFailure` internally, restores the checkpoint
    (defensive: even a program that broke double-buffer discipline mid-sweep
    is rolled back), rebuilds the crashed workers' guest tables from host
@@ -24,11 +26,13 @@ audited with the same tooling.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterator, List, Optional
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, WorkerFailure, WorkerLoss
 from repro.pregel.metrics import MESSAGE_OVERHEAD_BYTES, VERTEX_ID_BYTES
+from repro.runtime.base import BarrierDraws
 
 FORMAT = "repro-mis-superstep-checkpoint"
 VERSION = 1
@@ -141,3 +145,56 @@ def guest_rebuild_cost(dgraph, crashed_workers, sync_bytes_of,
             bytes_total += MESSAGE_OVERHEAD_BYTES + payload
             records += 1
     return bytes_total, records
+
+
+@contextmanager
+def fault_barrier(injector, failover, superstep: int, num_workers: int,
+                  metrics) -> Iterator[Optional[BarrierDraws]]:
+    """One superstep's barrier fault step, the same for both engines and
+    every backend.  Wraps the compute sweep.
+
+    On entry it draws the schedule once, in the order the barrier consumes
+    it: straggler delays per worker, then losses, then crashes — crashes
+    only when no loss fired, because a loss aborts the barrier before
+    crash detection runs (a crash scheduled at the same barrier fires on
+    the replay).  The draws are yielded for the backend to ship.
+
+    When the sweep returns, the failure detector advances, each delay is
+    merged in worker order (so the float meters are bit-identical across
+    backends) next to a flagged heartbeat (slow is not dead), and a loss
+    or crash raises :class:`~repro.errors.WorkerLoss` /
+    :class:`~repro.errors.WorkerFailure` for the engine's own recovery.
+    Without an injector it yields ``None`` and does nothing.
+    """
+    if injector is None:
+        yield None
+        return
+    workers = range(num_workers)
+    delays = [injector.straggler_delay(superstep, w) for w in workers]
+    lost = injector.lost_workers(superstep, workers)
+    crashed = [] if lost else injector.crashed_workers(superstep, workers)
+    yield BarrierDraws(delays=delays, lost=lost, crashed=crashed)
+    if failover is not None:
+        failover.view.advance()
+    for w, delay in enumerate(delays):
+        if delay:
+            metrics.merge_delta({
+                "recovery_straggler_s": delay,
+                "wall_time_s": delay,
+            })
+        if failover is not None and not failover.is_dead(w):
+            failover.view.heartbeat(w, delay_s=delay, injected=True)
+    if lost:
+        loss = WorkerLoss(
+            lost[0], superstep,
+            f"{len(lost)} worker(s) declared permanently dead at the barrier",
+        )
+        loss.workers = lost
+        raise loss
+    if crashed:
+        failure = WorkerFailure(
+            crashed[0], superstep,
+            f"{len(crashed)} worker(s) crashed at the barrier",
+        )
+        failure.workers = crashed
+        raise failure

@@ -31,6 +31,7 @@ from repro.errors import (
     WorkerFailure,
     WorkerLoss,
 )
+from repro.runtime.base import BSPEngine
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -155,68 +156,20 @@ class PregelResult:
     aggregates: Dict[str, Any] = field(default_factory=dict)
 
 
-class PregelEngine:
-    """Executes a :class:`PregelProgram` over a :class:`DistributedGraph`."""
+class PregelEngine(BSPEngine):
+    """Executes a :class:`PregelProgram` over a :class:`DistributedGraph`.
+
+    Options are :class:`~repro.runtime.base.BSPEngine`'s.  Without guest
+    copies, a loss fails over *degraded*: the lost partitions reload from
+    the barrier checkpoint.
+    """
 
     def __init__(self, dgraph: "DistributedGraph", contracts=None, faults=None,
                  membership=None, runtime=None, sanitize=None):
-        """``contracts``: ``None`` defers to the ``REPRO_CONTRACTS`` env
-        flag, ``True``/``False`` force runtime contract checking on/off, or
-        pass a :class:`~repro.analysis.runtime.ContractChecker` directly.
-        ``faults``: a :class:`~repro.faults.plan.FaultPlan` or
-        :class:`~repro.faults.injector.FaultInjector` enabling seeded fault
-        injection + recovery; ``None`` (or an empty plan) leaves the run
-        loop exactly as in the fault-free build.
-        ``membership``: a :class:`~repro.faults.membership.MembershipConfig`
-        or :class:`~repro.faults.membership.FailoverCoordinator` enabling
-        permanent-loss failover (degraded: no guest copies exist here, so
-        lost partitions reload from the barrier checkpoint); ``None``
-        auto-attaches a default coordinator when the plan schedules
-        losses.
-        ``runtime``: execution backend for the compute sweep — ``None`` /
-        ``"inline"`` (serial, the default), ``"process"``, or an
-        :class:`~repro.runtime.base.ExecutionBackend` instance.
-        ``sanitize``: ``None`` defers to the ``REPRO_SANITIZE`` env flag,
-        ``True``/``False`` force the superstep race sanitizer on/off, or
-        pass a :class:`~repro.analysis.parallel.RaceSanitizer` directly."""
-        from repro.analysis.parallel.sanitizer import resolve_sanitizer
-        from repro.analysis.runtime import resolve_contracts
-        from repro.faults.injector import resolve_faults
-        from repro.faults.membership import resolve_membership
-        from repro.runtime import resolve_runtime
-
-        self.dgraph = dgraph
+        super().__init__(dgraph, contracts, faults, membership, runtime,
+                         sanitize)
         self._outbox: List[Message] = []
         self._aggregators = AggregatorRegistry()
-        self._contracts = resolve_contracts(contracts)
-        self._faults = resolve_faults(faults)
-        self._membership = membership
-        self._failover = resolve_membership(membership, self._faults, dgraph)
-        self._sanitizer = resolve_sanitizer(sanitize)
-        backend = resolve_runtime(runtime)
-        if self._sanitizer is not None:
-            backend = self._sanitizer.wrap(backend)
-        self._runtime = backend
-
-    @property
-    def failover(self):
-        """The attached failover coordinator (``None`` when neither the
-        fault plan nor the caller asked for membership tracking)."""
-        return self._failover
-
-    @property
-    def runtime(self):
-        """The execution backend driving this engine's compute sweeps."""
-        return self._runtime
-
-    @property
-    def sanitizer(self):
-        """The attached race sanitizer (``None`` when sanitizing is off)."""
-        return self._sanitizer
-
-    def close(self) -> None:
-        """Release the execution backend's resources (worker processes)."""
-        self._runtime.close()
 
     def run(
         self,
@@ -226,7 +179,6 @@ class PregelEngine:
         states: Optional[Dict[int, Any]] = None,
         metrics: Optional[RunMetrics] = None,
         keep_records: bool = True,
-        faults=None,
     ) -> PregelResult:
         """Run ``program`` to quiescence and return states + metrics.
 
@@ -240,8 +192,6 @@ class PregelEngine:
         ``wall_time_s`` accumulates instead of being overwritten.
         ``keep_records`` retains per-superstep records on the meter.
 
-        ``faults`` overrides the engine's fault injector for this run.
-
         Raises :class:`SuperstepLimitExceeded` if the program does not
         converge within ``max_supersteps`` (default ``4n + 16``, safely above
         the paper's ``O(n)`` bound).
@@ -250,7 +200,7 @@ class PregelEngine:
         restored to its value at run entry — no partially converged
         superstep leaks into a caller's resumed states.
         """
-        from repro.faults.injector import resolve_faults
+        from repro.faults.recovery import SuperstepCheckpoint, fault_barrier
 
         graph = self.dgraph.graph
         if metrics is None:
@@ -271,27 +221,10 @@ class PregelEngine:
             active: List[int] = graph.sorted_vertices()
         else:
             active = sorted({u for u in initial_active if graph.has_vertex(u)})
-        if faults is not None:
-            injector = resolve_faults(faults)
-            failover = self._failover
-            if failover is None:
-                from repro.faults.membership import resolve_membership
-
-                failover = resolve_membership(
-                    self._membership, injector, self.dgraph
-                )
-        else:
-            injector = self._faults
-            failover = self._failover
-        if injector is not None:
-            injector.begin_run()
-
+        injector = self._faults
+        failover = self._failover
         runtime = self._runtime
-        runtime.bind(self)
-        runtime.begin_run(program, states)
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
-            sanitizer.begin_engine_run(metrics, self.dgraph.num_workers)
+        self._begin_run(program, states)
 
         inbox: Dict[int, List[Any]] = {}
         #: wire bytes delivered per destination last superstep — the cost of
@@ -299,142 +232,63 @@ class PregelEngine:
         inbox_bytes: Dict[int, int] = {}
         superstep = 0
         took_snapshot = False
-        #: run-entry values of every state this run overwrote, restored if
-        #: the run raises (exception safety for resumed maintenance states)
-        dirty: Dict[int, Any] = {}
-        try:
+        with self._rollback_on_error(states, metrics) as dirty:
             while active or inbox:
                 if superstep >= max_supersteps:
                     raise SuperstepLimitExceeded(max_supersteps)
                 record = SuperstepRecord(superstep=superstep)
                 record.worker_work = [0] * self.dgraph.num_workers
                 self._outbox = []
-                new_states: Dict[int, Any] = {}
 
                 checkpoint = None
-                draws = None
                 if injector is not None:
-                    from repro.faults.recovery import SuperstepCheckpoint
-
                     checkpoint = SuperstepCheckpoint.capture(
                         superstep, states, active
-                    )
-                    draws = runtime.predraw(
-                        injector, superstep, self.dgraph.num_workers
                     )
 
                 if self._contracts is not None:
                     self._contracts.begin_superstep(superstep, active, states)
 
                 try:
-                    sweep = runtime.sweep_pregel(
-                        states, active, superstep, inbox, draws
-                    )
-                    new_states = sweep.new_states
-                    record.active_vertices = len(active)
-                    record.compute_work = sweep.compute_work
-                    record.worker_work = sweep.worker_work
-                    record.state_changes = len(new_states)
-                    if draws is not None and sweep.fault_echo != draws.echo():
-                        from repro.errors import ParallelRuntimeError
-
-                        raise ParallelRuntimeError(
-                            f"superstep {superstep}: worker fault echo "
-                            f"{sweep.fault_echo!r} does not match the "
-                            f"pre-drawn schedule {draws.echo()!r}"
+                    with fault_barrier(
+                        injector, failover, superstep,
+                        self.dgraph.num_workers, metrics,
+                    ) as draws:
+                        sweep = runtime.sweep_pregel(
+                            states, active, superstep, inbox, draws
                         )
-
-                    if injector is not None:
-                        if failover is not None:
-                            failover.view.advance()
-                        # -- worker sweep: straggler delays (modelled time)
-                        if draws is None:
-                            delays = [
-                                injector.straggler_delay(superstep, w)
-                                for w in range(self.dgraph.num_workers)
-                            ]
-                        else:
-                            delays = draws.delays
-                        for w, delay in enumerate(delays):
-                            if delay:
-                                metrics.merge_delta({
-                                    "recovery_straggler_s": delay,
-                                    "wall_time_s": delay,
-                                })
-                            if failover is not None and not failover.is_dead(w):
-                                # flagged straggler delays never count
-                                # toward suspicion (slow is not dead)
-                                failover.view.heartbeat(
-                                    w, delay_s=delay, injected=True
-                                )
-                        # -- barrier: permanent losses (silence, not delay)
-                        if draws is None:
-                            lost = injector.lost_workers(
-                                superstep, range(self.dgraph.num_workers)
-                            )
-                        else:
-                            lost = draws.lost
-                        if lost:
-                            raise_loss = WorkerLoss(
-                                lost[0], superstep,
-                                f"{len(lost)} worker(s) declared permanently "
-                                "dead at the barrier",
-                            )
-                            raise_loss.workers = lost
-                            raise raise_loss
-                        # -- barrier commit: crash detection
-                        if draws is None:
-                            crashed = injector.crashed_workers(
-                                superstep, range(self.dgraph.num_workers)
-                            )
-                        else:
-                            crashed = draws.crashed
-                        if crashed:
-                            failure = WorkerFailure(
-                                crashed[0], superstep,
-                                f"{len(crashed)} worker(s) crashed at the "
-                                "barrier",
-                            )
-                            failure.workers = crashed
-                            raise failure
+                        new_states = sweep.new_states
+                        record.active_vertices = len(active)
+                        record.compute_work = sweep.compute_work
+                        record.worker_work = sweep.worker_work
+                        record.state_changes = len(new_states)
                 except SyncRetryExhausted:
                     raise  # unrecoverable: escalate to the caller
-                except WorkerLoss as loss:
-                    if checkpoint is None or failover is None:
-                        raise  # no membership subsystem: unrecoverable
-                    # degraded failover: no guest copies to reconstruct
-                    # from, so the lost partitions reload from the barrier
-                    # checkpoint; the crashed inboxes are re-fetched from
-                    # the senders' outbox logs like the transient path.
-                    metrics.recovery_replayed_supersteps += 1
-                    metrics.recovery_compute_work += record.compute_work
-                    lost_set = set(loss.workers or [loss.worker])
-                    failover.fail_over_degraded(
-                        lost_set, superstep, checkpoint, states, metrics,
-                        program.state_bytes,
-                    )
-                    for dest, payloads in inbox.items():
-                        if self.dgraph.worker_of(dest) in lost_set:
-                            metrics.recovery_resync_bytes += inbox_bytes.get(
-                                dest, 0
-                            )
-                            metrics.recovery_resync_messages += len(payloads)
-                    active = checkpoint.restore(states)
-                    self._aggregators.reset_current()
-                    continue
                 except WorkerFailure as failure:
-                    if checkpoint is None:
-                        raise  # not injected by us: no checkpoint to replay
-                    # rollback-and-replay: nothing committed.  The crashed
-                    # workers lost their received messages; re-fetch them
-                    # from the senders' outbox logs (charged as resync).
-                    crashed_set = set(getattr(failure, "workers",
-                                              [failure.worker]))
-                    metrics.recovery_crashes += len(crashed_set)
+                    lost = isinstance(failure, WorkerLoss)
+                    if checkpoint is None or (lost and failover is None):
+                        # not injected by us (no checkpoint to replay), or
+                        # a loss with no membership subsystem: unrecoverable
+                        raise
+                    # rollback-and-replay: nothing committed.  A loss fails
+                    # over degraded — no guest copies to reconstruct from,
+                    # so the lost partitions reload from the barrier
+                    # checkpoint.  Either way the failed workers lost their
+                    # received messages; re-fetch them from the senders'
+                    # outbox logs (charged as resync).
+                    failed = set(getattr(failure, "workers", None)
+                                 or [failure.worker])
                     metrics.recovery_replayed_supersteps += 1
                     metrics.recovery_compute_work += record.compute_work
+                    if lost:
+                        failover.fail_over_degraded(
+                            failed, superstep, checkpoint, states, metrics,
+                            program.state_bytes,
+                        )
+                    else:
+                        metrics.recovery_crashes += len(failed)
                     for dest, payloads in inbox.items():
-                        if self.dgraph.worker_of(dest) in crashed_set:
+                        if self.dgraph.worker_of(dest) in failed:
                             metrics.recovery_resync_bytes += inbox_bytes.get(
                                 dest, 0
                             )
@@ -443,13 +297,7 @@ class PregelEngine:
                     self._aggregators.reset_current()
                     continue
 
-                if self._contracts is not None:
-                    self._contracts.at_barrier(superstep, states)
-                for u in new_states:
-                    if u not in dirty:
-                        dirty[u] = states[u]
-                states.update(new_states)
-                runtime.commit(new_states)
+                self._commit(superstep, states, new_states, dirty)
 
                 # --- deliver messages (with combining, cost accounting) ----
                 outbox = self._outbox
@@ -518,20 +366,8 @@ class PregelEngine:
                     per_worker = self._memory_snapshot(program, states, inbox)
                     metrics.observe_memory(per_worker)
                     took_snapshot = True
-        except BaseException:
-            # leave no partial superstep behind: callers resuming from
-            # ``states`` (dynamic maintenance) see their run-entry values
-            for u, value in sorted(dirty.items()):
-                states[u] = value
-            raise
-        finally:
-            if sanitizer is not None:
-                sanitizer.end_engine_run(metrics)
 
-        if self._contracts is not None:
-            members = program.contract_members(states)
-            if members is not None:
-                self._contracts.at_convergence(graph, members)
+        self._check_convergence(program, states)
 
         # guarantee >= 1 snapshot per run — keyed on this run, not the
         # meter: a shared meter may arrive with a peak from an earlier run

@@ -10,11 +10,11 @@ backends produce bit-identical members and logical meters.  See
 
 from repro.runtime.base import (
     BarrierDraws,
+    BSPEngine,
     ExecutionBackend,
     InlineExecutor,
     PregelSweep,
     ScaleGSweep,
-    predraw_barrier_faults,
     resolve_runtime,
 )
 from repro.runtime.elastic import (
@@ -28,6 +28,7 @@ from repro.runtime.parallel import ParallelRuntime
 __all__ = [
     "AutoscalePolicy",
     "BarrierDraws",
+    "BSPEngine",
     "ExecutionBackend",
     "InlineExecutor",
     "LoadBalancer",
@@ -35,7 +36,6 @@ __all__ = [
     "PregelSweep",
     "Recommendation",
     "ScaleGSweep",
-    "predraw_barrier_faults",
     "resolve_autoscale",
     "resolve_runtime",
 ]

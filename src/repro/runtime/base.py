@@ -11,6 +11,9 @@ Both engines (:class:`~repro.scaleg.engine.ScaleGEngine` and
   processes, each owning a fixed subset of the logical partitions for the
   whole run; only per-superstep deltas cross the pipe.
 
+Both engines subclass :class:`BSPEngine`, which resolves the engine
+options once and owns the backend.
+
 The contract that makes backends interchangeable: a sweep is a *pure
 function* of ``(states as of the last barrier, active set, superstep)``.
 Everything order-sensitive — barrier commit, sync charging, activation
@@ -21,36 +24,37 @@ id within the sweep), so members, ``members_checksum`` and every logical
 meter are bit-identical across backends; ``bench-perf --check`` and the
 chaos convergence oracle double as the backend-equivalence harness.
 
-Fault injection composes through :meth:`ExecutionBackend.predraw`: a
-parallel backend pre-draws the barrier's crash/loss/straggler schedule
-(draws are pure keyed hashes plus a fire-once set, so drawing before the
-sweep yields the same values as drawing at the barrier), ships each worker
-process the slice it owns, and the engine verifies the workers' echo
-against the draws before acting on them.  The inline backend returns
-``None`` and the engine draws at the barrier exactly as before.
+Fault injection takes one path on every backend: when a fault plan is
+attached, :func:`~repro.faults.recovery.fault_barrier` draws the barrier's
+straggler/loss/crash schedule once, before the sweep, in the order the
+barrier consumes it, and hands the :class:`BarrierDraws` to the sweep.
+The inline backend ignores them; the process runtime ships each worker
+process the slice it owns and checks the workers' echo against them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 
 @dataclass
 class BarrierDraws:
-    """One superstep's pre-drawn fault schedule (parallel backends only).
+    """One superstep's barrier fault schedule, drawn before the sweep.
 
-    Drawn by the engine *before* dispatching the sweep so the owning worker
-    processes can observe their own faults; the engine then processes the
-    same draws at the barrier in the exact order the inline path would have
-    drawn them (stragglers per worker, then losses, then crashes).
+    Drawn once per superstep by :func:`~repro.faults.recovery.fault_barrier`
+    on every backend.  The inline backend ignores it; the process runtime
+    ships each worker process its slice so the owning process observes
+    its own faults.
     """
 
     #: modelled straggler delay per logical worker (0.0 = on time)
     delays: List[float]
     #: logical workers declared permanently dead at this barrier
     lost: List[int]
-    #: logical workers that crash (transient) at this barrier
+    #: logical workers that crash (transient) at this barrier — always
+    #: empty when ``lost`` is not: a loss aborts the barrier first
     crashed: List[int]
 
     def slice_for(self, owned: List[int]) -> Tuple[Any, ...]:
@@ -65,23 +69,6 @@ class BarrierDraws:
     def echo(self) -> Tuple[Any, ...]:
         """What a faithful set of workers should echo back, merged."""
         return (self.delays, self.lost, self.crashed)
-
-
-def predraw_barrier_faults(injector, superstep: int, num_workers: int) -> BarrierDraws:
-    """Draw the barrier fault schedule ahead of the sweep.
-
-    Every injector draw is a pure ``blake2b`` keyed lookup guarded by a
-    fire-once set, so the values are independent of *when* they are drawn
-    relative to the sweep; the draw order here mirrors the inline barrier
-    (stragglers in worker order, then losses, then crashes) so the
-    fire-once bookkeeping matches too.
-    """
-    delays = [
-        injector.straggler_delay(superstep, w) for w in range(num_workers)
-    ]
-    lost = injector.lost_workers(superstep, range(num_workers))
-    crashed = injector.crashed_workers(superstep, range(num_workers))
-    return BarrierDraws(delays=delays, lost=lost, crashed=crashed)
 
 
 @dataclass
@@ -100,9 +87,6 @@ class ScaleGSweep:
     compute_work: int
     #: compute units per logical worker (load-balance record)
     worker_work: List[int]
-    #: (delays, lost, crashed) observed inside the worker processes;
-    #: ``None`` for inline sweeps (the engine draws at the barrier itself)
-    fault_echo: Optional[Tuple[Any, ...]] = None
     #: :class:`~repro.graph.csr.CSRSweepExtras` when the sweep ran on the
     #: array-native fast path — the engine then charges the barrier from
     #: the typed delta arrays instead of ``requests`` (which stays empty)
@@ -117,16 +101,16 @@ class PregelSweep:
     new_states: Dict[int, Any]
     compute_work: int
     worker_work: List[int]
-    fault_echo: Optional[Tuple[Any, ...]] = None
 
 
 class ExecutionBackend:
     """Interface every execution backend implements.
 
     Lifecycle: ``bind(engine)`` once per run entry, ``begin_run`` after the
-    engine resolved program + states, then per superstep ``predraw`` (fault
-    runs only) and one ``sweep_*`` call, ``commit`` after each barrier that
-    commits, and ``close`` when the owning engine/maintainer is done.
+    engine resolved program + states, then one ``sweep_*`` call per
+    superstep (``draws`` is the barrier fault schedule, or ``None`` when no
+    fault plan is attached), ``commit`` after each barrier that commits,
+    and ``close`` when the owning engine/maintainer is done.
     """
 
     #: short name surfaced in CLI/bench output
@@ -137,10 +121,6 @@ class ExecutionBackend:
 
     def begin_run(self, program, states: Dict[int, Any]) -> None:
         raise NotImplementedError  # pragma: no cover - interface
-
-    def predraw(self, injector, superstep: int, num_workers: int):
-        """Pre-draw barrier faults, or ``None`` to draw at the barrier."""
-        return None
 
     def sweep_scaleg(self, active, superstep: int, draws=None) -> ScaleGSweep:
         raise NotImplementedError  # pragma: no cover - interface
@@ -276,3 +256,125 @@ def resolve_runtime(runtime, procs: Optional[int] = None) -> ExecutionBackend:
         f"unknown runtime {runtime!r}: expected 'inline', 'process', or an "
         "ExecutionBackend instance"
     )
+
+
+class BSPEngine:
+    """The core both BSP engines share.
+
+    Resolves the engine options once, owns the execution backend (wrapped
+    in the race sanitizer when one is on), and supplies the protocol-free
+    parts of a run: run entry, the run-entry rollback, the barrier commit
+    and the convergence contract.
+    """
+
+    def __init__(self, dgraph, contracts=None, faults=None, membership=None,
+                 runtime=None, sanitize=None):
+        """``contracts``: ``None`` defers to the ``REPRO_CONTRACTS`` env
+        flag, ``True``/``False`` force runtime contract checking on/off, or
+        pass a :class:`~repro.analysis.runtime.ContractChecker` directly.
+        ``faults``: a :class:`~repro.faults.plan.FaultPlan` or
+        :class:`~repro.faults.injector.FaultInjector` enabling seeded fault
+        injection + recovery; ``None`` (or an empty plan) leaves the hot
+        loop exactly as in the fault-free build.
+        ``membership``: a :class:`~repro.faults.membership.MembershipConfig`
+        or :class:`~repro.faults.membership.FailoverCoordinator` enabling
+        permanent-loss failover (and, on ScaleG, guest anti-entropy);
+        ``None`` auto-attaches a default coordinator exactly when the fault
+        plan schedules losses, guest corruption or joins/drains.
+        ``runtime``: execution backend for the compute sweep — ``None`` /
+        ``"inline"`` (serial, the default), ``"process"`` (multi-process
+        :class:`~repro.runtime.parallel.ParallelRuntime`), or an
+        :class:`ExecutionBackend` instance (shared backends stay owned by
+        the caller).
+        ``sanitize``: ``None`` defers to the ``REPRO_SANITIZE`` env flag,
+        ``True``/``False`` force the superstep race sanitizer on/off, or
+        pass a :class:`~repro.analysis.parallel.RaceSanitizer` directly;
+        when on, the backend is wrapped to record per-worker read/write
+        sets each superstep and flag races."""
+        from repro.analysis.parallel.sanitizer import resolve_sanitizer
+        from repro.analysis.runtime import resolve_contracts
+        from repro.faults.injector import resolve_faults
+        from repro.faults.membership import resolve_membership
+
+        self.dgraph = dgraph
+        self._contracts = resolve_contracts(contracts)
+        self._faults = resolve_faults(faults)
+        self._failover = resolve_membership(membership, self._faults, dgraph)
+        self._sanitizer = resolve_sanitizer(sanitize)
+        backend = resolve_runtime(runtime)
+        if self._sanitizer is not None:
+            backend = self._sanitizer.wrap(backend)
+        self._runtime = backend
+
+    @property
+    def failover(self):
+        """The attached failover coordinator (``None`` when neither the
+        fault plan nor the caller asked for membership tracking)."""
+        return self._failover
+
+    @property
+    def runtime(self) -> ExecutionBackend:
+        """The execution backend driving this engine's compute sweeps."""
+        return self._runtime
+
+    @property
+    def sanitizer(self):
+        """The attached race sanitizer (``None`` when sanitizing is off)."""
+        return self._sanitizer
+
+    def close(self) -> None:
+        """Release the execution backend's resources (worker processes)."""
+        self._runtime.close()
+
+    # -- run scaffolding -------------------------------------------------
+    def _begin_run(self, program, states: Dict[int, Any]) -> None:
+        """Run entry: advance the fault schedule's run index and hand the
+        backend this run's program and states."""
+        if self._faults is not None:
+            self._faults.begin_run()
+        self._runtime.bind(self)
+        self._runtime.begin_run(program, states)
+
+    @contextmanager
+    def _rollback_on_error(self, states: Dict[int, Any],
+                           metrics) -> Iterator[Dict[int, Any]]:
+        """Bracket a run's superstep loop.
+
+        Yields the run's ``dirty`` map (the run-entry value of every state
+        a barrier overwrote, filled by :meth:`_commit`).  If the loop
+        raises, every dirty entry is restored, so callers resuming from
+        ``states`` (dynamic maintenance) never see a partially converged
+        run.  The race sanitizer's per-run trace opens and closes here.
+        """
+        sanitizer = self._sanitizer
+        if sanitizer is not None:
+            sanitizer.begin_engine_run(metrics, self.dgraph.num_workers)
+        dirty: Dict[int, Any] = {}
+        try:
+            yield dirty
+        except BaseException:
+            for u, value in sorted(dirty.items()):
+                states[u] = value
+            raise
+        finally:
+            if sanitizer is not None:
+                sanitizer.end_engine_run(metrics)
+
+    def _commit(self, superstep: int, states: Dict[int, Any],
+                new_states: Dict[int, Any], dirty: Dict[int, Any]) -> None:
+        """Commit one barrier's writes into the master states."""
+        if self._contracts is not None:
+            self._contracts.at_barrier(superstep, states)
+        for u in new_states:
+            if u not in dirty:
+                dirty[u] = states[u]
+        states.update(new_states)
+        self._runtime.commit(new_states)
+
+    def _check_convergence(self, program, states: Dict[int, Any]) -> None:
+        """Assert the convergence contract on the members, if the program
+        reports any and contracts are on."""
+        if self._contracts is not None:
+            members = program.contract_members(states)
+            if members is not None:
+                self._contracts.at_convergence(self.dgraph.graph, members)

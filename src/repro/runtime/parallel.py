@@ -27,12 +27,14 @@ no extra dependencies).  The process model:
   inline sweep order (the active list is ascending).  Compute/meter sums
   are integers, so members, ``members_checksum`` and all logical meters
   are bit-identical to :class:`~repro.runtime.base.InlineExecutor`.
-- Fault injection: the engine pre-draws each barrier's schedule
-  (:meth:`predraw`), the dispatch ships every process the slice of draws
-  its partitions own, the process observes/echoes them, and the merge
-  verifies the echo against the draws before the engine acts on them —
-  crash/straggler/loss faults thus *fire inside the owning worker
-  process* while recovery stays on the master, byte-identical to inline.
+- Fault injection: the engine draws each barrier's schedule before the
+  sweep (:func:`~repro.faults.recovery.fault_barrier`, the same draw on
+  every backend), the dispatch ships every process the slice of draws its
+  partitions own, the process observes/echoes them, and the merge verifies
+  the echo against the draws (:class:`~repro.errors.ParallelRuntimeError`
+  on a mismatch) — crash/straggler/loss faults thus *fire inside the
+  owning worker process* while recovery stays on the master,
+  byte-identical to inline.
 
 Pickling contract: vertex states, message payloads, activation predicates
 and the program itself must be picklable (module-level functions and
@@ -56,7 +58,6 @@ from repro.runtime.base import (
     ExecutionBackend,
     PregelSweep,
     ScaleGSweep,
-    predraw_barrier_faults,
 )
 
 _MISSING = object()
@@ -659,10 +660,6 @@ class ParallelRuntime(ExecutionBackend):
     def on_remove_vertex(self, u: int) -> None:
         self._pending_ops.append((_OP_REMOVE_VERTEX, u))
 
-    # -- faults ---------------------------------------------------------
-    def predraw(self, injector, superstep: int, num_workers: int) -> BarrierDraws:
-        return predraw_barrier_faults(injector, superstep, num_workers)
-
     # -- pool management -------------------------------------------------
     def _ensure_workers(self, num_partitions: Optional[int] = None,
                         full_init: bool = True) -> None:
@@ -810,32 +807,33 @@ class ParallelRuntime(ExecutionBackend):
         return slices
 
     @staticmethod
-    def _merge_echo(
-        echo_parts, draws: Optional[BarrierDraws], num_workers: int
-    ):
+    def _check_echo(echo_parts, draws: Optional[BarrierDraws],
+                    num_workers: int, superstep: int) -> None:
+        """Merge the workers' fault echo and verify it against the draws
+        shipped with the sweep: a mismatch means a worker observed a
+        schedule the master never drew, so the runtime is broken."""
         if draws is None:
-            return None
+            return
         delays = [0.0] * num_workers
         lost: List[int] = []
         crashed: List[int] = []
         for part in echo_parts:
-            if part is None:
-                continue
             for w, d in part[0]:
                 delays[w] = d
             lost.extend(part[1])
             crashed.extend(part[2])
-        return (delays, sorted(lost), sorted(crashed))
+        echo = (delays, sorted(lost), sorted(crashed))
+        if echo != draws.echo():
+            raise ParallelRuntimeError(
+                f"superstep {superstep}: worker fault echo {echo!r} does "
+                f"not match the barrier draws {draws.echo()!r}"
+            )
 
     # -- sweeps ----------------------------------------------------------
     def sweep_scaleg(self, active, superstep: int, draws=None) -> ScaleGSweep:
         engine = self._engine
         kernel = getattr(engine, "_csr_kernel", None)
-        if (
-            kernel is not None
-            and getattr(engine, "_csr_fast", False)
-            and draws is None
-        ):
+        if kernel is not None and getattr(engine, "_csr_fast", False):
             return self._sweep_scaleg_csr(engine, kernel, active, superstep)
         self._ensure_workers()
         self.sweeps_dispatched += 1
@@ -870,6 +868,7 @@ class ParallelRuntime(ExecutionBackend):
         changed_pairs.sort(key=itemgetter(0))
         forced.sort()
         requests.sort(key=itemgetter(0))
+        self._check_echo(echo_parts, draws, num_workers, superstep)
         return ScaleGSweep(
             new_states=dict(changed_pairs),
             changed=[u for u, _ in changed_pairs],
@@ -877,7 +876,6 @@ class ParallelRuntime(ExecutionBackend):
             requests=requests,
             compute_work=compute_work,
             worker_work=worker_work,
-            fault_echo=self._merge_echo(echo_parts, draws, num_workers),
         )
 
     def _sweep_scaleg_csr(self, engine, kernel, active,
@@ -995,6 +993,7 @@ class ParallelRuntime(ExecutionBackend):
             merged.extend(results)
             echo_parts.append(echo)
         merged.sort(key=itemgetter(0))
+        self._check_echo(echo_parts, draws, num_workers, superstep)
         # replay sends and aggregator contributions in inline order, so the
         # outbox sequence and the (order-sensitive) aggregator reductions
         # are bit-identical to the serial sweep
@@ -1014,5 +1013,4 @@ class ParallelRuntime(ExecutionBackend):
             new_states=new_states,
             compute_work=compute_work,
             worker_work=worker_work,
-            fault_echo=self._merge_echo(echo_parts, draws, num_workers),
         )

@@ -41,6 +41,7 @@ from repro.errors import (
     WorkerFailure,
     WorkerLoss,
 )
+from repro.runtime.base import BSPEngine
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -249,7 +250,7 @@ class ScaleGResult:
     metrics: RunMetrics
 
 
-class ScaleGEngine:
+class ScaleGEngine(BSPEngine):
     """Executes a :class:`ScaleGProgram` over a :class:`DistributedGraph`.
 
     The engine can be reused across runs on the same (mutating) graph: the
@@ -260,40 +261,15 @@ class ScaleGEngine:
     def __init__(self, dgraph: "DistributedGraph", contracts=None, faults=None,
                  membership=None, runtime=None, sanitize=None,
                  representation=None):
-        """``contracts``: ``None`` defers to the ``REPRO_CONTRACTS`` env
-        flag, ``True``/``False`` force runtime contract checking on/off, or
-        pass a :class:`~repro.analysis.runtime.ContractChecker` directly.
-        ``faults``: a :class:`~repro.faults.plan.FaultPlan` or
-        :class:`~repro.faults.injector.FaultInjector` enabling seeded fault
-        injection + recovery; ``None`` (or an empty plan) leaves the hot
-        loop exactly as in the fault-free build.
-        ``membership``: a :class:`~repro.faults.membership.MembershipConfig`
-        or :class:`~repro.faults.membership.FailoverCoordinator` enabling
-        permanent-loss failover and guest anti-entropy; ``None``
-        auto-attaches a default coordinator exactly when the fault plan
-        schedules losses or guest corruption.
-        ``runtime``: execution backend for the compute sweep — ``None`` /
-        ``"inline"`` (serial, the default), ``"process"`` (multi-process
-        :class:`~repro.runtime.parallel.ParallelRuntime`), or an
-        :class:`~repro.runtime.base.ExecutionBackend` instance (shared
-        backends stay owned by the caller).
-        ``sanitize``: ``None`` defers to the ``REPRO_SANITIZE`` env flag,
-        ``True``/``False`` force the superstep race sanitizer on/off, or
-        pass a :class:`~repro.analysis.parallel.RaceSanitizer` directly;
-        when on, the backend is wrapped to record per-worker read/write
-        sets each superstep and flag races.
+        """The first five options are :class:`~repro.runtime.base.BSPEngine`'s.
         ``representation``: ``None``/``"csr"`` (the default) sweeps on the
         flat-array partition mirror whenever the program provides a
         :meth:`ScaleGProgram.csr_kernel`; ``"dict"`` forces the reference
         path."""
-        from repro.analysis.parallel.sanitizer import resolve_sanitizer
-        from repro.analysis.runtime import resolve_contracts
-        from repro.faults.injector import resolve_faults
-        from repro.faults.membership import resolve_membership
         from repro.graph.csr import resolve_representation
-        from repro.runtime import resolve_runtime
 
-        self.dgraph = dgraph
+        super().__init__(dgraph, contracts, faults, membership, runtime,
+                         sanitize)
         self._states: Dict[int, Any] = {}
         self._ranked: Optional[RankedAdjacency] = None
         self._representation = resolve_representation(representation)
@@ -303,36 +279,11 @@ class ScaleGEngine:
         #: True when the run can use typed-delta barriers (no faults, no
         #: sanitizer, no isolation snapshots)
         self._csr_fast = False
-        self._contracts = resolve_contracts(contracts)
-        self._faults = resolve_faults(faults)
-        self._membership = membership
-        self._failover = resolve_membership(membership, self._faults, dgraph)
-        self._sanitizer = resolve_sanitizer(sanitize)
-        backend = resolve_runtime(runtime)
-        if self._sanitizer is not None:
-            backend = self._sanitizer.wrap(backend)
-        self._runtime = backend
-
-    @property
-    def failover(self):
-        """The attached failover coordinator (``None`` when neither the
-        fault plan nor the caller asked for membership tracking)."""
-        return self._failover
-
-    @property
-    def runtime(self):
-        """The execution backend driving this engine's compute sweeps."""
-        return self._runtime
-
-    @property
-    def sanitizer(self):
-        """The attached race sanitizer (``None`` when sanitizing is off)."""
-        return self._sanitizer
 
     def close(self) -> None:
         """Release the execution backend's resources (worker processes,
         published shared-memory frames)."""
-        self._runtime.close()
+        super().close()
         part = getattr(self.dgraph, "_csr_partition", None)
         if part is not None:
             part.release_shared()
@@ -345,7 +296,6 @@ class ScaleGEngine:
         states: Optional[Dict[int, Any]] = None,
         metrics: Optional[RunMetrics] = None,
         keep_records: bool = True,
-        faults=None,
     ) -> ScaleGResult:
         """Run ``program`` until no vertex is active.
 
@@ -354,14 +304,18 @@ class ScaleGEngine:
         ``metrics`` lets callers accumulate multiple runs into one meter.
         ``keep_records`` disables per-superstep record retention for very
         long update streams (the aggregate counters still accumulate).
-        ``faults`` overrides the engine's fault injector for this run.
 
         Exception safety: if the run raises (:class:`SuperstepLimitExceeded`,
         an unrecoverable :class:`WorkerFailure`, a contract violation), every
         entry of ``states`` is restored to its value at run entry — no
         partially converged superstep leaks into a caller's resumed states.
         """
-        from repro.faults.injector import resolve_faults
+        from repro.faults.recovery import (
+            SuperstepCheckpoint,
+            fault_barrier,
+            guest_rebuild_cost,
+        )
+
         graph = self.dgraph.graph
         own_metrics = metrics if metrics is not None else RunMetrics(
             num_workers=self.dgraph.num_workers
@@ -384,18 +338,8 @@ class ScaleGEngine:
         dgraph = self.dgraph
         is_remote_pair = dgraph.is_remote_pair
         contracts = self._contracts
-        if faults is not None:
-            injector = resolve_faults(faults)
-            failover = self._failover
-            if failover is None:
-                from repro.faults.membership import resolve_membership
-
-                failover = resolve_membership(self._membership, injector, dgraph)
-        else:
-            injector = self._faults
-            failover = self._failover
-        if injector is not None:
-            injector.begin_run()
+        injector = self._faults
+        failover = self._failover
         # marking corrupted guest copies needs both the schedule and the
         # auditor that will eventually catch them
         corrupts = (
@@ -433,18 +377,11 @@ class ScaleGEngine:
         else:
             self._ranked = program.rank_cache(graph)
         runtime = self._runtime
-        runtime.bind(self)
-        runtime.begin_run(program, states)
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
-            sanitizer.begin_engine_run(own_metrics, dgraph.num_workers)
+        self._begin_run(program, states)
 
         superstep = 0
         ran_supersteps = 0
-        #: run-entry values of every state this run overwrote, restored if
-        #: the run raises (exception safety for resumed maintenance states)
-        dirty: Dict[int, Any] = {}
-        try:
+        with self._rollback_on_error(states, own_metrics) as dirty:
             while active:
                 if ran_supersteps >= max_supersteps:
                     raise SuperstepLimitExceeded(max_supersteps)
@@ -453,8 +390,6 @@ class ScaleGEngine:
 
                 checkpoint = None
                 if injector is not None:
-                    from repro.faults.recovery import SuperstepCheckpoint
-
                     checkpoint = SuperstepCheckpoint.capture(
                         superstep, states, active, dgraph
                     )
@@ -465,112 +400,54 @@ class ScaleGEngine:
                         read_set.update(graph.neighbors(u))
                     contracts.begin_superstep(superstep, read_set, states)
 
-                # parallel backends pre-draw the barrier's fault schedule
-                # so the owning worker processes observe their own faults;
-                # draws are pure keyed hashes + fire-once, so the values
-                # match what the inline barrier would draw below
-                draws = None
-                if injector is not None:
-                    draws = runtime.predraw(
-                        injector, superstep, dgraph.num_workers
-                    )
-
                 try:
-                    sweep = runtime.sweep_scaleg(active, superstep, draws)
-                    new_states = sweep.new_states
-                    changed = sweep.changed
-                    forced = sweep.forced
-                    requests = sweep.requests
-                    record.compute_work = sweep.compute_work
-                    record.worker_work = sweep.worker_work
-                    record.active_vertices = len(active)
-
-                    if injector is not None:
-                        if draws is not None and sweep.fault_echo != draws.echo():
-                            from repro.errors import ParallelRuntimeError
-
-                            raise ParallelRuntimeError(
-                                f"superstep {superstep}: worker fault echo "
-                                f"{sweep.fault_echo!r} disagrees with the "
-                                f"barrier draws {draws.echo()!r}"
-                            )
-                        if failover is not None:
-                            failover.view.advance()
-                        # -- worker sweep: straggler delays (modelled time)
-                        if draws is None:
-                            for w in range(dgraph.num_workers):
-                                delay = injector.straggler_delay(superstep, w)
-                                if delay:
-                                    own_metrics.recovery_straggler_s += delay
-                                    own_metrics.wall_time_s += delay
-                                if failover is not None and not failover.is_dead(w):
-                                    # injector delays are *flagged* stragglers:
-                                    # the detector must never count them toward
-                                    # suspicion (slow is not dead)
-                                    failover.view.heartbeat(
-                                        w, delay_s=delay, injected=True
-                                    )
-                        else:
-                            # pre-drawn path: apply each worker's echoed
-                            # increments exactly once, in ascending worker
-                            # order — the inline accumulation order, so the
-                            # float meters stay bit-identical
-                            for w, delay in enumerate(draws.delays):
-                                if delay:
-                                    own_metrics.merge_delta({
-                                        "recovery_straggler_s": delay,
-                                        "wall_time_s": delay,
-                                    })
-                                if failover is not None and not failover.is_dead(w):
-                                    failover.view.heartbeat(
-                                        w, delay_s=delay, injected=True
-                                    )
-                        # -- barrier: permanent losses (silence, not delay)
-                        lost = draws.lost if draws is not None else (
-                            injector.lost_workers(
-                                superstep, range(dgraph.num_workers)
-                            )
-                        )
-                        if lost:
-                            raise_loss = WorkerLoss(
-                                lost[0], superstep,
-                                f"{len(lost)} worker(s) declared permanently "
-                                "dead at the barrier",
-                            )
-                            raise_loss.workers = lost
-                            raise raise_loss
-                        # -- barrier commit: crash detection
-                        crashed = draws.crashed if draws is not None else (
-                            injector.crashed_workers(
-                                superstep, range(dgraph.num_workers)
-                            )
-                        )
-                        if crashed:
-                            failure = WorkerFailure(
-                                crashed[0], superstep,
-                                f"{len(crashed)} worker(s) crashed at the "
-                                "barrier",
-                            )
-                            failure.workers = crashed
-                            raise failure
+                    with fault_barrier(
+                        injector, failover, superstep, dgraph.num_workers,
+                        own_metrics,
+                    ) as draws:
+                        sweep = runtime.sweep_scaleg(active, superstep, draws)
+                        new_states = sweep.new_states
+                        changed = sweep.changed
+                        forced = sweep.forced
+                        requests = sweep.requests
+                        record.compute_work = sweep.compute_work
+                        record.worker_work = sweep.worker_work
+                        record.active_vertices = len(active)
                 except SyncRetryExhausted:
                     raise  # unrecoverable: escalate to the caller
-                except WorkerLoss as loss:
-                    if checkpoint is None or failover is None:
-                        raise  # no membership subsystem: unrecoverable
-                    # membership failover: declare the workers dead, hand
-                    # their partitions to survivors (rendezvous), rebuild
-                    # each lost host from the freshest surviving guest copy
-                    # (or the delta log / barrier checkpoint), then replay
-                    # the superstep on the shrunken cluster.  All costs go
-                    # to the recovery meters; the logical meters keep the
-                    # fault-free placement.
+                except WorkerFailure as failure:
+                    lost = isinstance(failure, WorkerLoss)
+                    if checkpoint is None or (lost and failover is None):
+                        # not injected by us (no checkpoint to replay), or
+                        # a loss with no membership subsystem: unrecoverable
+                        raise
+                    # rollback-and-replay: nothing from this attempt has
+                    # committed.  All costs go to the recovery meters; the
+                    # logical meters keep the fault-free placement.
+                    failed = (getattr(failure, "workers", None)
+                              or [failure.worker])
                     own_metrics.recovery_replayed_supersteps += 1
                     own_metrics.recovery_compute_work += record.compute_work
-                    targets = failover.fail_over(
-                        loss.workers or [loss.worker], superstep,
-                        checkpoint, states, own_metrics, program.sync_bytes,
-                    )
+                    targets = None
+                    if lost:
+                        # membership failover: declare the workers dead,
+                        # hand their partitions to survivors (rendezvous),
+                        # rebuild each lost host from the freshest surviving
+                        # guest copy (or the delta log / barrier checkpoint)
+                        targets = failover.fail_over(
+                            failed, superstep, checkpoint, states,
+                            own_metrics, program.sync_bytes,
+                        )
+                    else:
+                        # transient crash: rebuild the crashed workers'
+                        # guest copies from host state
+                        own_metrics.recovery_crashes += len(failed)
+                        rebuild_bytes, rebuild_records = guest_rebuild_cost(
+                            dgraph, failed, program.sync_bytes,
+                            checkpoint.states,
+                        )
+                        own_metrics.recovery_resync_bytes += rebuild_bytes
+                        own_metrics.recovery_resync_messages += rebuild_records
                     active = checkpoint.restore(states)
                     if self._csr is not None:
                         self._csr.sync_states(states)
@@ -579,36 +456,8 @@ class ScaleGEngine:
                             program, targets, superstep, own_metrics
                         )
                     continue
-                except WorkerFailure as failure:
-                    if checkpoint is None:
-                        raise  # not injected by us: no checkpoint to replay
-                    # rollback-and-replay: nothing from this attempt has
-                    # committed; restore the barrier checkpoint, rebuild the
-                    # crashed workers' guest copies from host state, charge
-                    # everything to the recovery meters, and replay.
-                    from repro.faults.recovery import guest_rebuild_cost
 
-                    crashed = getattr(failure, "workers", [failure.worker])
-                    own_metrics.recovery_crashes += len(crashed)
-                    own_metrics.recovery_replayed_supersteps += 1
-                    own_metrics.recovery_compute_work += record.compute_work
-                    rebuild_bytes, rebuild_records = guest_rebuild_cost(
-                        dgraph, crashed, program.sync_bytes, checkpoint.states
-                    )
-                    own_metrics.recovery_resync_bytes += rebuild_bytes
-                    own_metrics.recovery_resync_messages += rebuild_records
-                    active = checkpoint.restore(states)
-                    if self._csr is not None:
-                        self._csr.sync_states(states)
-                    continue
-
-                if contracts is not None:
-                    contracts.at_barrier(superstep, states)
-                for u in new_states:
-                    if u not in dirty:
-                        dirty[u] = states[u]
-                states.update(new_states)
-                runtime.commit(new_states)
+                self._commit(superstep, states, new_states, dirty)
                 if self._csr is not None:
                     self._csr.apply_new_states(new_states)
 
@@ -728,20 +577,8 @@ class ScaleGEngine:
                 active = sorted(next_active)
                 superstep += 1
                 ran_supersteps += 1
-        except BaseException:
-            # leave no partial superstep behind: callers resuming from
-            # ``states`` (dynamic maintenance) see their run-entry values
-            for u, value in sorted(dirty.items()):
-                states[u] = value
-            raise
-        finally:
-            if sanitizer is not None:
-                sanitizer.end_engine_run(own_metrics)
 
-        if self._contracts is not None:
-            members = program.contract_members(states)
-            if members is not None:
-                self._contracts.at_convergence(graph, members)
+        self._check_convergence(program, states)
 
         per_worker = self._memory_snapshot(program, states)
         own_metrics.observe_memory(per_worker)

@@ -38,7 +38,7 @@ from repro.bench.workloads import delete_reinsert_workload
 from repro.core.baselines import make_algorithm
 from repro.errors import ParallelRuntimeError
 from repro.faults.chaos import plan_for
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import CrashSpec, FaultPlan, LossSpec
 from repro.graph.datasets import load_dataset
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.dynamic_graph import DynamicGraph
@@ -48,6 +48,7 @@ from repro.pregel.engine import PregelEngine
 from repro.pregel.metrics import RunMetrics
 from repro.pregel.partition import HashPartitioner
 from repro.runtime import (
+    BarrierDraws,
     ExecutionBackend,
     InlineExecutor,
     ParallelRuntime,
@@ -196,6 +197,15 @@ _FAULT_CASES = {
         lambda: FaultPlan(loss_prob=0.03, seed=1),
         "recovery_replayed_supersteps",
     ),
+    # a loss and a crash at the same barrier: the loss aborts the barrier
+    # first, so the crash fires only on the replay — on every backend
+    "loss+crash": (
+        lambda: FaultPlan(
+            losses=(LossSpec(1, 2, run=0),),
+            crashes=(CrashSpec(1, 3, run=0),),
+        ),
+        "recovery_crashes",
+    ),
 }
 
 
@@ -226,6 +236,22 @@ def test_chaos_equivalence(engine_kind, case, proc_runtime):
     assert proc_members == inline_members
     assert _meter_tuple(proc_metrics, fault_meters=True) == \
         _meter_tuple(inline_metrics, fault_meters=True)
+
+
+@pytest.mark.parametrize("engine_kind", ["scaleg", "pregel"])
+def test_tampered_fault_slice_is_caught(engine_kind, proc_runtime, monkeypatch):
+    """A worker echoing a schedule other than the one shipped is a broken
+    runtime, not a fault to recover from."""
+    honest = BarrierDraws.slice_for
+
+    def drop_crashes(self, owned):
+        delays, lost, _crashed = honest(self, owned)
+        return delays, lost, []
+
+    monkeypatch.setattr(BarrierDraws, "slice_for", drop_crashes)
+    with pytest.raises(ParallelRuntimeError, match="echo"):
+        _chaos_run(engine_kind, _FAULT_CASES["crash"][0](),
+                   runtime=proc_runtime)
 
 
 # ---------------------------------------------------------------------------
