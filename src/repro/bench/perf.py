@@ -23,12 +23,10 @@ across ``procs`` ∈ {1, 2, 4, 8}, asserting bit-identical logical meters and
 recording the measured speedup curve (trend data, machine-dependent — the
 entry carries ``cpu_count`` so a 1-core runner's flat curve reads as what
 it is).  Every scenario sweeps on the default flat-array CSR layout
-(:mod:`repro.graph.csr`); ``csr_frames_*`` is the one dict-vs-csr
-comparison: it asserts bit-identity against an in-scenario dict run and
-records the process runtime's barrier-frame byte traffic for pickled dict
-frames and shared-memory CSR deltas.  ``serve_*`` scenarios push a seeded
-bursty trace through the durable ingestion service (:mod:`repro.serve`) and
-record sustained updates/s and per-window latency percentiles; their logical
+(:mod:`repro.graph.csr`); the process runtime maps it as a shared-memory
+frame.  ``serve_*`` scenarios push a seeded bursty trace through the
+durable ingestion service (:mod:`repro.serve`) and record sustained
+updates/s and per-window latency percentiles; their logical
 sections are pinned too, because every serve control decision is a function
 of logical meters and event time only.
 """
@@ -185,57 +183,6 @@ def _runtime_static_oimis(tag: str) -> Dict[str, Any]:
         "procs": curve,
     }
     return result
-
-
-def _csr_frames_static_oimis(tag: str, procs: int = 2) -> Dict[str, Any]:
-    """Barrier-frame traffic: pickled snapshots vs shared-memory CSR.
-
-    Runs the same static computation over the process runtime twice — dict
-    layout (graph snapshot + per-sweep pickle frames) and csr layout
-    (shared-memory block + typed delta arrays) — and records each run's
-    frame byte counters with the reduction factor.  The csr run's logical
-    section is the pinned entry; the dict run is the bit-identity oracle.
-    Byte counters are trend data (wire framing may evolve), but the
-    *reduction* is the point of the scenario, so it is surfaced explicitly.
-    """
-    from repro.runtime import ParallelRuntime
-
-    entries: Dict[str, Dict[str, Any]] = {}
-    frames: Dict[str, Dict[str, int]] = {}
-    for rep in ("dict", "csr"):
-        graph = load_dataset(tag)
-        runtime = ParallelRuntime(procs=procs)
-        try:
-            runtime.prestart(num_partitions=10)
-            run = run_oimis(
-                graph, num_workers=10, strategy=ActivationStrategy.ALL,
-                runtime=runtime, representation=rep,
-            )
-            frames[rep] = runtime.frame_stats()
-        finally:
-            runtime.close()
-        entries[rep] = _sections(run.independent_set, run.metrics, graph)
-    if _stable_sections(entries["dict"]) != _stable_sections(entries["csr"]):
-        raise RuntimeError(
-            f"csr_frames_static_oimis_{tag}: csr layout diverged from the "
-            "dict reference over the process runtime"
-        )
-    entry = entries["csr"]
-    dict_total = (frames["dict"]["frame_bytes_sent"]
-                  + frames["dict"]["frame_bytes_received"])
-    csr_total = (frames["csr"]["frame_bytes_sent"]
-                 + frames["csr"]["frame_bytes_received"])
-    entry["params"] = {"kind": "csr_frames_static_oimis", "dataset": tag,
-                       "workers": 10, "strategy": "all", "procs": procs,
-                       "representation": "csr"}
-    entry["perf"]["frames"] = {
-        "procs": procs,
-        "dict": frames["dict"],
-        "csr": frames["csr"],
-        "bytes_reduction_factor": round(dict_total / csr_total, 3)
-        if csr_total else 0.0,
-    }
-    return entry
 
 
 def _serve(
@@ -513,7 +460,6 @@ SCENARIOS: Dict[str, Callable[[], Dict[str, Any]]] = {
     "fig11_batch_AM": lambda: _maintenance("AM", 100, 13, 20),
     "runtime_static_oimis_SKI": lambda: _runtime_static_oimis("SKI"),
     "runtime_static_oimis_TW": lambda: _runtime_static_oimis("TW"),
-    "csr_frames_static_oimis_SKI": lambda: _csr_frames_static_oimis("SKI"),
     "serve_bursty_AM": lambda: _serve("AM", 400, 7),
     "serve_poison_SL": lambda: _serve(
         "SL", 300, 11, poison_prob=0.05, admission_policy="shed",

@@ -71,10 +71,10 @@ class PartitionError(EngineError):
 class ParallelRuntimeError(EngineError):
     """Raised when the multi-process runtime breaks its contract.
 
-    Covers a worker process dying mid-superstep, an unpicklable program or
-    state crossing the pipe, and a fault echo that disagrees with the
-    barrier draws — anything where the parallel backend can no longer
-    guarantee bit-identity with the inline run.
+    Covers a worker process dying mid-superstep, a fault echo that
+    disagrees with the barrier draws, and a sweep with no CSR kernel
+    (which the process runtime cannot run) — anything where the parallel
+    backend can no longer guarantee bit-identity with the inline run.
     """
 
 

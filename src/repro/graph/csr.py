@@ -20,16 +20,16 @@ view so a whole superstep sweep becomes a few vectorized numpy passes:
   at every barrier commit.
 
 The mirror registers as a :class:`DynamicGraph` mutation observer (the
-same protocol the rank caches and the process runtime use) and repairs
-itself incrementally: an edge update re-sorts only the rows whose content
-or order can have changed (the endpoints, plus every row containing an
-endpoint — their ``keys`` moved); vertex insertion/removal schedules a
-full rebuild.  ``ensure()`` settles all pending repairs before a run.
+same protocol the rank caches use) and repairs itself incrementally: an
+edge update re-sorts only the rows whose content or order can have
+changed (the endpoints, plus every row containing an endpoint — their
+``keys`` moved); vertex insertion/removal schedules a full rebuild.
+``ensure()`` settles all pending repairs before a run.
 
 For the multi-process runtime the arrays are published once into a single
 ``multiprocessing.shared_memory`` segment; worker processes map it
 (zero-copy) and per-barrier frames shrink to the active row indices down
-and compact typed delta arrays back — no pickled state dicts, no
+and compact typed delta arrays back — no pickled graph, states or
 activation-request object graphs.  The master's bitmap *is* the shared
 view after publication, so barrier commits propagate without reshipping.
 """
@@ -690,8 +690,8 @@ def _requests_from_arrays(part, req_src, req_tgt, strategy):
 class OIMISKernel:
     """Array-native sweep kernel for :class:`~repro.core.oimis.OIMISProgram`.
 
-    Picklable and tiny (strategy + scan mode only): the multi-process
-    runtime ships its config to workers once per pool, never per barrier.
+    Tiny (strategy + scan mode only): the multi-process runtime ships its
+    :meth:`config` primitives with each sweep, never the kernel object.
     """
 
     #: every OIMIS state syncs as one status byte (uniform)
@@ -715,35 +715,42 @@ class OIMISKernel:
         return self.strategy is not ActivationStrategy.ALL
 
     def config(self, num_workers: int) -> Tuple[str, bool, bool, int]:
-        """Wire form shipped to worker processes (picklable primitives)."""
+        """Wire form shipped to worker processes (primitives only)."""
         return (self.strategy.value, self.full_scan, self.suffix_only,
                 num_workers)
 
     def sweep(self, engine, active, superstep: int):
-        """Run one inline sweep; returns a standard ``ScaleGSweep``.
-
-        In fast mode (no faults, no sanitizer, no isolation snapshots)
-        the sweep carries :class:`CSRSweepExtras` and an empty request
-        list — the engine's vectorized barrier consumes the arrays.
-        Otherwise the exact dict-shaped requests are materialized so the
-        fault/sanitizer machinery sees the standard sweep shape.
-        """
-        from repro.runtime.base import ScaleGSweep
-
+        """Run one inline sweep; returns a standard ``ScaleGSweep``."""
         part = engine._csr
         active_idx = part.index_of(active)
-        if not getattr(engine, "_csr_fast", False):
+        if not engine._csr_fast:
             # lists mode replays request targets in rank order so the
             # fault injector's draw sequence matches the dict path
             part.freshen(active_idx)
-        (compute_work, worker_work, changed_idx, changed_val,
-         req_src, req_tgt) = _sweep_arrays(
+        return self.as_sweep(engine, _sweep_arrays(
             part, active_idx, self.full_scan, self.suffix_only,
             engine.dgraph.num_workers,
-        )
+        ))
+
+    def as_sweep(self, engine, arrays):
+        """Wrap one sweep's arrays (:func:`_sweep_arrays`' tuple, requests
+        ascending by source row) as a standard ``ScaleGSweep``.
+
+        The inline kernel and the process runtime's barrier merge both end
+        here.  In fast mode (no faults, no sanitizer, no isolation
+        snapshots) the sweep carries :class:`CSRSweepExtras` and an empty
+        request list — the engine's vectorized barrier consumes the
+        arrays.  Otherwise the exact dict-shaped requests are materialized
+        so the fault/sanitizer machinery sees the standard sweep shape.
+        """
+        from repro.runtime.base import ScaleGSweep
+
+        (compute_work, worker_work, changed_idx, changed_val,
+         req_src, req_tgt) = arrays
+        part = engine._csr
         changed_ids = part.ids[changed_idx].tolist()
         new_states = dict(zip(changed_ids, changed_val.tolist()))
-        if getattr(engine, "_csr_fast", False):
+        if engine._csr_fast:
             return ScaleGSweep(
                 new_states=new_states,
                 changed=changed_ids,

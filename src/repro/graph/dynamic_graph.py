@@ -57,9 +57,9 @@ class DynamicGraph:
         # pay nothing beyond the empty-list check per update
         self._rank_caches: List[RankedAdjacency] = []
         self._default_rank_cache: Optional[RankedAdjacency] = None
-        # mutation observers (e.g. the process runtime's replica shipper);
-        # notified after each committed mutation, same lazy-attach economy
-        # as the rank caches
+        # mutation observers (e.g. the CSR partition mirror); notified
+        # after each committed mutation, same lazy-attach economy as the
+        # rank caches
         self._mutation_observers: List[Any] = []
 
     # ------------------------------------------------------------------
@@ -109,9 +109,8 @@ class DynamicGraph:
         that must process the implied edge deletions).
 
         Observers receive a single ``on_remove_vertex`` event covering the
-        implied edge deletions (replicas replay it through their own
-        ``remove_vertex``), so the incident ``remove_edge`` calls below are
-        not notified separately.
+        implied edge deletions, so the incident ``remove_edge`` calls below
+        are not notified separately.
         """
         nbrs = self._require(u)
         removed = [(u, v) for v in sorted(nbrs)]
@@ -292,17 +291,12 @@ class DynamicGraph:
         """Notify ``observer`` after every committed mutation.
 
         The observer implements ``on_add_vertex(u)``, ``on_add_edge(u, v)``,
-        ``on_remove_edge(u, v)`` and ``on_remove_vertex(u)``; the process
-        runtime uses this to replay the maintenance driver's updates on
-        each worker replica.  Attaching twice is a no-op.
+        ``on_remove_edge(u, v)`` and ``on_remove_vertex(u)``; the CSR
+        partition mirror (:mod:`repro.graph.csr`) uses this to repair its
+        arrays incrementally.  Attaching twice is a no-op.
         """
         if observer not in self._mutation_observers:
             self._mutation_observers.append(observer)
-
-    def detach_mutation_observer(self, observer: Any) -> None:
-        """Stop notifying ``observer`` (no-op if it is not attached)."""
-        if observer in self._mutation_observers:
-            self._mutation_observers.remove(observer)
 
     # ------------------------------------------------------------------
     # dunder / misc

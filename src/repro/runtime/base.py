@@ -8,8 +8,8 @@ Both engines (:class:`~repro.scaleg.engine.ScaleGEngine` and
   workers execute serially in the calling process.  This is the reference
   implementation every other backend must match bit-for-bit.
 - :class:`~repro.runtime.parallel.ParallelRuntime` — persistent OS worker
-  processes, each owning a fixed subset of the logical partitions for the
-  whole run; only per-superstep deltas cross the pipe.
+  processes that sweep CSR-kernel programs over a shared-memory frame;
+  only per-superstep row indices and typed deltas cross the pipe.
 
 Both engines subclass :class:`BSPEngine`, which resolves the engine
 options once and owns the backend.

@@ -57,6 +57,14 @@ class TestCompute:
         main(["compute", path, "--engine", "pregel", "--algorithm", "oimis", "-o", str(b)])
         assert a.read_text() == b.read_text()
 
+    def test_process_runtime_refuses_pregel(self, graph_file, capsys):
+        path, _ = graph_file
+        assert main(["compute", path, "--engine", "pregel",
+                     "--runtime", "process", "--procs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "inline" in err
+        assert "Traceback" not in err
+
 
 class TestMaintain:
     def test_maintain_and_verify(self, graph_file, updates_file, capsys):

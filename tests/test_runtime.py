@@ -19,6 +19,7 @@ fixture (CI runs the file at ``--procs 2`` under two hash seeds).
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -36,6 +37,7 @@ from repro.core.oimis import (
 from repro.bench import perf
 from repro.bench.workloads import delete_reinsert_workload
 from repro.core.baselines import make_algorithm
+from repro.core.dismis import DisMISProgram
 from repro.errors import ParallelRuntimeError
 from repro.faults.chaos import plan_for
 from repro.faults.plan import CrashSpec, FaultPlan, LossSpec
@@ -209,37 +211,31 @@ _FAULT_CASES = {
 }
 
 
-def _chaos_run(engine_kind: str, plan: FaultPlan, runtime=None):
+def _chaos_run(plan: FaultPlan, runtime=None):
     graph = erdos_renyi(150, 450, seed=3)
     dgraph = DistributedGraph(graph, HashPartitioner(8))
-    if engine_kind == "scaleg":
-        engine = ScaleGEngine(dgraph, faults=plan, runtime=runtime)
-        result = engine.run(OIMISProgram())
-        members = independent_set_from_states(result.states)
-    else:
-        engine = PregelEngine(dgraph, faults=plan, runtime=runtime)
-        result = engine.run(OIMISPregelProgram())
-        members = {u for u, s in result.states.items() if s["in"]}
-    return members, result.metrics
+    engine = ScaleGEngine(dgraph, faults=plan, runtime=runtime)
+    result = engine.run(OIMISProgram())
+    return independent_set_from_states(result.states), result.metrics
 
 
-@pytest.mark.parametrize("engine_kind", ["scaleg", "pregel"])
-@pytest.mark.parametrize("case", sorted(_FAULT_CASES))
-def test_chaos_equivalence(engine_kind, case, proc_runtime):
+# the process runtime sweeps CSR kernels only, so ScaleG is the one engine
+# these cases run on (Pregel is refused, see below); the ids name it
+@pytest.mark.parametrize("case", sorted(_FAULT_CASES),
+                         ids=lambda case: f"{case}-scaleg")
+def test_chaos_equivalence(case, proc_runtime):
     make_plan, fire_meter = _FAULT_CASES[case]
-    inline_members, inline_metrics = _chaos_run(engine_kind, make_plan())
+    inline_members, inline_metrics = _chaos_run(make_plan())
     # the test is vacuous unless the fault actually fired
     assert getattr(inline_metrics, fire_meter) > 0
-    proc_members, proc_metrics = _chaos_run(
-        engine_kind, make_plan(), runtime=proc_runtime
-    )
+    proc_members, proc_metrics = _chaos_run(make_plan(), runtime=proc_runtime)
     assert proc_members == inline_members
     assert _meter_tuple(proc_metrics, fault_meters=True) == \
         _meter_tuple(inline_metrics, fault_meters=True)
 
 
-@pytest.mark.parametrize("engine_kind", ["scaleg", "pregel"])
-def test_tampered_fault_slice_is_caught(engine_kind, proc_runtime, monkeypatch):
+@pytest.mark.parametrize("case", ["crash"], ids=["scaleg"])
+def test_tampered_fault_slice_is_caught(case, proc_runtime, monkeypatch):
     """A worker echoing a schedule other than the one shipped is a broken
     runtime, not a fault to recover from."""
     honest = BarrierDraws.slice_for
@@ -250,12 +246,106 @@ def test_tampered_fault_slice_is_caught(engine_kind, proc_runtime, monkeypatch):
 
     monkeypatch.setattr(BarrierDraws, "slice_for", drop_crashes)
     with pytest.raises(ParallelRuntimeError, match="echo"):
-        _chaos_run(engine_kind, _FAULT_CASES["crash"][0](),
-                   runtime=proc_runtime)
+        _chaos_run(_FAULT_CASES[case][0](), runtime=proc_runtime)
 
 
 # ---------------------------------------------------------------------------
-# dynamic maintenance: the full update API replays into worker replicas
+# the CSR frame reproduces the inline kernel sweep field by field, in both
+# fast mode (typed delta arrays) and lists mode (dict-shaped requests)
+# ---------------------------------------------------------------------------
+def _mid_run_engine(faults):
+    """A ScaleG engine whose CSR mirror sits mid-computation: a converged
+    run, then edge churn (stale row order) and a scrambled membership."""
+    graph = erdos_renyi(120, 360, seed=4)
+    dgraph = DistributedGraph(graph, HashPartitioner(7))
+    engine = ScaleGEngine(dgraph, faults=faults)
+    program = OIMISProgram(strategy=ActivationStrategy.SAME_STATUS)
+    states = engine.run(program).states
+    for u, v in [tuple(e) for e in graph.sorted_edges()][::9]:
+        dgraph.remove_edge(u, v)
+    dgraph.add_edge(0, 119)
+    for u in sorted(states):
+        states[u] = u % 3 != 0
+    engine._csr.ensure()
+    engine._csr.sync_states(states)
+    return engine, program, states
+
+
+def _sweep_fields(sweep):
+    return (sweep.new_states, sweep.changed, sweep.forced, sweep.requests,
+            sweep.compute_work, sweep.worker_work)
+
+
+@pytest.mark.parametrize("procs", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["fast", "lists"])
+def test_csr_frame_sweep_matches_inline(mode, procs):
+    faults = plan_for("crash", seed=0) if mode == "lists" else None
+    engine, program, states = _mid_run_engine(faults)
+    assert engine._csr_fast == (mode == "fast")
+    active = sorted(states)
+    runtime = ParallelRuntime(procs=procs, start_method="fork")
+    try:
+        # the frame sweep runs first, so lists mode must freshen the stale
+        # rows itself before publishing
+        runtime.bind(engine)
+        runtime.begin_run(program, states)
+        frame = runtime.sweep_scaleg(active, 0)
+    finally:
+        runtime.close()
+        engine.close()
+    inline = InlineExecutor()
+    inline.bind(engine)
+    inline.begin_run(program, states)
+    reference = inline.sweep_scaleg(active, 0)
+    assert reference.changed and reference.compute_work
+    assert _sweep_fields(frame) == _sweep_fields(reference)
+    if mode == "lists":
+        assert reference.requests and frame.csr is None
+    else:
+        for name in ("changed_idx", "changed_val", "req_src", "req_tgt"):
+            assert (getattr(frame.csr, name).tolist()
+                    == getattr(reference.csr, name).tolist())
+
+
+# ---------------------------------------------------------------------------
+# sweeps without a CSR kernel are refused before any process spawns
+# ---------------------------------------------------------------------------
+def _run_pregel_oimis(dgraph, runtime):
+    PregelEngine(dgraph, runtime=runtime).run(OIMISPregelProgram())
+
+
+def _run_dismis_scaleg(dgraph, runtime):
+    ScaleGEngine(dgraph, runtime=runtime).run(DisMISProgram())
+
+
+def _run_dict_scaleg(dgraph, runtime):
+    ScaleGEngine(dgraph, runtime=runtime, representation="dict").run(
+        OIMISProgram()
+    )
+
+
+_NO_KERNEL_RUNS = {
+    "pregel-oimis": _run_pregel_oimis,
+    "scaleg-dismis": _run_dismis_scaleg,
+    "scaleg-dict": _run_dict_scaleg,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NO_KERNEL_RUNS))
+def test_process_runtime_refuses_sweeps_without_csr_kernel(case):
+    dgraph = DistributedGraph(path_graph(8), HashPartitioner(4))
+    before = set(multiprocessing.active_children())
+    runtime = ParallelRuntime(procs=2)
+    try:
+        with pytest.raises(ParallelRuntimeError, match="inline"):
+            _NO_KERNEL_RUNS[case](dgraph, runtime)
+        assert set(multiprocessing.active_children()) == before
+    finally:
+        runtime.close()
+
+
+# ---------------------------------------------------------------------------
+# dynamic maintenance: the full update API reaches the workers' frame
 # ---------------------------------------------------------------------------
 def _drive_maintainer(runtime=None) -> MISMaintainer:
     base = erdos_renyi(60, 150, seed=5)
@@ -373,23 +463,44 @@ def test_close_then_reuse_respawns_workers():
     assert _meter_tuple(second.metrics) == _meter_tuple(inline.metrics)
 
 
-class _UnpicklableProgram(OIMISProgram):
-    def __init__(self):
-        super().__init__()
-        self.hook = lambda u: u  # lambdas don't pickle
+def test_close_releases_workers_and_shared_segments(monkeypatch):
+    """After ``close()`` no worker process survives and every segment the
+    partition published or a reader pinned is unlinked."""
+    from multiprocessing import shared_memory
 
+    from repro.core.doimis import DOIMISMaintainer
+    from repro.graph.csr import CSRPartition
 
-def test_unpicklable_program_raises_parallel_runtime_error():
-    graph = path_graph(8)
-    dgraph = DistributedGraph(graph, HashPartitioner(4))
-    runtime = ParallelRuntime(procs=1, start_method="fork")
+    segments = set()
+    publish = CSRPartition.publish_shared
+
+    def recording_publish(self):
+        meta = publish(self)
+        segments.add(meta[0])
+        return meta
+
+    monkeypatch.setattr(CSRPartition, "publish_shared", recording_publish)
+    base = erdos_renyi(60, 150, seed=5)
+    ops = delete_reinsert_workload(base, 10, seed=2)
+    runtime = ParallelRuntime(procs=2, start_method="fork")
+    maintainer = DOIMISMaintainer(
+        base.copy(), num_workers=6,
+        strategy=ActivationStrategy.SAME_STATUS, runtime=runtime,
+    )
     try:
-        # the dict path pickles the program into the worker frame
-        engine = ScaleGEngine(dgraph, runtime=runtime, representation="dict")
-        with pytest.raises(ParallelRuntimeError, match="picklable"):
-            engine.run(_UnpicklableProgram())
+        maintainer.apply_stream(ops[:10], batch_size=5)
+        part = maintainer._engine._csr
+        pinned = part.pin_shared()[0]  # a reader's pin on this epoch
+        maintainer.apply_stream(ops[10:], batch_size=5)
+        workers = list(runtime._workers)
     finally:
-        runtime.close()
+        maintainer.close()
+    assert len(workers) == 2
+    assert not any(proc.is_alive() for proc in workers)
+    assert pinned in segments and len(segments) > 1
+    for name in sorted(segments):
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
 
 
 # ---------------------------------------------------------------------------
