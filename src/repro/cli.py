@@ -752,6 +752,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
+    from repro.faults.chaos import PLAN_PRESETS
+
     parser = argparse.ArgumentParser(
         prog="repro-mis",
         description="Distributed near-maximum independent set maintenance "
@@ -838,8 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--preset", action="append", metavar="NAME",
         help="fault preset to run (repeatable; default: all — "
-        "none/crash/drop/duplicate/straggler/reorder/composed/"
-        "worker-loss/cascading-loss/loss-under-stream/corrupt-guest)",
+        f"{'/'.join(PLAN_PRESETS)})",
     )
     chaos.add_argument(
         "--seeds", type=int, default=1,

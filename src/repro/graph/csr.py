@@ -11,8 +11,8 @@ view so a whole superstep sweep becomes a few vectorized numpy passes:
   per vertex: ``(degree << 32) | id``, which compares exactly like the
   ``(degree, id)`` tuple for ``0 <= id < 2^32`` and ``degree < 2^31``;
 - ``indptr`` / ``nbr`` — CSR adjacency, each row holding the neighbour
-  *row indices* sorted ascending by the neighbour's ``keys`` entry (the
-  rank-ordered scan of Algorithm 2, precomputed);
+  *row indices*, grouped by row and in no particular order within it
+  (the sweep compares ``keys`` instead of relying on a rank-sorted scan);
 - ``home``     — the owning logical worker per row (vectorized
   multiplicative hash for the stock :class:`HashPartitioner`);
 - ``in_``      — the packed membership bitmap (one ``bool`` per row),
@@ -21,9 +21,8 @@ view so a whole superstep sweep becomes a few vectorized numpy passes:
 
 The mirror registers as a :class:`DynamicGraph` mutation observer (the
 same protocol the rank caches use) and repairs itself incrementally: an
-edge update re-sorts only the rows whose content or order can have
-changed (the endpoints, plus every row containing an endpoint — their
-``keys`` moved); vertex insertion/removal schedules a full rebuild.
+edge update re-keys its endpoints and refetches only their two rows;
+vertex insertion/removal schedules a full rebuild.
 ``ensure()`` settles all pending repairs before a run.
 
 For the multi-process runtime the arrays are published once into a single
@@ -37,6 +36,7 @@ view after publication, so barrier commits propagate without reshipping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -63,7 +63,7 @@ def resolve_representation(value: Optional[str]) -> str:
 
 @dataclass
 class CSRSweepExtras:
-    """Typed delta arrays a CSR fast-path sweep hands to the barrier.
+    """Typed delta arrays a CSR kernel sweep hands to the barrier.
 
     All four are numpy arrays over *row indices* of the partition's CSR
     arrays (not vertex ids); ``req_src``/``req_tgt`` are aligned pairs,
@@ -99,10 +99,6 @@ class CSRPartition:
         self.repairs = 0
         self._needs_rebuild = True
         self._dirty_keys: set = set()
-        #: per-row sorted badge (uint8): rows whose members are current
-        #: but whose rank order may be stale carry 0 and re-sort lazily on
-        #: first scan (see :meth:`freshen`)
-        self._row_fresh = None
         # shared-memory publication state
         self._shm = None
         self._shm_epoch = 0
@@ -147,8 +143,7 @@ class CSRPartition:
             # by add_edge): row set changed, full rebuild
             self._needs_rebuild = True
             return
-        # the endpoints' degrees (hence keys) changed; the rows their key
-        # change un-sorts are derived vectorially at repair time
+        # the endpoints' degrees (hence keys) and rows changed
         self._dirty_keys.add(u)
         self._dirty_keys.add(v)
 
@@ -182,26 +177,20 @@ class CSRPartition:
         indptr = np.zeros(n + 1, np.int64)
         np.cumsum(degs, out=indptr[1:])
         total = int(indptr[-1])
-        from itertools import chain
-
         # one flat pass over the adjacency sets, then a vectorized id →
         # row translation (ids are ascending, so searchsorted is exact)
         dst = np.searchsorted(ids, np.fromiter(
             chain.from_iterable(adj), np.int64, count=total
         ))
-        src = np.repeat(np.arange(n, dtype=np.int64), degs)
-        # per-row rank order: primary key the row, secondary the ≺ key
-        grab = np.lexsort((keys[dst], src))
         self.ids = ids
         self.keys = keys
         self.indptr = indptr
-        self.nbr = dst[grab]
+        self.nbr = dst
         self.home = self._home_array(ids)
         self.in_ = np.zeros(n, np.bool_)
         self._bitmap_in_shm = False
         self._index = index
         self._ids_list = ids.tolist()
-        self._row_fresh = np.ones(n, np.uint8)
         self.structure_version += 1
         self.rebuilds += 1
 
@@ -213,20 +202,12 @@ class CSRPartition:
             keys[index[u]] = (graph.degree(u) << 32) | u
         indptr = self.indptr
         nbr = self.nbr
-        # two repair classes: the endpoints themselves changed *membership*
-        # (their rows refetch from the adjacency sets, lengths may differ);
-        # every other row containing an endpoint merely holds a member
-        # whose key moved, so it needs re-*sorting* only — and row order is
-        # read by nothing but lists mode's scan of the active rows, so
-        # those re-sorts defer to first scan (a maintained stream
-        # re-dirties the same hub rows batch after batch while the sweep
-        # touches a handful of them).  Refetched rows are rewritten
-        # *unsorted* and drop their badge like the rest.
-        refetch = {index[u] for u in self._dirty_keys}
-        rows = sorted(refetch)
+        # only the endpoints' rows changed *membership*: they refetch from
+        # the adjacency sets (lengths may differ).  Every other row holding
+        # an endpoint keeps its members — only a key moved, and nothing
+        # reads order within a row.
+        rows = sorted(index[u] for u in self._dirty_keys)
         if rows:
-            from itertools import chain
-
             row_sets = [graph.neighbors(int(self.ids[r])) for r in rows]
             counts = np.fromiter(map(len, row_sets), np.int64,
                                  count=len(rows))
@@ -238,12 +219,6 @@ class CSRPartition:
             same_len = bool(np.array_equal(
                 counts, indptr[rows_arr + 1] - indptr[rows_arr]
             ))
-            # the rows containing a re-keyed endpoint are exactly its
-            # current neighbours (a row that *lost* the endpoint belongs
-            # to the other endpoint — refetched here itself), and `flat`
-            # already gathers those: one scatter un-badges them all
-            self._row_fresh[flat] = 0
-            self._row_fresh[rows_arr] = 0
             if same_len:
                 # scatter every refetched row in one shot: map flat's
                 # positions onto the rows' existing slices
@@ -271,45 +246,6 @@ class CSRPartition:
                 nptr = np.zeros(lens.size + 1, np.int64)
                 np.cumsum(lens, out=nptr[1:])
                 self.indptr = nptr
-        self.structure_version += 1
-        self.repairs += 1
-
-    def freshen(self, active_idx) -> None:
-        """Re-sort any stale rows among ``active_idx`` (row indices).
-
-        Must run before a sweep scans those rows — and, in the process
-        runtime, before :meth:`publish_shared`, so the refreshed order is
-        what lands in the frame (the version bump forces a re-publish).
-        """
-        badge = self._row_fresh
-        if badge is None:
-            return
-        if not isinstance(active_idx, np.ndarray):
-            active_idx = np.fromiter(active_idx, np.int64,
-                                     count=len(active_idx))
-        rows_arr = active_idx[badge[active_idx] == 0]
-        if not rows_arr.size:
-            return
-        badge[rows_arr] = 1
-        indptr = self.indptr
-        nbr = self.nbr
-        keys = self.keys
-        starts = indptr[rows_arr]
-        lens = indptr[rows_arr + 1] - starts
-        total = int(lens.sum())
-        if total:
-            # one lexsort keyed (row, ≺ key) re-sorts every row at once:
-            # flat gathers the rows' slices, the primary key keeps slices
-            # grouped, and the grouped order scatters straight back
-            owners = np.repeat(np.arange(rows_arr.size, dtype=np.int64),
-                               lens)
-            offs = np.zeros(rows_arr.size, np.int64)
-            np.cumsum(lens[:-1], out=offs[1:])
-            flat = (np.arange(total, dtype=np.int64)
-                    - offs[owners] + starts[owners])
-            vals = nbr[flat]
-            order = np.lexsort((keys[vals], owners))
-            nbr[flat] = vals[order]
         self.structure_version += 1
         self.repairs += 1
 
@@ -571,12 +507,9 @@ def _sweep_arrays(arrs, active_idx, full_scan: bool, suffix_only: bool,
     ``P + min(P+1, deg)``; the SCALL full scan always charges
     ``deg + P``.  Activation requests are emitted for changed vertices
     only — the full ranked row (`ALL`) or its non-prefix suffix
-    (`LOWER_RANKING`/`SAME_STATUS`).  Nothing here depends on the rows
-    being rank-sorted (prefix membership and the early-break position are
-    both key comparisons), so the fast path skips lazy row re-sorts; only
-    lists mode needs :meth:`CSRPartition.freshen` first, because it
-    materializes request targets in the dict path's rank order for the
-    fault machinery's draw sequence.
+    (`LOWER_RANKING`/`SAME_STATUS`).  Nothing here depends on order
+    within a row: prefix membership and the early-break position are both
+    key comparisons.
 
     Returns ``(compute_work, worker_work, changed_idx, changed_val,
     req_src, req_tgt)`` with row-index arrays (see
@@ -662,31 +595,6 @@ def _sweep_arrays(arrs, active_idx, full_scan: bool, suffix_only: bool,
             req_src, req_tgt)
 
 
-def _requests_from_arrays(part, req_src, req_tgt, strategy):
-    """Rebuild the dict path's activation-request lists from the typed
-    arrays (used when faults/sanitizer need standard-shaped sweeps)."""
-    from repro.core.activation import ActivationStrategy, _same_status
-
-    requests: List[Tuple[int, List[int], List[Tuple[int, Any]]]] = []
-    if not req_src.size:
-        return requests
-    split_at = np.flatnonzero(np.diff(req_src)) + 1
-    groups = np.split(req_tgt, split_at)
-    sources = req_src[np.concatenate((np.zeros(1, np.int64), split_at))]
-    same_status = strategy is ActivationStrategy.SAME_STATUS
-    ids = part.ids
-    for src_row, tgt_rows in zip(sources, groups):
-        source = int(ids[src_row])
-        targets = ids[tgt_rows].tolist()
-        if same_status:
-            requests.append(
-                (source, [], [(t, _same_status) for t in targets])
-            )
-        else:
-            requests.append((source, targets, []))
-    return requests
-
-
 class OIMISKernel:
     """Array-native sweep kernel for :class:`~repro.core.oimis.OIMISProgram`.
 
@@ -694,13 +602,9 @@ class OIMISKernel:
     :meth:`config` primitives with each sweep, never the kernel object.
     """
 
-    #: every OIMIS state syncs as one status byte (uniform)
     def __init__(self, strategy, full_scan: bool):
-        from repro.pregel.metrics import STATUS_BYTES
-
         self.strategy = strategy
         self.full_scan = full_scan
-        self.sync_bytes_const = STATUS_BYTES
 
     @property
     def same_status(self) -> bool:
@@ -719,17 +623,16 @@ class OIMISKernel:
         return (self.strategy.value, self.full_scan, self.suffix_only,
                 num_workers)
 
+    def sweep_rows(self, part, active_idx, num_workers: int):
+        """:func:`_sweep_arrays` over ``active_idx`` rows of ``part``."""
+        return _sweep_arrays(part, active_idx, self.full_scan,
+                             self.suffix_only, num_workers)
+
     def sweep(self, engine, active, superstep: int):
         """Run one inline sweep; returns a standard ``ScaleGSweep``."""
         part = engine._csr
-        active_idx = part.index_of(active)
-        if not engine._csr_fast:
-            # lists mode replays request targets in rank order so the
-            # fault injector's draw sequence matches the dict path
-            part.freshen(active_idx)
-        return self.as_sweep(engine, _sweep_arrays(
-            part, active_idx, self.full_scan, self.suffix_only,
-            engine.dgraph.num_workers,
+        return self.as_sweep(engine, self.sweep_rows(
+            part, part.index_of(active), engine.dgraph.num_workers
         ))
 
     def as_sweep(self, engine, arrays):
@@ -737,68 +640,41 @@ class OIMISKernel:
         ascending by source row) as a standard ``ScaleGSweep``.
 
         The inline kernel and the process runtime's barrier merge both end
-        here.  In fast mode (no faults, no sanitizer, no isolation
-        snapshots) the sweep carries :class:`CSRSweepExtras` and an empty
-        request list — the engine's vectorized barrier consumes the
-        arrays.  Otherwise the exact dict-shaped requests are materialized
-        so the fault/sanitizer machinery sees the standard sweep shape.
+        here.  The sweep carries the typed delta arrays as
+        :class:`CSRSweepExtras` and an empty request list: the engine's
+        barrier routes the activations from the arrays
+        (:func:`route_activations`).
         """
         from repro.runtime.base import ScaleGSweep
 
         (compute_work, worker_work, changed_idx, changed_val,
          req_src, req_tgt) = arrays
-        part = engine._csr
-        changed_ids = part.ids[changed_idx].tolist()
-        new_states = dict(zip(changed_ids, changed_val.tolist()))
-        if engine._csr_fast:
-            return ScaleGSweep(
-                new_states=new_states,
-                changed=changed_ids,
-                forced=[],
-                requests=[],
-                compute_work=compute_work,
-                worker_work=worker_work,
-                csr=CSRSweepExtras(changed_idx, changed_val,
-                                   req_src, req_tgt),
-            )
+        changed_ids = engine._csr.ids[changed_idx].tolist()
         return ScaleGSweep(
-            new_states=new_states,
+            new_states=dict(zip(changed_ids, changed_val.tolist())),
             changed=changed_ids,
             forced=[],
-            requests=_requests_from_arrays(
-                part, req_src, req_tgt, self.strategy
-            ),
+            requests=[],
             compute_work=compute_work,
             worker_work=worker_work,
+            csr=CSRSweepExtras(changed_idx, changed_val, req_src, req_tgt),
         )
 
 
-def finish_barrier(part, kernel, extras, changed, record, dgraph):
-    """Vectorized barrier charging for a fast-path sweep.
+def route_activations(part, kernel, extras, record):
+    """Charge a kernel sweep's activation routing from its typed arrays.
 
-    Mirrors the engine's dict-path loops exactly: one sync record per
-    (changed vertex, guest machine); activation requests filtered by the
-    end-of-superstep same-status predicate where the strategy asks, each
-    surviving request counted once (duplicates included), remote pairs
-    charged the piggybacked activation entry (every OIMIS activation
-    source changed state, so it is always in the synced set).  Returns
-    the next active vertex ids, ascending and deduplicated.  Must run
-    *after* the barrier committed (``apply_new_states``) — the predicate
-    and the piggyback rule read post-commit state.
+    Mirrors the engine's dict-path request loops exactly: requests
+    filtered by the end-of-superstep same-status predicate where the
+    strategy asks, each surviving request counted once (duplicates
+    included), remote pairs charged the piggybacked activation entry
+    (every OIMIS activation source changed state, so it is always in the
+    synced set).  Returns the next active vertex ids, ascending and
+    deduplicated.  Must run *after* the barrier committed
+    (``apply_new_states``) — the predicate reads post-commit state.
     """
-    from repro.pregel.metrics import (
-        ACTIVATION_ENTRY_BYTES,
-        MESSAGE_OVERHEAD_BYTES,
-        VERTEX_ID_BYTES,
-    )
+    from repro.pregel.metrics import ACTIVATION_ENTRY_BYTES
 
-    record.state_changes = len(changed)
-    copies = sum(map(dgraph.num_guest_copies, changed))
-    if copies:
-        wire = (MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES
-                + kernel.sync_bytes_const)
-        record.remote_messages += copies
-        record.bytes_sent += copies * wire
     req_src = extras.req_src
     req_tgt = extras.req_tgt
     if req_src.size and kernel.same_status:
@@ -877,7 +753,7 @@ def worker_attach(view: Optional[WorkerCSRView], meta) -> WorkerCSRView:
 
 
 def worker_sweep(view: WorkerCSRView, active_idx, cfg):
-    """One worker's share of a fast-path sweep, wire-encoded.
+    """One worker's share of a kernel sweep, wire-encoded.
 
     Row indices travel as ``int32`` (row counts are far below 2^31) and
     the request pairs as (unique sources, run lengths, targets) — the

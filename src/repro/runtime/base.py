@@ -87,9 +87,9 @@ class ScaleGSweep:
     compute_work: int
     #: compute units per logical worker (load-balance record)
     worker_work: List[int]
-    #: :class:`~repro.graph.csr.CSRSweepExtras` when the sweep ran on the
-    #: array-native fast path — the engine then charges the barrier from
-    #: the typed delta arrays instead of ``requests`` (which stays empty)
+    #: :class:`~repro.graph.csr.CSRSweepExtras` whenever a CSR kernel ran
+    #: the sweep — the engine then routes activations from the typed delta
+    #: arrays instead of ``requests`` (which stays empty)
     csr: Any = None
 
 

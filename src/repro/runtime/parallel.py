@@ -27,11 +27,9 @@ frame protocol:
   so changed rows sorted by row and requests stably sorted by source row
   are exactly the inline sweep's order, and the same
   :meth:`~repro.graph.csr.OIMISKernel.as_sweep` tail the inline kernel
-  uses builds the :class:`~repro.runtime.base.ScaleGSweep` — typed delta
-  arrays in fast mode, dict-shaped request lists under faults, the race
-  sanitizer or isolation contracts (the master re-sorts stale rows with
-  :meth:`~repro.graph.csr.CSRPartition.freshen` before publishing, so the
-  workers scan rank-ordered rows).  Work sums are integers, so members,
+  uses builds the :class:`~repro.runtime.base.ScaleGSweep`, carrying the
+  typed delta arrays with or without faults, the race sanitizer or
+  isolation contracts.  Work sums are integers, so members,
   ``members_checksum`` and all logical meters are bit-identical to
   :class:`~repro.runtime.base.InlineExecutor`.
 - Fault injection: the engine draws each barrier's schedule before the
@@ -450,10 +448,6 @@ class ParallelRuntime(ExecutionBackend):
         self._ensure_workers()
         self.sweeps_dispatched += 1
         a = part.index_of(active)
-        if not engine._csr_fast:
-            # lists mode materializes request targets in rank order: the
-            # stale rows re-sort before the frame is (re)published
-            part.freshen(a)
         meta = part.publish_shared()
         token = (meta[0], meta[1])
         ship_meta = meta if token != self._csr_shipped else None

@@ -276,9 +276,6 @@ class ScaleGEngine(BSPEngine):
         #: CSR mirror + kernel for the current run (None on the dict path)
         self._csr = None
         self._csr_kernel = None
-        #: True when the run can use typed-delta barriers (no faults, no
-        #: sanitizer, no isolation snapshots)
-        self._csr_fast = False
 
     def close(self) -> None:
         """Release the execution backend's resources (worker processes,
@@ -315,6 +312,7 @@ class ScaleGEngine(BSPEngine):
             fault_barrier,
             guest_rebuild_cost,
         )
+        from repro.graph.csr import CSRPartition, route_activations
 
         graph = self.dgraph.graph
         own_metrics = metrics if metrics is not None else RunMetrics(
@@ -336,7 +334,6 @@ class ScaleGEngine(BSPEngine):
             active = sorted(set(initial_active) & graph.vertex_keys())
 
         dgraph = self.dgraph
-        is_remote_pair = dgraph.is_remote_pair
         contracts = self._contracts
         injector = self._faults
         failover = self._failover
@@ -351,28 +348,17 @@ class ScaleGEngine(BSPEngine):
         check_isolation = contracts is not None and contracts.check_isolation
         self._csr = None
         self._csr_kernel = None
-        self._csr_fast = False
         kernel = (
             program.csr_kernel() if self._representation == "csr" else None
         )
         if kernel is not None:
-            from repro.graph.csr import CSRPartition
-
             part = CSRPartition.attach(dgraph)
             part.ensure()
             part.sync_states(states)
             self._csr = part
             self._csr_kernel = kernel
-            # typed-delta barriers only when nothing needs the standard
-            # request lists; otherwise the kernel materializes them and
-            # the dict-path barrier below runs unchanged
-            self._csr_fast = (
-                injector is None
-                and self._sanitizer is None
-                and not check_isolation
-            )
-            # ranked cache not needed for kernel sweeps; the context
-            # lazily builds the default one if recovery paths ask
+            # kernel sweeps (and their recovery sweeps) never read the
+            # ranked cache
             self._ranked = None
         else:
             self._ranked = program.rank_cache(graph)
@@ -409,7 +395,6 @@ class ScaleGEngine(BSPEngine):
                         new_states = sweep.new_states
                         changed = sweep.changed
                         forced = sweep.forced
-                        requests = sweep.requests
                         record.compute_work = sweep.compute_work
                         record.worker_work = sweep.worker_work
                         record.active_vertices = len(active)
@@ -461,30 +446,10 @@ class ScaleGEngine(BSPEngine):
                 if self._csr is not None:
                     self._csr.apply_new_states(new_states)
 
-                if sweep.csr is not None:
-                    # array fast path: sync + activation charging from the
-                    # typed delta arrays (post-commit, like the loops below)
-                    from repro.graph.csr import finish_barrier
-
-                    next_active = finish_barrier(
-                        self._csr, self._csr_kernel, sweep.csr, changed,
-                        record, dgraph,
-                    )
-                    own_metrics.observe(record, keep_record=keep_records)
-                    if failover is not None:
-                        self._apply_membership_transitions(
-                            failover, injector, superstep, states,
-                            own_metrics, program.sync_bytes,
-                        )
-                    active = sorted(next_active)
-                    superstep += 1
-                    ran_supersteps += 1
-                    continue
-
                 # --- charge state sync: once per (synced vertex, guest machine)
-                changed_set = set(changed)
                 record.state_changes = len(changed)
                 guest_machines = dgraph.guest_machines
+                guest_copies = dgraph.num_guest_copies
                 sync_bytes = program.sync_bytes
                 sync_order = changed + forced
                 if injector is not None:
@@ -493,74 +458,49 @@ class ScaleGEngine(BSPEngine):
                         own_metrics.recovery_reorders += 1
                         sync_order = permuted
                 for u in sync_order:
-                    payload = VERTEX_ID_BYTES + sync_bytes(states[u])
+                    wire = (MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES
+                            + sync_bytes(states[u]))
+                    if injector is None:
+                        copies = guest_copies(u)
+                        record.remote_messages += copies
+                        record.bytes_sent += copies * wire
+                        continue
                     for _machine in guest_machines(u):
-                        wire = MESSAGE_OVERHEAD_BYTES + payload
-                        if injector is not None:
-                            drops = injector.sync_drops(superstep, u, _machine)
-                            if drops:
-                                if drops > injector.max_retries:
-                                    raise SyncRetryExhausted(
-                                        u, _machine, drops, superstep
-                                    )
-                                own_metrics.recovery_sync_retries += drops
-                                own_metrics.recovery_resync_bytes += drops * wire
-                                own_metrics.recovery_resync_messages += drops
-                                own_metrics.recovery_backoff_s += (
-                                    injector.backoff_time(drops)
+                        drops = injector.sync_drops(superstep, u, _machine)
+                        if drops:
+                            if drops > injector.max_retries:
+                                raise SyncRetryExhausted(
+                                    u, _machine, drops, superstep
                                 )
-                            dups = injector.sync_duplicates(superstep, u, _machine)
-                            if dups:
-                                own_metrics.recovery_sync_duplicates += dups
-                                own_metrics.recovery_resync_bytes += dups * wire
-                                own_metrics.recovery_resync_messages += dups
-                            if corrupts and injector.corrupt_guest(
-                                superstep, u, _machine
-                            ):
-                                # the delivered copy silently diverges in the
-                                # replica — only the auditor can see it
-                                failover.mark_corrupted(u, _machine)
+                            own_metrics.recovery_sync_retries += drops
+                            own_metrics.recovery_resync_bytes += drops * wire
+                            own_metrics.recovery_resync_messages += drops
+                            own_metrics.recovery_backoff_s += (
+                                injector.backoff_time(drops)
+                            )
+                        dups = injector.sync_duplicates(superstep, u, _machine)
+                        if dups:
+                            own_metrics.recovery_sync_duplicates += dups
+                            own_metrics.recovery_resync_bytes += dups * wire
+                            own_metrics.recovery_resync_messages += dups
+                        if corrupts and injector.corrupt_guest(
+                            superstep, u, _machine
+                        ):
+                            # the delivered copy silently diverges in the
+                            # replica — only the auditor can see it
+                            failover.mark_corrupted(u, _machine)
                         record.remote_messages += 1
                         record.bytes_sent += wire
 
                 # --- filter + charge activation routing, build next active ----
-                synced_set = changed_set.union(forced)
-                next_active: Set[int] = set()
-                has_vertex = graph.has_vertex
-                for source, plain, predicated in requests:
-                    for target in plain:
-                        if not has_vertex(target):
-                            continue
-                        next_active.add(target)
-                        record.messages += 1
-                        if is_remote_pair(source, target):
-                            record.remote_messages += 1
-                            if source in synced_set:
-                                # piggybacked on the sync record already shipped
-                                # to the target's machine
-                                record.bytes_sent += ACTIVATION_ENTRY_BYTES
-                            else:
-                                record.bytes_sent += (
-                                    MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES
-                                )
-                    if not predicated:
-                        continue
-                    source_state = states[source]
-                    for target, predicate in predicated:
-                        if not has_vertex(target):
-                            continue
-                        if not predicate(source_state, states[target]):
-                            continue
-                        next_active.add(target)
-                        record.messages += 1
-                        if is_remote_pair(source, target):
-                            record.remote_messages += 1
-                            if source in synced_set:
-                                record.bytes_sent += ACTIVATION_ENTRY_BYTES
-                            else:
-                                record.bytes_sent += (
-                                    MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES
-                                )
+                if sweep.csr is not None:
+                    next_active = route_activations(
+                        self._csr, self._csr_kernel, sweep.csr, record
+                    )
+                else:
+                    next_active = self._route_requests(
+                        sweep.requests, changed, forced, states, record
+                    )
                 if injector is not None and failover is not None:
                     # bounded delta log (reconstruction source for solitary
                     # vertices) + this superstep's sampled anti-entropy pass
@@ -584,6 +524,53 @@ class ScaleGEngine(BSPEngine):
         own_metrics.observe_memory(per_worker)
         own_metrics.wall_time_s += time.perf_counter() - started
         return ScaleGResult(states=states, metrics=own_metrics)
+
+    # ------------------------------------------------------------------
+    def _route_requests(self, requests, changed: List[int],
+                        forced: List[int], states: Dict[int, Any],
+                        record: SuperstepRecord) -> Set[int]:
+        """Filter and charge a dict-path sweep's activation requests
+        (post-commit, so predicates read end-of-superstep states); returns
+        the next active set."""
+        is_remote_pair = self.dgraph.is_remote_pair
+        has_vertex = self.dgraph.graph.has_vertex
+        synced_set = set(changed).union(forced)
+        next_active: Set[int] = set()
+        for source, plain, predicated in requests:
+            for target in plain:
+                if not has_vertex(target):
+                    continue
+                next_active.add(target)
+                record.messages += 1
+                if is_remote_pair(source, target):
+                    record.remote_messages += 1
+                    if source in synced_set:
+                        # piggybacked on the sync record already shipped
+                        # to the target's machine
+                        record.bytes_sent += ACTIVATION_ENTRY_BYTES
+                    else:
+                        record.bytes_sent += (
+                            MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES
+                        )
+            if not predicated:
+                continue
+            source_state = states[source]
+            for target, predicate in predicated:
+                if not has_vertex(target):
+                    continue
+                if not predicate(source_state, states[target]):
+                    continue
+                next_active.add(target)
+                record.messages += 1
+                if is_remote_pair(source, target):
+                    record.remote_messages += 1
+                    if source in synced_set:
+                        record.bytes_sent += ACTIVATION_ENTRY_BYTES
+                    else:
+                        record.bytes_sent += (
+                            MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES
+                        )
+        return next_active
 
     # ------------------------------------------------------------------
     def _apply_membership_transitions(
@@ -617,14 +604,23 @@ class ScaleGEngine(BSPEngine):
         than repairs: state writes and activation requests are discarded
         (the replayed superstep redoes the real work), and the verification
         work is charged to ``recovery_compute_work`` so the logical meters
-        stay bit-identical to the fault-free run's.
+        stay bit-identical to the fault-free run's.  Kernel programs sweep
+        the targets' rows on the CSR mirror, so a failover never builds
+        the dict path's rank cache.
         """
-        ctx = ScaleGContext(self, 0, 0, None)
         states = self._states
         graph = self.dgraph.graph
+        targets = [u for u in targets if graph.has_vertex(u) and u in states]
+        kernel = self._csr_kernel
+        if kernel is not None:
+            part = self._csr
+            worker_work = kernel.sweep_rows(
+                part, part.index_of(targets), self.dgraph.num_workers
+            )[1]
+            metrics.recovery_compute_work += sum(worker_work)
+            return
+        ctx = ScaleGContext(self, 0, 0, None)
         for u in targets:
-            if not graph.has_vertex(u) or u not in states:
-                continue
             ctx._reset(u, superstep, states[u])
             program.compute(ctx)
             metrics.recovery_compute_work += max(ctx._work, 1)

@@ -228,6 +228,16 @@ class TestChaosCommand:
         assert main(["chaos", "--preset", "explode"]) == 1
         assert "unknown chaos preset" in capsys.readouterr().err
 
+    def test_help_names_every_preset(self, capsys):
+        from repro.faults.chaos import PLAN_PRESETS
+
+        with pytest.raises(SystemExit):
+            main(["chaos", "--help"])
+        # argparse wraps at hyphens: compare with all whitespace removed
+        help_text = "".join(capsys.readouterr().out.split())
+        for preset in PLAN_PRESETS:
+            assert preset in help_text
+
     def test_every_preset_at_seed_zero(self, capsys):
         from repro.faults.chaos import PLAN_PRESETS
 

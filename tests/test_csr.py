@@ -108,9 +108,8 @@ def _assert_rows_equivalent(part, fresh):
     assert np.array_equal(part.keys, fresh.keys)
     assert np.array_equal(part.indptr, fresh.indptr)
     assert np.array_equal(part.home, fresh.home)
-    # row *membership* must match; rank order within a repaired row is
-    # allowed to be stale (the sweep is order-independent; lists mode
-    # re-sorts on scan via freshen)
+    # row *membership* must match; order within a row is unspecified
+    # (the sweep compares keys, never positions)
     for r in range(part.ids.size):
         s, e = int(part.indptr[r]), int(part.indptr[r + 1])
         assert sorted(part.nbr[s:e].tolist()) == sorted(
@@ -145,25 +144,6 @@ def test_vertex_addition_triggers_rebuild():
     assert part.rebuilds == rebuilds_before + 1
     assert 1000 in part.ids.tolist()
     _assert_rows_equivalent(part, _fresh_mirror(dgraph))
-
-
-def test_freshen_restores_rank_order():
-    graph = erdos_renyi(30, 120, seed=7)
-    dgraph = DistributedGraph.create(graph, 4)
-    part = CSRPartition.attach(dgraph)
-    part.ensure()
-    edges = graph.sorted_edges()
-    for u, v in edges[:5]:
-        dgraph.remove_edge(u, v)
-    part.ensure()
-    part.freshen(np.arange(part.ids.size, dtype=np.int64))
-    keys = part.keys
-    for r in range(part.ids.size):
-        row = part.nbr[int(part.indptr[r]):int(part.indptr[r + 1])]
-        row_keys = keys[row]
-        assert np.all(row_keys[:-1] <= row_keys[1:]), (
-            f"row {r} not rank-sorted after freshen"
-        )
 
 
 def test_publish_shared_roundtrip():
@@ -354,6 +334,62 @@ def test_chaos_preset_bit_identical_under_csr(preset):
 
     result = run_chaos_case(CHAOS_WORKLOADS[0], preset, seed=0)
     assert result.ok, result.failures
+
+
+def _chaos_maintainer(preset, representation):
+    """``CHAOS_WORKLOADS[0]`` under ``preset``'s seed-0 plan, closed out
+    with the final audit like a chaos case."""
+    from repro.faults.chaos import CHAOS_WORKLOADS, plan_for
+    from repro.faults.injector import FaultInjector
+    from repro.graph.datasets import load_dataset
+
+    workload = CHAOS_WORKLOADS[0]
+    graph = load_dataset(workload.tag)
+    ops = delete_reinsert_workload(
+        graph, workload.k, seed=workload.workload_seed
+    )
+    injector = FaultInjector(plan_for(preset, seed=0))
+    maintainer = DOIMISMaintainer(
+        graph, num_workers=workload.workers, faults=injector,
+        representation=representation,
+    )
+    maintainer.apply_stream(ops, batch_size=workload.batch_size)
+    maintainer.final_audit()
+    return maintainer, injector
+
+
+@pytest.mark.parametrize(
+    "preset", ["composed", "corrupt-guest", "cascading-loss", "elastic"]
+)
+def test_fault_meters_match_dict_under_csr(preset):
+    """Every fault-side meter family agrees across layouts: the keyed
+    fault draws never depend on the order the barrier visits requests."""
+    from repro.faults.chaos import Observables
+
+    runs = {}
+    for representation in ("dict", "csr"):
+        maintainer, injector = _chaos_maintainer(preset, representation)
+        families = {
+            f"{phase}.{family}": getattr(
+                getattr(maintainer, f"{phase}_metrics"), f"{family}_summary"
+            )()
+            for phase in ("init", "update")
+            for family in ("recovery", "divergence", "rebalance")
+        }
+        runs[representation] = (
+            Observables.of(maintainer), families, injector.stats.as_dict()
+        )
+    assert runs["csr"] == runs["dict"]
+    assert sum(runs["csr"][2].values()), "the plan injected nothing"
+
+
+def test_worker_loss_recovery_never_builds_the_rank_cache():
+    """A failover's verification sweep runs the kernel on CSR runs, so the
+    dict path's rank cache (repaired on every later mutation) stays off."""
+    maintainer, injector = _chaos_maintainer("worker-loss", "csr")
+    assert injector.stats.losses
+    assert maintainer.update_metrics.recovery_compute_work
+    assert maintainer.graph._rank_caches == []
 
 
 # ---------------------------------------------------------------------------

@@ -250,12 +250,12 @@ def test_tampered_fault_slice_is_caught(case, proc_runtime, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the CSR frame reproduces the inline kernel sweep field by field, in both
-# fast mode (typed delta arrays) and lists mode (dict-shaped requests)
+# the CSR frame reproduces the inline kernel sweep field by field, with
+# and without a fault plan attached
 # ---------------------------------------------------------------------------
 def _mid_run_engine(faults):
     """A ScaleG engine whose CSR mirror sits mid-computation: a converged
-    run, then edge churn (stale row order) and a scrambled membership."""
+    run, then edge churn (repaired rows) and a scrambled membership."""
     graph = erdos_renyi(120, 360, seed=4)
     dgraph = DistributedGraph(graph, HashPartitioner(7))
     engine = ScaleGEngine(dgraph, faults=faults)
@@ -277,16 +277,13 @@ def _sweep_fields(sweep):
 
 
 @pytest.mark.parametrize("procs", [1, 2, 3])
-@pytest.mark.parametrize("mode", ["fast", "lists"])
-def test_csr_frame_sweep_matches_inline(mode, procs):
-    faults = plan_for("crash", seed=0) if mode == "lists" else None
-    engine, program, states = _mid_run_engine(faults)
-    assert engine._csr_fast == (mode == "fast")
+@pytest.mark.parametrize("faults", ["none", "crash"])
+def test_csr_frame_sweep_matches_inline(faults, procs):
+    engine, program, states = _mid_run_engine(plan_for(faults, seed=0))
+    assert (engine._faults is None) == (faults == "none")
     active = sorted(states)
     runtime = ParallelRuntime(procs=procs, start_method="fork")
     try:
-        # the frame sweep runs first, so lists mode must freshen the stale
-        # rows itself before publishing
         runtime.bind(engine)
         runtime.begin_run(program, states)
         frame = runtime.sweep_scaleg(active, 0)
@@ -299,12 +296,11 @@ def test_csr_frame_sweep_matches_inline(mode, procs):
     reference = inline.sweep_scaleg(active, 0)
     assert reference.changed and reference.compute_work
     assert _sweep_fields(frame) == _sweep_fields(reference)
-    if mode == "lists":
-        assert reference.requests and frame.csr is None
-    else:
-        for name in ("changed_idx", "changed_val", "req_src", "req_tgt"):
-            assert (getattr(frame.csr, name).tolist()
-                    == getattr(reference.csr, name).tolist())
+    assert frame.csr is not None and reference.csr is not None
+    assert reference.csr.req_src.size
+    for name in ("changed_idx", "changed_val", "req_src", "req_tgt"):
+        assert (getattr(frame.csr, name).tolist()
+                == getattr(reference.csr, name).tolist())
 
 
 # ---------------------------------------------------------------------------
