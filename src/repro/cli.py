@@ -976,7 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
         "a maintainer checkpoint through the epoch snapshot read path",
     )
     query.add_argument("checkpoint",
-                       help="maintainer checkpoint (JSON) to serve from")
+                       help="maintainer checkpoint file to serve from")
     query.add_argument(
         "--vertex", action="append", type=int, metavar="V",
         help="point membership query (repeatable)",

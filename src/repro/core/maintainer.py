@@ -20,18 +20,26 @@ Example
 
 from __future__ import annotations
 
+import io
+import json
+import zlib
 from typing import Dict, Iterable, Optional, Tuple
+
+import numpy as np
 
 from repro.core.activation import ActivationStrategy
 from repro.core.doimis import DOIMISMaintainer
+from repro.graph.csr import csr_arrays
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.io import read_edge_list
 from repro.pregel.partition import Partitioner
 
 CHECKPOINT_FORMAT = "repro-mis-checkpoint"
-#: bump when the payload schema changes; :meth:`MISMaintainer.load` accepts
-#: every version up to this one and rejects anything newer
-CHECKPOINT_VERSION = 1
+#: first line of every checkpoint file (see :meth:`MISMaintainer.save`)
+CHECKPOINT_MAGIC = b"REPRO-MIS-CHECKPOINT\n"
+#: bump when the file layout changes; :meth:`MISMaintainer.load` reads
+#: exactly this version (2: binary CSR arrays; 1 was a JSON edge list)
+CHECKPOINT_VERSION = 2
 
 
 class MISMaintainer(DOIMISMaintainer):
@@ -81,36 +89,59 @@ class MISMaintainer(DOIMISMaintainer):
         return cls(read_edge_list(path), **kwargs)
 
     def save(self, path) -> None:
-        """Checkpoint graph + maintained set to a JSON file.
+        """Checkpoint graph + maintained set to one binary file.
 
-        A checkpoint restores in O(n + m) with **no recomputation** — the
-        stored set is the fixpoint already (restore calls :meth:`verify`).
+        Layout: the magic line, a one-line JSON header (``format``,
+        ``version``, ``num_workers``, ``strategy``, ``updates_applied``,
+        ``n``, ``nnz`` and ``crc32``, the CRC-32 of everything after the
+        header), then four ``np.save`` blocks: ``ids``, ``indptr``, ``nbr``
+        (neighbour row indices) and the membership bitmap.  The arrays are
+        the attached CSR mirror's; a ``representation="dict"`` maintainer
+        builds them with :func:`~repro.graph.csr.csr_arrays` and attaches
+        no mirror.  The stored set is the fixpoint already, so a restore
+        recomputes nothing (:meth:`load` only verifies it).
         """
-        import json
-
-        payload = {
+        part = getattr(self._dgraph, "_csr_partition", None)
+        if part is not None:
+            part.ensure()
+            ids, indptr, nbr = part.ids, part.indptr, part.nbr
+        else:
+            ids, indptr, nbr = csr_arrays(self.graph)
+        members = np.fromiter(
+            map(self._states.__getitem__, ids.tolist()), np.bool_,
+            count=ids.size,
+        )
+        body = io.BytesIO()
+        for array in (ids, indptr, nbr, members):
+            np.save(body, array, allow_pickle=False)
+        header = {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
             "num_workers": self.num_workers,
             "strategy": self.strategy.value,
-            "vertices": self.graph.sorted_vertices(),
-            "edges": [list(e) for e in self.graph.sorted_edges()],
-            "independent_set": sorted(self.independent_set()),
             "updates_applied": self.updates_applied,
+            "n": ids.size,
+            "nnz": nbr.size,
+            "crc32": zlib.crc32(body.getbuffer()),
         }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+        with open(path, "wb") as handle:
+            handle.write(CHECKPOINT_MAGIC)
+            handle.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+            handle.write(body.getbuffer())
 
     @classmethod
     def load(cls, path, verify: bool = True,
              num_workers: Optional[int] = None, **kwargs) -> "MISMaintainer":
         """Restore a maintainer from a :meth:`save` checkpoint.
 
-        Every way a checkpoint can be bad — missing file, truncated or
-        corrupt JSON, wrong or future schema version, malformed vertex ids —
-        raises :class:`~repro.errors.CheckpointError` naming the path and
-        the reason; callers never see a bare ``json.JSONDecodeError`` or
-        ``KeyError``.
+        Every way a checkpoint can be bad — missing file, foreign or
+        truncated file, malformed header, wrong or future version, CRC
+        mismatch, malformed arrays, negative vertex ids, an adjacency that
+        is not a simple undirected graph — raises
+        :class:`~repro.errors.CheckpointError` naming the path and the
+        reason.  The graph is built straight from the arrays; ``verify``
+        then re-checks the stored set against the greedy fixpoint
+        (``verify=False`` trusts the file).
 
         ``num_workers`` pins the cluster size the caller's engine is
         configured for: a checkpoint saved under a different worker count
@@ -122,46 +153,68 @@ class MISMaintainer(DOIMISMaintainer):
         (``faults``, ``membership``, ``partitioner``, ``runtime``, ...)
         pass through to the constructor.
         """
-        import json
-
         from repro.errors import CheckpointError
 
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
+            with open(path, "rb") as handle:
+                blob = handle.read()
         except OSError as exc:
             raise CheckpointError(path, exc.strerror or str(exc)) from exc
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(
-                path, f"truncated or corrupt JSON ({exc})"
-            ) from exc
-        if not isinstance(payload, dict) \
-                or payload.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointError(
-                path, f"not a {CHECKPOINT_FORMAT} document"
-            )
-        version = payload.get("version")
-        if not isinstance(version, int) or not 1 <= version <= CHECKPOINT_VERSION:
+        if not blob.startswith(CHECKPOINT_MAGIC):
+            raise CheckpointError(path, f"not a {CHECKPOINT_FORMAT} file")
+        split = blob.find(b"\n", len(CHECKPOINT_MAGIC))
+        if split < 0:
+            raise CheckpointError(path, "truncated header")
+        try:
+            header = json.loads(blob[len(CHECKPOINT_MAGIC):split])
+        except ValueError as exc:
+            raise CheckpointError(path, f"malformed header ({exc})") from exc
+        if not isinstance(header, dict) \
+                or header.get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointError(path, f"not a {CHECKPOINT_FORMAT} file")
+        version = header.get("version")
+        if type(version) is not int or version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 path,
                 f"unsupported checkpoint version {version!r} "
-                f"(this build reads 1..{CHECKPOINT_VERSION})",
+                f"(this build reads version {CHECKPOINT_VERSION})",
             )
         try:
-            vertices = [int(u) for u in payload["vertices"]]
-            edges = [(int(u), int(v)) for u, v in payload["edges"]]
-            members = {int(u) for u in payload["independent_set"]}
-            saved_workers = int(payload["num_workers"])
-            strategy = ActivationStrategy(payload["strategy"])
-            updates_applied = int(payload.get("updates_applied", 0))
+            for key in ("num_workers", "updates_applied", "n", "nnz",
+                        "crc32"):
+                if type(header[key]) is not int:
+                    raise TypeError(f"{key} is not an integer")
+            strategy = ActivationStrategy(header["strategy"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(path, f"malformed payload: {exc}") from exc
-        bad = [u for u in vertices if u < 0]
-        bad += [u for e in edges for u in e if u < 0]
-        if bad:
-            raise CheckpointError(
-                path, f"negative vertex id(s): {sorted(set(bad))[:5]}"
+            raise CheckpointError(path, f"malformed header: {exc}") from exc
+        body = memoryview(blob)[split + 1:]
+        if zlib.crc32(body) != header["crc32"]:
+            raise CheckpointError(path, "CRC mismatch: truncated or corrupt")
+        n, nnz = header["n"], header["nnz"]
+        stream = io.BytesIO(body)
+        try:
+            ids, indptr, nbr, members = (
+                np.load(stream, allow_pickle=False) for _ in range(4)
             )
+        except (ValueError, EOFError, OSError) as exc:
+            raise CheckpointError(path, f"malformed arrays: {exc}") from exc
+        for name, array, dtype, size in (
+            ("ids", ids, np.int64, n), ("indptr", indptr, np.int64, n + 1),
+            ("nbr", nbr, np.int64, nnz), ("members", members, np.bool_, n),
+        ):
+            if array.dtype != dtype or array.shape != (size,):
+                raise CheckpointError(
+                    path, f"malformed arrays: {name} is {array.dtype}"
+                    f"{list(array.shape)}, header says {np.dtype(dtype)}"
+                    f"[{size}]",
+                )
+        if stream.tell() != len(body):
+            raise CheckpointError(path, "trailing bytes after the arrays")
+        if n and ids.min() < 0:
+            raise CheckpointError(
+                path, f"negative vertex id(s): {ids[ids < 0][:5].tolist()}"
+            )
+        saved_workers = header["num_workers"]
         if saved_workers < 1:
             raise CheckpointError(
                 path, f"num_workers must be >= 1, got {saved_workers}"
@@ -173,17 +226,17 @@ class MISMaintainer(DOIMISMaintainer):
                 f"worker(s), engine configured for {num_workers}",
             )
         try:
-            graph = DynamicGraph.from_edges(edges, vertices=vertices)
-        except Exception as exc:
+            graph = DynamicGraph.from_csr(ids, indptr, nbr)
+        except ValueError as exc:
             raise CheckpointError(path, f"invalid graph: {exc}") from exc
         maintainer = cls(
             graph,
             num_workers=saved_workers,
             strategy=strategy,
-            resume_states={u: (u in members) for u in graph.vertices()},
+            resume_states=dict(zip(ids.tolist(), members.tolist())),
             **kwargs,
         )
-        maintainer.updates_applied = updates_applied
+        maintainer.updates_applied = header["updates_applied"]
         if verify:
             maintainer.verify()
         return maintainer

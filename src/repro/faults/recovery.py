@@ -18,10 +18,10 @@ ScaleG/Pregel recovery follows the classic BSP rollback protocol:
    ones, so a recovered run's logical meters are bit-identical to the
    fault-free run's (the chaos oracle).
 
-The checkpoint's JSON payload follows the
-:meth:`~repro.core.maintainer.MISMaintainer.save` conventions (``format`` /
-``version`` header, sorted vertex keys) so checkpoints can be persisted and
-audited with the same tooling.
+The checkpoint's JSON payload carries the same ``format`` / ``version``
+header keys as a :meth:`~repro.core.maintainer.MISMaintainer.save` file
+(plus sorted vertex keys), so both fail loudly on a foreign or future
+payload.
 """
 
 from __future__ import annotations

@@ -77,6 +77,25 @@ class CSRSweepExtras:
     req_tgt: Any  # int64[r] activation target rows
 
 
+def csr_arrays(graph) -> Tuple[Any, Any, Any]:
+    """``(ids, indptr, nbr)`` of ``graph``: ascending ``int64`` vertex ids,
+    row pointers, and each row's neighbour *row indices* in adjacency-set
+    order.  The one array builder behind :meth:`CSRPartition._rebuild` and
+    :meth:`~repro.core.maintainer.MISMaintainer.save`."""
+    order = graph.sorted_vertices()
+    n = len(order)
+    ids = np.fromiter(order, np.int64, count=n)
+    adj = [graph.neighbors(u) for u in order]
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.fromiter(map(len, adj), np.int64, count=n), out=indptr[1:])
+    # one flat pass over the adjacency sets, then a vectorized id → row
+    # translation (ids are ascending, so searchsorted is exact)
+    nbr = np.searchsorted(ids, np.fromiter(
+        chain.from_iterable(adj), np.int64, count=int(indptr[-1])
+    ))
+    return ids, indptr, nbr
+
+
 class CSRPartition:
     """Flat-array mirror of a distributed partition, repaired under
     mutations via the graph's observer protocol (see module docstring)."""
@@ -159,13 +178,8 @@ class CSRPartition:
             self._dirty_keys.clear()
 
     def _rebuild(self) -> None:
-        graph = self._graph
-        order = graph.sorted_vertices()
-        n = len(order)
-        ids = np.fromiter(order, np.int64, count=n)
-        index = {u: i for i, u in enumerate(order)}
-        adj = [graph.neighbors(u) for u in order]
-        degs = np.fromiter(map(len, adj), np.int64, count=n)
+        ids, indptr, nbr = csr_arrays(self._graph)
+        n = ids.size
         if n:
             if int(ids[0]) < 0 or int(ids[-1]) >= 1 << 32:
                 raise ValueError(
@@ -173,24 +187,15 @@ class CSRPartition:
                     "packed rank key would misorder; build the engine with "
                     "representation='dict' for other ids"
                 )
-        keys = (degs << 32) | ids
-        indptr = np.zeros(n + 1, np.int64)
-        np.cumsum(degs, out=indptr[1:])
-        total = int(indptr[-1])
-        # one flat pass over the adjacency sets, then a vectorized id →
-        # row translation (ids are ascending, so searchsorted is exact)
-        dst = np.searchsorted(ids, np.fromiter(
-            chain.from_iterable(adj), np.int64, count=total
-        ))
         self.ids = ids
-        self.keys = keys
+        self.keys = (np.diff(indptr) << 32) | ids
         self.indptr = indptr
-        self.nbr = dst
+        self.nbr = nbr
         self.home = self._home_array(ids)
         self.in_ = np.zeros(n, np.bool_)
         self._bitmap_in_shm = False
-        self._index = index
         self._ids_list = ids.tolist()
+        self._index = {u: i for i, u in enumerate(self._ids_list)}
         self.structure_version += 1
         self.rebuilds += 1
 

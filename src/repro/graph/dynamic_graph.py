@@ -86,6 +86,46 @@ class DynamicGraph:
                 graph.add_edge(u, v)
         return graph
 
+    @classmethod
+    def from_csr(cls, ids, indptr, nbr) -> "DynamicGraph":
+        """Build a graph straight from CSR arrays: strictly ascending
+        ``ids``, row pointers ``indptr`` and neighbour *row indices*
+        ``nbr`` (the layout :func:`repro.graph.csr.csr_arrays` returns).
+
+        Raises ``ValueError`` unless the arrays describe a simple
+        undirected graph: well-formed rows, in-range neighbours, no
+        self-loops, no duplicate or one-way edges.
+        """
+        import numpy as np
+
+        n = ids.size
+        lens = np.diff(indptr)
+        if indptr.size != n + 1 or indptr[0] != 0 \
+                or indptr[-1] != nbr.size or (lens < 0).any():
+            raise ValueError("malformed row pointers")
+        if (np.diff(ids) <= 0).any():
+            raise ValueError("vertex ids are not strictly ascending")
+        if nbr.size and (nbr.min() < 0 or nbr.max() >= n):
+            raise ValueError("neighbour index out of range")
+        rows = np.repeat(np.arange(n, dtype=np.int64), lens)
+        loops = rows == nbr
+        if loops.any():
+            raise ValueError(f"self-loop at vertex {ids[rows[loops][0]]}")
+        # every (row, nbr) pair exactly once, and mirrored by (nbr, row)
+        forward = np.sort(rows * n + nbr)
+        if (forward[1:] == forward[:-1]).any():
+            raise ValueError("duplicate edge in a row")
+        if not np.array_equal(forward, np.sort(nbr * n + rows)):
+            raise ValueError("asymmetric adjacency")
+        graph = cls()
+        bounds = indptr.tolist()
+        nbr_ids = ids[nbr].tolist()
+        graph._adj = {
+            u: set(nbr_ids[bounds[i]:bounds[i + 1]])
+            for i, u in enumerate(ids.tolist())
+        }
+        return graph
+
     def copy(self) -> "DynamicGraph":
         """Return a deep copy (adjacency sets and rank caches not shared)."""
         clone = DynamicGraph()

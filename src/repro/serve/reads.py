@@ -267,6 +267,32 @@ class SnapshotRegistry:
             self._release(latest)
 
 
+class LatencySamples:
+    """Append-only ``float64`` sample buffer: 8 B per sample (capacity
+    doubles when full) instead of a Python float object per read, with
+    the exact nearest-rank percentiles of :func:`repro.util.percentile`."""
+
+    def __init__(self):
+        self._buf = np.empty(1024, np.float64)
+        self._size = 0
+
+    def append(self, value: float) -> None:
+        if self._size == self._buf.size:
+            grown = np.empty(2 * self._buf.size, np.float64)
+            grown[:self._size] = self._buf
+            self._buf = grown
+        self._buf[self._size] = value
+        self._size += 1
+
+    def percentiles(self, qs) -> List[float]:
+        """Nearest-rank percentile of the samples for each ``q``."""
+        ordered = np.sort(self._buf[:self._size])
+        return [float(percentile(ordered, q)) for q in qs]
+
+    def total(self) -> float:
+        return float(self._buf[:self._size].sum())
+
+
 class QueryEngine:
     """Answers membership queries against the registry's newest epoch.
 
@@ -287,7 +313,7 @@ class QueryEngine:
         self.staleness_max = 0
         self.staleness_sum = 0
         self.staleness_samples = 0
-        self._latencies: List[float] = []
+        self._latencies = LatencySamples()
 
     # -- bookkeeping -----------------------------------------------------
     def _snapshot(self) -> EpochSnapshot:
@@ -475,10 +501,10 @@ class QueryEngine:
             stats["epoch"], stats["watermark"] = self._registry.history[-1]
         else:
             stats["epoch"] = stats["watermark"] = None
-        lat = sorted(self._latencies)
-        for tag, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
-            stats[f"latency_{tag}_ms"] = round(percentile(lat, q) * 1e3, 6)
-        total = sum(lat)
+        values = self._latencies.percentiles((0.50, 0.95, 0.99))
+        for tag, value in zip(("p50", "p95", "p99"), values):
+            stats[f"latency_{tag}_ms"] = round(value * 1e3, 6)
+        total = self._latencies.total()
         stats["reads_per_s"] = (
             round(self.reads_served / total, 3) if total > 0 else 0.0
         )

@@ -628,13 +628,20 @@ class IngestionService:
     # ------------------------------------------------------------------
     def checkpoint(self) -> str:
         """Write a maintainer checkpoint + its WAL record; returns the
-        checkpoint file's path.  Crash-ordering-safe: the file is fsynced
-        into place *before* the record that announces it."""
-        name = f"checkpoint-{self._applied_watermark:012d}.json"
+        checkpoint file's path.  Crash-ordering-safe: the file is written
+        to a temp name, fsynced, renamed into place and the directory
+        fsynced, all *before* the ``ck`` record that announces it (no
+        fsyncs under the WAL's ``"never"`` policy, as for records)."""
+        name = f"checkpoint-{self._applied_watermark:012d}.ckpt"
         path = os.path.join(self.wal_dir, name)
         tmp = path + ".tmp"
         self.maintainer.save(tmp)
+        durable = self.wal.fsync != "never"
+        if durable:
+            _fsync_path(tmp)
         os.replace(tmp, path)
+        if durable:
+            _fsync_path(self.wal_dir)
         self.wal.append({
             "t": "ck",
             "q": self._applied_watermark,
@@ -650,7 +657,7 @@ class IngestionService:
     def _prune_checkpoints(self, keep: int) -> None:
         names = sorted(
             n for n in os.listdir(self.wal_dir)
-            if n.startswith("checkpoint-") and n.endswith(".json")
+            if n.startswith("checkpoint-") and n.endswith(".ckpt")
         )
         for name in names[:-keep]:
             try:
@@ -1110,6 +1117,15 @@ def audit_log(wal_dir: str) -> Tuple[List[str], Dict[str, int]]:
         "commits": len(commit_ranges),
     }
     return problems, summary
+
+
+def _fsync_path(path: str) -> None:
+    """fsync a file or directory by path."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _event_payload(

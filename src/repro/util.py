@@ -17,7 +17,7 @@ from repro.errors import WorkloadError
 def percentile(sorted_values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile of an ascending-sorted sequence (0.0 when
     empty — there is no latency to report before the first sample)."""
-    if not sorted_values:
+    if len(sorted_values) == 0:
         return 0.0
     if not 0.0 < q <= 1.0:
         raise WorkloadError(f"percentile q must be in (0, 1], got {q}")

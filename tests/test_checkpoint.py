@@ -1,16 +1,43 @@
 """Tests for checkpoint save/load and update-stream file I/O."""
 
 import io
+import json
+import zlib
 
+import numpy as np
 import pytest
 
 from repro import MISMaintainer
+from repro.core.maintainer import CHECKPOINT_MAGIC
 from repro.errors import CheckpointError, ReproError
 from repro.graph.generators import erdos_renyi
 from repro.graph.io import read_update_stream, write_update_stream
 from repro.graph.updates import EdgeDeletion, EdgeInsertion
 from repro.serial.greedy import greedy_mis
 from repro.bench.workloads import delete_reinsert_workload
+
+
+def read_checkpoint(path):
+    """``(header, [ids, indptr, nbr, members])`` of a checkpoint file."""
+    blob = open(path, "rb").read()
+    assert blob.startswith(CHECKPOINT_MAGIC)
+    split = blob.index(b"\n", len(CHECKPOINT_MAGIC))
+    stream = io.BytesIO(blob[split + 1:])
+    arrays = [np.load(stream, allow_pickle=False) for _ in range(4)]
+    return json.loads(blob[len(CHECKPOINT_MAGIC):split]), arrays
+
+
+def write_checkpoint(path, header, arrays, fix_crc=True, allow_pickle=False):
+    """Write ``header`` + ``arrays`` in the checkpoint layout; ``fix_crc``
+    recomputes the body CRC so only the edited field is wrong."""
+    body = io.BytesIO()
+    for array in arrays:
+        np.save(body, array, allow_pickle=allow_pickle)
+    if fix_crc:
+        header = dict(header, crc32=zlib.crc32(body.getvalue()))
+    with open(path, "wb") as handle:
+        handle.write(CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n"
+                     + body.getvalue())
 
 
 class TestUpdateStreamIO:
@@ -47,12 +74,19 @@ class TestUpdateStreamIO:
 
 
 class TestCheckpoint:
+    def _saved(self, tmp_path, seed=7, n=20, m=40, **kwargs):
+        maintainer = MISMaintainer(erdos_renyi(n, m, seed=seed),
+                                   num_workers=2, **kwargs)
+        path = tmp_path / "ck.ckpt"
+        maintainer.save(path)
+        return maintainer, path
+
     def test_roundtrip_preserves_everything(self, tmp_path):
         g = erdos_renyi(40, 120, seed=3)
         m = MISMaintainer(g.copy(), num_workers=4)
         ops = delete_reinsert_workload(g, 10, seed=1)
         m.apply_stream(ops[:10], batch_size=5)
-        path = tmp_path / "ck.json"
+        path = tmp_path / "ck.ckpt"
         m.save(path)
 
         restored = MISMaintainer.load(path)
@@ -65,7 +99,7 @@ class TestCheckpoint:
     def test_restore_skips_recomputation(self, tmp_path):
         g = erdos_renyi(40, 120, seed=4)
         m = MISMaintainer(g.copy(), num_workers=4)
-        path = tmp_path / "ck.json"
+        path = tmp_path / "ck.ckpt"
         m.save(path)
         restored = MISMaintainer.load(path)
         # no initial OIMIS run happened: zero init supersteps
@@ -74,108 +108,178 @@ class TestCheckpoint:
     def test_restored_maintainer_keeps_working(self, tmp_path):
         g = erdos_renyi(40, 120, seed=5)
         m = MISMaintainer(g.copy(), num_workers=4)
-        path = tmp_path / "ck.json"
+        path = tmp_path / "ck.ckpt"
         m.save(path)
         restored = MISMaintainer.load(path)
         for u, v in restored.graph.sorted_edges()[:8]:
             restored.delete_edge(u, v)
         assert restored.independent_set() == greedy_mis(restored.graph)
 
+    def test_dict_and_csr_checkpoints_restore_equal(self, tmp_path):
+        g = erdos_renyi(40, 120, seed=8)
+        ops = delete_reinsert_workload(g, 10, seed=2)
+        restored = []
+        for representation in ("dict", "csr"):
+            m = MISMaintainer(g.copy(), num_workers=4,
+                              representation=representation)
+            m.apply_stream(ops, batch_size=5)
+            path = tmp_path / f"{representation}.ckpt"
+            m.save(path)
+            # saving never attaches a CSR mirror to a dict maintainer
+            assert (getattr(m.dgraph, "_csr_partition", None) is None) \
+                == (representation == "dict")
+            restored.append(MISMaintainer.load(path))
+        assert restored[0].graph == restored[1].graph
+        assert restored[0].independent_set() == restored[1].independent_set()
+        assert restored[0].updates_applied == restored[1].updates_applied
+
     def test_load_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"hello": "world"}')
         with pytest.raises(CheckpointError, match="not a repro-mis-checkpoint"):
             MISMaintainer.load(path)
+        # a version-1 JSON checkpoint is foreign to this build too
+        path.write_text(json.dumps({
+            "format": "repro-mis-checkpoint", "version": 1,
+            "num_workers": 2, "strategy": "ss", "vertices": [1, 2],
+            "edges": [[1, 2]], "independent_set": [1], "updates_applied": 0,
+        }))
+        with pytest.raises(CheckpointError, match="not a repro-mis-checkpoint"):
+            MISMaintainer.load(path)
+        # the magic line with a header of another format
+        header, arrays = read_checkpoint(self._saved(tmp_path)[1])
+        write_checkpoint(path, dict(header, format="other"), arrays)
+        with pytest.raises(CheckpointError, match="not a repro-mis-checkpoint"):
+            MISMaintainer.load(path)
 
     def test_load_verify_catches_tampering(self, tmp_path):
-        import json
-
-        g = erdos_renyi(30, 90, seed=6)
-        m = MISMaintainer(g.copy(), num_workers=4)
-        path = tmp_path / "ck.json"
-        m.save(path)
-        payload = json.loads(path.read_text())
-        # corrupt the stored set: drop a member so it is no longer maximal
-        payload["independent_set"] = payload["independent_set"][1:]
-        path.write_text(json.dumps(payload))
         from repro.errors import VerificationError
 
+        m, path = self._saved(tmp_path, seed=6, n=30, m=90)
+        header, arrays = read_checkpoint(path)
+        # flip one member bit under a recomputed CRC: the stored set is no
+        # longer the greedy fixpoint
+        members = arrays[3].copy()
+        members[int(np.flatnonzero(members)[0])] = False
+        write_checkpoint(path, header, arrays[:3] + [members])
         with pytest.raises(VerificationError):
             MISMaintainer.load(path)
         # verify=False trusts the file (documented escape hatch)
         restored = MISMaintainer.load(path, verify=False)
         assert restored.graph == m.graph
+        assert restored.independent_set() != m.independent_set()
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot load checkpoint"):
-            MISMaintainer.load(tmp_path / "nope.json")
+            MISMaintainer.load(tmp_path / "nope.ckpt")
 
-    def test_load_truncated_json(self, tmp_path):
-        g = erdos_renyi(20, 40, seed=7)
-        m = MISMaintainer(g, num_workers=2)
-        path = tmp_path / "ck.json"
-        m.save(path)
-        text = path.read_text()
-        path.write_text(text[: len(text) // 2])
-        with pytest.raises(CheckpointError, match="truncated or corrupt JSON"):
+    def test_load_truncated_file(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        blob = path.read_bytes()
+        header_end = blob.index(b"\n", len(CHECKPOINT_MAGIC))
+        # inside the header line
+        path.write_bytes(blob[:header_end - 5])
+        with pytest.raises(CheckpointError, match="truncated header"):
+            MISMaintainer.load(path)
+        # inside an array: the body CRC no longer matches
+        path.write_bytes(blob[:len(blob) - 7])
+        with pytest.raises(CheckpointError, match="CRC mismatch"):
+            MISMaintainer.load(path)
+        # inside the magic line
+        path.write_bytes(blob[:4])
+        with pytest.raises(CheckpointError, match="not a repro-mis-checkpoint"):
+            MISMaintainer.load(path)
+
+    def test_load_rejects_corrupt_body(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[-3] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="CRC mismatch"):
             MISMaintainer.load(path)
 
     def test_load_rejects_future_version(self, tmp_path):
-        import json
-
-        g = erdos_renyi(20, 40, seed=7)
-        m = MISMaintainer(g, num_workers=2)
-        path = tmp_path / "ck.json"
-        m.save(path)
-        payload = json.loads(path.read_text())
-        payload["version"] = 99
-        path.write_text(json.dumps(payload))
+        _, path = self._saved(tmp_path)
+        header, arrays = read_checkpoint(path)
+        write_checkpoint(path, dict(header, version=99), arrays)
         with pytest.raises(CheckpointError, match="version 99"):
             MISMaintainer.load(path)
-        payload["version"] = "1"  # wrong type counts as unsupported too
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
-            MISMaintainer.load(path)
+        # wrong types and the retired JSON version count as unsupported too
+        for version in ("2", True, 1, None):
+            write_checkpoint(path, dict(header, version=version), arrays)
+            with pytest.raises(CheckpointError,
+                               match="unsupported checkpoint version"):
+                MISMaintainer.load(path)
 
     def test_load_rejects_negative_vertex_ids(self, tmp_path):
-        import json
-
-        g = erdos_renyi(20, 40, seed=7)
-        m = MISMaintainer(g, num_workers=2)
-        path = tmp_path / "ck.json"
-        m.save(path)
-        payload = json.loads(path.read_text())
-        payload["vertices"].append(-3)
-        path.write_text(json.dumps(payload))
+        _, path = self._saved(tmp_path)
+        header, arrays = read_checkpoint(path)
+        ids = arrays[0].copy()
+        ids[0] = -3  # still ascending: row 0 holds the smallest id
+        write_checkpoint(path, header, [ids] + arrays[1:])
         with pytest.raises(CheckpointError, match="negative vertex id"):
             MISMaintainer.load(path)
 
     def test_load_malformed_payload_is_clean(self, tmp_path):
-        import json
-
-        g = erdos_renyi(20, 40, seed=7)
-        m = MISMaintainer(g, num_workers=2)
-        path = tmp_path / "ck.json"
-        m.save(path)
-        payload = json.loads(path.read_text())
-        del payload["edges"]
-        path.write_text(json.dumps(payload))
-        # a missing key surfaces as CheckpointError, never a bare KeyError
-        with pytest.raises(CheckpointError, match="malformed payload"):
+        _, path = self._saved(tmp_path)
+        header, arrays = read_checkpoint(path)
+        # a missing or wrong-typed key surfaces as CheckpointError, never a
+        # bare KeyError/TypeError
+        missing = dict(header)
+        del missing["nnz"]
+        for bad in (missing, dict(header, n="20"), dict(header, strategy="x")):
+            write_checkpoint(path, bad, arrays)
+            with pytest.raises(CheckpointError, match="malformed header"):
+                MISMaintainer.load(path)
+        path.write_bytes(CHECKPOINT_MAGIC + b"{not json\n")
+        with pytest.raises(CheckpointError, match="malformed header"):
+            MISMaintainer.load(path)
+        # arrays that disagree with the header, or that need pickles
+        write_checkpoint(path, dict(header, n=header["n"] + 1), arrays)
+        with pytest.raises(CheckpointError, match="malformed arrays"):
+            MISMaintainer.load(path)
+        objects = np.array([object()] * header["n"], dtype=object)
+        write_checkpoint(path, header, arrays[:3] + [objects],
+                         allow_pickle=True)
+        with pytest.raises(CheckpointError, match="malformed arrays"):
+            MISMaintainer.load(path)
+        write_checkpoint(path, header, arrays + [arrays[0]])
+        with pytest.raises(CheckpointError, match="trailing bytes"):
             MISMaintainer.load(path)
         assert issubclass(CheckpointError, ReproError)
 
     def test_load_rejects_bad_worker_count(self, tmp_path):
-        import json
-
-        g = erdos_renyi(20, 40, seed=7)
-        m = MISMaintainer(g, num_workers=2)
-        path = tmp_path / "ck.json"
-        m.save(path)
-        payload = json.loads(path.read_text())
-        payload["num_workers"] = 0
-        path.write_text(json.dumps(payload))
+        _, path = self._saved(tmp_path)
+        header, arrays = read_checkpoint(path)
+        write_checkpoint(path, dict(header, num_workers=0), arrays)
         with pytest.raises(CheckpointError, match="num_workers"):
+            MISMaintainer.load(path)
+
+    def test_load_rejects_invalid_graph(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        header, arrays = read_checkpoint(path)
+        ids, indptr, nbr, members = arrays
+        row = int(np.flatnonzero(np.diff(indptr))[0])
+        slot = int(indptr[row])
+        # a self-loop under a valid CRC
+        loop = nbr.copy()
+        loop[slot] = row
+        write_checkpoint(path, header, [ids, indptr, loop, members])
+        with pytest.raises(CheckpointError, match="invalid graph: self-loop"):
+            MISMaintainer.load(path)
+        # a one-way edge: retarget one entry at a non-neighbour row
+        lonely = nbr.copy()
+        present = set(nbr[indptr[row]:indptr[row + 1]].tolist()) | {row}
+        lonely[slot] = min(set(range(ids.size)) - present)
+        write_checkpoint(path, header, [ids, indptr, lonely, members])
+        with pytest.raises(CheckpointError,
+                           match="invalid graph: asymmetric adjacency"):
+            MISMaintainer.load(path)
+        # neighbour indices outside the row range
+        wild = nbr.copy()
+        wild[slot] = ids.size
+        write_checkpoint(path, header, [ids, indptr, wild, members])
+        with pytest.raises(CheckpointError, match="invalid graph"):
             MISMaintainer.load(path)
 
     def test_isolated_vertices_survive_checkpoint(self, tmp_path):
@@ -183,7 +287,7 @@ class TestCheckpoint:
 
         g = DynamicGraph.from_edges([(1, 2)], vertices=[9])
         m = MISMaintainer(g, num_workers=2)
-        path = tmp_path / "ck.json"
+        path = tmp_path / "ck.ckpt"
         m.save(path)
         restored = MISMaintainer.load(path)
         assert restored.graph.has_vertex(9)

@@ -8,6 +8,7 @@ from repro.cli import main
 from repro.graph.generators import erdos_renyi
 from repro.graph.io import write_edge_list, write_update_stream
 from repro.bench.workloads import delete_reinsert_workload
+from tests.test_checkpoint import read_checkpoint
 
 
 @pytest.fixture
@@ -77,11 +78,11 @@ class TestMaintain:
 
     def test_checkpoint_roundtrip(self, graph_file, updates_file, tmp_path, capsys):
         path, _ = graph_file
-        ck = tmp_path / "ck.json"
+        ck = tmp_path / "ck.ckpt"
         main(["maintain", updates_file, "--graph", path,
               "--checkpoint", str(ck), "--workers", "4"])
-        payload = json.loads(ck.read_text())
-        assert payload["format"] == "repro-mis-checkpoint"
+        header, _ = read_checkpoint(ck)
+        assert header["format"] == "repro-mis-checkpoint"
         # resume from the checkpoint and apply the stream again
         code = main(["maintain", updates_file, "--resume", str(ck),
                      "--batch-size", "5", "--verify"])
@@ -151,7 +152,7 @@ class TestCheckpointEvery:
     def test_periodic_checkpoints_written(self, graph_file, updates_file,
                                           tmp_path, capsys):
         path, _ = graph_file
-        ck = tmp_path / "ck.json"
+        ck = tmp_path / "ck.ckpt"
         code = main(["maintain", updates_file, "--graph", path,
                      "--batch-size", "10", "--workers", "4",
                      "--checkpoint", str(ck), "--checkpoint-every", "1"])
@@ -183,15 +184,15 @@ class TestCheckpointEvery:
         broken = ops[:12] + [missing] + ops[12:]
         broken_path = tmp_path / "broken.txt"
         write_update_stream(broken, broken_path)
-        ck = tmp_path / "ck.json"
+        ck = tmp_path / "ck.ckpt"
         code = main(["maintain", str(broken_path), "--graph", str(graph_path),
                      "--batch-size", "4", "--workers", "4",
                      "--checkpoint", str(ck), "--checkpoint-every", "1"])
         assert code == 1  # the poisoned batch fails...
         assert "error:" in capsys.readouterr().err
         # ...but the checkpoint holds the state after the last good batch
-        payload = json.loads(ck.read_text())
-        assert payload["updates_applied"] == 12
+        header, _ = read_checkpoint(ck)
+        assert header["updates_applied"] == 12
         rest_path = tmp_path / "rest.txt"
         write_update_stream(ops[12:], rest_path)
         out_resumed = tmp_path / "resumed.txt"

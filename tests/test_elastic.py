@@ -756,17 +756,14 @@ class TestServeElastic:
         # cluster into a log directory full of 10-worker commits)
         checkpoints = sorted(
             n for n in os.listdir(wal_dir)
-            if n.startswith("checkpoint-") and n.endswith(".json")
+            if n.startswith("checkpoint-") and n.endswith(".ckpt")
         )
         assert checkpoints
-        import json
+        from tests.test_checkpoint import read_checkpoint, write_checkpoint
 
         newest = os.path.join(wal_dir, checkpoints[-1])
-        with open(newest, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        payload["num_workers"] = 8
-        with open(newest, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+        header, arrays = read_checkpoint(newest)
+        write_checkpoint(newest, dict(header, num_workers=8), arrays)
         with pytest.raises(RecoveryError, match="membership mismatch"):
             IngestionService.recover(wal_dir)
 

@@ -601,7 +601,7 @@ class TestPlumbing:
         assert sorted(r.failovers for r in session.history)[-1] == 1
 
     def test_load_rejects_partition_mismatch(self, tmp_path):
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ck.ckpt"
         maintainer = MISMaintainer(erdos_renyi(30, 90, seed=33),
                                    num_workers=4)
         maintainer.save(path)

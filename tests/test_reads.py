@@ -229,6 +229,25 @@ class TestQueryEngine:
         for tag in ("p50", "p95", "p99"):
             assert stats[f"latency_{tag}_ms"] >= 0.0
 
+    def test_latency_samples_match_nearest_rank_percentile(self):
+        import random
+
+        from repro.serve.reads import LatencySamples
+        from repro.util import percentile
+
+        assert LatencySamples().percentiles((0.5, 0.99)) == [0.0, 0.0]
+        rng = random.Random(5)
+        # 2,500 samples: the 1,024-slot buffer doubles twice
+        values = [rng.expovariate(1e3) for _ in range(2500)]
+        samples = LatencySamples()
+        for value in values:
+            samples.append(value)
+        qs = (1 / 2500, 0.5, 0.95, 0.99, 1.0)
+        assert samples.percentiles(qs) == [
+            percentile(sorted(values), q) for q in qs
+        ]
+        assert samples.total() == pytest.approx(sum(values))
+
 
 # ---------------------------------------------------------------------------
 # service wiring: epochs at commits, recovery, staleness, membership
@@ -265,7 +284,7 @@ class TestServiceReadPath:
         def capture():
             snapshot = service.reads.latest()
             if snapshot.epoch not in held:
-                path = tmp_path / f"epoch-{snapshot.epoch}.json"
+                path = tmp_path / f"epoch-{snapshot.epoch}.ckpt"
                 service.maintainer.save(str(path))
                 held[snapshot.epoch] = (service.reads.acquire(), path)
 

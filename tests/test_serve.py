@@ -360,8 +360,43 @@ class TestService:
         service = _service(tmp_path)
         names = [n for n in os.listdir(service.wal_dir)
                  if n.startswith("checkpoint-")]
-        assert names == ["checkpoint-000000000000.json"]
+        assert names == ["checkpoint-000000000000.ckpt"]
         service.close()
+
+    def test_checkpoint_fsynced_before_its_record(self, tmp_path,
+                                                  monkeypatch):
+        import stat
+
+        events = []
+        real_fsync, real_append = os.fsync, WriteAheadLog.append
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            events.append(("fsync", stat.S_ISDIR(st.st_mode), st.st_ino))
+            real_fsync(fd)
+
+        def append(wal, payload):
+            events.append(("append", payload["t"]))
+            real_append(wal, payload)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(WriteAheadLog, "append", append)
+        service = _service(tmp_path)
+        del events[:]
+        path = service.checkpoint()
+        # file, then its directory entry, then the record announcing it
+        ck = events.index(("append", "ck"))
+        assert events[:ck] == [
+            ("fsync", False, os.stat(path).st_ino),
+            ("fsync", True, os.stat(service.wal_dir).st_ino),
+        ]
+        service.close()
+
+        lazy = _service(tmp_path, name="lazy", fsync="never")
+        del events[:]
+        lazy.checkpoint()
+        assert events == [("append", "ck")]
+        lazy.close()
 
     def test_checkpoint_pruning_keeps_two(self, tmp_path):
         service = _service(tmp_path, checkpoint_every=1)
@@ -738,6 +773,49 @@ class TestRecovery:
         with pytest.raises(RecoveryError, match="diverged from the recorded"):
             IngestionService.recover(
                 crashed.wal_dir, controller=_small_controller())
+
+    def test_recover_falls_back_past_a_corrupt_checkpoint(self, tmp_path):
+        ops, timestamps = bursty_trace(
+            load_dataset("AM"), TraceConfig(num_ops=200, seed=7))
+        reference = _service(tmp_path, name="ref")
+        for op, ts in zip(ops, timestamps):
+            reference.submit(op, ts)
+        reference.close()
+
+        crashed = _service(tmp_path, name="crashed", checkpoint_every=2)
+        cut = _run_to_crash(crashed, ops, timestamps, min_commits=5)
+        records = [r.payload for r in
+                   WriteAheadLog(crashed.wal_dir).iter_records()]
+        announced = {r["file"]: r for r in records if r["t"] == "ck"}
+        kept = sorted(n for n in os.listdir(crashed.wal_dir)
+                      if n.endswith(".ckpt"))
+        assert len(kept) == 2
+        older, newest = (announced[name] for name in kept)
+        # flip one body byte of the newest checkpoint: its CRC fails
+        path = os.path.join(crashed.wal_dir, newest["file"])
+        with open(path, "r+b") as handle:
+            handle.seek(-3, os.SEEK_END)
+            byte = handle.read(1)
+            handle.seek(-3, os.SEEK_END)
+            handle.write(bytes([byte[0] ^ 0xFF]))
+
+        recovered = IngestionService.recover(
+            crashed.wal_dir, controller=_small_controller(),
+            checkpoint_every=3)
+        commits = [r for r in records if r["t"] == "cm"]
+        past = [c for c in commits if c["l"] > older["q"]]
+        # replay starts at the older checkpoint's watermark, which is
+        # strictly behind the newest one's
+        assert len(past) > len([c for c in commits if c["l"] > newest["q"]])
+        assert recovered.stats.replayed_windows == len(past)
+        assert recovered.stats.replayed_events == (
+            past[-1]["l"] - older["q"])
+        for op, ts in zip(ops[cut:], timestamps[cut:]):
+            recovered.submit(op, ts)
+        recovered.close()
+        assert (sorted(recovered.maintainer.independent_set())
+                == sorted(reference.maintainer.independent_set()))
+        assert recovered.logical_totals() == reference.logical_totals()
 
     def test_recover_requires_records(self, tmp_path):
         with pytest.raises(WALError, match="no log records"):
