@@ -134,6 +134,10 @@ class DOIMISMaintainer:
             self._states = {
                 u: bool(resume_states.get(u, True)) for u in graph.vertices()
             }
+            # settle the CSR mirror now, while the graph still holds the
+            # arrays it was restored from: the first update then repairs
+            # its rows instead of rebuilding from the adjacency sets
+            self._engine.attach_csr(self._program)
         self.updates_applied = 0
         self.batches_applied = 0
 

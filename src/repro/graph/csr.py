@@ -13,8 +13,8 @@ view so a whole superstep sweep becomes a few vectorized numpy passes:
 - ``indptr`` / ``nbr`` — CSR adjacency, each row holding the neighbour
   *row indices*, grouped by row and in no particular order within it
   (the sweep compares ``keys`` instead of relying on a rank-sorted scan);
-- ``home``     — the owning logical worker per row (vectorized
-  multiplicative hash for the stock :class:`HashPartitioner`);
+- ``home``     — the owning logical worker per row
+  (:func:`repro.pregel.partition.home_array`);
 - ``in_``      — the packed membership bitmap (one ``bool`` per row),
   synced from the engine's state dict at run entry and updated in place
   at every barrier commit.
@@ -23,7 +23,11 @@ The mirror registers as a :class:`DynamicGraph` mutation observer (the
 same protocol the rank caches use) and repairs itself incrementally: an
 edge update re-keys its endpoints and refetches only their two rows;
 vertex insertion/removal schedules a full rebuild.
-``ensure()`` settles all pending repairs before a run.
+``ensure()`` settles all pending repairs before a run.  The first build
+takes the graph's own arrays (:func:`~repro.graph.dynamic_graph.csr_arrays`)
+when the graph is still unmutated since it was bulk-built, so it never
+walks the adjacency sets; those arrays are read-only, and the first
+in-place repair writes to a copy.
 
 For the multi-process runtime the arrays are published once into a single
 ``multiprocessing.shared_memory`` segment; worker processes map it
@@ -40,6 +44,9 @@ from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
+
+from repro.graph.dynamic_graph import csr_arrays
+from repro.pregel.partition import home_array
 
 _REPRESENTATIONS = ("dict", "csr")
 
@@ -75,25 +82,6 @@ class CSRSweepExtras:
     changed_val: Any  # bool[k]  their new membership values
     req_src: Any  # int64[r] activation source rows (non-decreasing)
     req_tgt: Any  # int64[r] activation target rows
-
-
-def csr_arrays(graph) -> Tuple[Any, Any, Any]:
-    """``(ids, indptr, nbr)`` of ``graph``: ascending ``int64`` vertex ids,
-    row pointers, and each row's neighbour *row indices* in adjacency-set
-    order.  The one array builder behind :meth:`CSRPartition._rebuild` and
-    :meth:`~repro.core.maintainer.MISMaintainer.save`."""
-    order = graph.sorted_vertices()
-    n = len(order)
-    ids = np.fromiter(order, np.int64, count=n)
-    adj = [graph.neighbors(u) for u in order]
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.fromiter(map(len, adj), np.int64, count=n), out=indptr[1:])
-    # one flat pass over the adjacency sets, then a vectorized id → row
-    # translation (ids are ascending, so searchsorted is exact)
-    nbr = np.searchsorted(ids, np.fromiter(
-        chain.from_iterable(adj), np.int64, count=int(indptr[-1])
-    ))
-    return ids, indptr, nbr
 
 
 class CSRPartition:
@@ -191,7 +179,7 @@ class CSRPartition:
         self.keys = (np.diff(indptr) << 32) | ids
         self.indptr = indptr
         self.nbr = nbr
-        self.home = self._home_array(ids)
+        self.home = home_array(self._dgraph.partitioner, ids)
         self.in_ = np.zeros(n, np.bool_)
         self._bitmap_in_shm = False
         self._ids_list = ids.tolist()
@@ -225,6 +213,9 @@ class CSRPartition:
                 counts, indptr[rows_arr + 1] - indptr[rows_arr]
             ))
             if same_len:
+                if not nbr.flags.writeable:
+                    # still the graph's read-only build arrays: take a copy
+                    nbr = self.nbr = nbr.copy()
                 # scatter every refetched row in one shot: map flat's
                 # positions onto the rows' existing slices
                 starts = indptr[rows_arr]
@@ -264,38 +255,6 @@ class CSRPartition:
         on the cached version.
         """
         self.structure_version += 1
-
-    def _home_array(self, ids):
-        from repro.pregel.partition import (
-            _HASH_MASK,
-            _HASH_MULTIPLIER,
-            HashPartitioner,
-        )
-
-        partitioner = self._dgraph.partitioner
-        worker_of = partitioner.worker_of
-        if (
-            type(partitioner) is HashPartitioner
-            and ids.size
-            and isinstance(getattr(partitioner, "_salt", None), int)
-            and 0 <= partitioner._salt < 1 << 31
-        ):
-            salted = ids.astype(np.uint64) + np.uint64(partitioner._salt)
-            hashed = (salted * np.uint64(_HASH_MULTIPLIER)) & np.uint64(
-                _HASH_MASK
-            )
-            home = (hashed % np.uint64(partitioner.num_workers)).astype(
-                np.int64
-            )
-            # spot-check the vectorized hash against the scalar one
-            for i in (0, int(ids.size) // 2, int(ids.size) - 1):
-                if int(home[i]) != worker_of(int(ids[i])):
-                    break
-            else:
-                return home
-        return np.fromiter(
-            (worker_of(int(u)) for u in ids), np.int64, count=ids.size
-        )
 
     # -- state bitmap ---------------------------------------------------
     def sync_states(self, states: Dict[int, Any]) -> None:

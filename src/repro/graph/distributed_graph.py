@@ -8,21 +8,25 @@ of the paper): whenever ``u``'s state changes it must be synced once to each
 such machine, and activation of remote neighbours is routed through the
 guest's inverted index.
 
-The directory is maintained incrementally under edge/vertex updates with
-per-worker reference counts, so a dynamic workload never rebuilds it.
+The directory is built once from the graph's CSR arrays (a few numpy
+passes, no per-edge Python loop) and then maintained incrementally under
+edge/vertex updates with per-worker reference counts, so a dynamic
+workload never rebuilds it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
-from repro.graph.dynamic_graph import DynamicGraph
+import numpy as np
+
+from repro.graph.dynamic_graph import DynamicGraph, csr_arrays
 from repro.pregel.metrics import (
     ADJACENCY_ENTRY_BYTES,
     GUEST_OVERHEAD_BYTES,
     VERTEX_OVERHEAD_BYTES,
 )
-from repro.pregel.partition import HashPartitioner, Partitioner
+from repro.pregel.partition import HashPartitioner, Partitioner, home_array
 
 
 class DistributedGraph:
@@ -31,50 +35,50 @@ class DistributedGraph:
     def __init__(self, graph: DynamicGraph, partitioner: Partitioner):
         self._graph = graph
         self._partitioner = partitioner
+        # one bulk build from the graph's CSR arrays: the counts
+        # add_vertex/add_edge would reach, taken per (row, worker) pair with
+        # numpy; Python only assembles the per-vertex dicts
+        ids, indptr, nbr = csr_arrays(graph)
+        n = ids.size
+        w = partitioner.num_workers
+        home = home_array(partitioner, ids)
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        pairs, counts = np.unique(rows * w + home[nbr], return_counts=True)
+        pair_rows, pair_workers = np.divmod(pairs, w)
+        guest = pair_workers != home[pair_rows]
         # _nbr_worker_counts[u][w] = number of u's neighbours hosted on w
         # (including u's own worker, so deletions stay O(1)).
-        self._nbr_worker_counts: Dict[int, Dict[int, int]] = {}
+        bounds = np.searchsorted(
+            pair_rows, np.arange(n + 1, dtype=np.int64)
+        ).tolist()
+        workers = pair_workers.tolist()
+        counts = counts.tolist()
+        # the graph's own key objects, in row order (no new int per key)
+        keys = graph.sorted_vertices()
+        self._nbr_worker_counts: Dict[int, Dict[int, int]] = {
+            u: dict(zip(workers[bounds[i]:bounds[i + 1]],
+                        counts[bounds[i]:bounds[i + 1]]))
+            for i, u in enumerate(keys)
+        }
         # per-vertex guest-copy count and per-worker aggregates (home
         # vertices, home degree sum, hosted guest copies), all kept in
         # lock-step with the directory so `num_guest_copies` and the
         # uniform memory snapshot are O(1)/O(num_workers)
-        self._guest_count: Dict[int, int] = {}
-        w = partitioner.num_workers
-        self._home_vertices: List[int] = [0] * w
-        self._home_degree_sum: List[int] = [0] * w
-        self._guest_copies: List[int] = [0] * w
-        # bulk build: identical arithmetic to add_vertex/_count_edge(+1),
-        # with home workers memoized (one hash per vertex instead of four
-        # per edge) and the guest bookkeeping specialized for the build-up
-        # case, where reference counts only ever grow
-        home: Dict[int, int] = {}
-        worker_of = partitioner.worker_of
-        counts_of = self._nbr_worker_counts
-        guest_count = self._guest_count
-        guest_copies = self._guest_copies
-        degree_sum = self._home_degree_sum
-        for u in graph.vertices():
-            wu = worker_of(u)
-            home[u] = wu
-            counts_of[u] = {}
-            self._home_vertices[wu] += 1
-        for u, v in graph.edges():
-            wu = home[u]
-            wv = home[v]
-            cu = counts_of[u]
-            old = cu.get(wv, 0)
-            cu[wv] = old + 1
-            if old == 0 and wv != wu:
-                guest_count[u] = guest_count.get(u, 0) + 1
-                guest_copies[wv] += 1
-            cv = counts_of[v]
-            old = cv.get(wu, 0)
-            cv[wu] = old + 1
-            if old == 0 and wu != wv:
-                guest_count[v] = guest_count.get(v, 0) + 1
-                guest_copies[wu] += 1
-            degree_sum[wu] += 1
-            degree_sum[wv] += 1
+        guests = np.bincount(pair_rows[guest], minlength=n)
+        hosted = np.flatnonzero(guests)
+        self._guest_count: Dict[int, int] = dict(
+            zip(map(keys.__getitem__, hosted.tolist()),
+                guests[hosted].tolist())
+        )
+        self._home_vertices: List[int] = np.bincount(
+            home, minlength=w
+        ).tolist()
+        self._home_degree_sum: List[int] = np.bincount(
+            home[rows], minlength=w
+        ).tolist()
+        self._guest_copies: List[int] = np.bincount(
+            pair_workers[guest], minlength=w
+        ).tolist()
 
     @classmethod
     def create(

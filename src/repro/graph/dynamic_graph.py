@@ -9,24 +9,154 @@ implicitly (``len`` of the adjacency set).  The distributed engines wrap a
 Self-loops are rejected because an independent set can never contain a
 self-looped vertex and the paper's graphs are simple.  Parallel edges are
 rejected for the same reason.
+
+Bulk construction (:meth:`DynamicGraph.from_edges`,
+:meth:`DynamicGraph.from_csr`) is one numpy pass that builds the CSR arrays
+first and fills the sets from their rows.  The graph keeps those arrays
+until its first mutation, and :func:`csr_arrays` hands them out instead of
+walking the sets, so the guest directory and the CSR mirror are built from
+the same arrays.
 """
 
 from __future__ import annotations
 
+import operator
+from itertools import chain
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.errors import (
     EdgeExistsError,
     EdgeNotFoundError,
+    GraphError,
     SelfLoopError,
     VertexNotFoundError,
 )
 from repro.graph.rank_cache import RankedAdjacency
 
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+
 
 def normalize_edge(u: int, v: int) -> Tuple[int, int]:
     """Return the canonical ``(min, max)`` form of an undirected edge."""
     return (u, v) if u <= v else (v, u)
+
+
+def id_array(values, shape_tail: Tuple[int, ...] = ()) -> Any:
+    """``values`` -- vertex ids, or ``(u, v)`` pairs with ``shape_tail=(2,)``
+    -- as one ``int64`` array.
+
+    Ids must be integers (Python or numpy) in the ``int64`` range.  Anything
+    else -- a float, a string, ``None``, an id outside ``int64`` -- raises
+    :class:`GraphError` naming the first such id: numpy never casts a float
+    to an int here.
+    """
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    if len(values) == 0:
+        return np.empty((0,) + shape_tail, np.int64)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged pairs
+        arr = None
+    if arr is None or arr.shape[1:] != shape_tail:
+        bad = next((x for x in values if np.shape(x) != shape_tail),
+                   values[0])
+        what = "a (u, v) pair" if shape_tail else "a vertex id"
+        raise GraphError(f"expected {what}, got {bad!r}")
+    kind = arr.dtype.kind
+    if kind == "i" or (kind == "u" and arr.max() <= _INT64_MAX):
+        return arr.astype(np.int64, copy=False)
+    # floats, strings, objects, or ints numpy could not fit in one dtype:
+    # check every id as given
+    if isinstance(values, np.ndarray):
+        flat = values.ravel().tolist()
+    else:
+        flat = list(chain.from_iterable(values) if shape_tail else values)
+    for x in flat:
+        try:
+            ok = _INT64_MIN <= operator.index(x) <= _INT64_MAX
+        except TypeError:
+            ok = False
+        if not ok:
+            raise GraphError(
+                f"vertex id {x!r} is not an integer in the int64 range"
+            )
+    return np.array([operator.index(x) for x in flat],
+                    np.int64).reshape(arr.shape)
+
+
+def csr_arrays(graph: "DynamicGraph") -> Tuple[Any, Any, Any]:
+    """``(ids, indptr, nbr)`` of ``graph``: ascending ``int64`` vertex ids,
+    row pointers, and each row's neighbour *row indices*.
+
+    The one array builder behind the guest directory, the CSR mirror
+    (:meth:`repro.graph.csr.CSRPartition._rebuild`) and checkpoints.  The
+    result is kept on the graph until its first mutation: later calls
+    return the same (read-only) arrays instead of walking the sets again.
+    Order within a row is the build's: insertion order from
+    :meth:`DynamicGraph.from_edges`, the input's from
+    :meth:`DynamicGraph.from_csr`, set order from a walk; nothing reads it.
+    """
+    arrays = graph._arrays
+    if arrays is None:
+        order = graph.sorted_vertices()
+        n = len(order)
+        ids = np.fromiter(order, np.int64, count=n)
+        adj = [graph.neighbors(u) for u in order]
+        indptr = np.zeros(n + 1, np.int64)
+        np.cumsum(np.fromiter(map(len, adj), np.int64, count=n),
+                  out=indptr[1:])
+        # one flat pass over the adjacency sets, then a vectorized id → row
+        # translation (ids are ascending, so searchsorted is exact)
+        nbr = np.searchsorted(ids, np.fromiter(
+            chain.from_iterable(adj), np.int64, count=int(indptr[-1])
+        ))
+        arrays = graph._keep_arrays(ids, indptr, nbr)
+    return arrays
+
+
+def _edge_csr(edges, vertices) -> Tuple[Any, Any, Any, Any]:
+    """:meth:`DynamicGraph.from_edges`' arrays: ``(ids, indptr, nbr)`` plus
+    the row order an incremental build inserts vertices in."""
+    pairs = id_array(edges, (2,))
+    extra = id_array(vertices)
+    loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+    if loops.size:
+        raise SelfLoopError(int(pairs[loops[0], 0]))
+    # one stable sort of every id occurrence -- `vertices` first, then
+    # the endpoints u0 v0 u1 v1 ... -- groups each id's occurrences in
+    # input order
+    occ = np.concatenate((extra, pairs.ravel()))
+    perm = np.argsort(occ, kind="stable")
+    head = np.ones(occ.size, np.bool_)
+    head[1:] = occ[perm[1:]] != occ[perm[:-1]]
+    ids = occ[perm[head]]
+    first = perm[head]  # each id's first occurrence: insertion order
+    row = np.empty(occ.size, np.int64)
+    row[perm] = np.cumsum(head) - 1
+    ends = row[extra.size:].reshape(-1, 2)
+    # one key per undirected edge; np.unique's index is the first
+    # occurrence, the one an incremental build keeps
+    _, keep = np.unique(
+        np.minimum(ends[:, 0], ends[:, 1]) * ids.size
+        + np.maximum(ends[:, 0], ends[:, 1]),
+        return_index=True,
+    )
+    kept = np.zeros(ends.shape[0], np.bool_)
+    kept[keep] = True
+    # the sorted endpoint occurrences of kept edges, read as directed
+    # pairs (occurrence -> the edge's other end), are each row's
+    # insertion order: edge k adds v to u's set, then u to v's
+    pos = perm[perm >= extra.size] - extra.size
+    pos = pos[kept[pos >> 1]]
+    nbr = ends.ravel()[pos ^ 1]
+    indptr = np.zeros(ids.size + 1, np.int64)
+    np.cumsum(np.bincount(ends.ravel()[pos], minlength=ids.size),
+              out=indptr[1:])
+    return ids, indptr, nbr, np.argsort(first)
 
 
 class DynamicGraph:
@@ -47,7 +177,8 @@ class DynamicGraph:
     """
 
     __slots__ = (
-        "_adj", "_rank_caches", "_default_rank_cache", "_mutation_observers"
+        "_adj", "_rank_caches", "_default_rank_cache", "_mutation_observers",
+        "_arrays",
     )
 
     def __init__(self) -> None:
@@ -61,6 +192,9 @@ class DynamicGraph:
         # after each committed mutation, same lazy-attach economy as the
         # rank caches
         self._mutation_observers: List[Any] = []
+        # (ids, indptr, nbr) this graph was built from or last walked into
+        # (see csr_arrays); every mutator drops it before touching a set
+        self._arrays: Optional[Tuple[Any, Any, Any]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -71,33 +205,39 @@ class DynamicGraph:
     ) -> "DynamicGraph":
         """Build a graph from an edge iterable (plus optional isolated vertices).
 
-        Duplicate edges in the input are tolerated (applied once); self-loops
-        raise :class:`SelfLoopError`.
+        Vertex ids are integers (Python or numpy) in the ``int64`` range;
+        any other id raises :class:`GraphError` naming it.  Duplicate edges
+        in the input are tolerated (the first occurrence counts, whichever
+        way round it is written); a self-loop raises :class:`SelfLoopError`
+        naming the first one.  Vertices are inserted in the order an
+        incremental build would insert them -- ``vertices`` first, then
+        endpoints by first appearance -- and so is every adjacency set,
+        so dict and set iteration orders match ``add_vertex``/``add_edge``.
+
+        >>> g = DynamicGraph.from_edges([(1, 2), (2, 1), (2, 3)])
+        >>> g.num_edges, sorted(g.neighbors(2))
+        (2, [1, 3])
+        >>> DynamicGraph.from_edges([(1, 2), (4, 4)])
+        Traceback (most recent call last):
+        ...
+        repro.errors.SelfLoopError: self-loop (4, 4) is not allowed
         """
-        graph = cls()
-        for v in vertices:
-            graph.add_vertex(v)
-        for u, v in edges:
-            if not graph.has_vertex(u):
-                graph.add_vertex(u)
-            if not graph.has_vertex(v):
-                graph.add_vertex(v)
-            if not graph.has_edge(u, v):
-                graph.add_edge(u, v)
-        return graph
+        return cls._from_arrays(*_edge_csr(edges, vertices))
 
     @classmethod
     def from_csr(cls, ids, indptr, nbr) -> "DynamicGraph":
         """Build a graph straight from CSR arrays: strictly ascending
-        ``ids``, row pointers ``indptr`` and neighbour *row indices*
-        ``nbr`` (the layout :func:`repro.graph.csr.csr_arrays` returns).
+        ``int64`` ``ids``, row pointers ``indptr`` and neighbour *row
+        indices* ``nbr`` (the layout :func:`csr_arrays` returns).
 
         Raises ``ValueError`` unless the arrays describe a simple
-        undirected graph: well-formed rows, in-range neighbours, no
-        self-loops, no duplicate or one-way edges.
+        undirected graph: ``int64`` arrays, well-formed rows, in-range
+        neighbours, no self-loops, no duplicate or one-way edges.  The
+        graph keeps (read-only views of) the arrays until its first
+        mutation, so do not write them afterwards.
         """
-        import numpy as np
-
+        if any(a.dtype != np.int64 for a in (ids, indptr, nbr)):
+            raise ValueError("CSR arrays must be int64")
         n = ids.size
         lens = np.diff(indptr)
         if indptr.size != n + 1 or indptr[0] != 0 \
@@ -117,14 +257,32 @@ class DynamicGraph:
             raise ValueError("duplicate edge in a row")
         if not np.array_equal(forward, np.sort(nbr * n + rows)):
             raise ValueError("asymmetric adjacency")
+        return cls._from_arrays(ids, indptr, nbr)
+
+    @classmethod
+    def _from_arrays(cls, ids, indptr, nbr, order=None) -> "DynamicGraph":
+        """The adjacency sets of valid CSR arrays, rows inserted in
+        ``order`` (ascending ids by default); the graph keeps the arrays."""
         graph = cls()
+        ids_list = ids.tolist()
         bounds = indptr.tolist()
-        nbr_ids = ids[nbr].tolist()
+        # set entries reference the keys' int objects (no int per entry)
+        nbr_ids = np.array(ids_list, dtype=object)[nbr].tolist()
         graph._adj = {
-            u: set(nbr_ids[bounds[i]:bounds[i + 1]])
-            for i, u in enumerate(ids.tolist())
+            ids_list[r]: set(nbr_ids[bounds[r]:bounds[r + 1]])
+            for r in (range(ids.size) if order is None else order.tolist())
         }
+        graph._keep_arrays(ids, indptr, nbr)
         return graph
+
+    def _keep_arrays(self, ids, indptr, nbr) -> Tuple[Any, Any, Any]:
+        """Keep read-only views of this graph's CSR arrays until the next
+        mutation (see :func:`csr_arrays`)."""
+        views = tuple(a.view() for a in (ids, indptr, nbr))
+        for view in views:
+            view.flags.writeable = False
+        self._arrays = views
+        return views
 
     def copy(self) -> "DynamicGraph":
         """Return a deep copy (adjacency sets and rank caches not shared)."""
@@ -138,6 +296,7 @@ class DynamicGraph:
     def add_vertex(self, u: int) -> None:
         """Add an isolated vertex.  Adding an existing vertex is a no-op."""
         if u not in self._adj:
+            self._arrays = None
             self._adj[u] = set()
             for obs in self._mutation_observers:
                 obs.on_add_vertex(u)
@@ -153,6 +312,7 @@ class DynamicGraph:
         are not notified separately.
         """
         nbrs = self._require(u)
+        self._arrays = None
         removed = [(u, v) for v in sorted(nbrs)]
         observers = self._mutation_observers
         if self._rank_caches:
@@ -213,6 +373,7 @@ class DynamicGraph:
         self.add_vertex(v)
         if v in self._adj[u]:
             raise EdgeExistsError(u, v)
+        self._arrays = None
         self._adj[u].add(v)
         self._adj[v].add(u)
         for cache in self._rank_caches:
@@ -230,6 +391,7 @@ class DynamicGraph:
         """
         if u not in self._adj or v not in self._adj or v not in self._adj[u]:
             raise EdgeNotFoundError(u, v)
+        self._arrays = None
         self._adj[u].discard(v)
         self._adj[v].discard(u)
         for cache in self._rank_caches:

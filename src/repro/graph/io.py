@@ -11,8 +11,10 @@ import io
 from pathlib import Path
 from typing import IO, Iterator, Tuple, Union
 
+import numpy as np
+
 from repro.errors import GraphError
-from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.dynamic_graph import DynamicGraph, id_array
 
 PathOrFile = Union[str, Path, IO[str]]
 
@@ -62,19 +64,17 @@ def read_edge_list(source: PathOrFile, skip_self_loops: bool = True) -> DynamicG
     """Load a graph from a SNAP-style edge list.
 
     Duplicate edges collapse to one; self-loops are skipped by default
-    (SNAP dumps contain them but simple graphs do not).
+    (SNAP dumps contain them but simple graphs do not).  The parsed pairs
+    go through one :meth:`DynamicGraph.from_edges` call.
     """
-    graph = DynamicGraph()
-    for u, v in iter_edge_list(source):
-        if u == v:
-            if skip_self_loops:
-                continue
+    pairs = id_array(iter_edge_list(source), (2,))
+    loops = pairs[:, 0] == pairs[:, 1]
+    if loops.any():
+        if not skip_self_loops:
+            u, v = pairs[np.argmax(loops)].tolist()
             raise GraphError(f"self-loop ({u}, {v}) in input")
-        graph.add_vertex(u)
-        graph.add_vertex(v)
-        if not graph.has_edge(u, v):
-            graph.add_edge(u, v)
-    return graph
+        pairs = pairs[~loops]
+    return DynamicGraph.from_edges(pairs)
 
 
 def write_edge_list(graph: DynamicGraph, target: PathOrFile, header: bool = True) -> None:

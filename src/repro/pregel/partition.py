@@ -10,7 +10,9 @@ for studying partition sensitivity.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, List, Sequence
+from typing import Any, Dict, Iterable, List, Sequence
+
+import numpy as np
 
 from repro.errors import PartitionError
 
@@ -96,6 +98,33 @@ class ExplicitPartitioner(Partitioner):
         if worker is None:
             return self._fallback.worker_of(vertex)
         return worker
+
+
+def home_array(partitioner: Partitioner, ids) -> Any:
+    """The home worker of every id in the ``int64`` array ``ids``.
+
+    Vectorized multiplicative hash for the stock :class:`HashPartitioner`
+    (spot-checked against its scalar :meth:`~Partitioner.worker_of`); any
+    other partitioner is asked per vertex.
+    """
+    worker_of = partitioner.worker_of
+    if (
+        type(partitioner) is HashPartitioner
+        and ids.size
+        and isinstance(getattr(partitioner, "_salt", None), int)
+        and 0 <= partitioner._salt < 1 << 31
+    ):
+        salted = ids.astype(np.uint64) + np.uint64(partitioner._salt)
+        hashed = (salted * np.uint64(_HASH_MULTIPLIER)) & np.uint64(_HASH_MASK)
+        home = (hashed % np.uint64(partitioner.num_workers)).astype(np.int64)
+        for i in (0, int(ids.size) // 2, int(ids.size) - 1):
+            if int(home[i]) != worker_of(int(ids[i])):
+                break
+        else:
+            return home
+    return np.fromiter(
+        (worker_of(int(u)) for u in ids), np.int64, count=ids.size
+    )
 
 
 def balanced_partition(vertices: Sequence[int], num_workers: int) -> ExplicitPartitioner:

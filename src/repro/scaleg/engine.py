@@ -285,6 +285,18 @@ class ScaleGEngine(BSPEngine):
         if part is not None:
             part.release_shared()
 
+    def attach_csr(self, program: ScaleGProgram):
+        """The settled CSR mirror a run of ``program`` sweeps on, attached
+        to the graph on first use; ``None`` when the run takes the dict
+        path (``representation="dict"`` or a program without a kernel)."""
+        from repro.graph.csr import CSRPartition
+
+        if self._representation != "csr" or program.csr_kernel() is None:
+            return None
+        part = CSRPartition.attach(self.dgraph)
+        part.ensure()
+        return part
+
     def run(
         self,
         program: ScaleGProgram,
@@ -312,7 +324,7 @@ class ScaleGEngine(BSPEngine):
             fault_barrier,
             guest_rebuild_cost,
         )
-        from repro.graph.csr import CSRPartition, route_activations
+        from repro.graph.csr import route_activations
 
         graph = self.dgraph.graph
         own_metrics = metrics if metrics is not None else RunMetrics(
@@ -348,15 +360,11 @@ class ScaleGEngine(BSPEngine):
         check_isolation = contracts is not None and contracts.check_isolation
         self._csr = None
         self._csr_kernel = None
-        kernel = (
-            program.csr_kernel() if self._representation == "csr" else None
-        )
-        if kernel is not None:
-            part = CSRPartition.attach(dgraph)
-            part.ensure()
+        part = self.attach_csr(program)
+        if part is not None:
             part.sync_states(states)
             self._csr = part
-            self._csr_kernel = kernel
+            self._csr_kernel = program.csr_kernel()
             # kernel sweeps (and their recovery sweeps) never read the
             # ranked cache
             self._ranked = None

@@ -10,6 +10,7 @@ import pytest
 from repro import MISMaintainer
 from repro.core.maintainer import CHECKPOINT_MAGIC
 from repro.errors import CheckpointError, ReproError
+from repro.graph.csr import csr_arrays
 from repro.graph.generators import erdos_renyi
 from repro.graph.io import read_update_stream, write_update_stream
 from repro.graph.updates import EdgeDeletion, EdgeInsertion
@@ -114,6 +115,29 @@ class TestCheckpoint:
         for u, v in restored.graph.sorted_edges()[:8]:
             restored.delete_edge(u, v)
         assert restored.independent_set() == greedy_mis(restored.graph)
+
+    def test_load_seeds_the_csr_mirror(self, tmp_path):
+        m, path = self._saved(tmp_path, seed=9, n=40, m=120)
+        restored = MISMaintainer.load(path)
+        part = restored.dgraph._csr_partition
+        # built once, from the checkpoint's own arrays
+        assert part.rebuilds == 1
+        assert part.nbr is csr_arrays(restored.graph)[2]
+        u, v = restored.graph.sorted_edges()[0]
+        restored.apply_batch([EdgeDeletion(u, v)])
+        # the update repaired two rows; nothing rebuilt from the sets
+        assert (part.rebuilds, part.repairs) == (1, 1)
+        ids, indptr, nbr = csr_arrays(restored.graph)
+        assert part.ids.tolist() == ids.tolist()
+        for i in range(ids.size):
+            assert set(part.nbr[part.indptr[i]:part.indptr[i + 1]].tolist()) \
+                == set(nbr[indptr[i]:indptr[i + 1]].tolist())
+        assert restored.independent_set() == greedy_mis(restored.graph)
+
+    def test_dict_load_attaches_no_mirror(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        restored = MISMaintainer.load(path, representation="dict")
+        assert getattr(restored.dgraph, "_csr_partition", None) is None
 
     def test_dict_and_csr_checkpoints_restore_equal(self, tmp_path):
         g = erdos_renyi(40, 120, seed=8)

@@ -59,6 +59,28 @@ class TestEdgeList:
         with pytest.raises(GraphError, match="non-integer"):
             gio.read_edge_list(io.StringIO("a b\n"))
 
+    def test_one_bulk_build_matches_incremental(self, tmp_path):
+        text = ("# SNAP dump\n% other comment\n\n5 3\n3 5\n7 7\n"
+                "3,9\n5\t3\n9 9\n1 5\n")
+        path = tmp_path / "dups.txt"
+        path.write_text(text)
+        g = gio.read_edge_list(path)
+        # self-loops skipped (their vertices too), duplicates collapsed
+        # whichever way round, insertion order as an incremental build
+        ref = DynamicGraph()
+        for u, v in [(5, 3), (3, 9), (1, 5)]:
+            ref.add_edge(u, v)
+        assert g == ref
+        assert list(g._adj) == list(ref._adj) == [5, 3, 9, 1]
+        for u in ref.vertices():
+            assert list(g._adj[u]) == list(ref._adj[u])
+        with pytest.raises(GraphError, match=r"self-loop \(7, 7\) in input"):
+            gio.read_edge_list(path, skip_self_loops=False)
+
+    def test_out_of_range_id_rejected(self):
+        with pytest.raises(GraphError, match=str(2 ** 64)):
+            gio.read_edge_list(io.StringIO(f"1 {2 ** 64}\n"))
+
     def test_iter_edge_list_order(self):
         pairs = list(gio.iter_edge_list(io.StringIO("3 4\n1 2\n")))
         assert pairs == [(3, 4), (1, 2)]
