@@ -145,10 +145,9 @@ class HistoryDisMIS:
         """Each listed vertex re-announces (id, status, info) once per round
         to each machine holding a guest copy — the replay's traffic."""
         payload = MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES + STATUS_BYTES + DEGREE_BYTES
-        for u in vertices:
-            copies = len(self._dgraph.guest_machines(u))
-            metrics.bytes_sent += copies * payload * max(rounds, 1)
-            metrics.remote_messages += copies * max(rounds, 1)
+        copies = sum(map(self._dgraph.num_guest_copies, vertices))
+        metrics.bytes_sent += copies * payload * max(rounds, 1)
+        metrics.remote_messages += copies * max(rounds, 1)
 
     # ------------------------------------------------------------------
     # incremental replay

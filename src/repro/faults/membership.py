@@ -482,7 +482,7 @@ class GuestAuditor:
         repaired = 0
         for u in dgraph.graph.sorted_vertices():
             state = states.get(u)
-            for m in sorted(dgraph.guest_machines(u)):
+            for m in dgraph.guest_machines(u):
                 if dead_is(m):
                     continue
                 if self._slot(u, m) != slot:
@@ -513,7 +513,7 @@ class GuestAuditor:
             return 0
         repaired = 0
         for u in dgraph.graph.sorted_vertices():
-            for m in sorted(dgraph.guest_machines(u)):
+            for m in dgraph.guest_machines(u):
                 if dead_is(m):
                     continue
                 metrics.divergence_checks += 1

@@ -67,7 +67,7 @@ class SuperstepCheckpoint:
             guests = {
                 u: machines
                 for u in states
-                if (machines := sorted(dgraph.guest_machines(u)))
+                if (machines := dgraph.guest_machines(u))
             }
         return cls(
             superstep=superstep,
@@ -131,13 +131,11 @@ def guest_rebuild_cost(dgraph, crashed_workers, sync_bytes_of,
     directory (kept in lock-step with the graph) makes enumerating the lost
     copies cheap.  Returns ``(bytes, records)``.
     """
-    from repro.scaleg.guest import guest_vertices_on
-
     crashed = set(crashed_workers)
     bytes_total = 0
     records = 0
     for worker in sorted(crashed):
-        for u in guest_vertices_on(dgraph, worker):
+        for u in dgraph.guest_vertices_on(worker):
             state = states.get(u)
             payload = VERTEX_ID_BYTES + (
                 sync_bytes_of(state) if state is not None else 8

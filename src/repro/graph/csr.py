@@ -17,7 +17,10 @@ view so a whole superstep sweep becomes a few vectorized numpy passes:
   (:func:`repro.pregel.partition.home_array`);
 - ``in_``      — the packed membership bitmap (one ``bool`` per row),
   synced from the engine's state dict at run entry and updated in place
-  at every barrier commit.
+  at every barrier commit;
+- ``guests``   — each row's guest-copy count (workers other than its home
+  hosting a neighbour), what the fault-free barrier charges a state
+  change; master-side only, never published.
 
 The mirror registers as a :class:`DynamicGraph` mutation observer (the
 same protocol the rank caches use) and repairs itself incrementally: an
@@ -45,6 +48,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.graph.distributed_graph import guest_flags
 from repro.graph.dynamic_graph import csr_arrays
 from repro.pregel.partition import home_array
 
@@ -97,6 +101,7 @@ class CSRPartition:
         self.nbr = None
         self.home = None
         self.in_ = None
+        self.guests = None
         self._index: Dict[int, int] = {}
         self._ids_list: List[int] = []
         #: bumped whenever ids/keys/indptr/nbr/home change (repairs and
@@ -180,6 +185,8 @@ class CSRPartition:
         self.indptr = indptr
         self.nbr = nbr
         self.home = home_array(self._dgraph.partitioner, ids)
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        self.guests = self._guest_counts(rows, nbr, self.home)
         self.in_ = np.zeros(n, np.bool_)
         self._bitmap_in_shm = False
         self._ids_list = ids.tolist()
@@ -209,6 +216,14 @@ class CSRPartition:
                 count=int(counts.sum()),
             ))
             rows_arr = np.fromiter(rows, np.int64, count=len(rows))
+            owners = np.repeat(
+                np.arange(rows_arr.size, dtype=np.int64), counts
+            )
+            # only these rows' neighbour sets changed, so only their guest
+            # counts can have moved
+            self.guests[rows_arr] = self._guest_counts(
+                owners, flat, self.home[rows_arr]
+            )
             same_len = bool(np.array_equal(
                 counts, indptr[rows_arr + 1] - indptr[rows_arr]
             ))
@@ -221,9 +236,6 @@ class CSRPartition:
                 starts = indptr[rows_arr]
                 offs = np.zeros(rows_arr.size, np.int64)
                 np.cumsum(counts[:-1], out=offs[1:])
-                owners = np.repeat(
-                    np.arange(rows_arr.size, dtype=np.int64), counts
-                )
                 nbr[np.arange(flat.size, dtype=np.int64)
                     - offs[owners] + starts[owners]] = flat
             else:
@@ -244,6 +256,13 @@ class CSRPartition:
                 self.indptr = nptr
         self.structure_version += 1
         self.repairs += 1
+
+    def _guest_counts(self, owners, targets, row_home):
+        """Guest copies of each row in ``row_home`` from its adjacency
+        entries: ``owners`` indexes ``row_home``, ``targets`` are the
+        neighbours' row indices."""
+        return guest_flags(owners, self.home[targets], row_home,
+                           self._dgraph.num_workers)[0].sum(axis=1)
 
     def mark_membership_change(self) -> None:
         """Invalidate the published frame after a membership transition.

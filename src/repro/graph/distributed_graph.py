@@ -8,15 +8,20 @@ of the paper): whenever ``u``'s state changes it must be synced once to each
 such machine, and activation of remote neighbours is routed through the
 guest's inverted index.
 
-The directory is built once from the graph's CSR arrays (a few numpy
-passes, no per-edge Python loop) and then maintained incrementally under
-edge/vertex updates with per-worker reference counts, so a dynamic
-workload never rebuilds it.
+The directory is flat typed storage indexed by *slot*: one ``{vertex:
+slot}`` map, then per slot its vertex id, home worker and guest-copy
+count, and ``num_workers`` neighbour-worker reference counts at
+``slot * num_workers + worker``.  It is built once from the graph's CSR
+arrays (one ``bincount``, no per-edge or per-vertex Python pass) and then
+maintained incrementally under edge/vertex updates, so a dynamic workload
+never rebuilds it.  A removed vertex frees its slot (all its counts are
+back to zero) for the next new vertex.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from array import array
+from typing import Dict, Iterator, List, Set, Tuple
 
 import numpy as np
 
@@ -29,56 +34,68 @@ from repro.pregel.metrics import (
 from repro.pregel.partition import HashPartitioner, Partitioner, home_array
 
 
+def _int64_array(values) -> array:
+    """A typed ``array('q')`` holding the ``int64`` numpy array ``values``
+    (one memcpy): O(1) Python-int item access on the mutation path, and
+    :func:`numpy.frombuffer` reads it back without a copy."""
+    out = array("q")
+    out.frombytes(np.ascontiguousarray(values, np.int64).ravel()
+                  .view(np.uint8))
+    return out
+
+
+def guest_flags(rows, workers, row_home, num_workers: int):
+    """Which workers hold a guest copy of each row, as a ``(k, W)`` bool
+    matrix, plus the raw per-(row, worker) neighbour counts.
+
+    ``rows``/``workers`` are aligned adjacency entries (a row in
+    ``[0, k)`` and the home worker of one of its neighbours); a row has a
+    guest copy on every worker other than ``row_home[row]`` that hosts at
+    least one of its neighbours.
+    """
+    k = row_home.size
+    counts = np.bincount(rows * num_workers + workers,
+                         minlength=k * num_workers).reshape(k, num_workers)
+    flags = counts > 0
+    flags[np.arange(k), row_home] = False
+    return flags, counts
+
+
 class DistributedGraph:
     """A dynamic graph sharded over ``num_workers`` logical workers."""
 
     def __init__(self, graph: DynamicGraph, partitioner: Partitioner):
         self._graph = graph
         self._partitioner = partitioner
-        # one bulk build from the graph's CSR arrays: the counts
-        # add_vertex/add_edge would reach, taken per (row, worker) pair with
-        # numpy; Python only assembles the per-vertex dicts
+        self._w = w = partitioner.num_workers
+        # one bulk build from the graph's CSR arrays: slot i is row i, and
+        # its counts are exactly what add_vertex/add_edge would reach
         ids, indptr, nbr = csr_arrays(graph)
         n = ids.size
-        w = partitioner.num_workers
         home = home_array(partitioner, ids)
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        pairs, counts = np.unique(rows * w + home[nbr], return_counts=True)
-        pair_rows, pair_workers = np.divmod(pairs, w)
-        guest = pair_workers != home[pair_rows]
-        # _nbr_worker_counts[u][w] = number of u's neighbours hosted on w
-        # (including u's own worker, so deletions stay O(1)).
-        bounds = np.searchsorted(
-            pair_rows, np.arange(n + 1, dtype=np.int64)
-        ).tolist()
-        workers = pair_workers.tolist()
-        counts = counts.tolist()
-        # the graph's own key objects, in row order (no new int per key)
-        keys = graph.sorted_vertices()
-        self._nbr_worker_counts: Dict[int, Dict[int, int]] = {
-            u: dict(zip(workers[bounds[i]:bounds[i + 1]],
-                        counts[bounds[i]:bounds[i + 1]]))
-            for i, u in enumerate(keys)
-        }
-        # per-vertex guest-copy count and per-worker aggregates (home
-        # vertices, home degree sum, hosted guest copies), all kept in
-        # lock-step with the directory so `num_guest_copies` and the
-        # uniform memory snapshot are O(1)/O(num_workers)
-        guests = np.bincount(pair_rows[guest], minlength=n)
-        hosted = np.flatnonzero(guests)
-        self._guest_count: Dict[int, int] = dict(
-            zip(map(keys.__getitem__, hosted.tolist()),
-                guests[hosted].tolist())
+        flags, counts = guest_flags(rows, home[nbr], home, w)
+        self._slot: Dict[int, int] = dict(
+            zip(graph.sorted_vertices(), range(n))
         )
+        #: per slot: vertex id, home worker, guest copies
+        self._ids = _int64_array(ids)
+        self._home = _int64_array(home)
+        self._guests = _int64_array(flags.sum(axis=1))
+        #: neighbour-worker reference counts at ``slot * w + worker``
+        #: (the home worker's column included, so deletions stay O(1))
+        self._counts = _int64_array(counts)
+        self._free: List[int] = []
+        # per-worker aggregates (home vertices, home degree sum, hosted
+        # guest copies), kept in lock-step with the directory so the
+        # uniform memory snapshot is O(num_workers)
         self._home_vertices: List[int] = np.bincount(
             home, minlength=w
         ).tolist()
         self._home_degree_sum: List[int] = np.bincount(
             home[rows], minlength=w
         ).tolist()
-        self._guest_copies: List[int] = np.bincount(
-            pair_workers[guest], minlength=w
-        ).tolist()
+        self._guest_copies: List[int] = flags.sum(axis=0).tolist()
 
     @classmethod
     def create(
@@ -110,17 +127,45 @@ class DistributedGraph:
         return self._partitioner.worker_of(u)
 
     def guest_machines(self, u: int) -> List[int]:
-        """Workers (other than ``u``'s own) holding a guest copy of ``u``.
+        """Workers (other than ``u``'s own) holding a guest copy of ``u``,
+        ascending.
 
         A guest copy exists on worker ``w`` iff ``w`` hosts at least one
         neighbour of ``u``.
         """
-        home = self._partitioner.worker_of(u)
-        counts = self._nbr_worker_counts.get(u, {})
-        return [w for w, c in counts.items() if c > 0 and w != home]
+        slot = self._slot.get(u)
+        if slot is None or not self._guests[slot]:
+            return []
+        home = self._home[slot]
+        base = slot * self._w
+        counts = self._counts[base:base + self._w]
+        return [w for w, c in enumerate(counts) if c and w != home]
 
     def num_guest_copies(self, u: int) -> int:
-        return self._guest_count.get(u, 0)
+        slot = self._slot.get(u)
+        return 0 if slot is None else self._guests[slot]
+
+    def guest_vertices_on(self, worker: int) -> List[int]:
+        """Vertices (hosted elsewhere) with a guest copy on ``worker``,
+        ascending: one pass over that worker's count column."""
+        column = np.frombuffer(self._counts[worker::self._w], np.int64)
+        hosted = (column > 0) & (self._view(self._home) != worker)
+        return np.sort(self._view(self._ids)[hosted]).tolist()
+
+    def total_guest_copies(self) -> int:
+        """Guest copies over all vertices (and all workers)."""
+        return sum(self._guest_copies)
+
+    def max_guest_copies(self) -> int:
+        """The most guest copies any one vertex has (0 with no vertices)."""
+        return int(self._view(self._guests).max(initial=0))
+
+    @staticmethod
+    def _view(values: array):
+        """Zero-copy ``int64`` view of one slot array.  Callers use it
+        within one expression: a live view pins the array's buffer, and
+        :meth:`_new_slot` could not grow it."""
+        return np.frombuffer(values, np.int64)
 
     def is_remote_pair(self, u: int, v: int) -> bool:
         """True when ``u`` and ``v`` live on different workers."""
@@ -131,9 +176,8 @@ class DistributedGraph:
     # ------------------------------------------------------------------
     def add_vertex(self, u: int) -> None:
         self._graph.add_vertex(u)
-        if u not in self._nbr_worker_counts:
-            self._nbr_worker_counts[u] = {}
-            self._home_vertices[self._partitioner.worker_of(u)] += 1
+        if u not in self._slot:
+            self._new_slot(u)
 
     def add_edge(self, u: int, v: int) -> Tuple[int, int]:
         """Insert edge ``(u, v)``.
@@ -143,17 +187,20 @@ class DistributedGraph:
         to a machine that had no replica before — the engines charge this).
         """
         self._graph.add_edge(u, v)
-        for end in (u, v):
-            if end not in self._nbr_worker_counts:
-                self._nbr_worker_counts[end] = {}
-                self._home_vertices[self._partitioner.worker_of(end)] += 1
-        return self._count_edge(u, v, +1)
+        slot = self._slot
+        su = slot.get(u)
+        if su is None:
+            su = self._new_slot(u)
+        sv = slot.get(v)
+        if sv is None:
+            sv = self._new_slot(v)
+        return self._count_edge(su, sv, +1)
 
     def remove_edge(self, u: int, v: int) -> Tuple[int, int]:
         """Delete edge ``(u, v)``; returns how many guest copies each
         endpoint *lost* (replicas garbage-collected on remote machines)."""
         self._graph.remove_edge(u, v)
-        return self._count_edge(u, v, -1)
+        return self._count_edge(self._slot[u], self._slot[v], -1)
 
     def remove_vertex(self, u: int) -> List[Tuple[int, int]]:
         """Delete ``u`` and incident edges; returns the removed edges."""
@@ -162,43 +209,61 @@ class DistributedGraph:
             self.remove_edge(u, v)
             removed.append((u, v))
         self._graph.remove_vertex(u)
-        if u in self._nbr_worker_counts:
-            del self._nbr_worker_counts[u]
-            self._home_vertices[self._partitioner.worker_of(u)] -= 1
-        self._guest_count.pop(u, None)
+        slot = self._slot.pop(u, None)
+        if slot is not None:
+            # every count of the slot is back to zero: free it for reuse
+            self._home_vertices[self._home[slot]] -= 1
+            self._free.append(slot)
         return removed
 
-    def _count_edge(self, u: int, v: int, delta: int) -> Tuple[int, int]:
-        """Adjust neighbour-worker reference counts for one edge.
+    def _new_slot(self, u: int) -> int:
+        """Give new vertex ``u`` a slot (a freed one first) and count it
+        on its home worker."""
+        home = self._partitioner.worker_of(u)
+        if self._free:
+            slot = self._free.pop()
+            self._ids[slot] = u
+            self._home[slot] = home
+        else:
+            slot = len(self._ids)
+            self._ids.append(u)
+            self._home.append(home)
+            self._guests.append(0)
+            self._counts.frombytes(bytes(8 * self._w))
+        self._slot[u] = slot
+        self._home_vertices[home] += 1
+        return slot
+
+    def _count_edge(self, su: int, sv: int, delta: int) -> Tuple[int, int]:
+        """Adjust neighbour-worker reference counts for one edge between
+        slots ``su`` and ``sv``.
 
         Returns the number of guest copies created (``delta=+1``) or removed
         (``delta=-1``) at ``u`` and at ``v`` respectively (0 or 1 each).
         """
-        changed_u = self._bump(u, self._partitioner.worker_of(v), delta)
-        changed_v = self._bump(v, self._partitioner.worker_of(u), delta)
-        self._home_degree_sum[self._partitioner.worker_of(u)] += delta
-        self._home_degree_sum[self._partitioner.worker_of(v)] += delta
-        return (changed_u, changed_v)
+        hu = self._home[su]
+        hv = self._home[sv]
+        self._home_degree_sum[hu] += delta
+        self._home_degree_sum[hv] += delta
+        if hu == hv:
+            # the home worker never holds a guest copy
+            w = self._w
+            self._counts[su * w + hv] += delta
+            self._counts[sv * w + hu] += delta
+            return (0, 0)
+        return (self._bump(su, hv, delta), self._bump(sv, hu, delta))
 
-    def _bump(self, u: int, worker: int, delta: int) -> int:
-        counts = self._nbr_worker_counts[u]
-        old = counts.get(worker, 0)
-        new = old + delta
-        if new:
-            counts[worker] = new
-        else:
-            counts.pop(worker, None)
-        if worker == self._partitioner.worker_of(u):
-            return 0  # the home worker never holds a guest copy
-        if old == 0 and new > 0:
-            self._guest_count[u] = self._guest_count.get(u, 0) + 1
-            self._guest_copies[worker] += 1
-            return 1  # guest copy created
-        if old > 0 and new == 0:
-            self._guest_count[u] = self._guest_count.get(u, 0) - 1
-            self._guest_copies[worker] -= 1
-            return 1  # guest copy destroyed
-        return 0
+    def _bump(self, slot: int, worker: int, delta: int) -> int:
+        """Count one more/less neighbour of a slot on a worker that is not
+        its home; returns 1 when that creates or removes a guest copy."""
+        i = slot * self._w + worker
+        old = self._counts[i]
+        self._counts[i] = old + delta
+        if old and old + delta:
+            return 0
+        self._guests[slot] += delta
+        self._guest_copies[worker] += delta
+        return 1  # guest copy created (0 -> 1) or destroyed (1 -> 0)
 
     # ------------------------------------------------------------------
     # read-through helpers
@@ -254,15 +319,11 @@ class DistributedGraph:
 
     def worker_vertex_counts(self) -> Dict[int, int]:
         """Number of local vertices per worker (load-balance diagnostics)."""
-        counts = {w: 0 for w in range(self.num_workers)}
-        for u in self._graph.vertices():
-            counts[self._partitioner.worker_of(u)] += 1
-        return counts
+        return dict(enumerate(self._home_vertices))
 
     def replication_factor(self) -> float:
         """Average number of copies (home + guests) per vertex."""
         n = self._graph.num_vertices
         if n == 0:
             return 0.0
-        total = sum(1 + self.num_guest_copies(u) for u in self._graph.vertices())
-        return total / n
+        return (n + self.total_guest_copies()) / n

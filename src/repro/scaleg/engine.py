@@ -456,15 +456,27 @@ class ScaleGEngine(BSPEngine):
 
                 # --- charge state sync: once per (synced vertex, guest machine)
                 record.state_changes = len(changed)
-                guest_machines = dgraph.guest_machines
-                guest_copies = dgraph.num_guest_copies
                 sync_bytes = program.sync_bytes
-                sync_order = changed + forced
+                if injector is None and sweep.csr is not None:
+                    # fault-free kernel sweep (it never forces a sync): one
+                    # gather of the changed rows' guest counts, priced by
+                    # each row's new (boolean) state
+                    copies = self._csr.guests[sweep.csr.changed_idx]
+                    joined = int(copies[sweep.csr.changed_val].sum())
+                    left = int(copies.sum()) - joined
+                    base = MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES
+                    record.remote_messages += joined + left
+                    record.bytes_sent += (joined * (base + sync_bytes(True))
+                                          + left * (base + sync_bytes(False)))
+                    sync_order = []
+                else:
+                    sync_order = changed + forced
                 if injector is not None:
                     permuted = injector.permute(superstep, sync_order)
                     if permuted is not sync_order:
                         own_metrics.recovery_reorders += 1
                         sync_order = permuted
+                guest_copies = dgraph.num_guest_copies
                 for u in sync_order:
                     wire = (MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES
                             + sync_bytes(states[u]))
@@ -473,7 +485,7 @@ class ScaleGEngine(BSPEngine):
                         record.remote_messages += copies
                         record.bytes_sent += copies * wire
                         continue
-                    for _machine in guest_machines(u):
+                    for _machine in dgraph.guest_machines(u):
                         drops = injector.sync_drops(superstep, u, _machine)
                         if drops:
                             if drops > injector.max_retries:
@@ -657,14 +669,12 @@ class ScaleGEngine(BSPEngine):
         """
         from repro.pregel.metrics import DEGREE_BYTES
 
-        for u in endpoints:
-            if not self.dgraph.has_vertex(u):
-                continue
-            copies = len(self.dgraph.guest_machines(u))
-            metrics.bytes_sent += copies * (
-                MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES + DEGREE_BYTES
-            )
-            metrics.remote_messages += copies
+        # an endpoint no longer in the graph has no copies left
+        copies = sum(map(self.dgraph.num_guest_copies, endpoints))
+        metrics.bytes_sent += copies * (
+            MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES + DEGREE_BYTES
+        )
+        metrics.remote_messages += copies
         for u in new_guests:
             state = states.get(u)
             payload = VERTEX_ID_BYTES + (

@@ -52,20 +52,6 @@ class InvertedActivationIndex:
         return len(self._targets)
 
 
-def guest_vertices_on(dgraph: DistributedGraph, worker: int) -> List[int]:
-    """Vertices (hosted elsewhere) with a guest copy on ``worker``.
-
-    This is exactly the replica set a crash of ``worker`` destroys; the
-    recovery path (:mod:`repro.faults.recovery`) rebuilds each copy from the
-    owning vertex's host state.  Served straight from the guest directory —
-    no graph scan per query beyond the vertex sweep.
-    """
-    return sorted(
-        u for u in dgraph.graph.vertices()
-        if dgraph.worker_of(u) != worker and worker in dgraph.guest_machines(u)
-    )
-
-
 def surviving_guest_machines(
     dgraph: DistributedGraph, u: int, worker_of, dead: Set[int]
 ) -> List[int]:
@@ -96,16 +82,16 @@ def build_all_indexes(dgraph: DistributedGraph) -> Dict[int, InvertedActivationI
 def replication_report(dgraph: DistributedGraph) -> Dict[str, float]:
     """Summary statistics of guest replication (diagnostics for examples)."""
     graph = dgraph.graph
-    copies: List[int] = [dgraph.num_guest_copies(u) for u in graph.vertices()]
-    if not copies:
+    n = graph.num_vertices
+    if not n:
         return {"vertices": 0, "replication_factor": 0.0, "max_copies": 0}
     remote_edges = sum(
         1 for u, v in graph.edges() if dgraph.is_remote_pair(u, v)
     )
     total_edges = graph.num_edges
     return {
-        "vertices": float(len(copies)),
-        "replication_factor": 1.0 + sum(copies) / len(copies),
-        "max_copies": float(max(copies)),
+        "vertices": float(n),
+        "replication_factor": 1.0 + dgraph.total_guest_copies() / n,
+        "max_copies": float(dgraph.max_guest_copies()),
         "edge_cut_fraction": (remote_edges / total_edges) if total_edges else 0.0,
     }

@@ -108,6 +108,7 @@ def _assert_rows_equivalent(part, fresh):
     assert np.array_equal(part.keys, fresh.keys)
     assert np.array_equal(part.indptr, fresh.indptr)
     assert np.array_equal(part.home, fresh.home)
+    assert np.array_equal(part.guests, fresh.guests)
     # row *membership* must match; order within a row is unspecified
     # (the sweep compares keys, never positions)
     for r in range(part.ids.size):
@@ -293,6 +294,26 @@ def test_csr_static_run_matches_dict():
     for name in _METERS:
         assert (getattr(runs["csr"].metrics, name)
                 == getattr(runs["dict"].metrics, name)), name
+
+
+def test_fault_free_kernel_run_charges_syncs_from_the_mirror(monkeypatch):
+    # the barrier gathers the CSR mirror's per-row guest counts: no
+    # per-vertex directory lookup, same meters as the dict path
+    graph = erdos_renyi(80, 240, seed=13)
+    expected = ScaleGEngine(
+        DistributedGraph.create(graph.copy(), 6), representation="dict"
+    ).run(OIMISProgram()).metrics
+    dgraph = DistributedGraph.create(graph.copy(), 6)
+
+    def per_vertex_lookup(u):
+        raise AssertionError("per-vertex guest lookup on the kernel barrier")
+
+    monkeypatch.setattr(dgraph, "num_guest_copies", per_vertex_lookup)
+    monkeypatch.setattr(dgraph, "guest_machines", per_vertex_lookup)
+    actual = ScaleGEngine(dgraph).run(OIMISProgram()).metrics
+    assert actual.state_changes > 0
+    for name in _METERS:
+        assert getattr(actual, name) == getattr(expected, name), name
 
 
 def test_new_vertex_stream_matches_dict():

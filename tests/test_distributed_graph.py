@@ -1,11 +1,19 @@
 """Unit tests for the partitioned graph view and guest directory."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.graph.csr import CSRPartition
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import erdos_renyi
-from repro.pregel.partition import ExplicitPartitioner, HashPartitioner
+from repro.pregel.partition import (
+    ExplicitPartitioner,
+    HashPartitioner,
+    RangePartitioner,
+)
+from repro.scaleg.guest import replication_report
 
 
 def _two_worker_line():
@@ -122,3 +130,154 @@ class TestMemoryModel:
         assert sum(large.structural_memory_bytes(state).values()) > sum(
             small.structural_memory_bytes(state).values()
         )
+
+
+def _reference_guests(dg, u):
+    """``u``'s guest machines straight from the graph: every worker other
+    than its home that hosts a neighbour, ascending."""
+    home = dg.worker_of(u)
+    return sorted({dg.worker_of(v) for v in dg.neighbors(u)} - {home})
+
+
+def _churned(seed, workers):
+    """A random graph whose directory went through deletes, reinserts,
+    vertex removal and re-adds (so freed slots get reused)."""
+    g = erdos_renyi(40, 90, seed=seed)
+    dg = DistributedGraph(g, HashPartitioner(workers, salt=seed))
+    edges = g.sorted_edges()
+    for u, v in edges[::3]:
+        dg.remove_edge(u, v)
+    for u in (5, 17, 33):
+        dg.remove_vertex(u)
+    dg.add_vertex(17)
+    for u, v in reversed(edges[::3]):
+        if dg.has_vertex(u) and dg.has_vertex(v):
+            dg.add_edge(u, v)
+    dg.add_edge(5, 2)
+    return dg
+
+
+class TestCanonicalOrder:
+    def test_guest_machines_ascending_after_delete_and_reinsert(self):
+        g = DynamicGraph.from_edges([(0, 1), (0, 2), (0, 3)])
+        part = ExplicitPartitioner({0: 0, 1: 1, 2: 2, 3: 3}, num_workers=4)
+        dg = DistributedGraph(g, part)
+        assert dg.guest_machines(0) == [1, 2, 3]
+        dg.remove_edge(0, 1)
+        dg.add_edge(0, 1)
+        assert dg.guest_machines(0) == [1, 2, 3]
+        dg.remove_edge(0, 3)
+        dg.remove_edge(0, 2)
+        dg.add_edge(0, 3)
+        dg.add_edge(0, 2)
+        assert dg.guest_machines(0) == [1, 2, 3]
+
+    def test_removed_vertex_slot_is_reused(self):
+        g = DynamicGraph.from_edges([(0, 1), (1, 2)])
+        part = ExplicitPartitioner({0: 0, 1: 1, 2: 0, 7: 1}, num_workers=2)
+        dg = DistributedGraph(g, part)
+        dg.remove_vertex(1)
+        assert dg.add_edge(0, 7) == (1, 1)
+        assert len(dg._ids) == 3  # 7 took 1's freed slot
+        assert dg.num_guest_copies(1) == 0
+        assert dg.guest_machines(7) == [0]
+        assert dg.guest_vertices_on(1) == [0]
+
+
+class TestGuestQueries:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 3, 7])
+    def test_guest_vertices_on_matches_the_graph(self, seed, workers):
+        dg = _churned(seed, workers)
+        for worker in range(workers):
+            expected = sorted(
+                u for u in dg.vertices()
+                if worker in _reference_guests(dg, u)
+            )
+            assert dg.guest_vertices_on(worker) == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 3, 7])
+    def test_replication_sums_match_per_vertex_definitions(self, seed,
+                                                          workers):
+        dg = _churned(seed, workers)
+        copies = [len(_reference_guests(dg, u)) for u in dg.vertices()]
+        report = replication_report(dg)
+        assert report["vertices"] == float(len(copies))
+        assert report["replication_factor"] \
+            == 1.0 + sum(copies) / len(copies)
+        assert report["max_copies"] == float(max(copies))
+        assert dg.replication_factor() \
+            == sum(1 + c for c in copies) / len(copies)
+
+    def test_empty_graph(self):
+        dg = DistributedGraph(DynamicGraph(), HashPartitioner(3))
+        assert dg.guest_vertices_on(1) == []
+        assert dg.replication_factor() == 0.0
+        assert replication_report(dg)["max_copies"] == 0
+
+
+_VERTS = st.integers(min_value=0, max_value=11)
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("edge"), _VERTS, _VERTS),  # insert, or delete if present
+    st.tuples(st.just("drop"), _VERTS),  # remove_vertex (when present)
+    st.tuples(st.just("vertex"), _VERTS),  # add_vertex (re-add after a drop)
+), max_size=60)
+
+
+def _partitioner(kind, workers):
+    if kind == 0:
+        return HashPartitioner(workers)
+    if kind == 1:
+        return RangePartitioner(workers, 11)
+    return ExplicitPartitioner({u: (u * 5) % workers for u in range(0, 12, 2)},
+                               workers)
+
+
+class TestMutationProperty:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.lists(st.tuples(_VERTS, _VERTS).filter(lambda e: e[0] != e[1]),
+                 max_size=25),
+        _OPS,
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_directory_equals_a_fresh_build(self, edges, ops, kind, workers):
+        partitioner = _partitioner(kind, workers)
+        dg = DistributedGraph(DynamicGraph.from_edges(edges), partitioner)
+        part = CSRPartition.attach(dg)
+        for op in ops:
+            if op[0] == "edge":
+                _, u, v = op
+                if u == v:
+                    continue
+                if dg.graph.has_edge(u, v):
+                    dg.remove_edge(u, v)
+                else:
+                    dg.add_edge(u, v)
+            elif op[0] == "drop":
+                if dg.has_vertex(op[1]):
+                    dg.remove_vertex(op[1])
+            else:
+                dg.add_vertex(op[1])
+            # settle after every op, so edge updates take the incremental
+            # repair and vertex changes the rebuild
+            part.ensure()
+            assert part.guests.tolist() == [
+                dg.num_guest_copies(u) for u in part.ids.tolist()
+            ]
+        fresh = DistributedGraph(dg.graph.copy(), partitioner)
+        for u in fresh.vertices():
+            assert dg.guest_machines(u) == fresh.guest_machines(u) \
+                == _reference_guests(fresh, u)
+            assert dg.num_guest_copies(u) == fresh.num_guest_copies(u)
+        for worker in range(workers):
+            assert dg.guest_vertices_on(worker) \
+                == fresh.guest_vertices_on(worker)
+        states = {u: u % 3 for u in fresh.vertices()}
+        assert dg.structural_memory_bytes(states) \
+            == fresh.structural_memory_bytes(states)
+        for state_bytes in (0, 5):
+            assert dg.structural_memory_bytes_uniform(state_bytes) \
+                == fresh.structural_memory_bytes_uniform(state_bytes)

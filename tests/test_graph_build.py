@@ -117,10 +117,12 @@ class TestArrayBuild:
             )
             ref = replayed_directory(edges, vertices, partitioner)
             for u in ref.vertices():
-                assert sorted(built.guest_machines(u)) \
-                    == sorted(ref.guest_machines(u))
+                assert built.guest_machines(u) == ref.guest_machines(u)
                 assert built.num_guest_copies(u) == ref.num_guest_copies(u)
-            assert built._nbr_worker_counts == ref._nbr_worker_counts
+            for worker in range(partitioner.num_workers):
+                assert built.guest_vertices_on(worker) \
+                    == ref.guest_vertices_on(worker)
+            assert built.replication_factor() == ref.replication_factor()
             for state_bytes in (0, 9):
                 assert built.structural_memory_bytes_uniform(state_bytes) \
                     == ref.structural_memory_bytes_uniform(state_bytes)
