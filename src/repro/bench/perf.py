@@ -61,8 +61,7 @@ def members_checksum(members) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _sections(members, metrics: RunMetrics, graph) -> Dict[str, Any]:
-    cache = graph.rank_cache()
+def _sections(members, metrics: RunMetrics) -> Dict[str, Any]:
     active = metrics.active_vertices
     return {
         "logical": {
@@ -82,7 +81,6 @@ def _sections(members, metrics: RunMetrics, graph) -> Dict[str, Any]:
             ) if active else 0.0,
             "wall_time_s": round(metrics.wall_time_s, 3),
             "peak_worker_memory_bytes": metrics.peak_worker_memory_bytes,
-            "rank_cache": {"rebuilds": cache.rebuilds, "repairs": cache.repairs},
         },
     }
 
@@ -93,7 +91,7 @@ def _sections(members, metrics: RunMetrics, graph) -> Dict[str, Any]:
 def _static_oimis(tag: str) -> Dict[str, Any]:
     graph = load_dataset(tag)
     run = run_oimis(graph, num_workers=10, strategy=ActivationStrategy.ALL)
-    result = _sections(run.independent_set, run.metrics, graph)
+    result = _sections(run.independent_set, run.metrics)
     result["params"] = {"kind": "static_oimis", "dataset": tag,
                         "workers": 10, "strategy": "all"}
     return result
@@ -108,10 +106,7 @@ def _maintenance(
     ops = delete_reinsert_workload(base, k, seed=seed)
     maintainer = make_algorithm(algorithm, base.copy(), num_workers=10)
     maintainer.apply_stream(ops, batch_size=batch_size)
-    result = _sections(
-        maintainer.independent_set(), maintainer.update_metrics,
-        maintainer.graph,
-    )
+    result = _sections(maintainer.independent_set(), maintainer.update_metrics)
     result["params"] = {
         "kind": "fig10_single" if batch_size == 1 else "fig11_batch",
         "dataset": tag, "k": k, "seed": seed, "batch_size": batch_size,
@@ -143,7 +138,7 @@ def _runtime_static_oimis(tag: str) -> Dict[str, Any]:
     inline = run_oimis(
         graph, num_workers=10, strategy=ActivationStrategy.ALL
     )
-    result = _sections(inline.independent_set, inline.metrics, graph)
+    result = _sections(inline.independent_set, inline.metrics)
     inline_wall = inline.metrics.wall_time_s
     curve: Dict[str, Any] = {}
     for procs in RUNTIME_PROC_COUNTS:
@@ -271,10 +266,7 @@ def _serve(
             )
     finally:
         shutil.rmtree(wal_dir, ignore_errors=True)
-    entry = _sections(
-        maintainer.independent_set(), maintainer.update_metrics,
-        maintainer.graph,
-    )
+    entry = _sections(maintainer.independent_set(), maintainer.update_metrics)
     updates_per_s = (round(audit["applied"] / ingest_wall, 1)
                      if ingest_wall else 0.0)
     if not read_mix:
@@ -358,9 +350,7 @@ def _elastic_transitions(
             f"elastic_transitions_{tag}: {'; '.join(result.failures)}"
         )
     elastic = result.elastic
-    entry = _sections(
-        elastic.independent_set(), elastic.update_metrics, elastic.graph
-    )
+    entry = _sections(elastic.independent_set(), elastic.update_metrics)
     entry["logical"]["rebalance"] = dict(result.rebalance)
     num_vertices = elastic.graph.num_vertices
     entry["params"] = {"kind": "elastic_transitions", "dataset": tag,
@@ -402,10 +392,7 @@ def _autoscale_policy_chung_lu(
         strategy=ActivationStrategy.SAME_STATUS, keep_records=True,
     )
     maintainer.apply_stream(ops, batch_size=batch_size)
-    entry = _sections(
-        maintainer.independent_set(), maintainer.update_metrics,
-        maintainer.graph,
-    )
+    entry = _sections(maintainer.independent_set(), maintainer.update_metrics)
     records = maintainer.update_metrics.records
     # calibrate capacity to the observed mean so the sweep crosses both
     # hysteresis edges as the barrier load swings

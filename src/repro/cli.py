@@ -467,6 +467,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     operations, timestamps = bursty_trace(trace_graph, TraceConfig(
         num_ops=args.ops, seed=args.seed, poison_prob=args.poison_prob,
     ))
+    autoscale = args.autoscale
+    if args.target_utilization is not None:
+        from repro.runtime import AutoscalePolicy
+
+        autoscale = AutoscalePolicy(target_utilization=args.target_utilization)
     runtime = _resolve_cli_runtime(args)
     maintainer = MISMaintainer(
         load_dataset(args.dataset), num_workers=args.workers, runtime=runtime
@@ -483,8 +488,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 max_retries=args.retries, backoff_base_s=args.backoff,
             ),
             fsync=args.fsync, checkpoint_every=args.checkpoint_every,
-            autoscale=args.autoscale,
-            target_utilization=args.target_utilization,
+            autoscale=autoscale,
             serve_reads=args.read_mix > 0,
         ) as service:
             ingest_wall, _ = drive(
@@ -593,10 +597,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     """
     from repro.serve import QueryEngine, SnapshotRegistry
 
-    runtime = _resolve_cli_runtime(args)
-    maintainer = MISMaintainer.load(
-        args.checkpoint, num_workers=args.workers, runtime=runtime
-    )
+    maintainer = MISMaintainer.load(args.checkpoint, num_workers=args.workers)
     registry = None
     try:
         registry = SnapshotRegistry(maintainer)
@@ -965,7 +966,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--target-utilization", type=float, default=None, metavar="U",
-        help="autoscale utilization target in (0, 1] (default 0.7)",
+        help="autoscale utilization target in (0, 1] (default 0.7; needs "
+        "--autoscale)",
     )
     serve.add_argument("--format", choices=("table", "json"), default="table")
     serve.set_defaults(fn=_cmd_serve)
@@ -1002,10 +1004,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None,
         help="worker count (must match the checkpoint's partitioning)",
     )
-    query.add_argument(
-        "--runtime", choices=("inline", "process"), default="inline",
-    )
-    query.add_argument("--procs", type=int, default=None, metavar="N")
     query.add_argument("--format", choices=("table", "json"),
                        default="table")
     query.set_defaults(fn=_cmd_query)
@@ -1147,6 +1145,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error("--checkpoint-every needs --checkpoint PATH")
     if args.command == "generate" and args.model == "dataset" and not args.dataset:
         parser.error("generate dataset needs --dataset TAG")
+    if (args.command == "serve" and args.target_utilization is not None
+            and not args.autoscale):
+        parser.error("--target-utilization needs --autoscale")
     if args.command == "query":
         if (not args.vertex and not args.batch
                 and args.neighborhood is None and args.why_not is None):

@@ -117,11 +117,6 @@ class CSRPartition:
         self._shm_meta = None
         self._published_version = -1
         self._bitmap_in_shm = False
-        # epoch pinning (snapshot read path): refcounts per segment name
-        # and the retired-but-still-pinned segments awaiting their last
-        # reader (unlink is deferred until the count drops to zero)
-        self._pins: Dict[str, int] = {}
-        self._retired: Dict[str, Any] = {}
 
     # -- attachment -----------------------------------------------------
     @classmethod
@@ -350,7 +345,7 @@ class CSRPartition:
         if self._shm is None or self._shm.size < need:
             from multiprocessing import shared_memory
 
-            self._release_segment()
+            self.release_shared()
             # headroom so steady edge churn re-uses the segment in place
             capacity = max(need + need // 2 + 4096, 1)
             self._shm = shared_memory.SharedMemory(create=True, size=capacity)
@@ -375,7 +370,8 @@ class CSRPartition:
         self._shm_meta = (self._shm.name, self._shm_epoch, layout)
         return self._shm_meta
 
-    def _release_segment(self) -> None:
+    def release_shared(self) -> None:
+        """Close and unlink the published segment (idempotent teardown)."""
         if self._shm is None:
             return
         if self._bitmap_in_shm and self.in_ is not None:
@@ -392,81 +388,6 @@ class CSRPartition:
         self._shm = None
         self._shm_meta = None
         self._published_version = -1
-
-    # -- epoch pinning (snapshot read path) ------------------------------
-    def pin_shared(self) -> Tuple[str, int, list]:
-        """Freeze the currently published frame as an immutable epoch.
-
-        Publishes first if needed, takes one pin on the segment and
-        *detaches the writer* from it: the live bitmap moves back to
-        private memory and the publication cache resets, so the next
-        :meth:`publish_shared` lays the arrays out in a brand-new segment
-        and nothing ever writes the pinned frame again.  Readers map the
-        returned meta with :class:`WorkerCSRView`; every pin (this one and
-        any extra taken via :meth:`pin`) must be paired with one
-        :meth:`retire` call — the segment is unlinked only when the last
-        pin drops, so a reader attached to epoch *e* keeps a consistent
-        view while the writer republishes *e+1*.
-        """
-        meta = self.publish_shared()
-        name = meta[0]
-        self._pins[name] = self._pins.get(name, 0) + 1
-        if self._bitmap_in_shm and self.in_ is not None:
-            self.in_ = np.array(self.in_)  # writer's bitmap goes private
-        self._bitmap_in_shm = False
-        self._retired[name] = self._shm
-        self._shm = None
-        self._shm_meta = None
-        self._published_version = -1
-        return meta
-
-    def pin(self, name: str) -> None:
-        """Take one more pin on an already-pinned segment."""
-        count = self._pins.get(name)
-        if count is None:
-            raise ValueError(f"segment {name!r} is not pinned")
-        self._pins[name] = count + 1
-
-    def retire(self, name: str) -> None:
-        """Drop one pin on ``name``; unlink the segment on the last one.
-
-        Readers that still hold a mapping keep reading it (POSIX keeps the
-        memory alive until the last mapping closes) — only the *name* goes
-        away, so no new reader can attach a dead epoch.
-        """
-        count = self._pins.get(name)
-        if count is None:
-            raise ValueError(f"segment {name!r} is not pinned")
-        if count > 1:
-            self._pins[name] = count - 1
-            return
-        del self._pins[name]
-        self._unlink_retired(name)
-
-    def pinned_segments(self) -> Dict[str, int]:
-        """Current pin counts per retired segment name (a copy)."""
-        return dict(self._pins)
-
-    def _unlink_retired(self, name: str) -> None:
-        shm = self._retired.pop(name, None)
-        if shm is None:
-            return
-        try:
-            shm.close()
-        except (OSError, BufferError):  # pragma: no cover - best effort
-            pass
-        try:
-            shm.unlink()
-        except (OSError, FileNotFoundError):  # pragma: no cover
-            pass
-
-    def release_shared(self) -> None:
-        """Close and unlink the published segment plus every retired one
-        (idempotent teardown; outstanding pins are forcibly dropped)."""
-        self._release_segment()
-        for name in list(self._retired):
-            self._unlink_retired(name)
-        self._pins.clear()
 
     def __del__(self):  # pragma: no cover - interpreter teardown ordering
         try:

@@ -298,20 +298,15 @@ class AutoscalePolicy:
         )
 
 
-def resolve_autoscale(
-    autoscale, target_utilization: Optional[float] = None
-) -> Optional[AutoscalePolicy]:
+def resolve_autoscale(autoscale) -> Optional[AutoscalePolicy]:
     """Normalize a service's ``autoscale`` argument.
 
     ``None``/``False`` disables autoscaling, ``True`` builds a default
-    policy (honouring ``target_utilization`` when given), and an
-    :class:`AutoscalePolicy` is used as-is.
+    policy, and an :class:`AutoscalePolicy` is used as-is.
     """
     if autoscale is None or autoscale is False:
         return None
     if autoscale is True:
-        if target_utilization is not None:
-            return AutoscalePolicy(target_utilization=target_utilization)
         return AutoscalePolicy()
     if isinstance(autoscale, AutoscalePolicy):
         return autoscale

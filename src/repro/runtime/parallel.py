@@ -39,15 +39,15 @@ frame protocol:
   against the draws (:class:`~repro.errors.ParallelRuntimeError` on a
   mismatch), while recovery stays on the master, byte-identical to
   inline.
-- Snapshot reads (:meth:`ParallelRuntime.read_membership`) ship a pinned
-  epoch's frame meta plus row indices; the worker maps the segment
-  (cached per name) and replies with one bool array.
 
-Frames carry only numpy arrays, tuples and primitives — no program, state
-or graph object is ever pickled.  A sweep with no CSR kernel (the Pregel
-engine, DisMIS, the weighted program, ``representation="dict"``) is
-refused by :meth:`ParallelRuntime.begin_run` before any process spawns;
-such programs run on the inline runtime.
+The frame belongs to the sweep protocol alone: the snapshot read path
+(:mod:`repro.serve.reads`) publishes private array copies and never
+talks to the workers.  Frames carry only numpy arrays, tuples and
+primitives — no program, state or graph object is ever pickled.  A
+sweep with no CSR kernel (the Pregel engine, DisMIS, the weighted
+program, ``representation="dict"``) is refused by
+:meth:`ParallelRuntime.begin_run` before any process spawns; such
+programs run on the inline runtime.
 """
 
 from __future__ import annotations
@@ -80,41 +80,30 @@ def _recv_msg(conn) -> Any:
 # ---------------------------------------------------------------------------
 # worker-process side
 # ---------------------------------------------------------------------------
-#: per-worker retained snapshot read views (pinned epoch segments); small
-#: because the serve loop reads the newest epoch — older mappings age out
-_READER_VIEW_CACHE = 4
-
-
 def _worker_main(conn) -> None:
     """Entry point of one persistent worker process (spawn-importable).
 
-    Serves three message kinds: ``csr_sweep`` (one kernel sweep over the
-    mapped frame), ``csr_read`` (membership bits from a pinned epoch) and
-    ``close``.
+    Serves two message kinds: ``csr_sweep`` (one kernel sweep over the
+    mapped frame) and ``close``.
     """
     from repro.graph import csr
 
     #: mapped shared-memory CSR frame the sweeps scan, if any
     csr_view = None
-    #: snapshot read views keyed by segment name, LRU order (oldest first)
-    reader_views: Dict[str, Any] = {}
 
-    def _drop_views():
+    def _drop_view():
         if csr_view is not None:
             csr_view.close()
-        for name in sorted(reader_views):
-            reader_views[name].close()
-        reader_views.clear()
 
     while True:
         try:
             msg = _recv_msg(conn)
         except (EOFError, OSError):
-            _drop_views()
+            _drop_view()
             return
         kind = msg[0]
         if kind == "close":
-            _drop_views()
+            _drop_view()
             conn.close()
             return
         try:
@@ -128,21 +117,6 @@ def _worker_main(conn) -> None:
                     )
                 reply = ("ok", csr.worker_sweep(csr_view, active_idx, cfg),
                          draw_slice)
-            elif kind == "csr_read":
-                # membership batch against a *pinned* epoch segment: map
-                # it zero-copy (cached per name), gather the bitmap rows,
-                # reply with one bool array — no per-query objects
-                _, meta, rows = msg
-                seg_name = meta[0]
-                view = reader_views.pop(seg_name, None)
-                if view is None:
-                    view = csr.WorkerCSRView(meta)
-                reader_views[seg_name] = view  # most recently used last
-                while len(reader_views) > _READER_VIEW_CACHE:
-                    reader_views.pop(
-                        next(iter(reader_views))
-                    ).close()
-                reply = ("ok", view.in_[rows])
             else:
                 reply = ("err", f"unknown message kind {kind!r}")
         except Exception:
@@ -150,7 +124,7 @@ def _worker_main(conn) -> None:
         try:
             _send_msg(conn, reply)
         except (BrokenPipeError, OSError):
-            _drop_views()
+            _drop_view()
             return
 
 
@@ -196,8 +170,6 @@ class ParallelRuntime(ExecutionBackend):
         self.frame_bytes_sent = 0
         self.frame_bytes_received = 0
         self.sweeps_dispatched = 0
-        #: snapshot read batches dispatched to workers (round-robin)
-        self.reads_dispatched = 0
 
     @property
     def start_method(self) -> str:
@@ -226,25 +198,6 @@ class ParallelRuntime(ExecutionBackend):
         self.frame_bytes_sent = 0
         self.frame_bytes_received = 0
         self.sweeps_dispatched = 0
-        self.reads_dispatched = 0
-
-    # -- snapshot reads --------------------------------------------------
-    def read_membership(self, meta, rows):
-        """Gather membership bits for ``rows`` from a pinned epoch frame
-        inside a worker process.
-
-        ``meta`` is the frame meta returned by
-        :meth:`~repro.graph.csr.CSRPartition.pin_shared`; ``rows`` is an
-        integer array of row indices.  One frame goes down (meta + rows),
-        one bool array comes back; the worker maps the segment zero-copy
-        and caches the mapping per segment name.  Batches round-robin
-        across the pool so reads share capacity with maintenance sweeps.
-        """
-        self._ensure_workers()
-        p = self.reads_dispatched % len(self._conns)
-        self.reads_dispatched += 1
-        self._send(p, ("csr_read", meta, rows))
-        return self._recv_ok(p)[1]
 
     # -- lifecycle ------------------------------------------------------
     def bind(self, engine) -> None:

@@ -7,20 +7,13 @@ side first-class.  Two pieces:
 :class:`SnapshotRegistry` publishes an immutable, epoch-tagged view of
 the maintained set at each committed window (the
 :class:`~repro.serve.service.IngestionService` calls :meth:`publish`
-right after every WAL commit).  Two backings, chosen automatically:
-
-- **shared** — when the maintainer already runs the array-native sweep
-  path over a published shared-memory frame (process runtime with the
-  default CSR representation), the registry *pins* the live segment via
-  :meth:`CSRPartition.pin_shared`: the frame becomes the epoch, readers
-  map it zero-copy, the writer detaches and republishes the next barrier
-  into a fresh segment, and the pinned segment is unlinked only when the
-  last reader retires its pin.  Readers never block the writer; the
-  writer never mutates a published epoch.
-- **local** — for inline or dict-path maintainers the registry keeps private
-  array copies: structure arrays are re-copied only when the CSR
-  mirror's ``structure_version`` moved, the membership bitmap is rebuilt
-  from ``independent_set()`` per epoch.
+right after every WAL commit).  Every epoch is a set of private array
+copies, whatever runtime the maintainer sweeps on: the structure arrays
+are re-copied only when the CSR mirror's ``structure_version`` moved, and
+the membership bitmap is rebuilt from ``independent_set()`` per epoch.
+The writer never touches a published epoch, so a reader keeps a
+consistent view simply by holding the snapshot object, and publication
+never waits for readers.
 
 :class:`QueryEngine` answers queries against the newest snapshot:
 point membership, numpy-vectorized batch lookups (thousands of point
@@ -46,7 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import QueryError
-from repro.graph.csr import CSRPartition, WorkerCSRView
+from repro.graph.csr import CSRPartition
 from repro.util import percentile
 
 
@@ -54,34 +47,23 @@ class EpochSnapshot:
     """One immutable, epoch-tagged view of graph structure + membership.
 
     ``ids``/``keys``/``indptr``/``nbr`` follow the CSR mirror's layout
-    (see :mod:`repro.graph.csr`); ``in_`` is the membership bitmap.  For
-    shared snapshots the arrays are zero-copy views of a pinned
-    shared-memory segment; for local snapshots they are private copies.
-    Lifecycle is refcounted by the owning registry: the registry holds
-    one reference until the snapshot is superseded, readers take more
-    via :meth:`SnapshotRegistry.acquire`.
+    (see :mod:`repro.graph.csr`); ``in_`` is the membership bitmap.  All
+    are private copies (consecutive epochs share the structure arrays
+    while the structure is unchanged), so holding the object keeps the
+    epoch readable after newer ones are published.
     """
 
-    __slots__ = (
-        "epoch", "watermark", "shared", "segment", "meta",
-        "ids", "keys", "indptr", "nbr", "in_", "refs", "_view",
-    )
+    __slots__ = ("epoch", "watermark", "ids", "keys", "indptr", "nbr", "in_")
 
-    def __init__(self, epoch: int, watermark: int, shared: bool,
-                 segment: Optional[str], meta, ids, keys, indptr, nbr, in_,
-                 view=None):
+    def __init__(self, epoch: int, watermark: int, ids, keys, indptr, nbr,
+                 in_):
         self.epoch = epoch
         self.watermark = watermark
-        self.shared = shared
-        self.segment = segment
-        self.meta = meta
         self.ids = ids
         self.keys = keys
         self.indptr = indptr
         self.nbr = nbr
         self.in_ = in_
-        self.refs = 0
-        self._view = view
 
     @property
     def num_vertices(self) -> int:
@@ -103,11 +85,11 @@ class EpochSnapshot:
 
     def members(self) -> List[int]:
         """The maintained set at this epoch, ascending."""
-        return self.ids[self.in_.astype(np.bool_)].tolist()
+        return self.ids[self.in_].tolist()
 
 
 class SnapshotRegistry:
-    """Publishes and refcounts epoch-tagged snapshots of a maintainer.
+    """Publishes epoch-tagged snapshots of a maintainer.
 
     Parameters
     ----------
@@ -128,8 +110,8 @@ class SnapshotRegistry:
         self._part: Optional[CSRPartition] = None
         self._latest: Optional[EpochSnapshot] = None
         self._closed = False
-        # local-mode structure cache: private copies remade only when the
-        # mirror's structure_version moves
+        # structure cache: private copies remade only when the mirror's
+        # structure_version moves
         self._struct_version = -1
         self._struct: Optional[Tuple[Any, Any, Any, Any]] = None
         self.epochs_published = 0
@@ -150,9 +132,8 @@ class SnapshotRegistry:
 
         ``epoch`` must be strictly greater than the last published one
         (defaults to a simple counter); ``watermark`` is the commit
-        watermark the epoch corresponds to.  The previous epoch loses the
-        registry's reference and is reclaimed once its last reader
-        releases it — publication never blocks on readers.
+        watermark the epoch corresponds to.  The previous epoch stays
+        valid for anyone still holding it.
         """
         if self._closed:
             raise QueryError("snapshot registry is closed")
@@ -166,30 +147,6 @@ class SnapshotRegistry:
             )
         part = self._partition()
         part.ensure()
-        if part._shm is not None and part._bitmap_in_shm:
-            snapshot = self._publish_shared(part, epoch, watermark)
-        else:
-            snapshot = self._publish_local(part, epoch, watermark)
-        snapshot.refs = 1  # the registry's own reference
-        self._latest = snapshot
-        self.epochs_published += 1
-        self.history.append((epoch, watermark))
-        if latest is not None:
-            self._release(latest)
-        return snapshot
-
-    def _publish_shared(self, part: CSRPartition, epoch: int,
-                        watermark: int) -> EpochSnapshot:
-        meta = part.pin_shared()
-        view = WorkerCSRView(meta)
-        return EpochSnapshot(
-            epoch, watermark, True, meta[0], meta,
-            view.ids, view.keys, view.indptr, view.nbr, view.in_,
-            view=view,
-        )
-
-    def _publish_local(self, part: CSRPartition, epoch: int,
-                       watermark: int) -> EpochSnapshot:
         if part.structure_version != self._struct_version:
             self._struct = (
                 np.array(part.ids), np.array(part.keys),
@@ -204,47 +161,17 @@ class SnapshotRegistry:
                 ids, np.fromiter(members, np.int64, count=len(members))
             )
             in_[rows] = True
-        return EpochSnapshot(
-            epoch, watermark, False, None, None,
-            ids, keys, indptr, nbr, in_,
-        )
-
-    # -- reader lifecycle ------------------------------------------------
-    def latest(self) -> Optional[EpochSnapshot]:
-        """The newest published snapshot (not refcounted — single-threaded
-        in-process readers query it directly between publishes)."""
-        return self._latest
-
-    def acquire(self) -> EpochSnapshot:
-        """Take a reference on the newest snapshot; pair with
-        :meth:`release`.  A reader holding an acquired epoch keeps its
-        (consistent) view even after newer epochs are published."""
-        snapshot = self._latest
-        if snapshot is None:
-            raise QueryError("no epoch published yet")
-        snapshot.refs += 1
-        if snapshot.shared:
-            self._partition().pin(snapshot.segment)
+        snapshot = EpochSnapshot(epoch, watermark, ids, keys, indptr, nbr, in_)
+        self._latest = snapshot
+        self.epochs_published += 1
+        self.history.append((epoch, watermark))
         return snapshot
 
-    def release(self, snapshot: EpochSnapshot) -> None:
-        """Drop a reference taken by :meth:`acquire`."""
-        self._release(snapshot)
-
-    def _release(self, snapshot: EpochSnapshot) -> None:
-        if snapshot.refs <= 0:
-            raise QueryError(
-                f"epoch {snapshot.epoch} released more times than acquired"
-            )
-        snapshot.refs -= 1
-        if snapshot.shared:
-            # the partition's pin count mirrors the snapshot's refcount;
-            # the last retire unlinks the segment
-            self._partition().retire(snapshot.segment)
-        if snapshot.refs == 0 and snapshot._view is not None:
-            view = snapshot._view
-            snapshot._view = None
-            view.close()
+    # -- readers ---------------------------------------------------------
+    def latest(self) -> Optional[EpochSnapshot]:
+        """The newest published snapshot; a reader that keeps the object
+        keeps that epoch's view after newer ones are published."""
+        return self._latest
 
     def staleness(self, snapshot: Optional[EpochSnapshot] = None) -> int:
         """Admitted-but-invisible event count at ``snapshot`` (latest by
@@ -256,15 +183,10 @@ class SnapshotRegistry:
         return max(0, int(self._frontier_fn()) - snapshot.watermark)
 
     def close(self) -> None:
-        """Drop the registry's reference on the newest epoch.  Readers
-        holding acquired epochs keep them until they release."""
-        if self._closed:
-            return
+        """Stop publishing and drop the newest epoch.  Readers holding a
+        snapshot keep it."""
         self._closed = True
-        latest = self._latest
         self._latest = None
-        if latest is not None:
-            self._release(latest)
 
 
 class LatencySamples:
@@ -351,15 +273,11 @@ class QueryEngine:
             "epoch": snapshot.epoch, "watermark": snapshot.watermark,
         }
 
-    def batch(self, vertices, runtime=None) -> Dict[str, Any]:
+    def batch(self, vertices) -> Dict[str, Any]:
         """Vectorized point membership for many vertices in one pass.
 
         One ``searchsorted`` + one gather answers the whole batch against
-        the epoch bitmap — no per-vertex Python work, no pickling on the
-        in-process path.  With ``runtime`` (a
-        :class:`~repro.runtime.parallel.ParallelRuntime`) and a shared
-        snapshot, the gather is offloaded to a worker process that maps
-        the pinned segment zero-copy.
+        the epoch bitmap — no per-vertex Python work, no pickling.
         """
         started = time.perf_counter()
         snapshot = self._snapshot()
@@ -370,15 +288,7 @@ class QueryEngine:
             wanted = np.fromiter(vertices, np.int64, count=count)
             rows = np.minimum(np.searchsorted(ids, wanted), ids.size - 1)
             valid = ids[rows] == wanted
-            if runtime is not None and snapshot.shared:
-                hits = runtime.read_membership(
-                    snapshot.meta, rows[valid].astype(np.int32)
-                )
-                out = np.zeros(count, np.bool_)
-                out[np.flatnonzero(valid)] = hits
-            else:
-                out = np.where(valid, snapshot.in_[rows], False)
-            members = out.tolist()
+            members = np.where(valid, snapshot.in_[rows], False).tolist()
         self.batch_queries += 1
         self.batch_vertices += count
         if count > self.max_batch_size:
@@ -425,7 +335,7 @@ class QueryEngine:
             nxt = nxt[~visited[nxt]]
             visited[nxt] = True
             frontier = nxt
-        members = snapshot.ids[visited & snapshot.in_.astype(np.bool_)]
+        members = snapshot.ids[visited & snapshot.in_]
         self.neighborhood_queries += 1
         self._latencies.append(time.perf_counter() - started)
         return {
@@ -457,8 +367,7 @@ class QueryEngine:
                 int(snapshot.indptr[row]):int(snapshot.indptr[row + 1])
             ]
             keys = snapshot.keys
-            cand = nb[(keys[nb] < keys[row])
-                      & snapshot.in_[nb].astype(np.bool_)]
+            cand = nb[(keys[nb] < keys[row]) & snapshot.in_[nb]]
             if cand.size:
                 blocker = int(snapshot.ids[cand[np.argmin(keys[cand])]])
         self.why_not_queries += 1

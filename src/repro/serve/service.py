@@ -48,7 +48,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
@@ -202,7 +202,6 @@ class IngestionService:
         checkpoint_every: int = 8,
         close_maintainer: bool = True,
         autoscale=None,
-        target_utilization: Optional[float] = None,
         balancer: Optional[LoadBalancer] = None,
         serve_reads: bool = False,
         _recovered: Optional[_RecoveredState] = None,
@@ -240,7 +239,7 @@ class IngestionService:
         # (logical partitioning is untouched, so results stay bit-identical
         # at any pool size)
         self.autoscale: Optional[AutoscalePolicy] = resolve_autoscale(
-            autoscale, target_utilization
+            autoscale
         )
         self.balancer = balancer if balancer is not None else LoadBalancer()
         self._records_seen = 0
@@ -474,19 +473,9 @@ class IngestionService:
         """Point membership at the last committed epoch."""
         return self._require_reads().point(vertex)
 
-    def query_batch(self, vertices, offload: bool = False) -> Dict[str, Any]:
-        """Vectorized batch membership at the last committed epoch.
-
-        ``offload=True`` routes the gather through the maintainer's
-        process runtime (zero-copy worker-side read) when the snapshot is
-        shared-memory backed; otherwise the in-process pass answers.
-        """
-        runtime = None
-        if offload:
-            runtime = getattr(self.maintainer, "runtime", None)
-            if not hasattr(runtime, "read_membership"):
-                runtime = None
-        return self._require_reads().batch(vertices, runtime=runtime)
+    def query_batch(self, vertices) -> Dict[str, Any]:
+        """Vectorized batch membership at the last committed epoch."""
+        return self._require_reads().batch(vertices)
 
     def query_neighborhood(self, vertex: int, hops: int = 1) -> Dict[str, Any]:
         """In-set vertices within ``hops`` of ``vertex`` at the last
@@ -761,7 +750,6 @@ class IngestionService:
         checkpoint_every: int = 8,
         close_maintainer: bool = True,
         autoscale=None,
-        target_utilization: Optional[float] = None,
         serve_reads: bool = False,
     ) -> "IngestionService":
         """Rebuild a crashed service from its log directory.
@@ -909,7 +897,6 @@ class IngestionService:
             checkpoint_every=checkpoint_every,
             close_maintainer=close_maintainer,
             autoscale=autoscale,
-            target_utilization=target_utilization,
             serve_reads=serve_reads,
             _recovered=recovered,
         )
@@ -1067,8 +1054,9 @@ def audit_log(wal_dir: str) -> Tuple[List[str], Dict[str, int]]:
             )
     expected = list(range(1, len(seqs) + 1))
     if sorted(seqs) != expected:
-        dupes = sorted({s for s in seqs if seqs.count(s) > 1})
-        missing = sorted(set(expected) - set(seqs))[:5]
+        counts = Counter(seqs)
+        dupes = sorted(s for s, c in counts.items() if c > 1)
+        missing = sorted(set(expected) - counts.keys())[:5]
         problems.append(
             f"sequence ids not gapless 1..{len(seqs)}: "
             f"duplicated={dupes[:5]} missing={missing}"

@@ -202,56 +202,6 @@ def test_republish_after_layout_shift_preserves_bitmap():
         part.release_shared()
 
 
-def test_pin_shared_isolates_reader_from_republish():
-    # epoch hygiene: a reader attached to pinned epoch ``e`` must keep a
-    # consistent bitmap while the writer detaches and republishes ``e+1``
-    # into a *new* segment; the pinned segment is unlinked only when the
-    # last pin retires
-    from multiprocessing import shared_memory
-
-    graph = erdos_renyi(30, 60, seed=9)
-    dgraph = DistributedGraph.create(graph, 3)
-    part = CSRPartition.attach(dgraph)
-    part.ensure()
-    part.publish_shared()
-    try:
-        bitmap_e = np.zeros(part.ids.size, dtype=np.bool_)
-        bitmap_e[::2] = True
-        part.in_[:] = bitmap_e
-        meta_e = part.pin_shared()  # freeze epoch e; writer detaches
-        name_e = meta_e[0]
-        assert part.pinned_segments() == {name_e: 1}
-        reader = WorkerCSRView(meta_e)
-        try:
-            # the writer moves on: flips its (now private) bitmap,
-            # mutates structure, republishes the next epoch
-            part.in_[:] = ~bitmap_e
-            edges = graph.sorted_edges()
-            dgraph.remove_edge(*edges[0])
-            part.ensure()
-            meta_next = part.publish_shared()
-            assert meta_next[0] != name_e  # e+1 lives in a new segment
-            assert np.array_equal(reader.in_, bitmap_e)
-            # a second reader pins and retires without unlinking
-            part.pin(name_e)
-            part.retire(name_e)
-            assert part.pinned_segments() == {name_e: 1}
-            assert np.array_equal(reader.in_, bitmap_e)
-        finally:
-            reader.close()
-        part.retire(name_e)  # last pin retires → segment unlinked
-        assert part.pinned_segments() == {}
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name_e)
-        with pytest.raises(ValueError):
-            part.retire(name_e)  # unknown segment
-    finally:
-        part.release_shared()
-
-
-# ---------------------------------------------------------------------------
-# bit-identity: property test over random mixed update streams
-# ---------------------------------------------------------------------------
 def _topology(kind: str, n: int, seed: int):
     if kind == "er":
         return erdos_renyi(n, 3 * n, seed=seed)

@@ -622,8 +622,6 @@ class TestAutoscalePolicy:
         assert resolve_autoscale(False) is None
         default = resolve_autoscale(True)
         assert isinstance(default, AutoscalePolicy)
-        tuned = resolve_autoscale(True, target_utilization=0.4)
-        assert tuned.target_utilization == pytest.approx(0.4)
         policy = AutoscalePolicy()
         assert resolve_autoscale(policy) is policy
         with pytest.raises(WorkloadError):
@@ -788,6 +786,16 @@ class TestElasticCLI:
         out = capsys.readouterr().out
         assert code == 0
         assert "bit-identical" in out
+
+    def test_target_utilization_needs_autoscale(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--target-utilization", "0.5"])
+        assert exc.value.code == 2
+        assert "--target-utilization needs --autoscale" in (
+            capsys.readouterr().err
+        )
 
     def test_rebalance_requires_a_transition(self, capsys):
         from repro.cli import main

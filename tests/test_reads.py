@@ -3,11 +3,10 @@
 The contract under test: every published epoch is an immutable barrier
 snapshot of a committed window, so any query answered at epoch ``e`` is
 bit-identical to querying a maintainer restored to that window's
-checkpoint — across local (dict/inline) and shared (process + csr)
-backings, across crash-rollback-replay, and across drain/join
-membership transitions.  Epochs are strictly monotonic, staleness is
-bounded by admission control, and the shared path serves reads with
-zero per-query pickling.
+checkpoint — on the inline and the process runtime, across
+crash-rollback-replay, and across drain/join membership transitions.
+Epochs are strictly monotonic, staleness is bounded by admission
+control, and reads are served with zero per-query pickling.
 """
 
 from __future__ import annotations
@@ -86,30 +85,15 @@ class TestSnapshotRegistry:
         assert snapshot.set_size == len(maintainer.independent_set())
         registry.close()
 
-    def test_acquire_release_refcounting(self):
-        _, registry = self._registry()
-        with pytest.raises(QueryError, match="no epoch published"):
-            registry.acquire()
-        registry.publish(watermark=0)
-        held = registry.acquire()
-        assert held.refs == 2  # registry + reader
-        registry.release(held)
-        assert held.refs == 1  # the registry still holds its own
-        registry.close()       # ... which close() drops
-        with pytest.raises(QueryError, match="released more times"):
-            registry.release(held)
-
     def test_superseded_epoch_survives_while_acquired(self):
         maintainer, registry = self._registry()
-        registry.publish(watermark=0)
-        held = registry.acquire()
+        held = registry.publish(watermark=0)
         before = held.members()
         ops = delete_reinsert_workload(maintainer.graph, 10, seed=3)
         maintainer.apply_stream(ops, batch_size=5)
         registry.publish(watermark=20)
         assert held.members() == before  # the old epoch did not move
         assert registry.latest().epoch == 1
-        registry.release(held)
         registry.close()
 
     def test_closed_registry_rejects_publish(self):
@@ -286,7 +270,7 @@ class TestServiceReadPath:
             if snapshot.epoch not in held:
                 path = tmp_path / f"epoch-{snapshot.epoch}.ckpt"
                 service.maintainer.save(str(path))
-                held[snapshot.epoch] = (service.reads.acquire(), path)
+                held[snapshot.epoch] = (snapshot, path)
 
         capture()
         for op, ts in zip(ops, timestamps):
@@ -307,7 +291,6 @@ class TestServiceReadPath:
             )
             for v in sample:
                 assert _snapshot_point(snapshot, v) == (v in members)
-            service.reads.release(snapshot)
         service.close()
 
     def test_staleness_bounded_by_admission_control(self, tmp_path):
@@ -418,7 +401,7 @@ class TestServiceReadPath:
 
 
 # ---------------------------------------------------------------------------
-# shared-memory backing: zero-copy, zero-pickle, worker offload
+# process runtime: sweeps share a memory frame, epochs stay private copies
 # ---------------------------------------------------------------------------
 class TestSharedReadPath:
     @pytest.fixture()
@@ -434,45 +417,47 @@ class TestSharedReadPath:
         service.close()
         runtime.close()
 
-    def test_snapshots_are_shared_and_queries_match(self, shared_service):
-        service = shared_service
-        assert service.reads.latest().shared
+    def _drive(self, service, num_ops, seed):
         ops, timestamps = bursty_trace(
-            load_dataset("AM"), TraceConfig(num_ops=80, seed=7))
+            load_dataset("AM"), TraceConfig(num_ops=num_ops, seed=seed))
         for op, ts in zip(ops, timestamps):
             service.submit(op, ts)
         service.drain()
+
+    def test_snapshots_are_shared_and_queries_match(self, shared_service):
+        from repro.graph.csr import CSRPartition
+
+        service = shared_service
+        self._drive(service, 80, 7)
+        part = CSRPartition.attach(service.maintainer.dgraph)
+        assert part._bitmap_in_shm  # the sweeps ran over the shared frame
         snapshot = service.reads.latest()
-        assert snapshot.shared and snapshot.segment is not None
+        # ... but the epoch is a private copy the writer never touches
+        assert not np.shares_memory(snapshot.in_, part.in_)
         members = set(service.maintainer.independent_set())
         assert snapshot.members() == sorted(members)
-        for v in sorted(service.maintainer.graph.vertices())[:25]:
+        vertices = sorted(service.maintainer.graph.vertices())[:25]
+        for v in vertices:
             assert service.query_point(v)["member"] == (v in members)
+        assert service.query_batch(vertices)["members"] == [
+            v in members for v in vertices
+        ]
 
     def test_pinned_epoch_immutable_after_republish(self, shared_service):
         service = shared_service
-        held = service.reads.acquire()
-        segment = held.segment
-        frozen = np.array(held.in_)  # private copy to compare against
-        ops, timestamps = bursty_trace(
-            load_dataset("AM"), TraceConfig(num_ops=60, seed=9))
-        for op, ts in zip(ops, timestamps):
-            service.submit(op, ts)
-        service.drain()
+        held = service.reads.latest()
+        frozen = np.array(held.in_)
+        before = held.members()
+        self._drive(service, 60, 9)
         fresh = service.reads.latest()
         assert fresh.epoch > held.epoch
-        assert fresh.segment != segment  # writer moved to a new segment
         assert np.array_equal(held.in_, frozen)  # held epoch unchanged
-        service.reads.release(held)
+        assert held.members() == before
 
     def test_zero_pickling_on_in_process_reads(self, shared_service,
                                                monkeypatch):
         service = shared_service
-        ops, timestamps = bursty_trace(
-            load_dataset("AM"), TraceConfig(num_ops=40, seed=3))
-        for op, ts in zip(ops, timestamps):
-            service.submit(op, ts)
-        service.drain()
+        self._drive(service, 40, 3)
         vertices = sorted(service.maintainer.graph.vertices())
         counter = {"dumps": 0}
         real_dumps = pickle.dumps
@@ -486,19 +471,4 @@ class TestSharedReadPath:
             service.query_point(v)
         service.query_batch(vertices[:200])
         service.query_why_not(vertices[0])
-        assert counter["dumps"] == 0  # pure numpy over the mapped segment
-
-    def test_worker_offload_matches_in_process(self, shared_service):
-        service = shared_service
-        ops, timestamps = bursty_trace(
-            load_dataset("AM"), TraceConfig(num_ops=40, seed=5))
-        for op, ts in zip(ops, timestamps):
-            service.submit(op, ts)
-        service.drain()
-        vertices = sorted(service.maintainer.graph.vertices())[:300]
-        inproc = service.query_batch(vertices)
-        offloaded = service.query_batch(vertices, offload=True)
-        assert offloaded["members"] == inproc["members"]
-        assert offloaded["epoch"] == inproc["epoch"]
-        runtime = service.maintainer.runtime
-        assert runtime.reads_dispatched >= 1
+        assert counter["dumps"] == 0  # pure numpy over the epoch arrays

@@ -140,7 +140,7 @@ def _static_on(runtime, tag):
     graph = load_dataset(tag)
     run = run_oimis(graph, num_workers=10, strategy=ActivationStrategy.ALL,
                     runtime=runtime)
-    return perf._sections(run.independent_set, run.metrics, graph)
+    return perf._sections(run.independent_set, run.metrics)
 
 
 def _maintained_on(runtime, tag, k, seed, batch_size, algorithm="DOIMIS*"):
@@ -150,7 +150,7 @@ def _maintained_on(runtime, tag, k, seed, batch_size, algorithm="DOIMIS*"):
     maintainer.apply_stream(delete_reinsert_workload(base, k, seed=seed),
                             batch_size=batch_size)
     return perf._sections(maintainer.independent_set(),
-                          maintainer.update_metrics, maintainer.graph)
+                          maintainer.update_metrics)
 
 
 #: the bench-perf scenarios' workloads, rebuilt on a caller-given runtime
@@ -459,13 +459,14 @@ def test_close_then_reuse_respawns_workers():
     assert _meter_tuple(second.metrics) == _meter_tuple(inline.metrics)
 
 
-def test_close_releases_workers_and_shared_segments(monkeypatch):
-    """After ``close()`` no worker process survives and every segment the
-    partition published or a reader pinned is unlinked."""
+def test_close_releases_workers_and_shared_segments(monkeypatch, tmp_path):
+    """After ``close()``, and separately after a crash-style ``abandon()``,
+    of a reads-on service over the process runtime, no worker process
+    survives and every segment the sweeps published is unlinked."""
     from multiprocessing import shared_memory
 
-    from repro.core.doimis import DOIMISMaintainer
     from repro.graph.csr import CSRPartition
+    from repro.serve import IngestionService
 
     segments = set()
     publish = CSRPartition.publish_shared
@@ -478,25 +479,29 @@ def test_close_releases_workers_and_shared_segments(monkeypatch):
     monkeypatch.setattr(CSRPartition, "publish_shared", recording_publish)
     base = erdos_renyi(60, 150, seed=5)
     ops = delete_reinsert_workload(base, 10, seed=2)
-    runtime = ParallelRuntime(procs=2, start_method="fork")
-    maintainer = DOIMISMaintainer(
-        base.copy(), num_workers=6,
-        strategy=ActivationStrategy.SAME_STATUS, runtime=runtime,
-    )
-    try:
-        maintainer.apply_stream(ops[:10], batch_size=5)
-        part = maintainer._engine._csr
-        pinned = part.pin_shared()[0]  # a reader's pin on this epoch
-        maintainer.apply_stream(ops[10:], batch_size=5)
-        workers = list(runtime._workers)
-    finally:
-        maintainer.close()
-    assert len(workers) == 2
-    assert not any(proc.is_alive() for proc in workers)
-    assert pinned in segments and len(segments) > 1
-    for name in sorted(segments):
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+    for teardown in ("close", "abandon"):
+        segments.clear()
+        runtime = ParallelRuntime(procs=2, start_method="fork")
+        service = IngestionService(
+            MISMaintainer(base.copy(), num_workers=6, runtime=runtime),
+            str(tmp_path / teardown), serve_reads=True,
+        )
+        try:
+            for op in ops[:10]:
+                service.submit(op)
+            service.drain()
+            service.query_batch(sorted(base.vertices()))
+            for op in ops[10:]:
+                service.submit(op)  # left pending for abandon()
+            workers = list(runtime._workers)
+        finally:
+            getattr(service, teardown)()
+        assert len(workers) == 2
+        assert not any(proc.is_alive() for proc in workers), teardown
+        assert segments, teardown
+        for name in sorted(segments):
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
 
 
 # ---------------------------------------------------------------------------

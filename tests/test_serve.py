@@ -948,6 +948,18 @@ class TestAudit:
         problems, _ = audit_log(str(tmp_path))
         assert any("not gapless" in p for p in problems)
 
+    def test_reports_duplicated_and_missing_seqs(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path))
+        # seq 2 written twice and seq 3 never: four events, still not 1..4
+        for seq in (1, 2, 2, 4):
+            wal.append({"t": "ev", "q": seq, "k": "ins",
+                        "u": seq, "v": seq + 1})
+        wal.close()
+        problems, _ = audit_log(str(tmp_path))
+        assert problems == [
+            "sequence ids not gapless 1..4: duplicated=[2] missing=[3]"
+        ]
+
     def test_detects_lost_sequence(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
         # commits jump over seq 2: below the watermark but never applied
