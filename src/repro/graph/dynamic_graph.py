@@ -3,8 +3,9 @@
 :class:`DynamicGraph` is the single-image graph substrate every algorithm in
 this library runs on.  It stores adjacency as hash sets, so edge insertion,
 deletion and membership tests are expected O(1), and it keeps vertex degrees
-implicitly (``len`` of the adjacency set).  The distributed engines wrap a
-``DynamicGraph`` with a partitioning layer (:mod:`repro.graph.distributed_graph`).
+implicitly (``len`` of the adjacency set) and the edge count as a counter.
+The distributed engines wrap a ``DynamicGraph`` with a partitioning layer
+(:mod:`repro.graph.distributed_graph`).
 
 Self-loops are rejected because an independent set can never contain a
 self-looped vertex and the paper's graphs are simple.  Parallel edges are
@@ -12,17 +13,23 @@ rejected for the same reason.
 
 Bulk construction (:meth:`DynamicGraph.from_edges`,
 :meth:`DynamicGraph.from_csr`) is one numpy pass that builds the CSR arrays
-first and fills the sets from their rows.  The graph keeps those arrays
-until its first mutation, and :func:`csr_arrays` hands them out instead of
-walking the sets, so the guest directory and the CSR mirror are built from
-the same arrays.
+and no set at all: each vertex maps to its row of those (read-only) base
+arrays until the row is first touched, when :meth:`DynamicGraph._row`
+builds its set in the order an incremental build would have.  Set-up
+therefore pays only for the rows it reads -- the static run sweeps the
+arrays and reads none -- and the base arrays are dropped once every row
+is built.  The graph also keeps the arrays until its first mutation, and
+:func:`csr_arrays` hands them out instead of walking the rows, so the
+guest directory and the CSR mirror are built from the same arrays.
 """
 
 from __future__ import annotations
 
 import operator
 from itertools import chain
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union,
+)
 
 import numpy as np
 
@@ -98,7 +105,8 @@ def csr_arrays(graph: "DynamicGraph") -> Tuple[Any, Any, Any]:
     return the same (read-only) arrays instead of walking the sets again.
     Order within a row is the build's: insertion order from
     :meth:`DynamicGraph.from_edges`, the input's from
-    :meth:`DynamicGraph.from_csr`, set order from a walk; nothing reads it.
+    :meth:`DynamicGraph.from_csr`, set order from a walk (which builds
+    every untouched row); nothing reads it.
     """
     arrays = graph._arrays
     if arrays is None:
@@ -126,36 +134,33 @@ def _edge_csr(edges, vertices) -> Tuple[Any, Any, Any, Any]:
     loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
     if loops.size:
         raise SelfLoopError(int(pairs[loops[0], 0]))
-    # one stable sort of every id occurrence -- `vertices` first, then
-    # the endpoints u0 v0 u1 v1 ... -- groups each id's occurrences in
-    # input order
+    # every id occurrence -- `vertices` first, then the endpoints
+    # u0 v0 u1 v1 ... -- mapped to its row; an id's first occurrence is
+    # where an incremental build inserts it
     occ = np.concatenate((extra, pairs.ravel()))
-    perm = np.argsort(occ, kind="stable")
-    head = np.ones(occ.size, np.bool_)
-    head[1:] = occ[perm[1:]] != occ[perm[:-1]]
-    ids = occ[perm[head]]
-    first = perm[head]  # each id's first occurrence: insertion order
-    row = np.empty(occ.size, np.int64)
-    row[perm] = np.cumsum(head) - 1
+    ids, row = np.unique(occ, return_inverse=True)
+    first = np.full(ids.size, occ.size, np.int64)
+    np.minimum.at(first, row, np.arange(occ.size, dtype=np.int64))
     ends = row[extra.size:].reshape(-1, 2)
-    # one key per undirected edge; np.unique's index is the first
-    # occurrence, the one an incremental build keeps
-    _, keep = np.unique(
-        np.minimum(ends[:, 0], ends[:, 1]) * ids.size
-        + np.maximum(ends[:, 0], ends[:, 1]),
-        return_index=True,
-    )
-    kept = np.zeros(ends.shape[0], np.bool_)
-    kept[keep] = True
-    # the sorted endpoint occurrences of kept edges, read as directed
-    # pairs (occurrence -> the edge's other end), are each row's
-    # insertion order: edge k adds v to u's set, then u to v's
-    pos = perm[perm >= extra.size] - extra.size
-    pos = pos[kept[pos >> 1]]
-    nbr = ends.ravel()[pos ^ 1]
+    # one key per undirected edge; an incremental build keeps each key's
+    # first occurrence, the least edge index in its run
+    key = (np.minimum(ends[:, 0], ends[:, 1]) * ids.size
+           + np.maximum(ends[:, 0], ends[:, 1]))
+    by_key = np.argsort(key)
+    run = np.ones(key.size, np.bool_)
+    run[1:] = key[by_key[1:]] != key[by_key[:-1]]
+    kept = np.minimum.reduceat(by_key, np.flatnonzero(run))
+    # the kept edges' endpoint occurrences j = 2k (u) and 2k + 1 (v),
+    # grouped by row in input order, read as directed pairs
+    # (occurrence -> the edge's other end), are each row's insertion
+    # order: edge k adds v to u's set, then u to v's
+    size = ends.size
+    pos = (2 * kept[:, None] + np.arange(2, dtype=np.int64)).ravel()
+    flat = ends.ravel()
+    pos = np.sort(flat[pos] * size + pos) % max(size, 1)
+    nbr = flat[pos ^ 1]
     indptr = np.zeros(ids.size + 1, np.int64)
-    np.cumsum(np.bincount(ends.ravel()[pos], minlength=ids.size),
-              out=indptr[1:])
+    np.cumsum(np.bincount(flat[pos], minlength=ids.size), out=indptr[1:])
     return ids, indptr, nbr, np.argsort(first)
 
 
@@ -178,11 +183,18 @@ class DynamicGraph:
 
     __slots__ = (
         "_adj", "_rank_caches", "_default_rank_cache", "_mutation_observers",
-        "_arrays",
+        "_arrays", "_base", "_lazy", "_m",
     )
 
     def __init__(self) -> None:
-        self._adj: Dict[int, Set[int]] = {}
+        # vertex -> adjacency set, or -> its row of the base arrays until
+        # the row is first touched (see _row); insertion-ordered
+        self._adj: Dict[int, Union[Set[int], int]] = {}
+        #: (row bounds, neighbour row indices, ids as an object array) of
+        #: a bulk build, while any row is still untouched
+        self._base: Optional[Tuple[List[int], Any, Any]] = None
+        self._lazy = 0  # untouched rows
+        self._m = 0  # edges
         # rank-ordered adjacency caches kept in lock-step with mutations
         # (see repro.graph.rank_cache); attached lazily, so plain graphs
         # pay nothing beyond the empty-list check per update
@@ -212,7 +224,9 @@ class DynamicGraph:
         naming the first one.  Vertices are inserted in the order an
         incremental build would insert them -- ``vertices`` first, then
         endpoints by first appearance -- and so is every adjacency set,
-        so dict and set iteration orders match ``add_vertex``/``add_edge``.
+        so vertex and neighbour iteration orders match
+        ``add_vertex``/``add_edge``.  No adjacency set is built here: each
+        row is built on first touch (see the module docstring).
 
         >>> g = DynamicGraph.from_edges([(1, 2), (2, 1), (2, 3)])
         >>> g.num_edges, sorted(g.neighbors(2))
@@ -233,8 +247,9 @@ class DynamicGraph:
         Raises ``ValueError`` unless the arrays describe a simple
         undirected graph: ``int64`` arrays, well-formed rows, in-range
         neighbours, no self-loops, no duplicate or one-way edges.  The
-        graph keeps (read-only views of) the arrays until its first
-        mutation, so do not write them afterwards.
+        graph keeps (read-only views of) the arrays -- it hands them out
+        until its first mutation, and an untouched row reads ``nbr`` until
+        it is built -- so do not write them afterwards.
         """
         if any(a.dtype != np.int64 for a in (ids, indptr, nbr)):
             raise ValueError("CSR arrays must be int64")
@@ -261,19 +276,39 @@ class DynamicGraph:
 
     @classmethod
     def _from_arrays(cls, ids, indptr, nbr, order=None) -> "DynamicGraph":
-        """The adjacency sets of valid CSR arrays, rows inserted in
-        ``order`` (ascending ids by default); the graph keeps the arrays."""
+        """A graph over valid CSR arrays, vertices inserted in ``order``
+        (ascending ids by default), every row untouched; the graph keeps
+        the arrays."""
         graph = cls()
         ids_list = ids.tolist()
-        bounds = indptr.tolist()
-        # set entries reference the keys' int objects (no int per entry)
-        nbr_ids = np.array(ids_list, dtype=object)[nbr].tolist()
-        graph._adj = {
-            ids_list[r]: set(nbr_ids[bounds[r]:bounds[r + 1]])
-            for r in (range(ids.size) if order is None else order.tolist())
-        }
-        graph._keep_arrays(ids, indptr, nbr)
+        rows = range(ids.size) if order is None else order.tolist()
+        graph._adj = dict(zip(map(ids_list.__getitem__, rows), rows))
+        nbr = graph._keep_arrays(ids, indptr, nbr)[2]
+        graph._m = nbr.size // 2
+        if ids.size:
+            # row sets will reference the keys' int objects (no int per
+            # entry)
+            graph._base = (indptr.tolist(), nbr,
+                           np.array(ids_list, dtype=object))
+            graph._lazy = ids.size
         return graph
+
+    def _row(self, u: int) -> Set[int]:
+        """The adjacency set of ``u`` (``KeyError`` if absent), built from
+        the base arrays on first touch.  Every reader and mutator reaches
+        a row through here; the base arrays list a row's neighbours in
+        insertion order, so the set iterates as an incremental build's."""
+        row = self._adj[u]
+        if type(row) is not int:
+            return row
+        bounds, nbr, ids = self._base
+        row = self._adj[u] = set(
+            ids[nbr[bounds[row]:bounds[row + 1]]].tolist()
+        )
+        self._lazy -= 1
+        if not self._lazy:
+            self._base = None
+        return row
 
     def _keep_arrays(self, ids, indptr, nbr) -> Tuple[Any, Any, Any]:
         """Keep read-only views of this graph's CSR arrays until the next
@@ -285,9 +320,13 @@ class DynamicGraph:
         return views
 
     def copy(self) -> "DynamicGraph":
-        """Return a deep copy (adjacency sets and rank caches not shared)."""
+        """Return a deep copy (adjacency sets and rank caches not shared).
+
+        Builds every untouched row of this graph: each copied set is a
+        copy of the built one, as for a graph that never was lazy."""
         clone = DynamicGraph()
-        clone._adj = {u: set(nbrs) for u, nbrs in self._adj.items()}
+        clone._adj = {u: set(self._row(u)) for u in self._adj}
+        clone._m = self._m
         return clone
 
     # ------------------------------------------------------------------
@@ -329,7 +368,8 @@ class DynamicGraph:
                 cache.on_remove_vertex(u)
         else:
             for v in nbrs:
-                self._adj[v].discard(u)
+                self._row(v).discard(u)
+            self._m -= len(nbrs)
             del self._adj[u]
         for obs in observers:
             obs.on_remove_vertex(u)
@@ -343,7 +383,8 @@ class DynamicGraph:
         return self._adj.keys()
 
     def vertices(self) -> Iterator[int]:
-        """Iterate over all vertex ids (no ordering guarantee)."""
+        """Iterate over all vertex ids in insertion order (a bulk build
+        inserts as :meth:`from_edges` documents)."""
         return iter(self._adj)
 
     def sorted_vertices(self) -> List[int]:
@@ -371,11 +412,13 @@ class DynamicGraph:
             raise SelfLoopError(u)
         self.add_vertex(u)
         self.add_vertex(v)
-        if v in self._adj[u]:
+        nbrs = self._row(u)
+        if v in nbrs:
             raise EdgeExistsError(u, v)
         self._arrays = None
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        nbrs.add(v)
+        self._row(v).add(u)
+        self._m += 1
         for cache in self._rank_caches:
             cache.on_add_edge(u, v)
         for obs in self._mutation_observers:
@@ -389,24 +432,24 @@ class DynamicGraph:
         EdgeNotFoundError
             if either endpoint or the edge itself is missing.
         """
-        if u not in self._adj or v not in self._adj or v not in self._adj[u]:
+        if v not in self._adj or not self.has_edge(u, v):
             raise EdgeNotFoundError(u, v)
         self._arrays = None
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
+        self._row(u).discard(v)
+        self._row(v).discard(u)
+        self._m -= 1
         for cache in self._rank_caches:
             cache.on_remove_edge(u, v)
         for obs in self._mutation_observers:
             obs.on_remove_edge(u, v)
 
     def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self._adj.get(u)
-        return nbrs is not None and v in nbrs
+        return u in self._adj and v in self._row(u)
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate over edges once each, in canonical ``(u < v)`` form."""
-        for u, nbrs in self._adj.items():
-            for v in nbrs:
+        for u in self._adj:
+            for v in self._row(u):
                 if u < v:
                     yield (u, v)
 
@@ -416,7 +459,7 @@ class DynamicGraph:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return self._m
 
     # ------------------------------------------------------------------
     # neighbourhoods
@@ -426,8 +469,16 @@ class DynamicGraph:
         return self._require(u)
 
     def degree(self, u: int) -> int:
-        """Current degree of ``u`` (the paper's ``deg(u, G)``)."""
-        return len(self._require(u))
+        """Current degree of ``u`` (the paper's ``deg(u, G)``); an
+        untouched row's is its span in the base arrays."""
+        try:
+            row = self._adj[u]
+        except KeyError:
+            raise VertexNotFoundError(u) from None
+        if type(row) is int:
+            bounds = self._base[0]
+            return bounds[row + 1] - bounds[row]
+        return len(row)
 
     def average_degree(self) -> float:
         """``2m / n`` — the paper's ``deg_avg`` dataset statistic."""
@@ -438,7 +489,7 @@ class DynamicGraph:
     def max_degree(self) -> int:
         if not self._adj:
             return 0
-        return max(len(nbrs) for nbrs in self._adj.values())
+        return max(map(self.degree, self._adj))
 
     # ------------------------------------------------------------------
     # rank-ordered adjacency (the paper's ≺ scan order, cached)
@@ -505,7 +556,7 @@ class DynamicGraph:
     # ------------------------------------------------------------------
     def _require(self, u: int) -> Set[int]:
         try:
-            return self._adj[u]
+            return self._row(u)
         except KeyError:
             raise VertexNotFoundError(u) from None
 
@@ -518,7 +569,9 @@ class DynamicGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DynamicGraph):
             return NotImplemented
-        return self._adj == other._adj
+        return self._adj.keys() == other._adj.keys() and all(
+            self._row(u) == other._row(u) for u in self._adj
+        )
 
     def __repr__(self) -> str:
         return (

@@ -1,12 +1,13 @@
 """The array-native graph build against the incremental reference.
 
-``DynamicGraph.from_edges`` builds CSR arrays with numpy and fills the
-adjacency sets from their rows; ``DistributedGraph`` derives the guest
-directory from the same arrays, and the CSR mirror's first build takes
-them too.  The contract: every observable -- vertex order, each set's
-iteration order, the directory, the memory model -- equals a replay
-through ``add_vertex``/``add_edge``, and no consumer ever sees arrays
-older than the graph.
+``DynamicGraph.from_edges`` builds CSR arrays with numpy and no adjacency
+set: each row's set is built from the arrays when it is first touched.
+``DistributedGraph`` derives the guest directory from the same arrays,
+and the CSR mirror's first build takes them too.  The contract: every
+observable -- vertex order, each set's iteration order, the directory,
+the memory model -- equals a replay through ``add_vertex``/``add_edge``
+whatever order the rows are touched in, no consumer ever sees arrays
+older than the graph, and set-up builds no row.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import MISMaintainer
+from repro import EdgeDeletion, EdgeInsertion, IngestionService, MISMaintainer
 from repro.core.oimis import OIMISProgram
 from repro.core.verification import is_greedy_fixpoint
 from repro.errors import GraphError, SelfLoopError
@@ -55,6 +56,23 @@ def replayed_directory(edges, vertices, partitioner):
         if not dgraph.graph.has_edge(u, v):
             dgraph.add_edge(u, v)
     return dgraph
+
+
+def assert_same_graph(built, ref):
+    """``built`` observes exactly as ``ref``: vertex order and every
+    row's iteration order, then equality.  The orders come first, because
+    ``==`` builds every row and would hide a row built in the wrong
+    order."""
+    assert list(built.vertices()) == list(ref.vertices())
+    for u in ref.vertices():
+        assert list(built.neighbors(u)) == list(ref.neighbors(u))
+    assert built.num_edges == ref.num_edges
+    assert built == ref
+
+
+def built_rows(graph):
+    """Vertices whose adjacency set exists; a bulk build makes none."""
+    return {u for u in graph.vertices() if type(graph._adj[u]) is not int}
 
 
 def assert_rows_match(ids, indptr, nbr, graph):
@@ -101,10 +119,7 @@ class TestArrayBuild:
         source = (e for e in edges) if as_generator else edges
         built = DynamicGraph.from_edges(source, vertices=iter(vertices))
         ref = incremental(edges, vertices)
-        assert built == ref
-        assert list(built._adj) == list(ref._adj)
-        for u in ref._adj:
-            assert list(built._adj[u]) == list(ref._adj[u])
+        assert_same_graph(built, ref)
         assert_rows_match(*csr_arrays(built), ref)
 
     @settings(max_examples=100, deadline=None)
@@ -137,7 +152,7 @@ class TestArrayBuild:
             ids, indptr, nbr = csr_arrays(graph)
             assert ids.size == 0 and indptr.tolist() == [0] and nbr.size == 0
         isolated = DynamicGraph.from_edges([], vertices=[4, -2, 4])
-        assert list(isolated._adj) == [4, -2]
+        assert list(isolated.vertices()) == [4, -2]
         assert DistributedGraph(isolated, HashPartitioner(2)) \
             .structural_memory_bytes_uniform(1) \
             == replayed_directory([], [4, -2], HashPartitioner(2)) \
@@ -149,6 +164,44 @@ class TestArrayBuild:
             graph = DynamicGraph.from_edges(array)
             assert graph == incremental(edges)
             assert all(type(u) is int for u in graph.vertices())
+
+    @pytest.mark.parametrize("source", [[], np.empty((0, 2), np.int64)])
+    def test_no_edges_with_vertices(self, source):
+        graph = DynamicGraph.from_edges(source, vertices=[3, 1, 3, -5])
+        assert_same_graph(graph, incremental([], [3, 1, -5]))
+        ids, indptr, nbr = csr_arrays(graph)
+        assert ids.tolist() == [-5, 1, 3]
+        assert indptr.tolist() == [0, 0, 0, 0] and nbr.size == 0
+        assert graph.max_degree() == 0
+
+    def test_isolated_vertices_only(self):
+        for vertices in ([9, -4, 2], np.array([9, -4, 2]), range(3)):
+            graph = DynamicGraph.from_edges((), vertices=vertices)
+            assert all(graph.degree(u) == 0 for u in graph.vertices())
+            assert_same_graph(graph, incremental([], list(vertices)))
+            assert not list(graph.edges())
+
+    @pytest.mark.parametrize("edges", [
+        [(4, 2), (2, 4), (4, 2), (2, 4)],
+        [(2, 4), (4, 2), (2, 4), (4, 2)],
+        [(4, 2), (4, 2), (4, 2)],
+    ])
+    def test_all_duplicates(self, edges):
+        graph = DynamicGraph.from_edges(edges)
+        assert graph.num_edges == 1
+        assert_same_graph(graph, incremental(edges))
+        ids, indptr, nbr = csr_arrays(graph)
+        assert (ids.tolist(), indptr.tolist(), nbr.tolist()) \
+            == ([2, 4], [0, 1, 2], [1, 0])
+
+    def test_int64_extremes_build(self):
+        lo, hi = -(2 ** 63), 2 ** 63 - 1
+        edges = [(hi, lo), (0, hi), (lo, hi), (lo, -1), (hi, 0), (-1, 1)]
+        graph = DynamicGraph.from_edges(edges, vertices=[1, hi])
+        assert_same_graph(graph, incremental(edges, [1, hi]))
+        ids, indptr, nbr = csr_arrays(graph)
+        assert ids.tolist() == [lo, -1, 0, 1, hi]
+        assert_rows_match(ids, indptr, nbr, graph)
 
     def test_first_self_loop_named(self):
         with pytest.raises(SelfLoopError) as info:
@@ -251,3 +304,141 @@ class TestArrayFreshness:
         clone = graph.copy()
         assert clone._arrays is None
         assert_rows_match(*csr_arrays(clone), graph)
+
+
+_OPS = ("add_edge", "remove_edge", "add_vertex", "remove_vertex",
+        "has_edge", "degree", "neighbors", "edges", "sizes", "max_degree",
+        "ranked", "csr", "copy", "eq")
+
+
+def observe(graph, name, u, v):
+    """Run operation ``name`` on ``graph``: its result, or the type of the
+    graph error it raised."""
+    try:
+        if name == "add_edge":
+            return graph.add_edge(u, v)
+        if name == "remove_edge":
+            return graph.remove_edge(u, v)
+        if name == "add_vertex":
+            return graph.add_vertex(u)
+        if name == "remove_vertex":
+            return graph.remove_vertex(u)
+        if name == "has_edge":
+            return graph.has_edge(u, v)
+        if name == "degree":
+            return graph.degree(u)
+        if name == "neighbors":
+            return list(graph.neighbors(u))
+        if name == "edges":
+            return list(graph.edges())
+        if name == "sizes":
+            # the edge counter against the degrees (untouched rows answer
+            # from the arrays), not just against the reference's counter
+            assert 2 * graph.num_edges \
+                == sum(map(graph.degree, graph.vertices()))
+            return graph.num_vertices, graph.num_edges
+        if name == "max_degree":
+            return graph.max_degree()
+        if name == "ranked":
+            # attaches the rank cache, whose repairs route remove_vertex
+            # through remove_edge from then on
+            return graph.ranked_neighbors(u) if u in graph else None
+        assert name == "csr"
+        ids, indptr, nbr = csr_arrays(graph)
+        # order within a row is the build's, which nothing reads
+        rows = [sorted(ids[nbr[a:b]].tolist())
+                for a, b in zip(indptr[:-1], indptr[1:])]
+        return ids.tolist(), indptr.tolist(), rows
+    except GraphError as exc:
+        return type(exc)
+
+
+class TestLazyRows:
+    """A bulk-built graph, its rows touched in any order, observes exactly
+    as the incremental reference under any interleaving of updates."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_inputs(), st.booleans(),
+           st.lists(st.tuples(st.sampled_from(_OPS), _IDS, _IDS),
+                    max_size=30))
+    def test_interleavings_match_incremental(self, case, via_csr, ops):
+        edges, vertices = case
+        built = DynamicGraph.from_edges(edges, vertices)
+        if via_csr:
+            # ascending ids, each row in the incremental insertion order
+            ids = csr_arrays(built)[0].tolist()
+            built = DynamicGraph.from_csr(*csr_arrays(built))
+            ref = incremental(edges, ids)
+        else:
+            ref = incremental(edges, vertices)
+        for name, u, v in ops:
+            if name == "copy":
+                built, ref = built.copy(), ref.copy()
+            elif name == "eq":
+                assert built == ref and ref == built
+            else:
+                assert observe(built, name, u, v) == observe(ref, name, u, v)
+        assert_same_graph(built, ref)
+        assert built._lazy == 0 and built._base is None
+        assert built.num_edges == len(list(built.edges()))
+
+    def test_equality_on_untouched_rows(self):
+        def graph(*extra):
+            return DynamicGraph.from_edges([(1, 2), (2, 3)], vertices=extra)
+
+        assert graph() != graph(4) and graph(4) != graph()
+        assert graph() != DynamicGraph.from_edges([(1, 2), (1, 3)])
+        assert graph(3) == DynamicGraph.from_edges([(3, 2), (2, 1)])
+        assert graph() != DynamicGraph()
+
+    def test_untouched_rows_answer_from_the_arrays(self):
+        graph = DynamicGraph.from_edges([(1, 2), (2, 3), (3, 1), (3, 4)])
+        assert (graph.num_edges, graph.max_degree(), graph.degree(3)) \
+            == (4, 3, 3)
+        assert repr(graph) == "DynamicGraph(n=4, m=4, deg_avg=2.00)"
+        assert built_rows(graph) == set()
+        assert graph.has_edge(4, 3) and not graph.has_edge(1, 4)
+        assert built_rows(graph) == {4, 1}
+        graph.remove_edge(2, 3)
+        assert built_rows(graph) == {1, 2, 3, 4}
+        # every row built: the base arrays go
+        assert graph._base is None and graph.num_edges == 3
+
+
+def _service_graph(n=300, m=1200, seed=7):
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n, (m, 2))
+    return [(int(u), int(v)) for u, v in pairs if u != v]
+
+
+class TestSetupBuildsNoRow:
+    """Set-up pays only for the rows it touches: the static run sweeps the
+    arrays, and a window reads only its endpoints' rows."""
+
+    def test_service_setup_then_one_window(self, tmp_path):
+        edges = _service_graph()
+        maintainer = MISMaintainer.from_edges(edges, vertices=range(300))
+        service = IngestionService(maintainer, str(tmp_path / "wal"),
+                                   serve_reads=True, checkpoint_every=1)
+        graph = maintainer.graph
+        assert built_rows(graph) == set()
+        present = {(min(e), max(e)) for e in edges}
+        absent = next((u, v) for u in range(300) for v in range(u + 1, 300)
+                      if (u, v) not in present)
+        ops = [EdgeDeletion(*edges[3]), EdgeInsertion(*absent)]
+        for op in ops:
+            service.submit(op)
+        service.drain()
+        assert service.windows_committed >= 1
+        assert built_rows(graph) == {w for op in ops for w in (op.u, op.v)}
+        service.close()
+        maintainer.verify()
+
+    def test_restore_builds_no_row(self, tmp_path):
+        maintainer = MISMaintainer.from_edges(_service_graph(),
+                                              vertices=range(300))
+        path = str(tmp_path / "ck")
+        maintainer.save(path)
+        restored = MISMaintainer.load(path, verify=False)
+        assert built_rows(restored.graph) == set()
+        assert restored.independent_set() == maintainer.independent_set()
