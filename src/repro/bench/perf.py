@@ -39,7 +39,6 @@ from typing import Any, Callable, Dict, List, Tuple
 
 from repro.core.activation import ActivationStrategy
 from repro.core.baselines import make_algorithm
-from repro.core.doimis import DOIMISMaintainer
 from repro.core.oimis import run_oimis
 from repro.bench.workloads import delete_reinsert_workload
 from repro.graph.datasets import load_dataset
@@ -368,76 +367,6 @@ def _elastic_transitions(
     return entry
 
 
-def _autoscale_policy_chung_lu(
-    n: int = 600, avg_degree: float = 8.0, exponent: float = 2.2,
-    seed: int = 3, k: int = 60, batch_size: int = 5,
-) -> Dict[str, Any]:
-    """Autoscale policy sweep on a Chung–Lu power-law graph.
-
-    Runs a delete-reinsert stream on a skewed synthetic graph with
-    per-superstep records kept, then replays the observed per-worker work
-    through :class:`~repro.runtime.elastic.LoadBalancer` +
-    :class:`~repro.runtime.elastic.AutoscalePolicy`, simulating the pool
-    the decisions would produce.  Both the run and every decision are pure
-    functions of logical meters, so the full decision trace is pinned in
-    the logical section.
-    """
-    from repro.graph.generators import chung_lu
-    from repro.runtime.elastic import AutoscalePolicy, LoadBalancer
-
-    base = chung_lu(n, avg_degree, exponent=exponent, seed=seed)
-    ops = delete_reinsert_workload(base, k, seed=seed)
-    maintainer = DOIMISMaintainer(
-        base.copy(), num_workers=10,
-        strategy=ActivationStrategy.SAME_STATUS, keep_records=True,
-    )
-    maintainer.apply_stream(ops, batch_size=batch_size)
-    entry = _sections(maintainer.independent_set(), maintainer.update_metrics)
-    records = maintainer.update_metrics.records
-    # calibrate capacity to the observed mean so the sweep crosses both
-    # hysteresis edges as the barrier load swings
-    mean_work = (sum(r.compute_work for r in records) / len(records)
-                 if records else 0.0)
-    policy = AutoscalePolicy(
-        target_utilization=0.7, hysteresis=0.15,
-        worker_capacity=max(mean_work / 4.0, 1.0),
-        min_workers=2, max_workers=8, cooldown=1,
-    )
-    balancer = LoadBalancer(window=4, skew_threshold=1.5)
-    pool = 4
-    pool_trace: List[int] = []
-    for record in records:
-        if not record.worker_work:
-            continue
-        balancer.observe(record.worker_work, record.active_vertices)
-        decision = policy.decide(balancer, pool)
-        pool = max(policy.min_workers,
-                   min(policy.max_workers, pool + decision.workers_delta))
-        pool_trace.append(pool)
-    actions = [d.action for d in policy.decisions]
-    entry["params"] = {"kind": "autoscale_policy", "model": "chung_lu",
-                       "n": n, "avg_degree": avg_degree,
-                       "exponent": exponent, "seed": seed, "k": k,
-                       "batch_size": batch_size, "workers": 10}
-    entry["logical"]["autoscale"] = {
-        "decisions": len(actions),
-        "scale_ups": actions.count("scale_up"),
-        "scale_downs": actions.count("scale_down"),
-        "rebalances": actions.count("rebalance"),
-        "holds": actions.count("hold"),
-        "final_pool": pool_trace[-1] if pool_trace else 4,
-        "trace_checksum": hashlib.sha256(
-            ",".join(actions).encode()
-        ).hexdigest()[:16],
-    }
-    entry["perf"]["autoscale"] = {
-        "pool_min": min(pool_trace) if pool_trace else 4,
-        "pool_max": max(pool_trace) if pool_trace else 4,
-        "final_skew": round(balancer.skew(), 4),
-    }
-    return entry
-
-
 SCENARIOS: Dict[str, Callable[[], Dict[str, Any]]] = {
     "static_oimis_SKI": lambda: _static_oimis("SKI"),
     "static_oimis_TW": lambda: _static_oimis("TW"),
@@ -456,7 +385,6 @@ SCENARIOS: Dict[str, Callable[[], Dict[str, Any]]] = {
         "TW", 100, 11, 25, joins=((10, 2), (11, 3))),
     "elastic_drain_SKI": lambda: _elastic_transitions(
         "SKI", 60, 7, 10, drains=((5, 3),)),
-    "autoscale_policy_chung_lu": lambda: _autoscale_policy_chung_lu(),
 }
 
 
@@ -582,8 +510,8 @@ def check_against(
                     f"{name}: logical field {field} drifted: "
                     f"expected {expected!r}, got {got!r}"
                 )
-        # scenario-specific logical sub-sections (reads, rebalance,
-        # autoscale, ...) are deterministic too — pin them whole
+        # scenario-specific logical sub-sections (reads, rebalance, ...)
+        # are deterministic too — pin them whole
         extras = set(base_entry["logical"]) | set(fresh_entry["logical"])
         for field in sorted(extras - set(LOGICAL_FIELDS)):
             expected = base_entry["logical"].get(field)

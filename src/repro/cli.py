@@ -467,11 +467,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     operations, timestamps = bursty_trace(trace_graph, TraceConfig(
         num_ops=args.ops, seed=args.seed, poison_prob=args.poison_prob,
     ))
-    autoscale = args.autoscale
-    if args.target_utilization is not None:
-        from repro.runtime import AutoscalePolicy
-
-        autoscale = AutoscalePolicy(target_utilization=args.target_utilization)
     runtime = _resolve_cli_runtime(args)
     maintainer = MISMaintainer(
         load_dataset(args.dataset), num_workers=args.workers, runtime=runtime
@@ -488,7 +483,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 max_retries=args.retries, backoff_base_s=args.backoff,
             ),
             fsync=args.fsync, checkpoint_every=args.checkpoint_every,
-            autoscale=autoscale,
             serve_reads=args.read_mix > 0,
         ) as service:
             ingest_wall, _ = drive(
@@ -526,12 +520,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ctl = summary["controller"]
             print(f"  controller        window={ctl['window_size']} "
                   f"grows={ctl['grows']} shrinks={ctl['shrinks']}")
-            if "autoscale" in summary:
-                scale = summary["autoscale"]
-                print(f"  autoscale         pool={scale['pool_size']} "
-                      f"ups={summary['scale_ups']} "
-                      f"downs={summary['scale_downs']} "
-                      f"u={scale['utilization']} skew={scale['skew']}")
             if "reads" in summary:
                 reads = summary["reads"]
                 served = reads["reads_served"]
@@ -958,17 +946,6 @@ def build_parser() -> argparse.ArgumentParser:
         "mid-window, recover from the WAL, assert bit-identity with an "
         "uninterrupted run",
     )
-    serve.add_argument(
-        "--autoscale", action="store_true",
-        help="consult the target-utilization autoscale policy between "
-        "windows, growing/shrinking the process pool (results stay "
-        "bit-identical at any pool size)",
-    )
-    serve.add_argument(
-        "--target-utilization", type=float, default=None, metavar="U",
-        help="autoscale utilization target in (0, 1] (default 0.7; needs "
-        "--autoscale)",
-    )
     serve.add_argument("--format", choices=("table", "json"), default="table")
     serve.set_defaults(fn=_cmd_serve)
 
@@ -1145,9 +1122,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error("--checkpoint-every needs --checkpoint PATH")
     if args.command == "generate" and args.model == "dataset" and not args.dataset:
         parser.error("generate dataset needs --dataset TAG")
-    if (args.command == "serve" and args.target_utilization is not None
-            and not args.autoscale):
-        parser.error("--target-utilization needs --autoscale")
     if args.command == "query":
         if (not args.vertex and not args.batch
                 and args.neighborhood is None and args.why_not is None):

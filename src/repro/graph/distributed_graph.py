@@ -75,9 +75,7 @@ class DistributedGraph:
         home = home_array(partitioner, ids)
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
         flags, counts = guest_flags(rows, home[nbr], home, w)
-        self._slot: Dict[int, int] = dict(
-            zip(graph.sorted_vertices(), range(n))
-        )
+        self._slot: Dict[int, int] = dict(zip(ids.tolist(), range(n)))
         #: per slot: vertex id, home worker, guest copies
         self._ids = _int64_array(ids)
         self._home = _int64_array(home)

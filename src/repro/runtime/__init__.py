@@ -17,25 +17,15 @@ from repro.runtime.base import (
     ScaleGSweep,
     resolve_runtime,
 )
-from repro.runtime.elastic import (
-    AutoscalePolicy,
-    LoadBalancer,
-    Recommendation,
-    resolve_autoscale,
-)
 from repro.runtime.parallel import ParallelRuntime
 
 __all__ = [
-    "AutoscalePolicy",
     "BarrierDraws",
     "BSPEngine",
     "ExecutionBackend",
     "InlineExecutor",
-    "LoadBalancer",
     "ParallelRuntime",
     "PregelSweep",
-    "Recommendation",
     "ScaleGSweep",
-    "resolve_autoscale",
     "resolve_runtime",
 ]

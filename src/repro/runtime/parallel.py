@@ -13,8 +13,7 @@ frame protocol:
   view of every neighbour's state.  The master's membership bitmap *is*
   the shared view, so a barrier commit reaches the workers without a
   message.  Rows whose home partition is ``w`` are swept by process
-  ``w % N``; ownership is recomputed per dispatch, so the pool can grow
-  or shrink between barriers.
+  ``w % N``, where ``N`` is the live pool size at each dispatch.
 - Per barrier, one length-prefixed frame (``Connection`` frames every
   message with a length header) goes down each pipe: the frame meta
   (segment name, epoch, layout — only when it changed since the last
@@ -221,45 +220,6 @@ class ParallelRuntime(ExecutionBackend):
     def prestart(self, num_partitions: Optional[int] = None) -> None:
         """Spawn the worker pool now (benchmarks exclude spawn latency)."""
         self._ensure_workers(num_partitions)
-
-    # -- elastic pool resize ---------------------------------------------
-    def add_worker(self) -> int:
-        """Grow the pool by one worker process; returns the new size.
-
-        The newcomer needs only the shared frame meta, which the next
-        sweep reships down every pipe.  Partition ownership is computed
-        per dispatch as ``partition % pool_size``, so the next barrier
-        rebalances automatically and stays bit-identical (the merge
-        re-sorts by row either way).  Before the pool has spawned this
-        only raises the target size.
-        """
-        if not self._workers:
-            self.procs += 1
-            return self.procs
-        self._spawn(len(self._workers))
-        self._csr_shipped = None
-        self.procs = len(self._workers)
-        return self.procs
-
-    def drain_worker(self) -> int:
-        """Retire the highest-indexed worker process; returns the new size.
-
-        Workers hold no state of their own, so nothing migrates across
-        the pipes — ownership recomputes as ``partition % pool_size`` at
-        the next dispatch.  Draining the last process is refused.
-        """
-        if not self._workers:
-            if self.procs <= 1:
-                raise ParallelRuntimeError(
-                    "cannot drain below one worker process"
-                )
-            self.procs -= 1
-            return self.procs
-        if len(self._workers) <= 1:
-            raise ParallelRuntimeError("cannot drain below one worker process")
-        self._stop(self._conns.pop(), self._workers.pop())
-        self.procs = len(self._workers)
-        return self.procs
 
     def close(self) -> None:
         """Stop the worker processes; the runtime stays reusable (the next

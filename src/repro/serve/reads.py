@@ -33,6 +33,7 @@ that window's checkpoint — the property the read-path tests pin.
 
 from __future__ import annotations
 
+import operator
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -41,6 +42,8 @@ import numpy as np
 from repro.errors import QueryError
 from repro.graph.csr import CSRPartition
 from repro.util import percentile
+
+_INT64 = np.iinfo(np.int64)
 
 
 class EpochSnapshot:
@@ -74,9 +77,20 @@ class EpochSnapshot:
         return int(np.count_nonzero(self.in_))
 
     def row_of(self, vertex: int) -> Optional[int]:
-        """Row index of ``vertex`` in this epoch, or None if absent."""
+        """Row index of ``vertex`` in this epoch, or None if absent.
+
+        This is the id rule every query shares: an integer (Python, numpy
+        or bool) is an id, one outside int64 is never present, and
+        anything else raises :class:`QueryError`.
+        """
+        try:
+            vertex = operator.index(vertex)
+        except TypeError:
+            raise QueryError(
+                f"vertex ids are integers, got {vertex!r}"
+            ) from None
         ids = self.ids
-        if not ids.size:
+        if not ids.size or not _INT64.min <= vertex <= _INT64.max:
             return None
         row = int(np.searchsorted(ids, vertex))
         if row >= ids.size or int(ids[row]) != vertex:
@@ -277,18 +291,28 @@ class QueryEngine:
         """Vectorized point membership for many vertices in one pass.
 
         One ``searchsorted`` + one gather answers the whole batch against
-        the epoch bitmap — no per-vertex Python work, no pickling.
+        the epoch bitmap — no per-vertex Python work, no pickling.  Ids
+        follow :meth:`point`'s rule: a non-integer raises
+        :class:`QueryError`, an integer outside int64 is not a member.
         """
         started = time.perf_counter()
         snapshot = self._snapshot()
         count = len(vertices)
-        members = [False] * count
-        if count and snapshot.ids.size:
-            ids = snapshot.ids
-            wanted = np.fromiter(vertices, np.int64, count=count)
-            rows = np.minimum(np.searchsorted(ids, wanted), ids.size - 1)
-            valid = ids[rows] == wanted
-            members = np.where(valid, snapshot.in_[rows], False).tolist()
+        ids = snapshot.ids
+        wanted = np.asarray(vertices)
+        if wanted.ndim == 1 and wanted.dtype.kind in "bi":
+            members = [False] * count
+            if count and ids.size:
+                wanted = wanted.astype(np.int64, copy=False)
+                rows = np.minimum(np.searchsorted(ids, wanted), ids.size - 1)
+                valid = ids[rows] == wanted
+                members = np.where(valid, snapshot.in_[rows], False).tolist()
+        else:
+            # not all int64 (a float, a string, an id past int64): the
+            # point rule, id by id
+            rows = [snapshot.row_of(v) for v in vertices]
+            members = [row is not None and bool(snapshot.in_[row])
+                       for row in rows]
         self.batch_queries += 1
         self.batch_vertices += count
         if count > self.max_batch_size:

@@ -46,6 +46,7 @@ boundaries, sheds, retries, quarantines) is deterministic per seed.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 from collections import Counter, deque
@@ -61,13 +62,6 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.graph.updates import EdgeDeletion, EdgeInsertion, EdgeUpdate
-from repro.runtime.elastic import (
-    SCALE_DOWN,
-    SCALE_UP,
-    AutoscalePolicy,
-    LoadBalancer,
-    resolve_autoscale,
-)
 from repro.serve.admission import AdmissionConfig, AdmissionController
 from repro.serve.controller import AdaptiveWindowController
 from repro.serve.wal import WriteAheadLog
@@ -130,8 +124,6 @@ class ServeStats:
     replayed_windows: int = 0
     replayed_events: int = 0
     truncated_bytes: int = 0
-    scale_ups: int = 0
-    scale_downs: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
@@ -201,8 +193,6 @@ class IngestionService:
         segment_bytes: int = 1 << 20,
         checkpoint_every: int = 8,
         close_maintainer: bool = True,
-        autoscale=None,
-        balancer: Optional[LoadBalancer] = None,
         serve_reads: bool = False,
         _recovered: Optional[_RecoveredState] = None,
     ):
@@ -234,17 +224,6 @@ class IngestionService:
         self._next_retry_at = 0.0
         self._dead_letter = None
         self._closed = False
-        # elastic serve loop: the policy is consulted after every committed
-        # window and grows/shrinks the maintainer's *physical* process pool
-        # (logical partitioning is untouched, so results stay bit-identical
-        # at any pool size)
-        self.autoscale: Optional[AutoscalePolicy] = resolve_autoscale(
-            autoscale
-        )
-        self.balancer = balancer if balancer is not None else LoadBalancer()
-        self._records_seen = 0
-        self._consulted_work = 0
-        self._consulted_active = 0
         # epoch-consistent read path: a snapshot registry publishing at
         # every committed window, and a query engine answering against the
         # newest epoch (see repro.serve.reads).  Staleness is measured
@@ -313,11 +292,18 @@ class IngestionService:
             raise WorkloadError(
                 f"serve ingests edge updates only, got {type(op).__name__}"
             )
-        if timestamp is not None and timestamp < self._clock:
-            raise WorkloadError(
-                f"timestamps must be non-decreasing "
-                f"({timestamp} < {self._clock})"
-            )
+        if timestamp is not None:
+            # a non-finite stamp would be logged and then wedge the clock
+            # (inf) or slip past every comparison (nan), across recovery too
+            if not math.isfinite(timestamp):
+                raise WorkloadError(
+                    f"timestamps must be finite, got {timestamp}"
+                )
+            if timestamp < self._clock:
+                raise WorkloadError(
+                    f"timestamps must be non-decreasing "
+                    f"({timestamp} < {self._clock})"
+                )
         verdict = self.admission.admit(self.pending)
         if verdict == "shed":
             # the event is dropped, but its timestamp still happened: move
@@ -438,7 +424,6 @@ class IngestionService:
         if (self.checkpoint_every
                 and self.windows_committed % self.checkpoint_every == 0):
             self.checkpoint()
-        self._consult_autoscale()
 
     # ------------------------------------------------------------------
     # epoch-consistent reads
@@ -488,7 +473,7 @@ class IngestionService:
         return self._require_reads().why_not(vertex)
 
     # ------------------------------------------------------------------
-    # elastic membership + autoscaling
+    # membership epoch
     # ------------------------------------------------------------------
     def _membership_epoch(self) -> List[int]:
         """``[cluster_size, membership_epoch]`` for WAL commit records.
@@ -501,53 +486,6 @@ class IngestionService:
         failover = getattr(self.maintainer, "failover", None)
         epoch = failover.epoch if failover is not None else 0
         return [int(self.maintainer.num_workers), int(epoch)]
-
-    def _pool_size(self) -> int:
-        """Physical worker-process count (1 for the inline backend)."""
-        runtime = getattr(self.maintainer, "runtime", None)
-        return int(getattr(runtime, "procs", 1) or 1)
-
-    def _consult_autoscale(self) -> None:
-        """Fold the committed window into the balancer and apply the
-        policy's decision to the maintainer's process pool."""
-        if self.autoscale is None:
-            return
-        metrics = self.maintainer.update_metrics
-        records = metrics.records
-        observation = None
-        if len(records) > self._records_seen:
-            # per-worker vectors are available (keep_records on): sum the
-            # window's barriers so the balancer sees real skew
-            totals: List[int] = []
-            active = 0
-            for record in records[self._records_seen:]:
-                for w, units in enumerate(record.worker_work):
-                    if w >= len(totals):
-                        totals.extend([0] * (w + 1 - len(totals)))
-                    totals[w] += units
-                active += record.active_vertices
-            self._records_seen = len(records)
-            if any(totals):
-                observation = (totals, active)
-        if observation is None:
-            # meters only: one aggregate observation per window
-            delta_work = self.totals["compute_work"] - self._consulted_work
-            delta_active = (
-                self.totals["active_vertices"] - self._consulted_active
-            )
-            observation = ([max(delta_work, 0)], max(delta_active, 0))
-        self._consulted_work = self.totals["compute_work"]
-        self._consulted_active = self.totals["active_vertices"]
-        self.balancer.observe(*observation)
-        decision = self.autoscale.decide(self.balancer, self._pool_size())
-        runtime = getattr(self.maintainer, "runtime", None)
-        if decision.action == SCALE_UP and hasattr(runtime, "add_worker"):
-            runtime.add_worker()
-            self.stats.scale_ups += 1
-        elif decision.action == SCALE_DOWN \
-                and hasattr(runtime, "drain_worker"):
-            runtime.drain_worker()
-            self.stats.scale_downs += 1
 
     # ------------------------------------------------------------------
     # poison handling: bisect + quarantine
@@ -719,19 +657,6 @@ class IngestionService:
         summary["logical_totals"] = self.logical_totals()
         if self.query_engine is not None:
             summary["reads"] = self.query_engine.read_stats()
-        if self.autoscale is not None:
-            last = (self.autoscale.decisions[-1]
-                    if self.autoscale.decisions else None)
-            summary["autoscale"] = {
-                "pool_size": self._pool_size(),
-                "decisions": len(self.autoscale.decisions),
-                "last_action": last.action if last is not None else None,
-                "last_reason": last.reason if last is not None else None,
-                "utilization": round(
-                    last.utilization if last is not None else 0.0, 4
-                ),
-                "skew": round(self.balancer.skew(), 4),
-            }
         return summary
 
     # ------------------------------------------------------------------
@@ -749,7 +674,6 @@ class IngestionService:
         segment_bytes: int = 1 << 20,
         checkpoint_every: int = 8,
         close_maintainer: bool = True,
-        autoscale=None,
         serve_reads: bool = False,
     ) -> "IngestionService":
         """Rebuild a crashed service from its log directory.
@@ -896,7 +820,6 @@ class IngestionService:
             segment_bytes=segment_bytes,
             checkpoint_every=checkpoint_every,
             close_maintainer=close_maintainer,
-            autoscale=autoscale,
             serve_reads=serve_reads,
             _recovered=recovered,
         )
@@ -946,11 +869,6 @@ class IngestionService:
             max((b[-1][0] for b, _ in recovered.replay_batches if b),
                 default=self._applied_watermark),
         )
-        # autoscale deltas start from the recovered totals, and replayed
-        # superstep records never re-trigger scale decisions
-        self._consulted_work = self.totals["compute_work"]
-        self._consulted_active = self.totals["active_vertices"]
-        self._records_seen = len(self.maintainer.update_metrics.records)
         # the read watermark survives WAL replay: the first post-recovery
         # epoch is the replayed commit watermark, published before the
         # uncommitted tail pumps any further windows

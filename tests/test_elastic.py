@@ -1,4 +1,4 @@
-"""Tests for elastic membership: voluntary join/drain + autoscaling.
+"""Tests for elastic membership: voluntary join/drain.
 
 The contract under test (the elastic counterpart of the worker-loss
 oracle): planned transitions are *chosen*, not suffered, so
@@ -15,9 +15,8 @@ oracle): planned transitions are *chosen*, not suffered, so
   ``rebalance_*`` family (never ``recovery_*``);
 - a voluntarily drained worker is never again drawn for crash/straggler/
   loss faults, and a drain racing a crash still converges bit-identically;
-- the WAL commit records carry the membership epoch, recovery validates
-  it with a clear ``RecoveryError``, and the autoscaling serve loop
-  resizes the physical pool without perturbing any logical meter.
+- the WAL commit records carry the membership epoch, and recovery
+  validates it with a clear ``RecoveryError``.
 """
 
 import os
@@ -28,7 +27,6 @@ from repro.core.activation import ActivationStrategy
 from repro.core.doimis import DOIMISMaintainer
 from repro.core.maintainer import MISMaintainer
 from repro.errors import (
-    ParallelRuntimeError,
     RecoveryError,
     WorkloadError,
 )
@@ -53,17 +51,6 @@ from repro.pregel.engine import PregelEngine
 from repro.pregel.metrics import RunMetrics
 from repro.pregel.partition import HashPartitioner
 from repro.runtime import ParallelRuntime
-from repro.runtime.elastic import (
-    HOLD,
-    REBALANCE,
-    SCALE_DOWN,
-    SCALE_UP,
-    AutoscalePolicy,
-    LoadBalancer,
-    resolve_autoscale,
-)
-
-_PROCS = int(os.environ.get("REPRO_TEST_PROCS", "2"))
 
 
 def _logical(metrics):
@@ -442,194 +429,7 @@ class TestCSRTransitions:
 
 
 # ---------------------------------------------------------------------------
-# the resizable process pool
-# ---------------------------------------------------------------------------
-class TestRuntimeElasticity:
-    # the newcomer needs only the shared frame meta; the process runtime
-    # sweeps CSR kernels only, so "csr" is the one representation here
-    @pytest.mark.parametrize("representation", ["csr"])
-    def test_add_worker_mid_stream_bit_identical(self, representation):
-        graph, ops = _workload(n=50, m=120)
-
-        def run(resize):
-            runtime = ParallelRuntime(procs=_PROCS)
-            maintainer = DOIMISMaintainer(
-                graph.copy(), num_workers=6,
-                strategy=ActivationStrategy.SAME_STATUS, runtime=runtime,
-                representation=representation,
-            )
-            try:
-                maintainer.apply_stream(ops[:20], batch_size=5)
-                if resize:
-                    assert runtime.add_worker() == _PROCS + 1
-                maintainer.apply_stream(ops[20:], batch_size=5)
-            finally:
-                maintainer.close()
-            return (sorted(maintainer.independent_set()),
-                    _logical(maintainer.update_metrics))
-
-        assert run(True) == run(False)
-
-    def test_drain_worker_mid_stream_bit_identical(self):
-        graph, ops = _workload(n=50, m=120)
-
-        def run(resize):
-            runtime = ParallelRuntime(procs=2)
-            maintainer = DOIMISMaintainer(
-                graph.copy(), num_workers=6,
-                strategy=ActivationStrategy.SAME_STATUS, runtime=runtime,
-            )
-            try:
-                maintainer.apply_stream(ops[:20], batch_size=5)
-                if resize:
-                    assert runtime.drain_worker() == 1
-                maintainer.apply_stream(ops[20:], batch_size=5)
-            finally:
-                maintainer.close()
-            return (sorted(maintainer.independent_set()),
-                    _logical(maintainer.update_metrics))
-
-        assert run(True) == run(False)
-
-    def test_drain_below_one_worker_refused(self):
-        runtime = ParallelRuntime(procs=1)
-        graph, _ops = _workload(n=20, m=40)
-        maintainer = DOIMISMaintainer(
-            graph.copy(), num_workers=4,
-            strategy=ActivationStrategy.SAME_STATUS, runtime=runtime,
-        )
-        try:
-            with pytest.raises(ParallelRuntimeError):
-                runtime.drain_worker()
-        finally:
-            maintainer.close()
-
-
-# ---------------------------------------------------------------------------
-# the balancer and the autoscale policy
-# ---------------------------------------------------------------------------
-class TestLoadBalancer:
-    def test_skew_is_max_over_mean(self):
-        balancer = LoadBalancer(window=4)
-        balancer.observe([10, 10, 40], 60)
-        assert balancer.skew() == pytest.approx(2.0)
-        assert balancer.worker_totals() == [10, 10, 40]
-
-    def test_window_slides(self):
-        balancer = LoadBalancer(window=2)
-        balancer.observe([100, 0], 10)
-        balancer.observe([10, 10], 10)
-        balancer.observe([10, 10], 10)  # evicts the skewed barrier
-        assert balancer.skew() == pytest.approx(1.0)
-        assert balancer.barriers_observed == 3
-
-    def test_recommend_rebalance_on_skew(self):
-        balancer = LoadBalancer(window=4, skew_threshold=1.5)
-        balancer.observe([10, 10, 50], 70)
-        rec = balancer.recommend(num_workers=3)
-        assert rec.action == REBALANCE
-        assert rec.estimated_moved_fraction == pytest.approx(1 / 3)
-        # a single worker has nobody to rebalance onto
-        assert balancer.recommend(num_workers=1).action == HOLD
-
-    def test_validation(self):
-        with pytest.raises(WorkloadError):
-            LoadBalancer(window=0)
-        with pytest.raises(WorkloadError):
-            LoadBalancer(skew_threshold=0.5)
-
-
-class TestAutoscalePolicy:
-    def _balancer_with_load(self, per_barrier_work, workers=2):
-        balancer = LoadBalancer(window=4)
-        share = per_barrier_work // workers
-        for _ in range(4):
-            balancer.observe([share] * workers, per_barrier_work)
-        return balancer
-
-    def test_scale_up_above_band(self):
-        policy = AutoscalePolicy(
-            target_utilization=0.5, hysteresis=0.1,
-            worker_capacity=100.0, cooldown=0,
-        )
-        balancer = self._balancer_with_load(200)  # u = 1.0 at 2 workers
-        decision = policy.decide(balancer, 2)
-        assert decision.action == SCALE_UP
-        assert decision.workers_delta == 1
-
-    def test_scale_down_below_band(self):
-        policy = AutoscalePolicy(
-            target_utilization=0.5, hysteresis=0.1,
-            worker_capacity=100.0, cooldown=0,
-        )
-        balancer = self._balancer_with_load(20)  # u = 0.1 at 2 workers
-        decision = policy.decide(balancer, 2)
-        assert decision.action == SCALE_DOWN
-        assert decision.workers_delta == -1
-
-    def test_hold_inside_hysteresis_band(self):
-        policy = AutoscalePolicy(
-            target_utilization=0.5, hysteresis=0.1,
-            worker_capacity=100.0, cooldown=0,
-        )
-        balancer = self._balancer_with_load(100)  # u = 0.5 at 2 workers
-        assert policy.decide(balancer, 2).action == HOLD
-
-    def test_cooldown_suppresses_consecutive_actions(self):
-        policy = AutoscalePolicy(
-            target_utilization=0.5, hysteresis=0.1,
-            worker_capacity=100.0, cooldown=2,
-        )
-        balancer = self._balancer_with_load(200)
-        assert policy.decide(balancer, 2).action == SCALE_UP
-        assert policy.decide(balancer, 3).action == HOLD  # cooling
-        assert policy.decide(balancer, 3).action == HOLD  # cooling
-        assert policy.decide(balancer, 3).action in (SCALE_UP, HOLD)
-
-    def test_rebalance_budget_refuses_expensive_moves(self):
-        # at 1 worker a scale-up would move 1/2 the graph: over a 0.3 budget
-        policy = AutoscalePolicy(
-            target_utilization=0.5, hysteresis=0.1,
-            worker_capacity=100.0, rebalance_budget=0.3, cooldown=0,
-        )
-        balancer = self._balancer_with_load(200, workers=1)
-        decision = policy.decide(balancer, 1)
-        assert decision.action == HOLD
-        assert "budget" in decision.reason
-
-    def test_bounds_respected(self):
-        policy = AutoscalePolicy(
-            target_utilization=0.5, hysteresis=0.1,
-            worker_capacity=100.0, min_workers=2, max_workers=2, cooldown=0,
-        )
-        hot = self._balancer_with_load(400)
-        cold = self._balancer_with_load(4)
-        assert policy.decide(hot, 2).action == HOLD
-        assert policy.decide(cold, 2).action == HOLD
-
-    def test_validation(self):
-        with pytest.raises(WorkloadError):
-            AutoscalePolicy(target_utilization=0.0)
-        with pytest.raises(WorkloadError):
-            AutoscalePolicy(hysteresis=0.9)
-        with pytest.raises(WorkloadError):
-            AutoscalePolicy(rebalance_budget=0.0)
-        with pytest.raises(WorkloadError):
-            AutoscalePolicy(min_workers=3, max_workers=2)
-
-    def test_resolve_autoscale_forms(self):
-        assert resolve_autoscale(None) is None
-        assert resolve_autoscale(False) is None
-        default = resolve_autoscale(True)
-        assert isinstance(default, AutoscalePolicy)
-        policy = AutoscalePolicy()
-        assert resolve_autoscale(policy) is policy
-        with pytest.raises(WorkloadError):
-            resolve_autoscale("yes")
-
-
-# ---------------------------------------------------------------------------
-# the autoscaling serve loop + the WAL membership epoch
+# the WAL membership epoch
 # ---------------------------------------------------------------------------
 class TestServeElastic:
     def _trace(self, num_ops=120, seed=7):
@@ -647,55 +447,6 @@ class TestServeElastic:
             load_dataset("AM"), num_workers=10,
             strategy=ActivationStrategy.SAME_STATUS, **kwargs,
         )
-
-    def test_autoscale_grows_the_pool_without_meter_drift(self, tmp_path):
-        from repro.serve import IngestionService
-
-        ops, timestamps = self._trace()
-
-        def run(autoscale, runtime):
-            service = IngestionService(
-                self._maintainer(runtime=runtime),
-                str(tmp_path / ("scaled" if autoscale else "plain")),
-                autoscale=autoscale, checkpoint_every=0,
-            )
-            for op, ts in zip(ops, timestamps):
-                service.submit(op, ts)
-            service.drain()
-            members = sorted(service.maintainer.independent_set())
-            totals = service.logical_totals()
-            stats = service.stats
-            pool = service._pool_size()
-            service.close()
-            return members, totals, stats, pool
-
-        # an eager policy on a tiny modelled capacity must scale up
-        eager = AutoscalePolicy(
-            target_utilization=0.5, hysteresis=0.1, worker_capacity=1.0,
-            max_workers=3, cooldown=0,
-        )
-        members, totals, stats, pool = run(eager, ParallelRuntime(procs=1))
-        ref_members, ref_totals, _stats, _pool = run(None, None)
-        assert stats.scale_ups >= 1
-        assert pool > 1
-        assert members == ref_members
-        assert totals == ref_totals
-
-    def test_autoscale_inline_backend_records_without_resizing(self, tmp_path):
-        from repro.serve import IngestionService
-
-        ops, timestamps = self._trace(num_ops=60)
-        service = IngestionService(
-            self._maintainer(), str(tmp_path / "inline"),
-            autoscale=True, checkpoint_every=0,
-        )
-        for op, ts in zip(ops, timestamps):
-            service.submit(op, ts)
-        service.drain()
-        summary = service.stats_summary()
-        service.close()
-        assert summary["autoscale"]["pool_size"] == 1
-        assert summary["autoscale"]["decisions"] >= 1
 
     def test_commit_records_carry_membership_epoch(self, tmp_path):
         from repro.serve import IngestionService
@@ -787,16 +538,6 @@ class TestElasticCLI:
         assert code == 0
         assert "bit-identical" in out
 
-    def test_target_utilization_needs_autoscale(self, capsys):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as exc:
-            main(["serve", "--target-utilization", "0.5"])
-        assert exc.value.code == 2
-        assert "--target-utilization needs --autoscale" in (
-            capsys.readouterr().err
-        )
-
     def test_rebalance_requires_a_transition(self, capsys):
         from repro.cli import main
 
@@ -813,14 +554,3 @@ class TestElasticCLI:
         assert code != 0
         assert "none applied" in captured.out
         assert "bit-identical" not in captured.out
-
-    def test_serve_autoscale_flag(self, capsys):
-        from repro.cli import main
-
-        code = main([
-            "serve", "--dataset", "AM", "--ops", "80", "--seed", "7",
-            "--autoscale", "--target-utilization", "0.5", "--check",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "autoscale" in out

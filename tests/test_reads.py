@@ -15,11 +15,14 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.maintainer import MISMaintainer
 from repro.bench.workloads import delete_reinsert_workload
 from repro.errors import QueryError, WorkloadError
 from repro.graph.datasets import load_dataset
+from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import erdos_renyi
 from repro.serve import (
     AdaptiveWindowController,
@@ -51,6 +54,22 @@ def _service(tmp_path, name="wal", tag="AM", serve_reads=True, **kw):
         _maintainer(tag, **kw.pop("maintainer_kw", {})),
         str(tmp_path / name), serve_reads=serve_reads, **kw,
     )
+
+
+#: query ids: graph ids, ids past int64 either way, bools and floats
+_QUERY_IDS = st.one_of(
+    st.integers(-1, 3), st.integers(2 ** 63 - 1, 2 ** 65),
+    st.integers(-(2 ** 65), -(2 ** 63)), st.booleans(), st.floats(),
+)
+
+
+def _path_engine():
+    registry = SnapshotRegistry(
+        MISMaintainer(DynamicGraph.from_edges([(0, 1), (1, 2)]),
+                      num_workers=2)
+    )
+    registry.publish(watermark=0)
+    return QueryEngine(registry)
 
 
 def _snapshot_point(snapshot, vertex):
@@ -150,6 +169,20 @@ class TestQueryEngine:
             engine.point(v)["member"] for v in vertices
         ]
         assert engine.batch([])["members"] == []
+
+    @given(st.lists(_QUERY_IDS, max_size=6))
+    @example([0.5, 2.9])
+    @example([1, 2 ** 64])
+    @settings(max_examples=150, deadline=None)
+    def test_batch_and_point_share_one_id_rule(self, vertices):
+        engine = _path_engine()  # path 0-1-2, members {0, 2}
+        try:
+            expected = [engine.point(v)["member"] for v in vertices]
+        except QueryError:
+            with pytest.raises(QueryError):
+                engine.batch(vertices)
+            return
+        assert engine.batch(vertices)["members"] == expected
 
     def test_neighborhood_matches_bfs_reference(self, served):
         maintainer, engine = served

@@ -436,6 +436,32 @@ class TestService:
             service.submit(EdgeInsertion(0, 3), timestamp=1.0)
         service.abandon()
 
+    @pytest.mark.parametrize("policy", ["block", "shed"])
+    @pytest.mark.parametrize("stamp", [float("inf"), float("nan")])
+    def test_non_finite_timestamp_rejected_unlogged(
+        self, tmp_path, policy, stamp
+    ):
+        # two queued events reach the high watermark, so "shed" sheds the
+        # next event and "block" drains the queue before admitting it
+        service = _service(
+            tmp_path, controller=FixedWindowController(64),
+            admission=AdmissionConfig(
+                policy=policy, high_watermark=2, low_watermark=0,
+            ),
+        )
+        service.submit(EdgeInsertion(0, 2), timestamp=2.0)
+        service.submit(EdgeInsertion(0, 3), timestamp=2.0)
+        with pytest.raises(WorkloadError, match="finite"):
+            service.submit(EdgeInsertion(0, 4), timestamp=stamp)
+        assert service._clock == 2.0
+        service.submit(EdgeInsertion(0, 5), timestamp=3.0)  # not wedged
+        service.abandon()
+        logged = [r.payload for r in WriteAheadLog(service.wal_dir)
+                  .iter_records() if r.payload["t"] == "ev"]
+        assert [e["v"] for e in logged] == (
+            [2, 3] if policy == "shed" else [2, 3, 5]
+        )
+
     def test_context_manager_closes(self, tmp_path):
         graph = load_dataset("AM")
         u, v = next(iter(graph.edges()))
