@@ -6,7 +6,7 @@ order ``≺`` regardless of execution or update order.  The proofs lean on a
 coding discipline the engines cannot enforce by construction — deterministic
 neighbour iteration, double-buffered state reads, activate-on-change,
 no cross-superstep aliasing of mutable state.  This package enforces that
-discipline three ways:
+discipline two ways:
 
 - :mod:`repro.analysis.linter` — an AST-based static linter over vertex
   programs and engine modules, reporting typed :class:`~repro.analysis.findings.Finding`
@@ -16,16 +16,15 @@ discipline three ways:
   (barrier ordering), P3 (frame hygiene), P4 (merge-once) from
   :mod:`repro.analysis.parallel.rules`.  Exposed on the CLI as
   ``repro-mis lint``.
-- :mod:`repro.analysis.runtime` — an opt-in :class:`ContractChecker` the
-  engines call at superstep barriers (double-buffer isolation) and at
-  convergence (independence + maximality of the reported set).  Enable with
-  ``REPRO_CONTRACTS=1`` or an explicit ``contracts=`` engine argument.
-- :mod:`repro.analysis.parallel` — an opt-in :class:`RaceSanitizer` that
-  wraps the execution backend to record per-worker read/write vertex sets
-  each superstep and flag races (write–write overlap, non-owned writes,
-  mid-superstep commits, meter double-merges) with a keyed-hash trace log.
-  Enable with ``REPRO_SANITIZE=1`` or an explicit ``sanitize=`` engine
-  argument; drive over chaos scenarios with ``repro-mis sanitize``.
+- :mod:`repro.analysis.parallel` — the one runtime checker, an opt-in
+  :class:`RaceSanitizer` that wraps the execution backend to record
+  per-worker read/write vertex sets each superstep and flag races
+  (write–write overlap, non-owned writes, mid-superstep commits — broken
+  double-buffer isolation, naming the first moved vertex — and meter
+  double-merges) with a keyed-hash trace log, and checks each converged
+  run's reported set for independence and maximality.  Enable with an
+  explicit ``sanitize=`` engine or maintainer argument; drive over chaos
+  scenarios with ``repro-mis sanitize``.
 """
 
 from repro.analysis.findings import (
@@ -47,12 +46,6 @@ from repro.analysis.parallel.sanitizer import (
     RaceSanitizer,
     SanitizedBackend,
     resolve_sanitizer,
-    sanitize_enabled,
-)
-from repro.analysis.runtime import (
-    ContractChecker,
-    contracts_enabled,
-    resolve_contracts,
 )
 
 __all__ = [
@@ -67,11 +60,7 @@ __all__ = [
     "default_lint_paths",
     "lint_paths",
     "lint_source",
-    "ContractChecker",
-    "contracts_enabled",
-    "resolve_contracts",
     "RaceSanitizer",
     "SanitizedBackend",
     "resolve_sanitizer",
-    "sanitize_enabled",
 ]

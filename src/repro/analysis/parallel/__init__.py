@@ -5,10 +5,12 @@ Two halves of one guard-rail for the runtime layer:
 - :mod:`repro.analysis.parallel.rules` — the **P family** of static AST
   rules (P1 sweep purity, P2 barrier ordering, P3 frame hygiene, P4
   merge-once), run by the linter over the engines and execution backends.
-- :mod:`repro.analysis.parallel.sanitizer` — the **RaceSanitizer**, an
-  opt-in (``REPRO_SANITIZE=1``) backend wrapper that records per-worker
-  read/write vertex sets each superstep and flags races at runtime, with
-  a keyed-hash trace log that replays under any ``PYTHONHASHSEED``.
+- :mod:`repro.analysis.parallel.sanitizer` — the **RaceSanitizer**, the
+  one runtime checker: an opt-in (``sanitize=True``) backend wrapper that
+  records per-worker read/write vertex sets each superstep and flags races
+  and broken barrier isolation, with a keyed-hash trace log that replays
+  under any ``PYTHONHASHSEED``, and checks each converged run's set for
+  independence and maximality.
 - :mod:`repro.analysis.parallel.sanitize` — the ``repro-mis sanitize``
   driver: chaos workloads under the sanitizer, asserting zero races and
   bit-identity with the inline reference.
@@ -20,7 +22,6 @@ from repro.analysis.parallel.sanitizer import (
     SanitizedBackend,
     SuperstepTrace,
     resolve_sanitizer,
-    sanitize_enabled,
 )
 
 #: the sanitize driver imports the chaos harness (maintainer, datasets) —
@@ -44,7 +45,6 @@ __all__ = [
     "SanitizedBackend",
     "SuperstepTrace",
     "resolve_sanitizer",
-    "sanitize_enabled",
     "SanitizeCaseResult",
     "run_sanitize_case",
     "sanitize_suite",

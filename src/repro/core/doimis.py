@@ -83,11 +83,12 @@ class DOIMISMaintainer:
         :meth:`close` (or use the maintainer as a context manager) when a
         process runtime is attached.
     sanitize:
-        ``None`` defers to the ``REPRO_SANITIZE`` env flag, ``True``/
-        ``False`` force the superstep race sanitizer on/off, or pass a
-        :class:`~repro.analysis.parallel.RaceSanitizer` — the engine's
+        ``True`` or a :class:`~repro.analysis.parallel.RaceSanitizer` turns
+        on the runtime checker (``None``/``False``: off) — the engine's
         backend is then wrapped to record per-worker read/write sets each
-        superstep and flag races (see :mod:`repro.analysis.parallel`).
+        superstep and flag races, and every converged batch's set is
+        checked for independence and maximality (see
+        :mod:`repro.analysis.parallel`).
     representation:
         Partition representation for the engine's sweeps — ``None``/
         ``"csr"`` (the default: flat-array mirror, vectorized sweeps +

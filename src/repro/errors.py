@@ -154,42 +154,14 @@ class CheckpointError(ReproError):
         self.reason = reason
 
 
-class ContractViolation(EngineError):
-    """Raised by the runtime contract checker when a BSP invariant breaks.
-
-    ``contract`` names the violated invariant (``"double-buffer"``,
-    ``"independence"``, ``"maximality"``); ``superstep`` and ``vertex``
-    localize the violation when known.  See
-    :mod:`repro.analysis.runtime` for what each contract asserts.
-    """
-
-    def __init__(
-        self,
-        contract: str,
-        detail: str,
-        superstep: "int | None" = None,
-        vertex: "int | None" = None,
-    ):
-        where = []
-        if superstep is not None:
-            where.append(f"superstep {superstep}")
-        if vertex is not None:
-            where.append(f"vertex {vertex}")
-        suffix = f" ({', '.join(where)})" if where else ""
-        super().__init__(f"{contract} contract violated{suffix}: {detail}")
-        self.contract = contract
-        self.detail = detail
-        self.superstep = superstep
-        self.vertex = vertex
-
-
 class RaceViolation(EngineError):
     """Raised by the runtime race sanitizer when a superstep breaks the
-    parallel execution discipline.
+    BSP execution discipline or a converged run breaks the MIS invariant.
 
     ``check`` names the violated invariant (``"mid-superstep-commit"``,
-    ``"write-write-overlap"``, ``"non-owned-write"``, ``"meter-double-merge"``);
-    ``superstep`` and ``vertex``/``worker`` localize it when known.  See
+    ``"write-write-overlap"``, ``"non-owned-write"``, ``"meter-double-merge"``,
+    ``"independence"``, ``"maximality"``); ``superstep`` and
+    ``vertex``/``worker`` localize it when known.  See
     :mod:`repro.analysis.parallel.sanitizer` for what each check asserts.
     """
 

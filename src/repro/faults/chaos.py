@@ -33,6 +33,7 @@ from repro.core.doimis import DOIMISMaintainer
 from repro.errors import ReproError, WorkloadError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import DrainSpec, FaultPlan, JoinSpec, LossSpec
+from repro.pregel.metrics import LOGICAL_METERS
 
 #: fault-plan presets swept by ``repro-mis chaos`` — kwargs for
 #: :class:`FaultPlan` (the seed is supplied per case).  Probabilities are
@@ -123,16 +124,6 @@ CHAOS_WORKLOADS: Tuple[ChaosWorkload, ...] = (
     ChaosWorkload(tag="AM", k=25, batch_size=1, workload_seed=5),
     ChaosWorkload(tag="SL", k=40, batch_size=10, workload_seed=9),
 )
-
-#: logical meters that must be bit-identical between the faulted run and
-#: the fault-free reference (superset of ``bench-perf``'s LOGICAL_FIELDS:
-#: recovery replays charge their compute to ``recovery_compute_work``, so
-#: the logical ``compute_work`` must match too)
-LOGICAL_METERS = (
-    "supersteps", "active_vertices", "state_changes",
-    "messages", "remote_messages", "bytes_sent", "compute_work",
-)
-
 
 def plan_for(preset: str, seed: int) -> FaultPlan:
     """The :class:`FaultPlan` for a named preset at ``seed``."""

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import WorkerFailure, WorkloadError
+from repro.faults.recovery import _snapshot
 from repro.pregel.metrics import MESSAGE_OVERHEAD_BYTES, VERTEX_ID_BYTES
 
 #: log10(e) — the phi-accrual scale factor under exponential arrivals
@@ -649,8 +650,6 @@ class FailoverCoordinator:
         superstep's state changes and charged to
         ``recovery_delta_log_bytes``.
         """
-        from repro.analysis.runtime import _snapshot
-
         frame: Dict[int, Any] = {}
         for u in sorted(changed):
             if not self._dgraph.has_vertex(u):
@@ -681,8 +680,6 @@ class FailoverCoordinator:
         DOIMIS affected set (lost hosts + their neighbours) for the
         engine's recovery sweep.  All costs land on ``recovery_*``.
         """
-        from repro.analysis.runtime import _snapshot
-
         lost = sorted(w for w in set(lost_workers) if not self.view.is_dead(w))
         if not lost:
             return []

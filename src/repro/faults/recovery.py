@@ -26,8 +26,10 @@ payload.
 
 from __future__ import annotations
 
+import copy
 from contextlib import contextmanager
 from dataclasses import dataclass
+from enum import Enum
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import CheckpointError, WorkerFailure, WorkerLoss
@@ -38,10 +40,21 @@ FORMAT = "repro-mis-superstep-checkpoint"
 VERSION = 1
 
 
+#: state types whose snapshot can be the value itself
+_IMMUTABLE_TYPES = (bool, int, float, str, bytes, frozenset, type(None), Enum)
+
+
+def _snapshot(state: Any) -> Any:
+    """Value snapshot of one state (deep-copies mutable states)."""
+    if isinstance(state, _IMMUTABLE_TYPES):
+        return state
+    if isinstance(state, tuple):
+        return state if all(isinstance(x, _IMMUTABLE_TYPES) for x in state) else copy.deepcopy(state)
+    return copy.deepcopy(state)
+
+
 def _snapshot_states(states: Dict[int, Any]) -> Dict[int, Any]:
     """Value snapshot of a state map (deep-copies mutable states)."""
-    from repro.analysis.runtime import _snapshot
-
     return {u: _snapshot(s) for u, s in states.items()}
 
 

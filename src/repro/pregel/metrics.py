@@ -62,6 +62,16 @@ class SuperstepRecord:
     worker_work: List[int] = field(default_factory=list)
 
 
+#: the logical meters — bit-identical across backends and under recovered
+#: faults (recovery replays charge the ``recovery_*`` meters instead): the
+#: chaos oracle compares them, and the ingestion service commits their
+#: cumulative sums to the WAL as its crash-recovery oracle
+LOGICAL_METERS = (
+    "supersteps", "active_vertices", "state_changes",
+    "messages", "remote_messages", "bytes_sent", "compute_work",
+)
+
+
 @dataclass
 class RunMetrics:
     """Aggregate metrics for one engine run (or one maintenance session).

@@ -27,8 +27,8 @@ frame protocol:
   are exactly the inline sweep's order, and the same
   :meth:`~repro.graph.csr.OIMISKernel.as_sweep` tail the inline kernel
   uses builds the :class:`~repro.runtime.base.ScaleGSweep`, carrying the
-  typed delta arrays with or without faults, the race sanitizer or
-  isolation contracts.  Work sums are integers, so members,
+  typed delta arrays with or without faults or the race sanitizer.
+  Work sums are integers, so members,
   ``members_checksum`` and all logical meters are bit-identical to
   :class:`~repro.runtime.base.InlineExecutor`.
 - Fault injection: the engine draws each barrier's schedule before the

@@ -1,4 +1,4 @@
-"""Durable, overload-resilient ingestion service (ROADMAP item 2).
+"""Durable, overload-resilient ingestion service.
 
 The :class:`IngestionService` wraps a checkpointable maintainer with a
 write-ahead log + crash recovery, admission control/backpressure,

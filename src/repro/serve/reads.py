@@ -256,12 +256,17 @@ class QueryEngine:
         snapshot = self._registry.latest()
         if snapshot is None:
             raise QueryError("no epoch published yet")
+        return snapshot
+
+    def _served(self, snapshot: EpochSnapshot, started: float) -> None:
+        """Book one answered query — its staleness sample and latency —
+        once its input was accepted (a rejected query books nothing)."""
         staleness = self._registry.staleness(snapshot)
         if staleness > self.staleness_max:
             self.staleness_max = staleness
         self.staleness_sum += staleness
         self.staleness_samples += 1
-        return snapshot
+        self._latencies.append(time.perf_counter() - started)
 
     @property
     def reads_served(self) -> int:
@@ -281,7 +286,7 @@ class QueryEngine:
         row = snapshot.row_of(vertex)
         member = bool(snapshot.in_[row]) if row is not None else False
         self.point_queries += 1
-        self._latencies.append(time.perf_counter() - started)
+        self._served(snapshot, started)
         return {
             "vertex": vertex, "member": member,
             "epoch": snapshot.epoch, "watermark": snapshot.watermark,
@@ -317,7 +322,7 @@ class QueryEngine:
         self.batch_vertices += count
         if count > self.max_batch_size:
             self.max_batch_size = count
-        self._latencies.append(time.perf_counter() - started)
+        self._served(snapshot, started)
         return {
             "vertices": list(vertices), "members": members,
             "epoch": snapshot.epoch, "watermark": snapshot.watermark,
@@ -361,7 +366,7 @@ class QueryEngine:
             frontier = nxt
         members = snapshot.ids[visited & snapshot.in_]
         self.neighborhood_queries += 1
-        self._latencies.append(time.perf_counter() - started)
+        self._served(snapshot, started)
         return {
             "vertex": vertex, "hops": hops, "members": members.tolist(),
             "epoch": snapshot.epoch, "watermark": snapshot.watermark,
@@ -395,7 +400,7 @@ class QueryEngine:
             if cand.size:
                 blocker = int(snapshot.ids[cand[np.argmin(keys[cand])]])
         self.why_not_queries += 1
-        self._latencies.append(time.perf_counter() - started)
+        self._served(snapshot, started)
         return {
             "vertex": vertex, "member": member, "blocker": blocker,
             "epoch": snapshot.epoch, "watermark": snapshot.watermark,

@@ -1,9 +1,9 @@
 """Durable, overload-resilient ingestion service around the maintainer.
 
-:class:`IngestionService` is what ROADMAP item 2 calls "promoting
-``StreamingSession`` into a production ingestion service".  It wraps a
-checkpointable maintainer (:class:`~repro.core.maintainer.MISMaintainer`)
-and a :class:`~repro.stream.StreamingSession` with four subsystems:
+:class:`IngestionService` promotes ``StreamingSession`` into a production
+ingestion service.  It wraps a checkpointable maintainer
+(:class:`~repro.core.maintainer.MISMaintainer`) and a
+:class:`~repro.stream.StreamingSession` with four subsystems:
 
 **Durability** — every admitted event is appended to a
 :class:`~repro.serve.wal.WriteAheadLog` *before* it is buffered; every
@@ -62,18 +62,11 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.graph.updates import EdgeDeletion, EdgeInsertion, EdgeUpdate
+from repro.pregel.metrics import LOGICAL_METERS
 from repro.serve.admission import AdmissionConfig, AdmissionController
 from repro.serve.controller import AdaptiveWindowController
 from repro.serve.wal import WriteAheadLog
 from repro.stream import StreamingSession, WindowReport
-
-#: the logical meters whose cumulative sums are committed to the WAL — the
-#: bit-identity oracle for crash recovery (same list the chaos harness
-#: pins, importable without dragging the chaos module in)
-LOGICAL_METERS = (
-    "supersteps", "active_vertices", "state_changes",
-    "messages", "remote_messages", "bytes_sent", "compute_work",
-)
 
 #: the session never cuts windows itself — the service does, through the
 #: adaptive controller — so its own trigger is pushed out of reach

@@ -63,10 +63,11 @@ _QUERY_IDS = st.one_of(
 )
 
 
-def _path_engine():
+def _path_engine(frontier_fn=None):
     registry = SnapshotRegistry(
         MISMaintainer(DynamicGraph.from_edges([(0, 1), (1, 2)]),
-                      num_workers=2)
+                      num_workers=2),
+        frontier_fn,
     )
     registry.publish(watermark=0)
     return QueryEngine(registry)
@@ -245,6 +246,17 @@ class TestQueryEngine:
         assert stats["epoch"] == 0
         for tag in ("p50", "p95", "p99"):
             assert stats[f"latency_{tag}_ms"] >= 0.0
+
+    def test_rejected_queries_sample_no_staleness(self):
+        engine = _path_engine(frontier_fn=lambda: 2)  # staleness 2
+        for query, arg in ((engine.point, 0.5), (engine.batch, [0.5]),
+                           (engine.neighborhood, 7), (engine.why_not, 7)):
+            with pytest.raises(QueryError):
+                query(arg)
+        counts = ("staleness_samples", "staleness_sum", "reads_served")
+        assert [engine.logical_stats()[k] for k in counts] == [0, 0, 0]
+        engine.point(0)
+        assert [engine.logical_stats()[k] for k in counts] == [1, 2, 1]
 
     def test_latency_samples_match_nearest_rank_percentile(self):
         import random
