@@ -25,7 +25,7 @@ paper's total order ``≺`` where rank matters.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.analysis.findings import Finding, make_finding
 from repro.analysis.settypes import SetNameCollector, expression_is_set

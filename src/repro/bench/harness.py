@@ -14,7 +14,6 @@ the drivers default to proportionally smaller ``k`` — override per call.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.activation import ActivationStrategy
@@ -27,11 +26,10 @@ from repro.errors import MemoryBudgetExceeded
 from repro.graph.datasets import load_dataset
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.serial.arw import arw_mis
-from repro.serial.degeneracy import DGOne, DGTwo
+from repro.serial.degeneracy import DGTwo
 from repro.serial.memory_model import SCALED_SINGLE_MACHINE_BUDGET_MB
 from repro.serial.swap import DTSwap, LazyDTSwap
 from repro.bench.workloads import (
-    batched,
     delete_reinsert_workload,
     deletion_insertion_halves,
     mixed_workload,

@@ -15,7 +15,7 @@ replayed in order from the given graph.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.errors import WorkloadError
 from repro.graph.dynamic_graph import DynamicGraph

@@ -22,7 +22,7 @@ deletion batch-deletes the incident edges first.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from repro.core.activation import ActivationStrategy
 from repro.core.oimis import OIMISProgram, independent_set_from_states

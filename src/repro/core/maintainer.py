@@ -32,6 +32,7 @@ from repro.core.doimis import DOIMISMaintainer
 from repro.graph.csr import csr_arrays
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.io import read_edge_list
+from repro.pregel.metrics import family_sum
 from repro.pregel.partition import Partitioner
 
 CHECKPOINT_FORMAT = "repro-mis-checkpoint"
@@ -258,10 +259,8 @@ class MISMaintainer(DOIMISMaintainer):
         # fault-recovery and anti-entropy overhead accrues on whichever run
         # was faulted (the initial static run or the update runs) — report
         # the sum
-        init_recovery = self.init_metrics.recovery_summary()
-        for name, value in self.update_metrics.recovery_summary().items():
-            snapshot[name] = float(init_recovery[name] + value)
-        init_divergence = self.init_metrics.divergence_summary()
-        for name, value in self.update_metrics.divergence_summary().items():
-            snapshot[name] = float(init_divergence[name] + value)
+        for prefix in ("recovery_", "divergence_"):
+            summed = family_sum(prefix, self.init_metrics, self.update_metrics)
+            for name, value in summed.items():
+                snapshot[name] = float(value)
         return snapshot

@@ -34,7 +34,6 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 from repro.core.doimis import DOIMISMaintainer
 from repro.core.oimis import OIMISProgram
 from repro.errors import VerificationError, WorkloadError
-from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.updates import affected_vertices
 from repro.pregel.metrics import DEGREE_BYTES, STATUS_BYTES

@@ -33,7 +33,7 @@ from repro.core.doimis import DOIMISMaintainer
 from repro.errors import ReproError, WorkloadError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import DrainSpec, FaultPlan, JoinSpec, LossSpec
-from repro.pregel.metrics import LOGICAL_METERS
+from repro.pregel.metrics import family_sum
 
 #: fault-plan presets swept by ``repro-mis chaos`` — kwargs for
 #: :class:`FaultPlan` (the seed is supplied per case).  Probabilities are
@@ -137,10 +137,6 @@ def plan_for(preset: str, seed: int) -> FaultPlan:
     return FaultPlan(seed=seed, **kwargs)
 
 
-def _logical_fingerprint(metrics) -> Dict[str, int]:
-    return {name: getattr(metrics, name) for name in LOGICAL_METERS}
-
-
 @dataclass
 class Observables:
     """What Theorems 4.2/6.1 pin across runs: the final members and the
@@ -157,8 +153,8 @@ class Observables:
     def of(cls, maintainer) -> "Observables":
         return cls(
             members=sorted(maintainer.independent_set()),
-            logical=_logical_fingerprint(maintainer.update_metrics),
-            init_logical=_logical_fingerprint(maintainer.init_metrics),
+            logical=maintainer.update_metrics.logical(),
+            init_logical=maintainer.init_metrics.logical(),
         )
 
     @classmethod
@@ -259,12 +255,12 @@ def reference_run(workload: ChaosWorkload) -> Observables:
     return Observables.of(_run_maintenance(workload))
 
 
-def _summed(maintainer, family: str) -> Dict[str, float]:
-    """A quarantined meter family (``recovery``, ``divergence``,
-    ``rebalance``) summed over the initial static run and the updates."""
-    init = getattr(maintainer.init_metrics, f"{family}_summary")()
-    update = getattr(maintainer.update_metrics, f"{family}_summary")()
-    return {name: init[name] + update[name] for name in update}
+def _summed(maintainer, prefix: str) -> Dict[str, float]:
+    """A quarantined meter family summed over the initial static run and
+    the updates."""
+    return family_sum(
+        prefix, maintainer.init_metrics, maintainer.update_metrics
+    )
 
 
 def _transition_failures(
@@ -323,9 +319,9 @@ def run_chaos_case(
     result.injected = injector.stats.as_dict()
     # faults fire during the initial static run too — its charges live on
     # init_metrics, so report both meters combined
-    result.recovery = _summed(maintainer, "recovery")
-    result.divergence = _summed(maintainer, "divergence")
-    result.rebalance = _summed(maintainer, "rebalance")
+    result.recovery = _summed(maintainer, "recovery_")
+    result.divergence = _summed(maintainer, "divergence_")
+    result.rebalance = _summed(maintainer, "rebalance_")
 
     failover = maintainer.failover
     if failover is not None:
@@ -422,7 +418,7 @@ def rebalance_case(
     injector = FaultInjector(plan)
     elastic = _run_maintenance(workload, faults=injector, runtime=runtime())
     result = RebalanceResult(
-        elastic=elastic, rebalance=_summed(elastic, "rebalance")
+        elastic=elastic, rebalance=_summed(elastic, "rebalance_")
     )
     result.failures = Observables.of(static).diff(
         Observables.of(elastic), "elastic", "static"
@@ -662,7 +658,7 @@ def serve_drain_replay(
         ))
         result.failures.extend(_transition_failures(
             injector.stats.as_dict(),
-            elastic.maintainer.update_metrics.rebalance_summary(),
+            elastic.maintainer.update_metrics.family("rebalance_"),
         ))
         failover = elastic.maintainer.failover
         if failover is not None and failover.epoch < 1:

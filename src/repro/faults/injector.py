@@ -24,7 +24,7 @@ accept it through their constructors.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.faults.plan import FaultPlan

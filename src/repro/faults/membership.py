@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import WorkerFailure, WorkloadError

@@ -17,8 +17,8 @@ programs themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, fields
+from typing import Dict, List
 
 #: Bytes of a vertex identifier on the wire (64-bit id).
 VERTEX_ID_BYTES = 8
@@ -76,9 +76,13 @@ LOGICAL_METERS = (
 class RunMetrics:
     """Aggregate metrics for one engine run (or one maintenance session).
 
-    Instances support ``+=``-style merging via :meth:`merge`, which the
-    dynamic maintenance driver uses to accumulate costs over an update
-    stream exactly the way the paper accumulates them over 100k updates.
+    The fields are the one meter registry: every numeric field but
+    ``num_workers`` is a meter (:data:`METERS`), a ``recovery_`` /
+    ``divergence_`` / ``rebalance_`` name prefix puts it in a quarantined
+    family (:data:`FAMILIES`), and merging, family summaries and logical
+    fingerprints are derived from them.  A maintainer accumulates costs
+    over an update stream by passing one instance to every engine run,
+    the way the paper accumulates them over 100k updates.
     """
 
     num_workers: int = 1
@@ -174,8 +178,6 @@ class RunMetrics:
     #: modelled total bytes across all workers
     total_memory_bytes: int = 0
     records: List[SuperstepRecord] = field(default_factory=list)
-    #: per-superstep per-worker work kept only while ``keep_records``
-    _worker_work_totals: Dict[int, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     def observe(self, record: SuperstepRecord, keep_record: bool = True) -> None:
@@ -199,100 +201,23 @@ class RunMetrics:
         self.peak_worker_memory_bytes = max(self.peak_worker_memory_bytes, peak)
         self.total_memory_bytes = max(self.total_memory_bytes, total)
 
-    def merge(self, other: "RunMetrics") -> None:
-        """Accumulate another run's metrics (used over update streams)."""
-        self.supersteps += other.supersteps
-        self.active_vertices += other.active_vertices
-        self.compute_work += other.compute_work
-        self.messages += other.messages
-        self.remote_messages += other.remote_messages
-        self.bytes_sent += other.bytes_sent
-        self.state_changes += other.state_changes
-        self.wall_time_s += other.wall_time_s
-        self.recovery_crashes += other.recovery_crashes
-        self.recovery_replayed_supersteps += other.recovery_replayed_supersteps
-        self.recovery_compute_work += other.recovery_compute_work
-        self.recovery_resync_bytes += other.recovery_resync_bytes
-        self.recovery_resync_messages += other.recovery_resync_messages
-        self.recovery_sync_retries += other.recovery_sync_retries
-        self.recovery_sync_duplicates += other.recovery_sync_duplicates
-        self.recovery_reorders += other.recovery_reorders
-        self.recovery_straggler_s += other.recovery_straggler_s
-        self.recovery_backoff_s += other.recovery_backoff_s
-        self.recovery_failovers += other.recovery_failovers
-        self.recovery_detection_s += other.recovery_detection_s
-        self.recovery_reassigned_vertices += other.recovery_reassigned_vertices
-        self.recovery_reconstructed_vertices += (
-            other.recovery_reconstructed_vertices
-        )
-        self.recovery_reactivated_vertices += (
-            other.recovery_reactivated_vertices
-        )
-        self.recovery_delta_log_bytes += other.recovery_delta_log_bytes
-        self.recovery_delta_log_records += other.recovery_delta_log_records
-        self.divergence_checks += other.divergence_checks
-        self.divergence_check_bytes += other.divergence_check_bytes
-        self.divergence_detected += other.divergence_detected
-        self.divergence_repaired += other.divergence_repaired
-        self.divergence_repair_bytes += other.divergence_repair_bytes
-        self.divergence_repair_messages += other.divergence_repair_messages
-        self.rebalance_joins += other.rebalance_joins
-        self.rebalance_drains += other.rebalance_drains
-        self.rebalance_moved_vertices += other.rebalance_moved_vertices
-        self.rebalance_resync_bytes += other.rebalance_resync_bytes
-        self.rebalance_resync_messages += other.rebalance_resync_messages
-        self.rebalance_rank_entries += other.rebalance_rank_entries
-        self.rebalance_stall_s += other.rebalance_stall_s
-        self.peak_worker_memory_bytes = max(
-            self.peak_worker_memory_bytes, other.peak_worker_memory_bytes
-        )
-        self.total_memory_bytes = max(self.total_memory_bytes, other.total_memory_bytes)
-        self.records.extend(other.records)
-
-    #: meter names :meth:`merge_delta` accepts as additive increments —
-    #: the logical family plus the quarantined ``recovery_*``,
-    #: ``divergence_*`` and ``rebalance_*`` families
-    _ADDITIVE_METERS = frozenset({
-        "supersteps", "active_vertices", "compute_work", "messages",
-        "remote_messages", "bytes_sent", "state_changes", "wall_time_s",
-        "recovery_crashes", "recovery_replayed_supersteps",
-        "recovery_compute_work", "recovery_resync_bytes",
-        "recovery_resync_messages", "recovery_sync_retries",
-        "recovery_sync_duplicates", "recovery_reorders",
-        "recovery_straggler_s", "recovery_backoff_s", "recovery_failovers",
-        "recovery_detection_s", "recovery_reassigned_vertices",
-        "recovery_reconstructed_vertices", "recovery_reactivated_vertices",
-        "recovery_delta_log_bytes", "recovery_delta_log_records",
-        "divergence_checks", "divergence_check_bytes",
-        "divergence_detected", "divergence_repaired",
-        "divergence_repair_bytes", "divergence_repair_messages",
-        "rebalance_joins", "rebalance_drains", "rebalance_moved_vertices",
-        "rebalance_resync_bytes", "rebalance_resync_messages",
-        "rebalance_rank_entries", "rebalance_stall_s",
-    })
-    #: meters :meth:`merge_delta` folds with ``max`` (snapshots, not sums)
-    _PEAK_METERS = frozenset({
-        "peak_worker_memory_bytes", "total_memory_bytes",
-    })
-
     def merge_delta(self, delta: Dict[str, float]) -> None:
         """Apply one worker's per-superstep meter increments.
 
-        The parallel runtime's barrier reduce feeds each worker's echoed
-        increments through here **exactly once per worker per superstep**,
-        in ascending worker order — the same accumulation order as the
-        inline path, so float meters (``recovery_straggler_s``,
-        ``wall_time_s``) stay bit-identical, not just approximately equal.
-        Additive meters (logical + the quarantined ``recovery_*`` /
-        ``divergence_*`` families) are summed; peak meters are max-merged;
-        an unknown meter name raises ``ValueError`` so a typo can never
-        silently drop (or double-count) a meter.
+        Its one caller is :func:`repro.faults.recovery.fault_barrier`, which
+        feeds each worker's fault charges through here **exactly once per
+        worker per superstep**, in ascending worker order, so float meters
+        (``recovery_straggler_s``, ``wall_time_s``) accumulate in one fixed
+        order and stay bit-identical, not just approximately equal.  :data:`PEAK_METERS`
+        are max-merged, every other meter is summed, and an unknown meter
+        name raises ``ValueError`` so a typo can never silently drop (or
+        double-count) a meter.
         """
         for name, value in delta.items():
-            if name in self._ADDITIVE_METERS:
-                setattr(self, name, getattr(self, name) + value)
-            elif name in self._PEAK_METERS:
+            if name in PEAK_METERS:
                 setattr(self, name, max(getattr(self, name), value))
+            elif name in _METER_SET:
+                setattr(self, name, getattr(self, name) + value)
             else:
                 raise ValueError(f"unknown meter {name!r} in merge_delta")
 
@@ -345,62 +270,20 @@ class RunMetrics:
             total += superstep_latency_s
         return total
 
-    @property
-    def recovery_events(self) -> int:
-        """Total injected faults this meter recovered from."""
-        return (
-            self.recovery_crashes
-            + self.recovery_sync_retries
-            + self.recovery_sync_duplicates
-            + self.recovery_reorders
-        )
+    def logical(self) -> Dict[str, int]:
+        """The :data:`LOGICAL_METERS` as a plain dict, in that order."""
+        return {name: getattr(self, name) for name in LOGICAL_METERS}
 
-    def recovery_summary(self) -> Dict[str, float]:
-        """The ``recovery_*`` meter family as a plain dict."""
+    def family(self, prefix: str) -> Dict[str, float]:
+        """One quarantined meter family (a :data:`FAMILIES` prefix) as a
+        plain dict, in field order, float meters rounded to 6 places."""
+        if prefix not in FAMILIES:
+            raise ValueError(f"unknown meter family {prefix!r}")
         return {
-            "recovery_crashes": self.recovery_crashes,
-            "recovery_replayed_supersteps": self.recovery_replayed_supersteps,
-            "recovery_compute_work": self.recovery_compute_work,
-            "recovery_resync_bytes": self.recovery_resync_bytes,
-            "recovery_resync_messages": self.recovery_resync_messages,
-            "recovery_sync_retries": self.recovery_sync_retries,
-            "recovery_sync_duplicates": self.recovery_sync_duplicates,
-            "recovery_reorders": self.recovery_reorders,
-            "recovery_straggler_s": round(self.recovery_straggler_s, 6),
-            "recovery_backoff_s": round(self.recovery_backoff_s, 6),
-            "recovery_failovers": self.recovery_failovers,
-            "recovery_detection_s": round(self.recovery_detection_s, 6),
-            "recovery_reassigned_vertices": self.recovery_reassigned_vertices,
-            "recovery_reconstructed_vertices":
-                self.recovery_reconstructed_vertices,
-            "recovery_reactivated_vertices":
-                self.recovery_reactivated_vertices,
-            "recovery_delta_log_bytes": self.recovery_delta_log_bytes,
-            "recovery_delta_log_records": self.recovery_delta_log_records,
-        }
-
-    def divergence_summary(self) -> Dict[str, float]:
-        """The ``divergence_*`` meter family (anti-entropy) as a plain dict."""
-        return {
-            "divergence_checks": self.divergence_checks,
-            "divergence_check_bytes": self.divergence_check_bytes,
-            "divergence_detected": self.divergence_detected,
-            "divergence_repaired": self.divergence_repaired,
-            "divergence_repair_bytes": self.divergence_repair_bytes,
-            "divergence_repair_messages": self.divergence_repair_messages,
-        }
-
-    def rebalance_summary(self) -> Dict[str, float]:
-        """The ``rebalance_*`` meter family (voluntary elasticity) as a
-        plain dict."""
-        return {
-            "rebalance_joins": self.rebalance_joins,
-            "rebalance_drains": self.rebalance_drains,
-            "rebalance_moved_vertices": self.rebalance_moved_vertices,
-            "rebalance_resync_bytes": self.rebalance_resync_bytes,
-            "rebalance_resync_messages": self.rebalance_resync_messages,
-            "rebalance_rank_entries": self.rebalance_rank_entries,
-            "rebalance_stall_s": round(self.rebalance_stall_s, 6),
+            name: round(getattr(self, name), 6)
+            if name in _FLOAT_METERS else getattr(self, name)
+            for name in METERS
+            if name.startswith(prefix)
         }
 
     def summary(self) -> Dict[str, float]:
@@ -416,9 +299,8 @@ class RunMetrics:
             "wall_time_s": round(self.wall_time_s, 6),
             "state_changes": self.state_changes,
         }
-        summary.update(self.recovery_summary())
-        summary.update(self.divergence_summary())
-        summary.update(self.rebalance_summary())
+        for prefix in FAMILIES:
+            summary.update(self.family(prefix))
         return summary
 
     def to_json(self, include_records: bool = False) -> str:
@@ -456,6 +338,30 @@ class RunMetrics:
         )
 
 
-def fresh_metrics(num_workers: int) -> RunMetrics:
-    """A zeroed :class:`RunMetrics` for ``num_workers`` workers."""
-    return RunMetrics(num_workers=num_workers)
+
+#: every meter, in field order: the numeric fields except ``num_workers``,
+#: which configures the run rather than measuring it
+METERS = tuple(
+    f.name for f in fields(RunMetrics)
+    if isinstance(f.default, (int, float)) and f.name != "num_workers"
+)
+_METER_SET = frozenset(METERS)
+_FLOAT_METERS = frozenset(
+    f.name for f in fields(RunMetrics) if isinstance(f.default, float)
+)
+#: meters folded with ``max`` (snapshots, not sums); every other meter is
+#: additive
+PEAK_METERS = frozenset({"peak_worker_memory_bytes", "total_memory_bytes"})
+#: name prefixes of the quarantined overhead families: a fault, an audit
+#: or a membership transition may charge these meters, never the logical ones
+FAMILIES = ("recovery_", "divergence_", "rebalance_")
+
+
+def family_sum(prefix: str, *runs: RunMetrics) -> Dict[str, float]:
+    """``prefix``'s family summed over ``runs``, each run rounded first as
+    :meth:`RunMetrics.family` reports it."""
+    total: Dict[str, float] = {}
+    for run in runs:
+        for name, value in run.family(prefix).items():
+            total[name] = total.get(name, 0) + value
+    return total

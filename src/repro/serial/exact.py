@@ -23,7 +23,7 @@ Exponential in the worst case by nature (the problem is NP-hard) — the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.errors import ReproError
 from repro.graph.dynamic_graph import DynamicGraph

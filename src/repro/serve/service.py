@@ -384,15 +384,17 @@ class IngestionService:
             return True
 
     def _fingerprint(self) -> Dict[str, int]:
-        metrics = self.maintainer.update_metrics
-        return {k: getattr(metrics, k, 0) for k in LOGICAL_METERS}
+        return self.maintainer.update_metrics.logical()
+
+    def _accrue(self, before: Dict[str, int]) -> None:
+        """Add the logical meters charged since ``before`` to the totals."""
+        for name, value in self._fingerprint().items():
+            self.totals[name] += value - before[name]
 
     def _commit_window(
         self, report: WindowReport, before: Dict[str, int]
     ) -> None:
-        after = self._fingerprint()
-        for name in LOGICAL_METERS:
-            self.totals[name] += after[name] - before[name]
+        self._accrue(before)
         self.windows_committed += 1
         self.controller.observe(
             report.operations, report.supersteps, report.churn
@@ -836,9 +838,7 @@ class IngestionService:
                     f"[{batch[0][0]}, {batch[-1][0]}] failed to re-apply "
                     f"({type(exc).__name__}: {exc})"
                 ) from exc
-            after = self._fingerprint()
-            for name in LOGICAL_METERS:
-                self.totals[name] += after[name] - before[name]
+            self._accrue(before)
             self._applied_watermark = batch[-1][0]
             self._window_seqs = []
             if report is None:  # pragma: no cover - batch is never empty

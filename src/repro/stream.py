@@ -23,7 +23,7 @@ supersteps and sync, smaller windows bound staleness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Set
+from typing import Callable, List, Optional, Sequence, Set
 
 from repro.errors import WorkloadError
 from repro.graph.updates import EdgeUpdate
@@ -215,58 +215,44 @@ class StreamingSession:
         if not self._buffer:
             return None
         metrics = self.maintainer.update_metrics
-        # recovery_failovers exists on RunMetrics; getattr guards baseline
-        # maintainers whose update_metrics is a simpler meter object
-        failovers_before = getattr(metrics, "recovery_failovers", 0)
-        before = (metrics.supersteps, metrics.bytes_sent, metrics.wall_time_s)
+        before = (metrics.supersteps, metrics.bytes_sent,
+                  metrics.wall_time_s, metrics.recovery_failovers)
         ops = list(self._buffer)
         started_at = self._window_start_ts
+
+        def record(**outcome) -> WindowReport:
+            # meters are not rolled back with the graph state on failure:
+            # a failed attempt's supersteps, bytes, wall time and failovers
+            # all really happened, so both outcomes record every delta
+            window = WindowReport(
+                index=len(self.history),
+                operations=len(ops),
+                supersteps=metrics.supersteps - before[0],
+                communication_mb=(metrics.bytes_sent - before[1])
+                / (1024.0 * 1024.0),
+                wall_time_s=metrics.wall_time_s - before[2],
+                failovers=metrics.recovery_failovers - before[3],
+                started_at=started_at,
+                **outcome,
+            )
+            self.history.append(window)
+            if self.on_window is not None:
+                self.on_window(window)
+            return window
+
         try:
             self.maintainer.apply_batch(ops)
         except BaseException:
             # the maintainer rolled back (apply_batch is atomic); keep the
             # buffer so the caller may drop/repair/retry the window
-            # meters are not rolled back with the graph state: the failed
-            # attempt's supersteps, bytes, wall time and failovers all
-            # really happened — record every delta, not just wall/failovers
-            report = WindowReport(
-                index=len(self.history),
-                operations=len(ops),
-                set_size=len(self._membership),
-                supersteps=metrics.supersteps - before[0],
-                communication_mb=(metrics.bytes_sent - before[1])
-                / (1024.0 * 1024.0),
-                wall_time_s=metrics.wall_time_s - before[2],
-                failovers=getattr(metrics, "recovery_failovers", 0)
-                - failovers_before,
-                started_at=started_at,
-                failed=True,
-            )
-            self.history.append(report)
-            if self.on_window is not None:
-                self.on_window(report)
+            record(set_size=len(self._membership), failed=True)
             raise
         self._buffer = []
         self._window_start_ts = None
         current = set(self.maintainer.independent_set())
-        report = WindowReport(
-            index=len(self.history),
-            operations=len(ops),
-            set_size=len(current),
-            entered=current - self._membership,
-            left=self._membership - current,
-            supersteps=metrics.supersteps - before[0],
-            communication_mb=(metrics.bytes_sent - before[1]) / (1024.0 * 1024.0),
-            wall_time_s=metrics.wall_time_s - before[2],
-            failovers=getattr(metrics, "recovery_failovers", 0)
-            - failovers_before,
-            started_at=started_at,
-        )
+        entered, left = current - self._membership, self._membership - current
         self._membership = current
-        self.history.append(report)
-        if self.on_window is not None:
-            self.on_window(report)
-        return report
+        return record(set_size=len(current), entered=entered, left=left)
 
     def take_pending(self) -> List[EdgeUpdate]:
         """Remove and return the buffered (un-applied) operations.

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.doimis import DOIMISMaintainer
 from repro.errors import WorkloadError
-from repro.graph.generators import erdos_renyi, path_graph
+from repro.graph.generators import erdos_renyi
 from repro.graph.updates import EdgeDeletion, EdgeInsertion
 from repro.serial.greedy import greedy_mis
 

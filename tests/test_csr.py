@@ -336,16 +336,16 @@ def test_fault_meters_match_dict_under_csr(preset):
     """Every fault-side meter family agrees across layouts: the keyed
     fault draws never depend on the order the barrier visits requests."""
     from repro.faults.chaos import Observables
+    from repro.pregel.metrics import FAMILIES
 
     runs = {}
     for representation in ("dict", "csr"):
         maintainer, injector = _chaos_maintainer(preset, representation)
         families = {
-            f"{phase}.{family}": getattr(
-                getattr(maintainer, f"{phase}_metrics"), f"{family}_summary"
-            )()
+            f"{phase}.{prefix}":
+                getattr(maintainer, f"{phase}_metrics").family(prefix)
             for phase in ("init", "update")
-            for family in ("recovery", "divergence", "rebalance")
+            for prefix in FAMILIES
         }
         runs[representation] = (
             Observables.of(maintainer), families, injector.stats.as_dict()

@@ -6,7 +6,7 @@ from repro.core.activation import ActivationStrategy
 from repro.core.doimis import DOIMISMaintainer
 from repro.errors import WorkloadError
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.generators import erdos_renyi, path_graph
+from repro.graph.generators import erdos_renyi
 from repro.graph.updates import (
     EdgeDeletion,
     EdgeInsertion,

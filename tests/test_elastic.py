@@ -53,20 +53,12 @@ from repro.pregel.partition import HashPartitioner
 from repro.runtime import ParallelRuntime
 
 
-def _logical(metrics):
-    return (
-        metrics.supersteps, metrics.active_vertices, metrics.state_changes,
-        metrics.messages, metrics.remote_messages, metrics.bytes_sent,
-        metrics.compute_work,
-    )
-
-
 def _recovery_total(metrics):
-    return sum(metrics.recovery_summary().values())
+    return sum(metrics.family("recovery_").values())
 
 
 def _rebalance_total(metrics):
-    return sum(metrics.rebalance_summary().values())
+    return sum(metrics.family("rebalance_").values())
 
 
 def _workload(seed=3, n=80, m=200):
@@ -195,8 +187,8 @@ class TestMinimalMovement:
         assert metrics.rebalance_resync_messages > 0
         assert metrics.rebalance_stall_s > 0
         assert _recovery_total(metrics) == 0
-        assert sum(metrics.divergence_summary().values()) == 0
-        assert _logical(metrics) == (0, 0, 0, 0, 0, 0, 0)
+        assert sum(metrics.family("divergence_").values()) == 0
+        assert not any(metrics.logical().values())
 
     def test_draining_every_member_raises(self):
         from repro.errors import WorkerFailure
@@ -207,18 +199,6 @@ class TestMinimalMovement:
             coord.apply_transitions(
                 [0, 1], [], 0, states, metrics, lambda s: 8
             )
-
-    def test_rebalance_meters_merge_additively(self):
-        a = RunMetrics(num_workers=2)
-        b = RunMetrics(num_workers=2)
-        b.rebalance_joins = 2
-        b.rebalance_moved_vertices = 7
-        b.rebalance_stall_s = 0.5
-        a.merge(b)
-        assert a.rebalance_joins == 2
-        assert a.rebalance_moved_vertices == 7
-        assert a.rebalance_stall_s == 0.5
-        assert "rebalance_moved_vertices" in a.summary()
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +229,9 @@ class TestElasticBitIdentity:
         elastic = self._run(plan)
         assert sorted(elastic.independent_set()) == \
             sorted(reference.independent_set())
-        assert _logical(elastic.update_metrics) == \
-            _logical(reference.update_metrics)
-        summary = elastic.update_metrics.rebalance_summary()
+        assert elastic.update_metrics.logical() == \
+            reference.update_metrics.logical()
+        summary = elastic.update_metrics.family("rebalance_")
         assert summary["rebalance_joins"] == 2
         assert summary["rebalance_moved_vertices"] > 0
         assert _recovery_total(elastic.update_metrics) == 0
@@ -264,9 +244,9 @@ class TestElasticBitIdentity:
         elastic = self._run(plan)
         assert sorted(elastic.independent_set()) == \
             sorted(reference.independent_set())
-        assert _logical(elastic.update_metrics) == \
-            _logical(reference.update_metrics)
-        summary = elastic.update_metrics.rebalance_summary()
+        assert elastic.update_metrics.logical() == \
+            reference.update_metrics.logical()
+        summary = elastic.update_metrics.family("rebalance_")
         assert summary["rebalance_drains"] == 1
         assert summary["rebalance_moved_vertices"] > 0
         failover = elastic.failover
@@ -310,7 +290,7 @@ class TestElasticBitIdentity:
             DrainSpec(superstep=1, worker=1, run=0),
         ))
         engine, metrics = run(FaultInjector(plan))
-        assert _logical(metrics) == _logical(ref_metrics)
+        assert metrics.logical() == ref_metrics.logical()
         assert metrics.rebalance_drains == 1
         assert engine.failover is not None
         assert engine.failover.epoch == 1
@@ -420,8 +400,8 @@ class TestCSRTransitions:
                 if runtime is not None:
                     maintainer.close()
             return (sorted(maintainer.independent_set()),
-                    _logical(maintainer.update_metrics),
-                    maintainer.update_metrics.rebalance_summary())
+                    maintainer.update_metrics.logical(),
+                    maintainer.update_metrics.family("rebalance_"))
 
         reference = run("dict", None)
         csr = run("csr", ParallelRuntime(procs=procs))

@@ -7,7 +7,6 @@ by default here because all are laptop-quick).
 """
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

@@ -54,20 +54,12 @@ def _dgraph(graph, workers=4):
     return DistributedGraph(graph, HashPartitioner(workers))
 
 
-def _logical(metrics):
-    return (
-        metrics.supersteps, metrics.active_vertices, metrics.state_changes,
-        metrics.messages, metrics.remote_messages, metrics.bytes_sent,
-        metrics.compute_work,
-    )
-
-
 def _recovery_total(metrics):
-    return sum(metrics.recovery_summary().values())
+    return sum(metrics.family("recovery_").values())
 
 
 def _divergence_total(metrics):
-    return sum(metrics.divergence_summary().values())
+    return sum(metrics.family("divergence_").values())
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +281,7 @@ class TestScaleGFailover:
         assert faulted.failover is not None
         assert faulted.failover.dead_workers == [3]
         assert faulted.independent_set() == reference.independent_set()
-        assert _logical(faulted.init_metrics) == _logical(
-            reference.init_metrics
-        )
+        assert faulted.init_metrics.logical() == reference.init_metrics.logical()
         metrics = faulted.init_metrics
         assert metrics.recovery_failovers == 1
         assert metrics.recovery_replayed_supersteps == 1
@@ -318,12 +308,8 @@ class TestScaleGFailover:
         faulted.apply_stream(ops, batch_size=1)
         assert injector.stats.losses >= 2  # genuinely cascading
         assert faulted.independent_set() == reference.independent_set()
-        assert _logical(faulted.init_metrics) == _logical(
-            reference.init_metrics
-        )
-        assert _logical(faulted.update_metrics) == _logical(
-            reference.update_metrics
-        )
+        assert faulted.init_metrics.logical() == reference.init_metrics.logical()
+        assert faulted.update_metrics.logical() == reference.update_metrics.logical()
         faulted.verify()
 
     def test_last_survivor_is_unkillable(self):
@@ -339,9 +325,7 @@ class TestScaleGFailover:
         assert injector.stats.losses == 3
         assert len(faulted.failover.alive_workers) == 1
         assert faulted.independent_set() == reference.independent_set()
-        assert _logical(faulted.init_metrics) == _logical(
-            reference.init_metrics
-        )
+        assert faulted.init_metrics.logical() == reference.init_metrics.logical()
 
     def test_isolated_vertex_reconstructs_from_checkpoint(self):
         # an isolated vertex has no guest copy anywhere and (never having
@@ -388,9 +372,7 @@ class TestScaleGFailover:
         )
         faulted = DOIMISMaintainer(graph.copy(), num_workers=10,
                                    faults=injector)
-        assert _logical(faulted.init_metrics) == _logical(
-            reference.init_metrics
-        )
+        assert faulted.init_metrics.logical() == reference.init_metrics.logical()
         assert _recovery_total(reference.init_metrics) == 0
         assert _recovery_total(faulted.init_metrics) > 0
 
@@ -462,7 +444,6 @@ class TestGuestAuditor:
         # every injected corrupt_guest must be resolved, and every repair
         # within audit_every audited supersteps of injection
         from repro.bench.workloads import delete_reinsert_workload
-        from repro.faults.chaos import LOGICAL_METERS
 
         graph = erdos_renyi(60, 180, seed=21)
         ops = delete_reinsert_workload(graph, k, seed=4)
@@ -486,10 +467,7 @@ class TestGuestAuditor:
 
         # read-repair restored bit-identical members and logical meters
         assert faulted.independent_set() == reference.independent_set()
-        for name in LOGICAL_METERS:
-            assert getattr(faulted.update_metrics, name) == getattr(
-                reference.update_metrics, name
-            )
+        assert faulted.update_metrics.logical() == reference.update_metrics.logical()
         assert _divergence_total(faulted.update_metrics) \
             + _divergence_total(faulted.init_metrics) > 0
         assert _divergence_total(reference.update_metrics) == 0
@@ -533,7 +511,7 @@ class TestPregelFailover:
         assert engine.failover.dead_workers == [2]
         assert (program.contract_members(faulted.states)
                 == program.contract_members(reference.states))
-        assert _logical(faulted.metrics) == _logical(reference.metrics)
+        assert faulted.metrics.logical() == reference.metrics.logical()
         assert faulted.metrics.recovery_failovers == 1
         # degraded path: everything reloads from the barrier checkpoint
         (event,) = engine.failover.events
@@ -625,9 +603,7 @@ class TestPlumbing:
                                     membership=MembershipConfig())
         assert attached.failover is not None
         assert attached.independent_set() == reference.independent_set()
-        assert _logical(attached.init_metrics) == _logical(
-            reference.init_metrics
-        )
+        assert attached.init_metrics.logical() == reference.init_metrics.logical()
         assert _recovery_total(attached.init_metrics) == 0
         assert _divergence_total(attached.init_metrics) == 0
 

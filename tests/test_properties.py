@@ -13,7 +13,7 @@ arbitrary graphs and update streams:
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import List
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st

@@ -13,7 +13,7 @@ import pytest
 from repro.core.weighted import WeightedMISMaintainer
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import barabasi_albert, chung_lu, erdos_renyi
-from repro.graph.rank_cache import RankedAdjacency, degree_rank_key
+from repro.graph.rank_cache import degree_rank_key
 
 
 def fresh_ranked(graph, u, key):

@@ -47,7 +47,7 @@ from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import erdos_renyi, path_graph
 from repro.graph.updates import EdgeDeletion, EdgeInsertion
 from repro.pregel.engine import PregelEngine
-from repro.pregel.metrics import RunMetrics
+from repro.pregel.metrics import LOGICAL_METERS, RunMetrics
 from repro.pregel.partition import HashPartitioner
 from repro.runtime import (
     BarrierDraws,
@@ -64,10 +64,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _PROCS = int(os.environ.get("REPRO_TEST_PROCS", "2"))
 
 #: every meter the runtimes must agree on, logical and quarantined alike
-_METERS = (
-    "supersteps", "active_vertices", "state_changes", "messages",
-    "remote_messages", "bytes_sent", "compute_work",
-)
+_METERS = LOGICAL_METERS
 _FAULT_METERS = (
     "recovery_crashes", "recovery_replayed_supersteps",
     "recovery_compute_work", "recovery_straggler_s", "recovery_failovers",
@@ -547,10 +544,7 @@ def test_merge_delta_quarantined_families_never_touch_logical_meters():
         "recovery_crashes": 1, "recovery_straggler_s": 0.5,
         "divergence_checks": 3, "divergence_repaired": 1,
     })
-    for name in ("supersteps", "active_vertices", "compute_work",
-                 "messages", "remote_messages", "bytes_sent",
-                 "state_changes"):
-        assert getattr(metrics, name) == 0
+    assert not any(metrics.logical().values())
     assert metrics.recovery_crashes == 1
     assert metrics.recovery_straggler_s == 0.5
     assert metrics.divergence_checks == 3
