@@ -200,6 +200,18 @@ class TestMinimalMovement:
                 [0, 1], [], 0, states, metrics, lambda s: 8
             )
 
+    def test_rebalance_meters_merge_additively(self):
+        a = RunMetrics(num_workers=2)
+        b = RunMetrics(num_workers=2)
+        b.rebalance_joins = 2
+        b.rebalance_moved_vertices = 7
+        b.rebalance_stall_s = 0.5
+        a.merge_delta(b.family("rebalance_"))
+        assert a.rebalance_joins == 2
+        assert a.rebalance_moved_vertices == 7
+        assert a.rebalance_stall_s == 0.5
+        assert "rebalance_moved_vertices" in a.summary()
+
 
 # ---------------------------------------------------------------------------
 # engine-level bit-identity: elastic vs fixed membership

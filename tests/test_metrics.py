@@ -51,6 +51,26 @@ class TestObserve:
         assert m.peak_worker_memory_bytes == 300
 
 
+class TestMerge:
+    def test_merge_sums_counters(self):
+        a, b = RunMetrics(2), RunMetrics(2)
+        a.observe(_record(0, active_vertices=1, bytes_sent=10))
+        b.observe(_record(0, active_vertices=2, bytes_sent=20))
+        b.wall_time_s = 0.5
+        a.merge_delta({name: getattr(b, name) for name in METERS})
+        assert a.supersteps == 2
+        assert a.active_vertices == 3
+        assert a.bytes_sent == 30
+        assert a.wall_time_s == pytest.approx(0.5)
+
+    def test_merge_takes_max_memory(self):
+        a, b = RunMetrics(2), RunMetrics(2)
+        a.observe_memory({0: 100})
+        b.observe_memory({0: 50})
+        a.merge_delta({name: getattr(b, name) for name in METERS})
+        assert a.peak_worker_memory_bytes == 100
+
+
 def _meter_value(name):
     if isinstance(getattr(RunMetrics(), name), float):
         return st.floats(0, 1e6, allow_nan=False)
