@@ -110,7 +110,6 @@ def run_sanitize_case(
         result.trace_digest = sanitizer.trace_digest()
         return result
 
-    maintainer.final_audit()
     result.supersteps_checked = sanitizer.supersteps_checked
     result.trace_digest = sanitizer.trace_digest()
     result.races = [str(v) for v in sanitizer.violations]

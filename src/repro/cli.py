@@ -364,38 +364,21 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     presets = args.preset or list(chaos.PLAN_PRESETS)
     seeds = args.seed or list(range(args.seeds))
-    membership = None
-    if (args.phi_threshold is not None or args.audit_every is not None
-            or args.delta_log_depth is not None):
-        from repro.faults.membership import MembershipConfig
-
-        overrides = {}
-        if args.phi_threshold is not None:
-            overrides["phi_threshold"] = args.phi_threshold
-        if args.audit_every is not None:
-            overrides["audit_every"] = args.audit_every
-        if args.delta_log_depth is not None:
-            overrides["delta_log_depth"] = args.delta_log_depth
-        membership = MembershipConfig(**overrides)
-    results = chaos.chaos_suite(
-        presets=presets, seeds=seeds, membership=membership
-    )
+    results = chaos.chaos_suite(presets=presets, seeds=seeds)
     if args.format == "json":
         print(json.dumps([r.as_dict() for r in results], indent=2))
     else:
         print(f"{'workload':20} {'preset':16} {'seed':>4} {'injected':>8} "
-              f"{'recovery':>8} {'repaired':>8} {'verdict'}")
+              f"{'recovery':>8} {'verdict'}")
         for r in results:
             recovery = int(r.recovery.get("recovery_crashes", 0)
                            + r.recovery.get("recovery_failovers", 0)
                            + r.recovery.get("recovery_sync_retries", 0)
                            + r.recovery.get("recovery_sync_duplicates", 0)
                            + r.recovery.get("recovery_reorders", 0))
-            repaired = int(r.divergence.get("divergence_repaired", 0))
             verdict = "ok" if r.ok else "FAIL"
             print(f"{r.workload:20} {r.preset:16} {r.seed:>4} "
-                  f"{r.injected_total:>8} {recovery:>8} {repaired:>8} "
-                  f"{verdict}")
+                  f"{r.injected_total:>8} {recovery:>8} {verdict}")
             for failure in r.failures:
                 print(f"    - {failure}")
     bad = [r for r in results if not r.ok]
@@ -838,20 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--seed", action="append", type=int, metavar="S",
         help="run exactly this plan seed (repeatable; overrides --seeds)",
-    )
-    chaos.add_argument(
-        "--phi-threshold", type=float, default=None,
-        help="failure-detector suspicion threshold (default: 8.0)",
-    )
-    chaos.add_argument(
-        "--audit-every", type=int, default=None,
-        help="guest-copy anti-entropy sampling window in supersteps "
-        "(0 disables; default: 4)",
-    )
-    chaos.add_argument(
-        "--delta-log-depth", type=int, default=None,
-        help="uncompacted delta-log frames kept for solitary-vertex "
-        "reconstruction (default: 8)",
     )
     chaos.add_argument("--format", choices=("table", "json"), default="table")
     chaos.set_defaults(fn=_cmd_chaos)

@@ -68,13 +68,9 @@ class DOIMISMaintainer:
         :class:`~repro.faults.injector.FaultInjector` handed to the engine —
         every maintenance run then executes under seeded fault injection
         with recovery.  ``None`` (or an empty plan) is the fault-free build.
-    membership:
-        A :class:`~repro.faults.membership.MembershipConfig` or
-        :class:`~repro.faults.membership.FailoverCoordinator` handed to the
-        engine — permanent worker losses then fail over (partition
-        reassignment + guest-copy reconstruction) and the guest anti-entropy
-        auditor runs.  ``None`` auto-attaches a default coordinator exactly
-        when the fault plan schedules losses or guest corruption.
+        A plan that schedules permanent losses or joins/drains attaches a
+        :class:`~repro.faults.membership.FailoverCoordinator` (partition
+        reassignment + lost-host reconstruction).
     runtime:
         Execution backend for the compute sweeps — ``None``/``"inline"``
         (serial, the default), ``"process"`` (the multi-core
@@ -107,7 +103,6 @@ class DOIMISMaintainer:
         resume_states: Optional[Dict[int, bool]] = None,
         program: Optional[OIMISProgram] = None,
         faults=None,
-        membership=None,
         runtime=None,
         sanitize=None,
         representation=None,
@@ -116,8 +111,8 @@ class DOIMISMaintainer:
             graph, partitioner or HashPartitioner(num_workers)
         )
         self._engine = ScaleGEngine(
-            self._dgraph, faults=faults, membership=membership,
-            runtime=runtime, sanitize=sanitize, representation=representation,
+            self._dgraph, faults=faults, runtime=runtime, sanitize=sanitize,
+            representation=representation,
         )
         self._program = program if program is not None else OIMISProgram(
             strategy=strategy, full_scan=full_scan
@@ -163,8 +158,8 @@ class DOIMISMaintainer:
 
     @property
     def failover(self):
-        """The engine's failover coordinator (``None`` when neither the
-        fault plan nor the caller asked for membership tracking)."""
+        """The engine's failover coordinator (``None`` unless the fault
+        plan schedules a loss or a join/drain)."""
         return self._engine.failover
 
     @property
@@ -187,22 +182,6 @@ class DOIMISMaintainer:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def final_audit(self) -> int:
-        """Close-out anti-entropy sweep: audit every surviving guest copy.
-
-        Corruption injected too recently for its rotation slot is caught
-        and read-repaired here, so callers comparing guest copies against
-        host state at the end of a session see none diverged.  Costs land
-        on the ``divergence_*`` meters of :attr:`update_metrics`.  Returns
-        repairs made (0 without an attached coordinator).
-        """
-        failover = self._engine.failover
-        if failover is None:
-            return 0
-        return failover.final_audit(
-            self._states, self._program.sync_bytes, self.update_metrics
-        )
 
     def independent_set(self) -> Set[int]:
         """The currently maintained independent set ``{u | u.in}``."""

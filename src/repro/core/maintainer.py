@@ -32,7 +32,7 @@ from repro.core.doimis import DOIMISMaintainer
 from repro.graph.csr import csr_arrays
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.io import read_edge_list
-from repro.pregel.metrics import family_sum
+from repro.pregel.metrics import FAMILIES, family_sum
 from repro.pregel.partition import Partitioner
 
 CHECKPOINT_FORMAT = "repro-mis-checkpoint"
@@ -55,7 +55,6 @@ class MISMaintainer(DOIMISMaintainer):
         keep_records: bool = False,
         resume_states=None,
         faults=None,
-        membership=None,
         runtime=None,
         sanitize=None,
         representation=None,
@@ -68,7 +67,6 @@ class MISMaintainer(DOIMISMaintainer):
             keep_records=keep_records,
             resume_states=resume_states,
             faults=faults,
-            membership=membership,
             runtime=runtime,
             sanitize=sanitize,
             representation=representation,
@@ -151,8 +149,8 @@ class MISMaintainer(DOIMISMaintainer):
         (host/guest directories would disagree with every meter and with a
         failover coordinator's membership view).  ``None`` (the default)
         adopts the checkpoint's own count.  Extra keyword arguments
-        (``faults``, ``membership``, ``partitioner``, ``runtime``, ...)
-        pass through to the constructor.
+        (``faults``, ``partitioner``, ``runtime``, ...) pass through to the
+        constructor.
         """
         from repro.errors import CheckpointError
 
@@ -256,10 +254,10 @@ class MISMaintainer(DOIMISMaintainer):
             "memory_mb": self.update_metrics.memory_mb,
             "wall_time_s": self.update_metrics.wall_time_s,
         }
-        # fault-recovery and anti-entropy overhead accrues on whichever run
+        # fault-recovery and rebalance overhead accrues on whichever run
         # was faulted (the initial static run or the update runs) — report
         # the sum
-        for prefix in ("recovery_", "divergence_"):
+        for prefix in FAMILIES:
             summed = family_sum(prefix, self.init_metrics, self.update_metrics)
             for name, value in summed.items():
                 snapshot[name] = float(value)

@@ -102,16 +102,15 @@ class WorkerFailure(EngineError):
 
 
 class WorkerLoss(WorkerFailure):
-    """A worker was declared permanently dead by the failure detector.
+    """A worker was declared permanently dead at a barrier.
 
     Unlike a transient crash (rollback and replay on the same worker set),
     a loss removes the worker from the membership view for good: its
     partition is reassigned to survivors and every lost host vertex is
-    reconstructed from the freshest surviving guest copy (or the delta
-    log).  The engines *handle* injected losses internally through the
+    restored to its barrier value.  The engines *handle* injected losses
+    internally through the
     :class:`~repro.faults.membership.FailoverCoordinator`; this exception
-    escalates only when failover is impossible — no membership subsystem
-    attached, or no barrier checkpoint to reconstruct from.
+    escalates only when there is no barrier checkpoint to restore from.
     """
 
     def __init__(self, worker: "int | None", superstep: "int | None", reason: str):

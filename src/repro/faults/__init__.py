@@ -7,16 +7,16 @@ robustness oracle: the maintained set is the *unique* greedy fixpoint of
 
 - :class:`~repro.faults.plan.FaultPlan` — seeded, reproducible schedules of
   worker crashes, dropped/duplicated/reordered guest-sync records,
-  straggler delays, permanent worker losses, and silent guest-copy
-  corruption;
+  straggler delays, permanent worker losses, and planned joins/drains;
 - :class:`~repro.faults.injector.FaultInjector` — the runtime the engines
   consult at their interception points (sync emission, barrier commit,
   worker sweep), with consumption semantics and a retry policy;
 - :mod:`~repro.faults.recovery` — superstep checkpoints and the
   rollback-and-replay cost model (guest-table rebuild from host state);
-- :mod:`~repro.faults.membership` — the failure detector (phi-accrual
-  heartbeats), rendezvous partition reassignment, guest-copy host
-  reconstruction, the bounded delta log, and the anti-entropy auditor;
+- :mod:`~repro.faults.membership` — the membership view, rendezvous
+  partition reassignment, lost-host reconstruction, and voluntary
+  join/drain transitions (a coordinator attaches exactly when the plan
+  schedules a loss or a transition);
 - :mod:`~repro.faults.chaos` — the chaos harness behind ``repro-mis chaos``
   sweeping fault presets over the Fig. 10/11 workloads and asserting the
   convergence oracle.
@@ -26,15 +26,12 @@ from repro.faults.chaos import PLAN_PRESETS, chaos_suite, run_chaos_case
 from repro.faults.injector import FaultInjector, FaultStats, resolve_faults
 from repro.faults.membership import (
     FailoverCoordinator,
-    GuestAuditor,
-    MembershipConfig,
     MembershipView,
     TransitionEvent,
     rendezvous_worker,
     resolve_membership,
 )
 from repro.faults.plan import (
-    CorruptGuestSpec,
     CrashSpec,
     DrainSpec,
     FaultPlan,
@@ -52,17 +49,14 @@ from repro.faults.recovery import (
 )
 
 __all__ = [
-    "CorruptGuestSpec",
     "CrashSpec",
     "DrainSpec",
     "FailoverCoordinator",
     "FaultInjector",
     "FaultPlan",
     "FaultStats",
-    "GuestAuditor",
     "JoinSpec",
     "LossSpec",
-    "MembershipConfig",
     "MembershipView",
     "PLAN_PRESETS",
     "ReorderSpec",

@@ -56,9 +56,9 @@ PLAN_PRESETS: Dict[str, Dict[str, Any]] = {
         "straggler_delay_s": 0.01,
         "reorder_prob": 0.1,
     },
-    # a worker dies for good: the failure detector declares it dead at the
-    # barrier, its partition rendezvous-reassigns to survivors, and every
-    # lost host vertex reconstructs from the freshest surviving guest copy
+    # a worker dies for good: it is declared dead at the barrier, its
+    # partition rendezvous-reassigns to survivors, and every lost host
+    # vertex is restored to its barrier value
     "worker-loss": {"loss_prob": 0.002},
     # many workers die across the stream (the injector never kills the last
     # survivor) — rendezvous reassignment must compose across deaths, and
@@ -72,9 +72,6 @@ PLAN_PRESETS: Dict[str, Dict[str, Any]] = {
             LossSpec(superstep=0, worker=7, run=6),
         ),
     },
-    # guest copies silently diverge from host state after a sync — only the
-    # anti-entropy auditor (sampled checksums + read-repair) can see it
-    "corrupt-guest": {"corrupt_prob": 0.02},
     # voluntary elasticity: workers drain mid-stream at a barrier, their
     # partitions migrating to survivors *before* they leave — all movement
     # cost must land on the rebalance_* family, never on recovery_*
@@ -196,7 +193,6 @@ class ChaosCaseResult:
     seed: int
     injected: Dict[str, int] = field(default_factory=dict)
     recovery: Dict[str, float] = field(default_factory=dict)
-    divergence: Dict[str, int] = field(default_factory=dict)
     rebalance: Dict[str, float] = field(default_factory=dict)
     failures: List[str] = field(default_factory=list)
 
@@ -216,15 +212,13 @@ class ChaosCaseResult:
             "ok": self.ok,
             "injected": dict(self.injected),
             "recovery": dict(self.recovery),
-            "divergence": dict(self.divergence),
             "rebalance": dict(self.rebalance),
             "failures": list(self.failures),
         }
 
 
 def _run_maintenance(
-    workload: ChaosWorkload, faults=None, membership=None,
-    runtime=None, sanitize=None,
+    workload: ChaosWorkload, faults=None, runtime=None, sanitize=None,
 ) -> DOIMISMaintainer:
     from repro.bench.workloads import delete_reinsert_workload
     from repro.graph.datasets import load_dataset
@@ -238,7 +232,6 @@ def _run_maintenance(
         num_workers=workload.workers,
         strategy=ActivationStrategy.SAME_STATUS,
         faults=faults,
-        membership=membership,
         runtime=runtime,
         sanitize=sanitize,
     )
@@ -285,15 +278,12 @@ def run_chaos_case(
     preset: str,
     seed: int,
     reference: Optional[Observables] = None,
-    membership=None,
 ) -> ChaosCaseResult:
     """Replay ``workload`` under ``preset``'s seeded plan; check the oracle.
 
     ``reference`` lets a sweep reuse one fault-free run per workload; when
-    omitted it is computed here.  ``membership`` overrides the failover
-    tunables (losses and guest corruption auto-attach a default coordinator
-    otherwise).  Never raises for an oracle violation — failures are
-    reported on the result so a sweep surveys the whole grid.
+    omitted it is computed here.  Never raises for an oracle violation —
+    failures are reported on the result so a sweep surveys the whole grid.
     """
     if reference is None:
         reference = reference_run(workload)
@@ -302,9 +292,7 @@ def run_chaos_case(
     injector = FaultInjector(plan)
 
     try:
-        maintainer = _run_maintenance(
-            workload, faults=injector, membership=membership
-        )
+        maintainer = _run_maintenance(workload, faults=injector)
     except ReproError as exc:
         # SyncRetryExhausted (drops beyond the retry budget) is the one
         # *designed* escalation; anything else is an oracle failure outright
@@ -312,25 +300,11 @@ def run_chaos_case(
         result.failures.append(f"run raised {type(exc).__name__}: {exc}")
         return result
 
-    # close-out anti-entropy: corruption injected too recently for its
-    # rotation slot must still be caught before we compare observables
-    maintainer.final_audit()
-
     result.injected = injector.stats.as_dict()
     # faults fire during the initial static run too — its charges live on
     # init_metrics, so report both meters combined
     result.recovery = _summed(maintainer, "recovery_")
-    result.divergence = _summed(maintainer, "divergence_")
     result.rebalance = _summed(maintainer, "rebalance_")
-
-    failover = maintainer.failover
-    if failover is not None:
-        leftover = failover.auditor.corrupted_pairs()
-        if leftover:
-            result.failures.append(
-                f"{len(leftover)} corrupted guest cop(ies) survived the "
-                f"final audit: {leftover[:5]}"
-            )
 
     result.failures.extend(reference.diff(Observables.of(maintainer), "faulted"))
     try:
@@ -343,7 +317,7 @@ def run_chaos_case(
             result.failures.append(
                 f"empty plan injected {result.injected_total} fault(s)"
             )
-        for family in ("recovery", "divergence", "rebalance"):
+        for family in ("recovery", "rebalance"):
             charged = getattr(result, family)
             if sum(charged.values()):
                 result.failures.append(
@@ -678,12 +652,10 @@ def chaos_suite(
     presets: Sequence[str] = (),
     seeds: Iterable[int] = (0,),
     workloads: Sequence[ChaosWorkload] = CHAOS_WORKLOADS,
-    membership=None,
 ) -> List[ChaosCaseResult]:
     """Sweep ``presets x seeds`` over ``workloads`` (reference once each).
 
-    Defaults to every preset in :data:`PLAN_PRESETS`.  ``membership``
-    overrides the failover tunables for every case.  Returns one
+    Defaults to every preset in :data:`PLAN_PRESETS`.  Returns one
     :class:`ChaosCaseResult` per case; callers decide whether any failure is
     fatal (``repro-mis chaos`` exits non-zero).
     """
@@ -700,9 +672,6 @@ def chaos_suite(
         for preset in selected:
             for seed in seeds:
                 results.append(
-                    run_chaos_case(
-                        workload, preset, seed,
-                        reference=reference, membership=membership
-                    )
+                    run_chaos_case(workload, preset, seed, reference=reference)
                 )
     return results

@@ -40,7 +40,6 @@ class FaultStats:
     reorders: int = 0
     stragglers: int = 0
     losses: int = 0
-    corruptions: int = 0
     drains: int = 0
     joins: int = 0
 
@@ -48,7 +47,7 @@ class FaultStats:
     def total(self) -> int:
         return (self.crashes + self.drops + self.duplicates
                 + self.reorders + self.stragglers + self.losses
-                + self.corruptions + self.drains + self.joins)
+                + self.drains + self.joins)
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -58,7 +57,6 @@ class FaultStats:
             "reorders": self.reorders,
             "stragglers": self.stragglers,
             "losses": self.losses,
-            "corruptions": self.corruptions,
             "drains": self.drains,
             "joins": self.joins,
         }
@@ -209,16 +207,6 @@ class FaultInjector:
         self._dead.update(lost)
         self.stats.losses += len(lost)
         return lost
-
-    def corrupt_guest(self, superstep: int, vertex: int, machine: int) -> bool:
-        """Whether the guest copy ``vertex -> machine`` silently diverges
-        after this superstep's sync (fires once per coordinate)."""
-        if not self.plan.corrupt_guest_at(self._run, superstep, vertex, machine):
-            return False
-        if not self._once(("corrupt", self._run, superstep, vertex, machine)):
-            return False
-        self.stats.corruptions += 1
-        return True
 
     def sync_drops(self, superstep: int, vertex: int, machine: int) -> int:
         """Failed attempts for this sync record (0 = delivered first try)."""

@@ -1,62 +1,53 @@
 """Membership-aware failover: survive *permanent* worker loss.
 
-PR 3's recovery treats every failure as transient: checkpoint, roll back,
-replay on the same worker set.  This module adds the other half of a
-production failure model — workers that never come back — built from three
-pieces the paper already pays for:
+The transient recovery of :mod:`repro.faults.recovery` treats every
+failure as a crash: checkpoint, roll back, replay on the same worker set.
+This module adds workers that never come back, and planned joins and
+drains, from pieces the paper already pays for:
 
-- **Failure detection** (:class:`MembershipView`): per-worker liveness via
-  deterministic heartbeats scored with a phi-accrual-style suspicion value
-  (``phi = elapsed / interval * log10(e)``, the exponential-arrival
-  approximation of Hayashibara et al.).  Stragglers produced by the fault
-  injector are *flagged* (`injected=True`), so a slow worker never looks
-  like a silent one — the chaos ``straggler`` preset can never trigger a
-  false-positive kill.
+- **Membership** (:class:`MembershipView`): the member, dead, drained and
+  joined sets, the queue of proposed voluntary transitions and the
+  membership epoch.  Losses come from the fault injector; a straggler is
+  never declared dead.
 - **Partition reassignment** (:func:`rendezvous_worker` +
   :class:`FailoverCoordinator`): rendezvous (highest-random-weight) hashing
-  over the surviving workers.  Deterministic (keyed blake2b — independent
+  over the surviving workers.  Deterministic (keyed blake2b, independent
   of ``PYTHONHASHSEED``), minimal (only vertices hosted on dead workers
   move, including under cascading losses), and stateless (the effective
-  placement is a pure function of the base partitioner and the dead set).
+  placement is a pure function of the base partitioner and the member
+  set).
 - **State reconstruction**: every host vertex lost with a dead worker is
-  rebuilt from the freshest surviving guest copy — ScaleG syncs changed
-  states to every guest machine at each barrier, so surviving copies are
-  barrier-fresh — falling back to a bounded per-superstep **delta log**
-  for solitary vertices (no guest copy anywhere), and finally to the
-  persisted barrier checkpoint.  The DOIMIS affected set around every
-  reconstructed vertex (Definition 4.1) is then re-examined by a recovery
-  sweep, so the run converges to the same fixpoint (Theorems 4.2/6.1).
+  restored to its barrier value (the source is counted as a surviving
+  guest copy, or the barrier checkpoint when every replica died with the
+  host).  The DOIMIS affected set around every reconstructed vertex
+  (Definition 4.1) is then re-examined by a recovery sweep.  Theorems
+  4.2/6.1 make the maintained set the unique greedy fixpoint of ``≺``, so
+  the run converges to the fault-free result.
 
-Alongside failover, the :class:`GuestAuditor` runs an **anti-entropy**
-pass: a rotating deterministic sample of guest copies is checksummed
-against host state each superstep, detecting silent divergence (the
-``corrupt_guest`` fault kind) within a bounded window and repairing it by
-re-shipping host state (read-repair).
-
-Every cost here — detection latency, reconstruction shipping, the delta
-log, audit digests, read-repair — lands on the quarantined ``recovery_*``
-/ ``divergence_*`` meter families, **never** the logical meters.  Logical
-accounting deliberately keeps the *fault-free* placement: the paper's cost
-model describes the computation, and the chaos oracle asserts a failed-over
-run's logical meters are bit-identical to the fault-free run's.
+Every cost here (detection latency, reconstruction shipping, guest-copy
+re-establishment) lands on the quarantined ``recovery_*`` meter family,
+and voluntary transitions on ``rebalance_*``, **never** the logical
+meters.  Logical accounting deliberately keeps the *fault-free* placement:
+the paper's cost model describes the computation, and the chaos oracle
+asserts a failed-over run's logical meters are bit-identical to the
+fault-free run's.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import WorkerFailure, WorkloadError
-from repro.faults.recovery import _snapshot
 from repro.pregel.metrics import MESSAGE_OVERHEAD_BYTES, VERTEX_ID_BYTES
 
-#: log10(e) — the phi-accrual scale factor under exponential arrivals
-LOG10E = 0.4342944819032518
+#: modelled silence before a lost worker is declared dead: a phi-accrual
+#: threshold of 8 over 0.05 s heartbeats, ``8 / log10(e) * 0.05`` seconds
+DETECTION_LATENCY_S = 8.0 / 0.4342944819032518 * 0.05
 
-#: bytes of one checksum digest shipped by the sampled audit
-DIGEST_BYTES = 8
+#: modelled barrier stall while a voluntary transition batch applies
+BARRIER_STALL_S = 0.05
 
 
 def _weight(salt: int, vertex: int, worker: int) -> int:
@@ -90,78 +81,16 @@ def rendezvous_worker(vertex: int, candidates: Iterable[int], salt: int = 0) -> 
     return best
 
 
-@dataclass(frozen=True)
-class MembershipConfig:
-    """Tunables of the failure detector, delta log, and guest auditor."""
-
-    #: modelled heartbeat period — one heartbeat per worker per superstep
-    heartbeat_interval_s: float = 0.05
-    #: suspicion level at which a silent worker is declared dead;
-    #: detection latency is ``phi_threshold / log10(e)`` heartbeat periods
-    phi_threshold: float = 8.0
-    #: uncompacted per-superstep delta-log frames retained before the
-    #: oldest frame folds into the compacted base
-    delta_log_depth: int = 8
-    #: audit a 1/audit_every rotating sample of guest copies per superstep
-    #: (every copy is checked once per ``audit_every`` supersteps);
-    #: 0 disables anti-entropy
-    audit_every: int = 4
-    #: keys the rendezvous weights and the audit rotation
-    salt: int = 0
-
-    def __post_init__(self):
-        if self.heartbeat_interval_s <= 0:
-            raise WorkloadError(
-                f"heartbeat_interval_s must be positive, "
-                f"got {self.heartbeat_interval_s}"
-            )
-        if self.phi_threshold <= 0:
-            raise WorkloadError(
-                f"phi_threshold must be positive, got {self.phi_threshold}"
-            )
-        if self.delta_log_depth < 1:
-            raise WorkloadError(
-                f"delta_log_depth must be >= 1, got {self.delta_log_depth}"
-            )
-        if self.audit_every < 0:
-            raise WorkloadError(
-                f"audit_every must be >= 0, got {self.audit_every}"
-            )
-
-    @property
-    def detection_latency_s(self) -> float:
-        """Modelled silence before phi crosses the threshold (closed form:
-        under exponential arrivals ``phi(t) = t / interval * log10(e)``)."""
-        return self.phi_threshold / LOG10E * self.heartbeat_interval_s
-
-
 class MembershipView:
-    """Per-worker liveness via heartbeats + phi-accrual suspicion.
+    """The worker membership: members, dead/drained/joined sets, the
+    pending transition queue and the membership epoch."""
 
-    Modelled time advances one heartbeat period per superstep barrier
-    (:meth:`advance`); each alive worker then reports via
-    :meth:`heartbeat`.  Suspicion of a worker is
-    ``phi = elapsed_since_last_heartbeat / interval * log10(e)`` —
-    crossing :attr:`MembershipConfig.phi_threshold` makes it a
-    :meth:`suspect <suspects>`.
-
-    The injected-delay flag is the straggler/death discriminator: the
-    fault injector *knows* its stragglers and flags their late heartbeats,
-    so they never raise suspicion.  Only genuinely unexplained lateness
-    (or silence) accrues phi.
-    """
-
-    def __init__(self, workers: Iterable[int], config: MembershipConfig):
-        self._config = config
+    def __init__(self, workers: Iterable[int]):
         self._workers: List[int] = sorted(workers)
-        self._now = 0.0
-        self._last_seen: Dict[int, float] = {w: 0.0 for w in self._workers}
-        #: worker -> modelled time of death declaration
-        self._dead: Dict[int, float] = {}
-        #: worker -> modelled time of voluntary drain
-        self._drained: Dict[int, float] = {}
-        #: workers that joined after construction -> modelled join time
-        self._joined: Dict[int, float] = {}
+        self._dead: Set[int] = set()
+        self._drained: Set[int] = set()
+        #: workers that joined after construction
+        self._joined: Set[int] = set()
         #: transitions proposed but not yet applied at a barrier
         self._pending_joins: List[int] = []
         self._pending_drains: List[int] = []
@@ -169,15 +98,6 @@ class MembershipView:
         self._epoch = 0
 
     # ------------------------------------------------------------------
-    @property
-    def config(self) -> MembershipConfig:
-        return self._config
-
-    @property
-    def now(self) -> float:
-        """Current modelled time."""
-        return self._now
-
     @property
     def epoch(self) -> int:
         """Membership epoch: applied voluntary transition batches so far."""
@@ -214,7 +134,7 @@ class MembershipView:
         return worker in self._drained
 
     def is_member(self, worker: int) -> bool:
-        return (worker in self._last_seen and worker not in self._dead
+        return (worker in self._workers and worker not in self._dead
                 and worker not in self._drained)
 
     # ------------------------------------------------------------------
@@ -267,17 +187,16 @@ class MembershipView:
 
     def apply_join(self, worker: int) -> None:
         """Make ``worker`` a member now (called at a barrier)."""
-        self._dead.pop(worker, None)
-        self._drained.pop(worker, None)
-        if worker not in self._last_seen:
+        self._dead.discard(worker)
+        self._drained.discard(worker)
+        if worker not in self._workers:
             self._workers.append(worker)
             self._workers.sort()
-        self._last_seen[worker] = self._now
-        self._joined[worker] = self._now
+        self._joined.add(worker)
 
     def apply_drain(self, worker: int) -> None:
         """Retire ``worker`` now (called at a barrier)."""
-        self._drained[worker] = self._now
+        self._drained.add(worker)
 
     def bump_epoch(self) -> None:
         self._epoch += 1
@@ -287,67 +206,9 @@ class MembershipView:
         commits recorded transitions; the counter must keep ascending)."""
         self._epoch = max(self._epoch, int(epoch))
 
-    # ------------------------------------------------------------------
-    def advance(self) -> None:
-        """Advance modelled time one heartbeat period (one per barrier)."""
-        self._now += self._config.heartbeat_interval_s
-
-    def heartbeat(self, worker: int, delay_s: float = 0.0,
-                  injected: bool = False) -> None:
-        """Record ``worker``'s heartbeat for the current period.
-
-        ``delay_s`` is how stale the heartbeat is (a straggling worker's
-        most recent heartbeat is ``delay_s`` old by the time the barrier
-        evaluates suspicion).  When ``injected`` is set the delay came
-        from the fault injector's straggler schedule and is *excluded*
-        from suspicion — a known-slow worker is not a silent one.
-        """
-        if worker in self._dead or worker in self._drained:
-            return
-        stale = 0.0 if injected else max(delay_s, 0.0)
-        self._last_seen[worker] = self._now - stale
-
-    def phi(self, worker: int) -> float:
-        """Suspicion of ``worker`` (``inf`` once declared dead; a drained
-        worker is silent by agreement and never suspect)."""
-        if worker in self._dead:
-            return float("inf")
-        if worker in self._drained:
-            return 0.0
-        elapsed = self._now - self._last_seen.get(worker, 0.0)
-        if elapsed <= 0.0:
-            return 0.0
-        return elapsed / self._config.heartbeat_interval_s * LOG10E
-
-    def suspects(self) -> List[int]:
-        """Alive workers whose suspicion crossed the threshold."""
-        threshold = self._config.phi_threshold
-        return [
-            w for w in self._workers
-            if w not in self._dead and w not in self._drained
-            and self.phi(w) >= threshold
-        ]
-
     def declare_dead(self, worker: int) -> None:
         """Remove ``worker`` from the membership for good."""
-        if worker not in self._dead:
-            self._dead[worker] = self._now
-
-
-@dataclass(frozen=True)
-class AuditFinding:
-    """One corrupted guest copy's life cycle, as the auditor saw it."""
-
-    vertex: int
-    machine: int
-    #: audit clock when the corruption was injected
-    injected_clock: int
-    #: audit clock when the auditor resolved it
-    resolved_clock: int
-    #: ``"repaired"`` (read-repair re-shipped host state) or
-    #: ``"destroyed"`` (the copy vanished first — edge deletion, vertex
-    #: deletion, or the hosting worker died)
-    outcome: str
+        self._dead.add(worker)
 
 
 @dataclass(frozen=True)
@@ -373,167 +234,13 @@ class FailoverEvent:
     workers: Tuple[int, ...]
     reassigned: int
     #: reconstruction sources: how many lost hosts were rebuilt from a
-    #: surviving guest copy / the delta log / the barrier checkpoint
+    #: surviving guest copy / the barrier checkpoint
     sources: Dict[str, int]
-    detection_s: float
-
-
-class GuestAuditor:
-    """Anti-entropy over guest copies: sampled checksums + read-repair.
-
-    Every ``(vertex, guest machine)`` pair is assigned a rotation slot
-    ``blake2b(salt, vertex, machine) % audit_every``; at audit clock ``c``
-    the pairs in slot ``c % audit_every`` ship a checksum digest of their
-    copy to the host, which compares it against host state.  A mismatch
-    (silent corruption, injected by the ``corrupt_guest`` fault kind) is
-    repaired by re-shipping the host state.  The rotation guarantees every
-    surviving corrupted copy is caught within ``audit_every`` audited
-    supersteps of injection.
-
-    The audit clock is *global* (persists across engine runs), so a pair
-    whose slot did not come up before a short run converged is checked
-    early in the next run.
-    """
-
-    def __init__(self, config: MembershipConfig):
-        self._config = config
-        #: (vertex, machine) -> audit clock at injection
-        self._corrupted: Dict[Tuple[int, int], int] = {}
-        #: (vertex, machine) -> rotation slot (pure blake2b, cached)
-        self._slots: Dict[Tuple[int, int], int] = {}
-        self._clock = 0
-        self.findings: List[AuditFinding] = []
-
-    # ------------------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        return self._config.audit_every > 0
-
-    @property
-    def clock(self) -> int:
-        """Audited supersteps so far (global across runs)."""
-        return self._clock
-
-    def corrupted_pairs(self) -> List[Tuple[int, int]]:
-        """Currently corrupted (undetected) guest copies."""
-        return sorted(self._corrupted)
-
-    def mark_corrupted(self, vertex: int, machine: int) -> None:
-        """The injector corrupted this guest copy after the current sync."""
-        self._corrupted.setdefault((vertex, machine), self._clock)
-
-    def _slot(self, vertex: int, machine: int) -> int:
-        key = (vertex, machine)
-        slot = self._slots.get(key)
-        if slot is None:
-            blob = f"{self._config.salt}|audit|{vertex}|{machine}"
-            digest = hashlib.blake2b(
-                blob.encode("ascii"), digest_size=8
-            ).digest()
-            slot = int.from_bytes(digest, "big") % self._config.audit_every
-            self._slots[key] = slot
-        return slot
-
-    # ------------------------------------------------------------------
-    def _repair(self, vertex: int, machine: int, injected_clock: int,
-                states, sync_bytes_of, metrics) -> None:
-        metrics.divergence_detected += 1
-        metrics.divergence_repaired += 1
-        state = states.get(vertex)
-        wire = MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES + (
-            sync_bytes_of(state) if state is not None else 8
-        )
-        metrics.divergence_repair_bytes += wire
-        metrics.divergence_repair_messages += 1
-        self.findings.append(AuditFinding(
-            vertex=vertex, machine=machine,
-            injected_clock=injected_clock, resolved_clock=self._clock,
-            outcome="repaired",
-        ))
-
-    def _purge_destroyed(self, dgraph, dead_is) -> None:
-        """Drop corrupted pairs whose copy no longer exists."""
-        for key in sorted(self._corrupted):
-            vertex, machine = key
-            gone = (
-                dead_is(machine)
-                or not dgraph.has_vertex(vertex)
-                or machine not in dgraph.guest_machines(vertex)
-            )
-            if gone:
-                injected_clock = self._corrupted.pop(key)
-                self.findings.append(AuditFinding(
-                    vertex=vertex, machine=machine,
-                    injected_clock=injected_clock,
-                    resolved_clock=self._clock,
-                    outcome="destroyed",
-                ))
-
-    def audit(self, dgraph, dead_is, states, sync_bytes_of, metrics) -> int:
-        """One superstep's sampled audit pass; returns repairs made.
-
-        ``dead_is`` is a ``worker -> bool`` predicate (dead workers host
-        no copies to audit).  Digest shipping and read-repair land on the
-        ``divergence_*`` meters only.
-        """
-        if not self.enabled:
-            return 0
-        every = self._config.audit_every
-        slot = self._clock % every
-        repaired = 0
-        for u in dgraph.graph.sorted_vertices():
-            state = states.get(u)
-            for m in dgraph.guest_machines(u):
-                if dead_is(m):
-                    continue
-                if self._slot(u, m) != slot:
-                    continue
-                metrics.divergence_checks += 1
-                metrics.divergence_check_bytes += (
-                    MESSAGE_OVERHEAD_BYTES + DIGEST_BYTES
-                )
-                injected_clock = self._corrupted.pop((u, m), None)
-                if injected_clock is not None:
-                    self._repair(u, m, injected_clock, states,
-                                 sync_bytes_of, metrics)
-                    repaired += 1
-            del state  # host state only read via _repair
-        self._purge_destroyed(dgraph, dead_is)
-        self._clock += 1
-        return repaired
-
-    def final_audit(self, dgraph, dead_is, states, sync_bytes_of,
-                    metrics) -> int:
-        """Full (unsampled) sweep — the close-out audit of a session.
-
-        Checks every surviving guest copy once, so corruption injected too
-        recently for its rotation slot is still caught before the session's
-        results are read.  Returns repairs made.
-        """
-        if not self.enabled:
-            return 0
-        repaired = 0
-        for u in dgraph.graph.sorted_vertices():
-            for m in dgraph.guest_machines(u):
-                if dead_is(m):
-                    continue
-                metrics.divergence_checks += 1
-                metrics.divergence_check_bytes += (
-                    MESSAGE_OVERHEAD_BYTES + DIGEST_BYTES
-                )
-                injected_clock = self._corrupted.pop((u, m), None)
-                if injected_clock is not None:
-                    self._repair(u, m, injected_clock, states,
-                                 sync_bytes_of, metrics)
-                    repaired += 1
-        self._purge_destroyed(dgraph, dead_is)
-        self._clock += 1
-        return repaired
 
 
 class FailoverCoordinator:
-    """Owns the membership view, the placement overlay, the delta log, and
-    the guest auditor for one engine (persistent across runs).
+    """Owns the membership view and the placement overlay for one engine
+    (persistent across runs).
 
     The *effective* placement (:meth:`worker_of`) is a pure overlay: a
     vertex whose base worker is alive stays put; a vertex whose base
@@ -545,26 +252,16 @@ class FailoverCoordinator:
     overlay costs is charged to ``recovery_*``.
     """
 
-    def __init__(self, dgraph, config: Optional[MembershipConfig] = None):
+    def __init__(self, dgraph):
         self._dgraph = dgraph
-        self._config = config if config is not None else MembershipConfig()
-        self.view = MembershipView(range(dgraph.num_workers), self._config)
-        self.auditor = GuestAuditor(self._config)
+        self.view = MembershipView(range(dgraph.num_workers))
         self._alive: Tuple[int, ...] = tuple(self.view.alive_workers())
         self._member_set = frozenset(self._alive)
         self._joined_active = frozenset(self.view.joined_workers())
-        #: bounded per-superstep delta-log frames (newest last) + the
-        #: compacted base older frames fold into
-        self._frames: Deque[Dict[int, Any]] = deque()
-        self._ledger_base: Dict[int, Any] = {}
         self.events: List[FailoverEvent] = []
         self.transitions: List[TransitionEvent] = []
 
     # ------------------------------------------------------------------
-    @property
-    def config(self) -> MembershipConfig:
-        return self._config
-
     @property
     def dead_workers(self) -> List[int]:
         return self.view.dead_workers()
@@ -597,155 +294,109 @@ class FailoverCoordinator:
         2. otherwise ``u`` stays with its base worker while that worker is
            a member (alive, not drained);
         3. otherwise (base dead or drained) ``u`` is rendezvous-hashed over
-           the members — the PR 4 failover rule, now drain-aware.
+           the members — the failover rule, drain-aware.
         """
         if self._joined_active:
-            w = rendezvous_worker(u, self._alive, salt=self._config.salt)
+            w = rendezvous_worker(u, self._alive)
             if w in self._joined_active:
                 return w
         base = self._dgraph.worker_of(u)
         if base in self._member_set:
             return base
-        return rendezvous_worker(u, self._alive, salt=self._config.salt)
-
-    def _is_solitary(self, u: int, worker_of) -> bool:
-        """No guest copy anywhere: every neighbour is co-hosted with u."""
-        home = worker_of(u)
-        for v in sorted(self._dgraph.neighbors(u)):
-            if worker_of(v) != home:
-                return False
-        return True
-
-    # ------------------------------------------------------------------
-    # delta log (solitary vertices have no guest copy to reconstruct from)
-    # ------------------------------------------------------------------
-    def _ledger_append(self, frame: Dict[int, Any]) -> None:
-        self._frames.append(frame)
-        while len(self._frames) > self._config.delta_log_depth:
-            self._ledger_base.update(self._frames.popleft())
-
-    def _ledger_lookup(self, u: int) -> Tuple[bool, Any]:
-        for frame in reversed(self._frames):
-            if u in frame:
-                return True, frame[u]
-        if u in self._ledger_base:
-            return True, self._ledger_base[u]
-        return False, None
-
-    @property
-    def ledger_size(self) -> int:
-        """Distinct vertices currently covered by the delta log."""
-        keys = set(self._ledger_base)
-        for frame in self._frames:
-            keys.update(frame)
-        return len(keys)
-
-    def record_deltas(self, changed: Iterable[int], states: Dict[int, Any],
-                      sync_bytes_of, metrics) -> None:
-        """Ship this superstep's changed *solitary* states to the delta log.
-
-        A vertex with at least one guest copy is reconstructible from it;
-        only solitary vertices (every neighbour co-hosted, or no neighbour
-        at all) need the replicated log.  The shipment is bounded by the
-        superstep's state changes and charged to
-        ``recovery_delta_log_bytes``.
-        """
-        frame: Dict[int, Any] = {}
-        for u in sorted(changed):
-            if not self._dgraph.has_vertex(u):
-                continue
-            if not self._is_solitary(u, self.worker_of):
-                continue
-            frame[u] = _snapshot(states[u])
-            metrics.recovery_delta_log_bytes += (
-                MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES
-                + sync_bytes_of(states[u])
-            )
-            metrics.recovery_delta_log_records += 1
-        if frame:
-            self._ledger_append(frame)
+        return rendezvous_worker(u, self._alive)
 
     # ------------------------------------------------------------------
     # failover
     # ------------------------------------------------------------------
+    def _declare_lost(self, lost_workers: Iterable[int], superstep: int,
+                      checkpoint, states: Dict[int, Any], metrics, bytes_of):
+        """The head both failover paths share.
+
+        Declares this barrier's lost workers dead, charges the detection
+        latency, and ships every lost host vertex its barrier value (from
+        a surviving guest copy or the barrier checkpoint, priced by
+        ``bytes_of``).  Returns ``(lost, old_eff, lost_hosts, affected)``:
+        the newly dead workers (empty when all were already dead), the
+        effective placement *before* the failover, the lost host vertices,
+        and the DOIMIS affected set (lost hosts + their neighbours).
+        """
+        lost = sorted(w for w in set(lost_workers) if not self.view.is_dead(w))
+        if not lost:
+            return [], {}, [], set()
+        if len(self._alive) - len(lost) < 1:
+            raise WorkerFailure(
+                lost[0], superstep,
+                "every worker died — nothing left to fail over to",
+            )
+        dgraph = self._dgraph
+        old_eff: Dict[int, int] = {u: self.worker_of(u) for u in sorted(states)}
+        # the barrier blocks once for all concurrent losses
+        metrics.recovery_detection_s += DETECTION_LATENCY_S
+        metrics.wall_time_s += DETECTION_LATENCY_S
+        for w in lost:
+            self.view.declare_dead(w)
+        self._refresh_members()
+        metrics.recovery_failovers += len(lost)
+        lost_set = set(lost)
+        lost_hosts = [u for u in sorted(states) if old_eff[u] in lost_set]
+        affected = set(lost_hosts)
+        for u in lost_hosts:
+            if dgraph.has_vertex(u):
+                affected.update(sorted(dgraph.neighbors(u)))
+            state = checkpoint.states.get(u, states.get(u))
+            metrics.recovery_resync_bytes += (
+                MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES
+                + (bytes_of(state) if state is not None else 8)
+            )
+            metrics.recovery_resync_messages += 1
+        metrics.recovery_reassigned_vertices += len(lost_hosts)
+        metrics.recovery_reconstructed_vertices += len(lost_hosts)
+        return lost, old_eff, lost_hosts, affected
+
+    def _close_failover(self, lost: List[int], superstep: int,
+                        affected, sources: Dict[str, int], metrics) -> List[int]:
+        """Record the failover event; return the affected set to re-sweep."""
+        dgraph = self._dgraph
+        reactivate = sorted(u for u in affected if dgraph.has_vertex(u))
+        metrics.recovery_reactivated_vertices += len(reactivate)
+        self.events.append(FailoverEvent(
+            superstep=superstep,
+            workers=tuple(lost),
+            reassigned=sum(sources.values()),
+            sources=sources,
+        ))
+        return reactivate
+
     def fail_over(self, lost_workers: Iterable[int], superstep: int,
                   checkpoint, states: Dict[int, Any], metrics,
                   sync_bytes_of) -> List[int]:
         """Handle permanent losses declared at this superstep's barrier.
 
         Declares the workers dead, reassigns their partitions to survivors
-        (rendezvous, minimal), reconstructs each lost host vertex from the
-        freshest surviving guest copy / the delta log / the barrier
-        checkpoint, re-prices guest-copy re-establishment, and returns the
-        DOIMIS affected set (lost hosts + their neighbours) for the
-        engine's recovery sweep.  All costs land on ``recovery_*``.
+        (rendezvous, minimal), restores each lost host vertex to its
+        barrier value, re-prices guest-copy re-establishment, and returns
+        the DOIMIS affected set (lost hosts + their neighbours) for the
+        engine's recovery sweep.  A lost host ships from a surviving guest
+        copy (every copy is barrier-fresh: ScaleG syncs each change to
+        every guest machine) or, when every replica died with it, from the
+        barrier checkpoint.  All costs land on ``recovery_*``.
         """
-        lost = sorted(w for w in set(lost_workers) if not self.view.is_dead(w))
-        if not lost:
-            return []
-        lost_set = set(lost)
-        if len(self._alive) - len(lost) < 1:
-            raise WorkerFailure(
-                lost[0], superstep,
-                "every worker died — nothing left to fail over to",
-            )
-
-        dgraph = self._dgraph
-        # effective placement *before* this failover — reconstruction
-        # sources are the guest copies that existed when the workers died
-        old_eff: Dict[int, int] = {u: self.worker_of(u) for u in sorted(states)}
-
-        # the barrier blocked until the silent workers' phi crossed the
-        # threshold; the detector waits once for all concurrent losses
-        latency = self._config.detection_latency_s
-        metrics.recovery_detection_s += latency
-        metrics.wall_time_s += latency
-
-        for w in lost:
-            self.view.declare_dead(w)
-        self._refresh_members()
-        metrics.recovery_failovers += len(lost)
-
         from repro.scaleg.guest import surviving_guest_machines
 
-        lost_hosts = [u for u in sorted(states) if old_eff[u] in lost_set]
-        sources = {"guest": 0, "ledger": 0, "checkpoint": 0}
-        affected = set(lost_hosts)
+        lost, old_eff, lost_hosts, affected = self._declare_lost(
+            lost_workers, superstep, checkpoint, states, metrics,
+            sync_bytes_of,
+        )
+        if not lost:
+            return []
+        dgraph = self._dgraph
+        lost_set = set(lost)
+        sources = {"guest": 0, "checkpoint": 0}
         for u in lost_hosts:
-            neighbors = sorted(dgraph.neighbors(u)) if dgraph.has_vertex(u) else []
-            affected.update(neighbors)
-            surviving_copies = surviving_guest_machines(
+            replicated = surviving_guest_machines(
                 dgraph, u, old_eff.__getitem__, lost_set
-            ) if neighbors else []
-            expected = checkpoint.states.get(u, states.get(u))
-            if surviving_copies:
-                # every surviving copy is barrier-fresh (synced on change);
-                # read from the lowest machine id, deterministically
-                sources["guest"] += 1
-                reconstructed = expected
-            else:
-                found, logged = self._ledger_lookup(u)
-                if found:
-                    sources["ledger"] += 1
-                    reconstructed = logged
-                else:
-                    # host and every guest machine died at once: fall back
-                    # to the persisted barrier checkpoint
-                    sources["checkpoint"] += 1
-                    reconstructed = expected
-            if reconstructed != expected:
-                raise WorkerFailure(
-                    old_eff[u], superstep,
-                    f"reconstructed state of vertex {u} diverged from the "
-                    "barrier checkpoint",
-                )
-            wire = MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES + (
-                sync_bytes_of(expected) if expected is not None else 8
             )
-            metrics.recovery_resync_bytes += wire
-            metrics.recovery_resync_messages += 1
-        metrics.recovery_reassigned_vertices += len(lost_hosts)
-        metrics.recovery_reconstructed_vertices += len(lost_hosts)
+            sources["guest" if replicated else "checkpoint"] += 1
 
         # guest re-establishment: the new host of a reassigned vertex needs
         # guest copies of every remote neighbour it did not already hold
@@ -768,96 +419,34 @@ class FailoverCoordinator:
                     + (sync_bytes_of(state) if state is not None else 8)
                 )
                 metrics.recovery_resync_messages += 1
-
-        # vertices that just became solitary (their only remote neighbours
-        # now co-hosted) enter the delta log so a later loss of their own
-        # worker still has a reconstruction source
-        seeded: Dict[int, Any] = {}
-        for u in sorted(states):
-            if u in affected or not dgraph.has_vertex(u):
-                continue
-            was_solitary = self._is_solitary(u, lambda x: old_eff[x])
-            if was_solitary or not self._is_solitary(u, self.worker_of):
-                continue
-            seeded[u] = _snapshot(states[u])
-            metrics.recovery_delta_log_bytes += (
-                MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES
-                + sync_bytes_of(states[u])
-            )
-            metrics.recovery_delta_log_records += 1
-        if seeded:
-            self._ledger_append(seeded)
-
-        reactivate = sorted(u for u in affected if dgraph.has_vertex(u))
-        metrics.recovery_reactivated_vertices += len(reactivate)
-        self.events.append(FailoverEvent(
-            superstep=superstep,
-            workers=tuple(lost),
-            reassigned=len(lost_hosts),
-            sources=sources,
-            detection_s=latency,
-        ))
-        return reactivate
+        return self._close_failover(lost, superstep, affected, sources,
+                                    metrics)
 
     def fail_over_degraded(self, lost_workers: Iterable[int], superstep: int,
                            checkpoint, states: Dict[int, Any], metrics,
                            state_bytes_of) -> List[int]:
-        """The Pregel counterpart: no guest copies, no delta log.
+        """The Pregel counterpart: no guest copies.
 
         A message-passing engine has no replicas of host state, so every
         lost vertex is reconstructed from the persisted barrier checkpoint
         (degraded: the whole partition ships from stable storage), and the
         affected set is re-activated by explicit messages.
         """
-        lost = sorted(w for w in set(lost_workers) if not self.view.is_dead(w))
+        lost, _old_eff, lost_hosts, affected = self._declare_lost(
+            lost_workers, superstep, checkpoint, states, metrics,
+            state_bytes_of,
+        )
         if not lost:
             return []
-        lost_set = set(lost)
-        if len(self._alive) - len(lost) < 1:
-            raise WorkerFailure(
-                lost[0], superstep,
-                "every worker died — nothing left to fail over to",
-            )
-        dgraph = self._dgraph
-        old_eff: Dict[int, int] = {u: self.worker_of(u) for u in sorted(states)}
-
-        latency = self._config.detection_latency_s
-        metrics.recovery_detection_s += latency
-        metrics.wall_time_s += latency
-        for w in lost:
-            self.view.declare_dead(w)
-        self._refresh_members()
-        metrics.recovery_failovers += len(lost)
-
-        lost_hosts = [u for u in sorted(states) if old_eff[u] in lost_set]
-        affected = set(lost_hosts)
-        for u in lost_hosts:
-            if dgraph.has_vertex(u):
-                affected.update(sorted(dgraph.neighbors(u)))
-            state = checkpoint.states.get(u, states.get(u))
-            metrics.recovery_resync_bytes += (
-                MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES
-                + (state_bytes_of(state) if state is not None else 8)
-            )
-            metrics.recovery_resync_messages += 1
-        metrics.recovery_reassigned_vertices += len(lost_hosts)
-        metrics.recovery_reconstructed_vertices += len(lost_hosts)
-
-        reactivate = sorted(u for u in affected if dgraph.has_vertex(u))
+        reactivate = self._close_failover(
+            lost, superstep, affected,
+            {"guest": 0, "checkpoint": len(lost_hosts)}, metrics,
+        )
         # re-activation travels as explicit messages in Pregel
-        for _u in reactivate:
-            metrics.recovery_resync_bytes += (
-                MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES
-            )
-            metrics.recovery_resync_messages += 1
-        metrics.recovery_reactivated_vertices += len(reactivate)
-        self.events.append(FailoverEvent(
-            superstep=superstep,
-            workers=tuple(lost),
-            reassigned=len(lost_hosts),
-            sources={"guest": 0, "ledger": 0, "checkpoint": len(lost_hosts)},
-            detection_s=latency,
-        ))
+        metrics.recovery_resync_bytes += len(reactivate) * (
+            MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES
+        )
+        metrics.recovery_resync_messages += len(reactivate)
         return reactivate
 
     # ------------------------------------------------------------------
@@ -945,13 +534,11 @@ class FailoverCoordinator:
         metrics.rebalance_joins += len(joins)
         metrics.rebalance_drains += len(drains)
         metrics.rebalance_moved_vertices += len(moved)
-        # the barrier stalls one heartbeat period while the batch applies
-        stall = self._config.heartbeat_interval_s
-        metrics.rebalance_stall_s += stall
-        metrics.wall_time_s += stall
+        metrics.rebalance_stall_s += BARRIER_STALL_S
+        metrics.wall_time_s += BARRIER_STALL_S
         self.transitions.append(TransitionEvent(
             superstep=superstep, joined=tuple(joins), drained=tuple(drains),
-            moved=len(moved), epoch=self.view.epoch, stall_s=stall,
+            moved=len(moved), epoch=self.view.epoch, stall_s=BARRIER_STALL_S,
         ))
         return tuple(drains), tuple(joins), moved
 
@@ -987,48 +574,16 @@ class FailoverCoordinator:
                 injector.mark_joined(w)
         return moved
 
-    # ------------------------------------------------------------------
-    # anti-entropy pass-throughs
-    # ------------------------------------------------------------------
-    def mark_corrupted(self, vertex: int, machine: int) -> None:
-        self.auditor.mark_corrupted(vertex, machine)
 
-    def audit(self, states: Dict[int, Any], sync_bytes_of, metrics) -> int:
-        return self.auditor.audit(
-            self._dgraph, self.view.is_dead, states, sync_bytes_of, metrics
-        )
+def resolve_membership(injector, dgraph) -> Optional[FailoverCoordinator]:
+    """The failover coordinator an engine attaches under ``injector``.
 
-    def final_audit(self, states: Dict[int, Any], sync_bytes_of,
-                    metrics) -> int:
-        return self.auditor.final_audit(
-            self._dgraph, self.view.is_dead, states, sync_bytes_of, metrics
-        )
-
-
-def resolve_membership(membership, injector, dgraph) -> Optional[FailoverCoordinator]:
-    """Normalize an engine's ``membership`` argument.
-
-    ``None`` attaches a default :class:`FailoverCoordinator` exactly when
-    the fault plan can declare losses or corrupt guest copies (there must
-    be *someone* to handle them); a :class:`MembershipConfig` builds a
-    coordinator with those tunables; a :class:`FailoverCoordinator` is
-    used as-is (and may be shared across engines).  Without an active
-    injector and without an explicit request this resolves to ``None`` —
-    the hot loop stays byte-identical to the fault-free build.
+    One exactly when the fault plan can declare a loss or schedules a
+    join or drain (there must be *someone* to handle them), else ``None``
+    — the hot loop then stays byte-identical to the fault-free build.
     """
-    if membership is None:
-        if injector is not None and (
-            injector.plan.schedules_loss
-            or injector.plan.schedules_corruption
-            or injector.plan.schedules_transitions
-        ):
-            return FailoverCoordinator(dgraph)
-        return None
-    if isinstance(membership, FailoverCoordinator):
-        return membership
-    if isinstance(membership, MembershipConfig):
-        return FailoverCoordinator(dgraph, membership)
-    raise WorkloadError(
-        f"membership must be None, a MembershipConfig, or a "
-        f"FailoverCoordinator, got {membership!r}"
-    )
+    if injector is not None and (
+        injector.plan.schedules_loss or injector.plan.schedules_transitions
+    ):
+        return FailoverCoordinator(dgraph)
+    return None

@@ -109,7 +109,7 @@ class LossSpec:
     Unlike :class:`CrashSpec` (transient: rollback and replay on the same
     worker set), a loss removes the worker from the cluster for the rest of
     the update stream — its partition is reassigned to survivors and its
-    host vertices reconstructed from surviving guest copies (see
+    host vertices restored to their barrier values (see
     :mod:`repro.faults.membership`).
     """
 
@@ -122,8 +122,8 @@ class LossSpec:
 class DrainSpec:
     """Worker ``worker`` *voluntarily* drains at the barrier of ``superstep``.
 
-    Unlike :class:`LossSpec` (involuntary: detected by phi-accrual, state
-    reconstructed from replicas), a drain is planned: the worker migrates
+    Unlike :class:`LossSpec` (involuntary: state reconstructed after the
+    worker died), a drain is planned: the worker migrates
     its host state, guest copies and rank caches to the remaining members
     *before* leaving, and the cost lands in the ``rebalance_*`` meter
     family instead of ``recovery_*``.
@@ -145,18 +145,6 @@ class JoinSpec:
 
     superstep: int
     worker: int
-    run: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class CorruptGuestSpec:
-    """The guest copy ``vertex -> machine`` silently diverges from the host
-    state after this superstep's sync (a bit flip in the replica, not on the
-    wire — only the anti-entropy auditor can see it)."""
-
-    superstep: int
-    vertex: int
-    machine: Optional[int] = None
     run: Optional[int] = None
 
 
@@ -183,8 +171,6 @@ class FaultPlan:
     reorder_prob: float = 0.0
     #: per-(run, superstep, worker) probability of *permanent* worker loss
     loss_prob: float = 0.0
-    #: per-sync-record probability of silent guest-copy corruption
-    corrupt_prob: float = 0.0
     #: seeded drops fail 1..max_drop_attempts times (drawn per record)
     max_drop_attempts: int = 2
     #: modelled delay of a seeded straggler event
@@ -195,7 +181,6 @@ class FaultPlan:
     stragglers: Tuple[StragglerSpec, ...] = field(default_factory=tuple)
     reorders: Tuple[ReorderSpec, ...] = field(default_factory=tuple)
     losses: Tuple[LossSpec, ...] = field(default_factory=tuple)
-    corruptions: Tuple[CorruptGuestSpec, ...] = field(default_factory=tuple)
     #: planned membership transitions (voluntary elasticity) — always
     #: explicit coordinates, never probabilistic: a rebalance is an
     #: operator decision, not an accident
@@ -204,8 +189,7 @@ class FaultPlan:
 
     def __post_init__(self):
         for name in ("crash_prob", "drop_prob", "duplicate_prob",
-                     "straggler_prob", "reorder_prob", "loss_prob",
-                     "corrupt_prob"):
+                     "straggler_prob", "reorder_prob", "loss_prob"):
             p = getattr(self, name)
             if not (0.0 <= p <= 1.0):
                 raise WorkloadError(f"{name} must be in [0, 1], got {p}")
@@ -216,7 +200,7 @@ class FaultPlan:
             )
         # normalize sequences to tuples so plans stay hashable/frozen
         for name in ("crashes", "drops", "duplicates", "stragglers",
-                     "reorders", "losses", "corruptions", "drains", "joins"):
+                     "reorders", "losses", "drains", "joins"):
             value = getattr(self, name)
             if not isinstance(value, tuple):
                 object.__setattr__(self, name, tuple(value))
@@ -228,10 +212,9 @@ class FaultPlan:
         return not (
             self.crash_prob or self.drop_prob or self.duplicate_prob
             or self.straggler_prob or self.reorder_prob
-            or self.loss_prob or self.corrupt_prob
+            or self.loss_prob
             or self.crashes or self.drops or self.duplicates
-            or self.stragglers or self.reorders
-            or self.losses or self.corruptions
+            or self.stragglers or self.reorders or self.losses
             or self.drains or self.joins
         )
 
@@ -240,12 +223,6 @@ class FaultPlan:
         """Whether this plan can declare a worker permanently dead (the
         engines auto-attach a default membership subsystem when so)."""
         return bool(self.loss_prob or self.losses)
-
-    @property
-    def schedules_corruption(self) -> bool:
-        """Whether this plan can corrupt guest copies (the engines
-        auto-enable the anti-entropy auditor when so)."""
-        return bool(self.corrupt_prob or self.corruptions)
 
     @property
     def schedules_transitions(self) -> bool:
@@ -346,19 +323,3 @@ class FaultPlan:
             spec.worker for spec in self.joins
             if spec.superstep == superstep and _matches(spec.run, run)
         }))
-
-    def corrupt_guest_at(self, run: int, superstep: int, vertex: int,
-                         machine: int) -> bool:
-        """Does the guest copy ``vertex -> machine`` silently diverge after
-        this superstep's sync?"""
-        for spec in self.corruptions:
-            if (spec.superstep == superstep and spec.vertex == vertex
-                    and _matches(spec.run, run)
-                    and (spec.machine is None or spec.machine == machine)):
-                return True
-        if self.corrupt_prob:
-            return (
-                self._draw("corrupt", run, superstep, vertex, machine)
-                < self.corrupt_prob
-            )
-        return False

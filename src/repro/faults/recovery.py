@@ -159,7 +159,7 @@ def guest_rebuild_cost(dgraph, crashed_workers, sync_bytes_of,
 
 
 @contextmanager
-def fault_barrier(injector, failover, superstep: int, num_workers: int,
+def fault_barrier(injector, superstep: int, num_workers: int,
                   metrics) -> Iterator[Optional[BarrierDraws]]:
     """One superstep's barrier fault step, the same for both engines and
     every backend.  Wraps the compute sweep.
@@ -170,10 +170,9 @@ def fault_barrier(injector, failover, superstep: int, num_workers: int,
     crash detection runs (a crash scheduled at the same barrier fires on
     the replay).  The draws are yielded for the backend to ship.
 
-    When the sweep returns, the failure detector advances, each delay is
-    merged in worker order (so the float meters are bit-identical across
-    backends) next to a flagged heartbeat (slow is not dead), and a loss
-    or crash raises :class:`~repro.errors.WorkerLoss` /
+    When the sweep returns, each delay is merged in worker order (so the
+    float meters are bit-identical across backends; slow is never dead),
+    and a loss or crash raises :class:`~repro.errors.WorkerLoss` /
     :class:`~repro.errors.WorkerFailure` for the engine's own recovery.
     Without an injector it yields ``None`` and does nothing.
     """
@@ -185,16 +184,12 @@ def fault_barrier(injector, failover, superstep: int, num_workers: int,
     lost = injector.lost_workers(superstep, workers)
     crashed = [] if lost else injector.crashed_workers(superstep, workers)
     yield BarrierDraws(delays=delays, lost=lost, crashed=crashed)
-    if failover is not None:
-        failover.view.advance()
-    for w, delay in enumerate(delays):
+    for delay in delays:
         if delay:
             metrics.merge_delta({
                 "recovery_straggler_s": delay,
                 "wall_time_s": delay,
             })
-        if failover is not None and not failover.is_dead(w):
-            failover.view.heartbeat(w, delay_s=delay, injected=True)
     if lost:
         loss = WorkerLoss(
             lost[0], superstep,

@@ -371,27 +371,39 @@ class CSRPartition:
         return self._shm_meta
 
     def release_shared(self) -> None:
-        """Close and unlink the published segment (idempotent teardown)."""
-        if self._shm is None:
-            return
-        if self._bitmap_in_shm and self.in_ is not None:
+        """Close and unlink the published segment (idempotent teardown).
+
+        A live bitmap is copied out of the segment first, so the partition
+        stays usable; the next :meth:`publish_shared` makes a new one."""
+        if self._shm is not None and self._bitmap_in_shm \
+                and self.in_ is not None:
             self.in_ = np.array(self.in_)  # detach before unmapping
-        self._bitmap_in_shm = False
-        try:
-            self._shm.close()
-        except (OSError, BufferError):  # pragma: no cover - best effort
-            pass
-        try:
-            self._shm.unlink()
-        except (OSError, FileNotFoundError):  # pragma: no cover
-            pass
+        self._drop_segment()
+
+    def _drop_segment(self) -> None:
+        """Unlink the segment without reading it.  A bitmap still aliasing
+        it keeps the mapping alive until the array itself is freed."""
+        shm = self._shm
+        if shm is None:
+            return
         self._shm = None
         self._shm_meta = None
         self._published_version = -1
+        self._bitmap_in_shm = False
+        try:
+            shm.close()
+        except (OSError, BufferError):  # an aliasing bitmap still maps it
+            pass
+        try:
+            shm.unlink()
+        except (OSError, FileNotFoundError):  # pragma: no cover
+            pass
 
     def __del__(self):  # pragma: no cover - interpreter teardown ordering
+        # a finaliser never reads mapped memory: during cycle collection
+        # the segment may already be unmapped
         try:
-            self.release_shared()
+            self._drop_segment()
         except Exception:
             pass
 

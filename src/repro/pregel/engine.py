@@ -165,9 +165,9 @@ class PregelEngine(BSPEngine):
     """
 
     def __init__(self, dgraph: "DistributedGraph", *, faults=None,
-                 membership=None, runtime=None, sanitize=None):
-        super().__init__(dgraph, faults=faults, membership=membership,
-                         runtime=runtime, sanitize=sanitize)
+                 runtime=None, sanitize=None):
+        super().__init__(dgraph, faults=faults, runtime=runtime,
+                         sanitize=sanitize)
         self._outbox: List[Message] = []
         self._aggregators = AggregatorRegistry()
 
@@ -248,8 +248,7 @@ class PregelEngine(BSPEngine):
 
                 try:
                     with fault_barrier(
-                        injector, failover, superstep,
-                        self.dgraph.num_workers, metrics,
+                        injector, superstep, self.dgraph.num_workers, metrics,
                     ) as draws:
                         sweep = runtime.sweep_pregel(
                             states, active, superstep, inbox, draws
@@ -263,10 +262,8 @@ class PregelEngine(BSPEngine):
                     raise  # unrecoverable: escalate to the caller
                 except WorkerFailure as failure:
                     lost = isinstance(failure, WorkerLoss)
-                    if checkpoint is None or (lost and failover is None):
-                        # not injected by us (no checkpoint to replay), or
-                        # a loss with no membership subsystem: unrecoverable
-                        raise
+                    if checkpoint is None:
+                        raise  # not injected by us: no checkpoint to replay
                     # rollback-and-replay: nothing committed.  A loss fails
                     # over degraded — no guest copies to reconstruct from,
                     # so the lost partitions reload from the barrier

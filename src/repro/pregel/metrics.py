@@ -78,8 +78,8 @@ class RunMetrics:
 
     The fields are the one meter registry: every numeric field but
     ``num_workers`` is a meter (:data:`METERS`), a ``recovery_`` /
-    ``divergence_`` / ``rebalance_`` name prefix puts it in a quarantined
-    family (:data:`FAMILIES`), and merging, family summaries and logical
+    ``rebalance_`` name prefix puts it in a quarantined family
+    (:data:`FAMILIES`), and merging, family summaries and logical
     fingerprints are derived from them.  A maintainer accumulates costs
     over an update stream by passing one instance to every engine run,
     the way the paper accumulates them over 100k updates.
@@ -122,38 +122,17 @@ class RunMetrics:
     recovery_backoff_s: float = 0.0
     #: workers declared permanently dead and failed over
     recovery_failovers: int = 0
-    #: modelled wall time the barrier blocked until the phi-accrual
-    #: detector declared the silent workers dead
+    #: modelled wall time the barrier blocked until the silent workers
+    #: were declared dead
     recovery_detection_s: float = 0.0
     #: host vertices whose partition moved to a surviving worker
     recovery_reassigned_vertices: int = 0
     #: lost host vertices whose state was rebuilt from a surviving guest
-    #: copy, the delta log, or the barrier checkpoint
+    #: copy or the barrier checkpoint
     recovery_reconstructed_vertices: int = 0
     #: vertices re-examined by the post-failover recovery sweep (the
     #: DOIMIS affected set around every reconstructed vertex)
     recovery_reactivated_vertices: int = 0
-    #: bytes shipped to the replicated delta log (solitary vertices with no
-    #: surviving guest copy anywhere)
-    recovery_delta_log_bytes: int = 0
-    #: records appended to the delta log
-    recovery_delta_log_records: int = 0
-    # -- divergence meter family (anti-entropy / guest auditing) ---------
-    # Like recovery_*, these never touch the logical meters: checksum
-    # sampling, detection, and read-repair of silently corrupted guest
-    # copies are all quarantined here.
-    #: guest copies whose checksum was compared against host state
-    divergence_checks: int = 0
-    #: bytes of checksum digests shipped by the sampled audit
-    divergence_check_bytes: int = 0
-    #: corrupted guest copies the auditor detected
-    divergence_detected: int = 0
-    #: corrupted guest copies repaired by re-shipping host state
-    divergence_repaired: int = 0
-    #: bytes re-shipped by read-repair
-    divergence_repair_bytes: int = 0
-    #: records re-shipped by read-repair
-    divergence_repair_messages: int = 0
     # -- rebalance meter family (voluntary elasticity) -------------------
     # Planned membership transitions (joins/drains) are *chosen*, not
     # suffered, so their cost is quarantined separately from ``recovery_*``:
@@ -352,9 +331,9 @@ _FLOAT_METERS = frozenset(
 #: meters folded with ``max`` (snapshots, not sums); every other meter is
 #: additive
 PEAK_METERS = frozenset({"peak_worker_memory_bytes", "total_memory_bytes"})
-#: name prefixes of the quarantined overhead families: a fault, an audit
-#: or a membership transition may charge these meters, never the logical ones
-FAMILIES = ("recovery_", "divergence_", "rebalance_")
+#: name prefixes of the quarantined overhead families: a fault or a
+#: membership transition may charge these meters, never the logical ones
+FAMILIES = ("recovery_", "rebalance_")
 
 
 def family_sum(prefix: str, *runs: RunMetrics) -> Dict[str, float]:

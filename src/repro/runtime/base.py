@@ -267,17 +267,13 @@ class BSPEngine:
     and the convergence check.
     """
 
-    def __init__(self, dgraph, *, faults=None, membership=None,
-                 runtime=None, sanitize=None):
+    def __init__(self, dgraph, *, faults=None, runtime=None, sanitize=None):
         """``faults``: a :class:`~repro.faults.plan.FaultPlan` or
         :class:`~repro.faults.injector.FaultInjector` enabling seeded fault
         injection + recovery; ``None`` (or an empty plan) leaves the hot
-        loop exactly as in the fault-free build.
-        ``membership``: a :class:`~repro.faults.membership.MembershipConfig`
-        or :class:`~repro.faults.membership.FailoverCoordinator` enabling
-        permanent-loss failover (and, on ScaleG, guest anti-entropy);
-        ``None`` auto-attaches a default coordinator exactly when the fault
-        plan schedules losses, guest corruption or joins/drains.
+        loop exactly as in the fault-free build.  A
+        :class:`~repro.faults.membership.FailoverCoordinator` attaches
+        exactly when the plan schedules a permanent loss or a join/drain.
         ``runtime``: execution backend for the compute sweep — ``None`` /
         ``"inline"`` (serial, the default), ``"process"`` (multi-process
         :class:`~repro.runtime.parallel.ParallelRuntime`), or an
@@ -295,7 +291,7 @@ class BSPEngine:
 
         self.dgraph = dgraph
         self._faults = resolve_faults(faults)
-        self._failover = resolve_membership(membership, self._faults, dgraph)
+        self._failover = resolve_membership(self._faults, dgraph)
         self._sanitizer = resolve_sanitizer(sanitize)
         backend = resolve_runtime(runtime)
         if self._sanitizer is not None:
@@ -304,8 +300,8 @@ class BSPEngine:
 
     @property
     def failover(self):
-        """The attached failover coordinator (``None`` when neither the
-        fault plan nor the caller asked for membership tracking)."""
+        """The attached failover coordinator (``None`` unless the fault
+        plan schedules a loss or a join/drain)."""
         return self._failover
 
     @property

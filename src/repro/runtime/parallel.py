@@ -55,6 +55,7 @@ import multiprocessing
 import os
 import pickle
 import traceback
+import weakref
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -146,9 +147,10 @@ class ParallelRuntime(ExecutionBackend):
 
     One instance may be shared across engines and reused across runs; the
     pool starts lazily on the first sweep and :meth:`close` (or garbage
-    collection) tears it down.  Workers hold no replica of their own: a
-    different engine or graph simply publishes a different frame, whose
-    meta the next sweep ships.
+    collection) tears it down, unlinking every shared-memory frame this
+    runtime swept on.  Workers hold no replica of their own: a different
+    engine or graph simply publishes a different frame, whose meta the
+    next sweep ships.
     """
 
     kind = "process"
@@ -163,6 +165,10 @@ class ParallelRuntime(ExecutionBackend):
         self._workers: List[Any] = []
         #: (segment name, epoch) of the CSR frame meta the workers hold
         self._csr_shipped: Optional[Tuple[str, int]] = None
+        #: partitions whose shared-memory frame this runtime swept on;
+        #: :meth:`close` releases them (weak: a collected partition has
+        #: already unlinked its segment)
+        self._published = weakref.WeakSet()
         # pipe-traffic accounting (bytes actually pickled per direction);
         # reset via reset_frame_stats(), read via frame_stats()
         self.frames_sent = 0
@@ -222,14 +228,19 @@ class ParallelRuntime(ExecutionBackend):
         self._ensure_workers(num_partitions)
 
     def close(self) -> None:
-        """Stop the worker processes; the runtime stays reusable (the next
-        sweep respawns the pool and reships the frame meta)."""
+        """Stop the worker processes and unlink every shared-memory frame
+        they swept on; the runtime stays reusable (the next sweep respawns
+        the pool and republishes the frame)."""
         conns, workers = self._conns, self._workers
         self._conns = []
         self._workers = []
         self._csr_shipped = None
         for conn, proc in zip(conns, workers):
             self._stop(conn, proc)
+        published = list(self._published)
+        self._published.clear()
+        for part in published:
+            part.release_shared()
 
     def __del__(self):  # pragma: no cover - interpreter shutdown ordering
         try:
@@ -362,6 +373,7 @@ class ParallelRuntime(ExecutionBackend):
         self.sweeps_dispatched += 1
         a = part.index_of(active)
         meta = part.publish_shared()
+        self._published.add(part)
         token = (meta[0], meta[1])
         ship_meta = meta if token != self._csr_shipped else None
         nprocs = len(self._conns)

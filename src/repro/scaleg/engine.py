@@ -259,17 +259,16 @@ class ScaleGEngine(BSPEngine):
     """
 
     def __init__(self, dgraph: "DistributedGraph", *, faults=None,
-                 membership=None, runtime=None, sanitize=None,
-                 representation=None):
-        """The first four options are :class:`~repro.runtime.base.BSPEngine`'s.
+                 runtime=None, sanitize=None, representation=None):
+        """The first three options are :class:`~repro.runtime.base.BSPEngine`'s.
         ``representation``: ``None``/``"csr"`` (the default) sweeps on the
         flat-array partition mirror whenever the program provides a
         :meth:`ScaleGProgram.csr_kernel`; ``"dict"`` forces the reference
         path."""
         from repro.graph.csr import resolve_representation
 
-        super().__init__(dgraph, faults=faults, membership=membership,
-                         runtime=runtime, sanitize=sanitize)
+        super().__init__(dgraph, faults=faults, runtime=runtime,
+                         sanitize=sanitize)
         self._states: Dict[int, Any] = {}
         self._ranked: Optional[RankedAdjacency] = None
         self._representation = resolve_representation(representation)
@@ -348,12 +347,6 @@ class ScaleGEngine(BSPEngine):
         dgraph = self.dgraph
         injector = self._faults
         failover = self._failover
-        # marking corrupted guest copies needs both the schedule and the
-        # auditor that will eventually catch them
-        corrupts = (
-            injector is not None and failover is not None
-            and injector.plan.schedules_corruption
-        )
         self._csr = None
         self._csr_kernel = None
         part = self.attach_csr(program)
@@ -386,8 +379,7 @@ class ScaleGEngine(BSPEngine):
 
                 try:
                     with fault_barrier(
-                        injector, failover, superstep, dgraph.num_workers,
-                        own_metrics,
+                        injector, superstep, dgraph.num_workers, own_metrics,
                     ) as draws:
                         sweep = runtime.sweep_scaleg(active, superstep, draws)
                         new_states = sweep.new_states
@@ -400,10 +392,8 @@ class ScaleGEngine(BSPEngine):
                     raise  # unrecoverable: escalate to the caller
                 except WorkerFailure as failure:
                     lost = isinstance(failure, WorkerLoss)
-                    if checkpoint is None or (lost and failover is None):
-                        # not injected by us (no checkpoint to replay), or
-                        # a loss with no membership subsystem: unrecoverable
-                        raise
+                    if checkpoint is None:
+                        raise  # not injected by us: no checkpoint to replay
                     # rollback-and-replay: nothing from this attempt has
                     # committed.  All costs go to the recovery meters; the
                     # logical meters keep the fault-free placement.
@@ -415,8 +405,7 @@ class ScaleGEngine(BSPEngine):
                     if lost:
                         # membership failover: declare the workers dead,
                         # hand their partitions to survivors (rendezvous),
-                        # rebuild each lost host from the freshest surviving
-                        # guest copy (or the delta log / barrier checkpoint)
+                        # restore each lost host to its barrier value
                         targets = failover.fail_over(
                             failed, superstep, checkpoint, states,
                             own_metrics, program.sync_bytes,
@@ -493,12 +482,6 @@ class ScaleGEngine(BSPEngine):
                             own_metrics.recovery_sync_duplicates += dups
                             own_metrics.recovery_resync_bytes += dups * wire
                             own_metrics.recovery_resync_messages += dups
-                        if corrupts and injector.corrupt_guest(
-                            superstep, u, _machine
-                        ):
-                            # the delivered copy silently diverges in the
-                            # replica — only the auditor can see it
-                            failover.mark_corrupted(u, _machine)
                         record.remote_messages += 1
                         record.bytes_sent += wire
 
@@ -511,13 +494,6 @@ class ScaleGEngine(BSPEngine):
                     next_active = self._route_requests(
                         sweep.requests, changed, forced, states, record
                     )
-                if injector is not None and failover is not None:
-                    # bounded delta log (reconstruction source for solitary
-                    # vertices) + this superstep's sampled anti-entropy pass
-                    failover.record_deltas(
-                        changed, states, sync_bytes, own_metrics
-                    )
-                    failover.audit(states, sync_bytes, own_metrics)
                 own_metrics.observe(record, keep_record=keep_records)
                 if failover is not None:
                     self._apply_membership_transitions(

@@ -61,8 +61,8 @@ def surviving_guest_machines(
     failover that is the coordinator's overlay, not the base partitioner —
     and ``dead`` the workers declared permanently lost.  This is the set
     a :class:`~repro.faults.membership.FailoverCoordinator` reconstructs a
-    lost host vertex from: empty means the vertex is solitary (delta log)
-    or every replica died with the host (barrier checkpoint).
+    lost host vertex from: empty means the vertex is solitary or every
+    replica died with the host (barrier checkpoint).
     """
     if not dgraph.has_vertex(u):
         return []

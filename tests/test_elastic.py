@@ -36,7 +36,6 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     JoinSpec,
-    MembershipConfig,
     MembershipView,
     rendezvous_worker,
 )
@@ -79,7 +78,7 @@ def _workload(seed=3, n=80, m=200):
 # ---------------------------------------------------------------------------
 class TestTransitionProtocol:
     def _view(self, workers=4):
-        return MembershipView(range(workers), MembershipConfig())
+        return MembershipView(range(workers))
 
     def test_proposals_queue_until_taken(self):
         view = self._view()
@@ -112,10 +111,6 @@ class TestTransitionProtocol:
         assert not view.is_member(2)
         assert 2 not in view.alive_workers()
         assert view.drained_workers() == [2]
-        # drained workers are silent, not suspects
-        view.advance()
-        assert view.phi(2) == 0.0
-        assert 2 not in view.suspects()
 
     def test_join_after_drain_rejoins(self):
         view = self._view()
@@ -142,7 +137,7 @@ class TestMinimalMovement:
     def _coordinator(self, workers=4, seed=3):
         graph = erdos_renyi(60, 150, seed=seed)
         dgraph = DistributedGraph(graph, HashPartitioner(workers))
-        coord = FailoverCoordinator(dgraph, MembershipConfig())
+        coord = FailoverCoordinator(dgraph)
         states = {u: True for u in graph.vertices()}
         return coord, dgraph, states
 
@@ -165,8 +160,7 @@ class TestMinimalMovement:
         members = coord.alive_workers
         claims = sorted(
             u for u in states
-            if rendezvous_worker(u, sorted(set(members) | {9}),
-                                 salt=coord.config.salt) == 9
+            if rendezvous_worker(u, sorted(set(members) | {9})) == 9
         )
         metrics = RunMetrics(num_workers=4)
         drains, joins, moved = coord.apply_transitions(
@@ -187,7 +181,6 @@ class TestMinimalMovement:
         assert metrics.rebalance_resync_messages > 0
         assert metrics.rebalance_stall_s > 0
         assert _recovery_total(metrics) == 0
-        assert sum(metrics.family("divergence_").values()) == 0
         assert not any(metrics.logical().values())
 
     def test_draining_every_member_raises(self):

@@ -405,8 +405,7 @@ class TestChaosHarness:
         assert set(PLAN_PRESETS) == {
             "none", "crash", "drop", "duplicate", "straggler", "reorder",
             "composed", "worker-loss", "cascading-loss", "loss-under-stream",
-            "corrupt-guest", "drain-under-stream", "elastic",
-            "drain-crash-race",
+            "drain-under-stream", "elastic", "drain-crash-race",
         }
 
     def test_unknown_preset_rejected(self):

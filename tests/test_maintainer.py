@@ -64,6 +64,23 @@ class TestStats:
         assert stats["supersteps"] >= 0
         assert "communication_mb" in stats and "wall_time_s" in stats
 
+    def test_stats_reports_every_overhead_family(self):
+        # a drain's cost lands on rebalance_*, which stats() must show
+        # next to recovery_*
+        from repro.bench.workloads import delete_reinsert_workload
+        from repro.faults import DrainSpec, FaultPlan
+
+        g = erdos_renyi(80, 240, seed=3)
+        m = MISMaintainer(
+            g.copy(), num_workers=4,
+            faults=FaultPlan(drains=(DrainSpec(superstep=0, worker=1, run=2),)),
+        )
+        m.apply_stream(delete_reinsert_workload(g, 3, seed=1), batch_size=1)
+        stats = m.stats()
+        assert stats["rebalance_drains"] == 1.0
+        assert stats["rebalance_moved_vertices"] > 0
+        assert stats["recovery_failovers"] == 0.0
+
 
 class TestDocExample:
     def test_maintainer_docstring_example(self):

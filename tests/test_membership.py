@@ -1,20 +1,16 @@
-"""Tests for membership-aware failover and guest anti-entropy.
+"""Tests for membership-aware failover.
 
-Permanent worker loss is the half of the failure model PR 3 left open: a
-worker that never comes back.  The claims under test:
+Permanent worker loss is the half of the failure model transient crash
+recovery leaves open: a worker that never comes back.  The claims under
+test:
 
-- the failure detector (phi-accrual heartbeats) distinguishes stragglers
-  from dead workers — injected delays never raise suspicion;
+- stragglers are never declared dead — injected delays never fail over;
 - rendezvous reassignment is deterministic (``PYTHONHASHSEED``-proof),
   minimal (only the dead workers' vertices move), and composes with the
   rank-ordered adjacency cache's incremental repair;
-- every lost host vertex reconstructs (surviving guest copy, delta log, or
-  barrier checkpoint) and the run converges to the *bit-identical* fixpoint
-  with bit-identical logical meters — all costs quarantined in
-  ``recovery_*``;
-- the anti-entropy auditor catches every injected ``corrupt_guest`` within
-  its sampling window and read-repair leaves no copy diverged — costs in
-  ``divergence_*``.
+- every lost host vertex reconstructs (surviving guest copy or barrier
+  checkpoint) and the run converges to the *bit-identical* fixpoint with
+  bit-identical logical meters — all costs quarantined in ``recovery_*``.
 """
 
 import os
@@ -28,19 +24,19 @@ import repro
 from repro.core.dismis import DisMISPregelProgram
 from repro.core.doimis import DOIMISMaintainer
 from repro.core.maintainer import MISMaintainer
-from repro.errors import CheckpointError, WorkloadError
+from repro.errors import CheckpointError
 from repro.faults import (
+    DrainSpec,
     FailoverCoordinator,
     FaultInjector,
     FaultPlan,
     LossSpec,
-    MembershipConfig,
     MembershipView,
     StragglerSpec,
     rendezvous_worker,
     resolve_membership,
 )
-from repro.faults.membership import LOG10E
+from repro.faults.membership import DETECTION_LATENCY_S
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.generators import erdos_renyi
 from repro.graph.rank_cache import degree_rank_key
@@ -58,8 +54,9 @@ def _recovery_total(metrics):
     return sum(metrics.family("recovery_").values())
 
 
-def _divergence_total(metrics):
-    return sum(metrics.family("divergence_").values())
+#: a loss scheduled in a run that never starts: it attaches a failover
+#: coordinator without ever firing
+_DORMANT_LOSS = LossSpec(superstep=0, worker=0, run=10 ** 6)
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +101,8 @@ class TestRendezvous:
         assert moved > 0
 
     def test_deterministic_across_hash_seeds(self):
-        # the whole failover pipeline — rendezvous weights, audit slots,
-        # reconstruction order — must be a pure function of ids, never of
+        # the whole failover pipeline — rendezvous weights, reconstruction
+        # order — must be a pure function of ids, never of
         # Python's per-process hash randomization
         script = """
 from repro.core.doimis import DOIMISMaintainer
@@ -116,18 +113,16 @@ print(",".join(
     str(rendezvous_worker(u, [0, 2, 4, 7, 9], salt=3)) for u in range(64)
 ))
 graph = erdos_renyi(60, 180, seed=21)
-injector = FaultInjector(FaultPlan(seed=7, loss_prob=0.02, corrupt_prob=0.01))
+injector = FaultInjector(FaultPlan(seed=7, loss_prob=0.02))
 m = DOIMISMaintainer(graph, num_workers=10, faults=injector)
 from repro.bench.workloads import delete_reinsert_workload
 ops = delete_reinsert_workload(m.graph, 10, seed=4)
 m.apply_stream(ops, batch_size=2)
-m.final_audit()
 m.verify()
 print(",".join(map(str, sorted(m.independent_set()))))
 print(",".join(map(str, m.failover.dead_workers)))
 print(m.init_metrics.recovery_resync_bytes
-      + m.update_metrics.recovery_resync_bytes,
-      m.init_metrics.divergence_checks + m.update_metrics.divergence_checks)
+      + m.update_metrics.recovery_resync_bytes)
 """
         outputs = []
         for seed in ("0", "1"):
@@ -168,83 +163,45 @@ print(m.init_metrics.recovery_resync_bytes
 
 
 # ---------------------------------------------------------------------------
-# failure detector
+# membership view and stragglers
 # ---------------------------------------------------------------------------
 class TestMembershipView:
-    def _view(self, **overrides):
-        config = MembershipConfig(**overrides)
-        return MembershipView(range(4), config), config
-
-    def test_phi_grows_with_silence(self):
-        view, config = self._view()
-        for _ in range(3):
-            view.advance()
-            for w in (0, 1, 2):
-                view.heartbeat(w)
-        assert view.phi(0) == 0.0
-        assert view.phi(3) == pytest.approx(3 * LOG10E)
-        assert view.suspects() == []
-        # silence long enough to cross the threshold
-        silent = int(config.phi_threshold / LOG10E) + 1
-        for _ in range(silent):
-            view.advance()
-            for w in (0, 1, 2):
-                view.heartbeat(w)
-        assert view.suspects() == [3]
-
-    def test_injected_delay_never_raises_suspicion(self):
-        # the straggler/death discriminator: a delay the injector flagged
-        # is excluded from phi entirely
-        view, config = self._view()
-        huge = 100 * config.detection_latency_s
-        for _ in range(5):
-            view.advance()
-            view.heartbeat(0, delay_s=huge, injected=True)
-            view.heartbeat(1, delay_s=huge, injected=False)
-        assert view.phi(0) == 0.0
-        assert view.phi(1) > config.phi_threshold
-        assert view.suspects() == [1]
-
     def test_declare_dead_is_permanent(self):
-        view, _ = self._view()
+        view = MembershipView(range(4))
         view.declare_dead(2)
         assert view.is_dead(2)
-        assert view.phi(2) == float("inf")
-        view.heartbeat(2)  # a zombie heartbeat must not resurrect it
-        assert view.is_dead(2)
+        assert not view.is_member(2)
         assert view.alive_workers() == [0, 1, 3]
         assert view.dead_workers() == [2]
 
     def test_detection_latency_closed_form(self):
-        config = MembershipConfig(phi_threshold=8.0, heartbeat_interval_s=0.05)
-        assert config.detection_latency_s == pytest.approx(
-            8.0 / LOG10E * 0.05
+        # a phi threshold of 8 over 0.05 s heartbeats, pinned bit-for-bit
+        # so recovery_detection_s stays comparable across commits; every
+        # failover charges it once per barrier
+        assert DETECTION_LATENCY_S == 8.0 / 0.4342944819032518 * 0.05
+        assert DETECTION_LATENCY_S == 0.9210340371976184
+        injector = FaultInjector(
+            FaultPlan(losses=(LossSpec(superstep=1, worker=3, run=0),))
         )
-
-    def test_config_validation(self):
-        with pytest.raises(WorkloadError, match="phi_threshold"):
-            MembershipConfig(phi_threshold=0.0)
-        with pytest.raises(WorkloadError, match="heartbeat_interval_s"):
-            MembershipConfig(heartbeat_interval_s=-1.0)
-        with pytest.raises(WorkloadError, match="delta_log_depth"):
-            MembershipConfig(delta_log_depth=0)
-        with pytest.raises(WorkloadError, match="audit_every"):
-            MembershipConfig(audit_every=-1)
+        maintainer = DOIMISMaintainer(
+            erdos_renyi(40, 120, seed=5), num_workers=4, faults=injector,
+        )
+        assert injector.stats.losses == 1
+        assert maintainer.init_metrics.recovery_detection_s \
+            == DETECTION_LATENCY_S
 
     def test_injected_stragglers_never_trigger_failover(self):
-        # regression for the satellite-1 bug: chaos `straggler` delays are
-        # fed to the detector flagged, so even delays far beyond the
-        # detection latency must never kill a worker
-        config = MembershipConfig()  # detection latency ~0.92 s
-        delay = 50 * config.detection_latency_s
-        plan = FaultPlan(stragglers=tuple(
+        # a slow worker is not a dead one: even delays far beyond the
+        # detection latency must never kill a worker, with a coordinator
+        # attached and watching
+        delay = 50 * DETECTION_LATENCY_S
+        plan = FaultPlan(losses=(_DORMANT_LOSS,), stragglers=tuple(
             StragglerSpec(superstep=s, worker=1, delay_s=delay, run=0)
             for s in range(6)
         ))
         injector = FaultInjector(plan)
         maintainer = DOIMISMaintainer(
-            erdos_renyi(40, 120, seed=5), num_workers=4,
-            faults=injector, membership=config,
+            erdos_renyi(40, 120, seed=5), num_workers=4, faults=injector,
         )
         assert injector.stats.stragglers > 0
         assert maintainer.failover is not None
@@ -257,9 +214,7 @@ class TestMembershipView:
         from repro.faults.chaos import ChaosWorkload, run_chaos_case
 
         workload = ChaosWorkload(tag="AM", k=6, batch_size=3, workload_seed=1)
-        result = run_chaos_case(
-            workload, "straggler", seed=0, membership=MembershipConfig()
-        )
+        result = run_chaos_case(workload, "straggler", seed=0)
         assert result.ok, result.failures
         assert result.injected["stragglers"] > 0
         assert result.recovery["recovery_failovers"] == 0
@@ -328,9 +283,8 @@ class TestScaleGFailover:
         assert faulted.init_metrics.logical() == reference.init_metrics.logical()
 
     def test_isolated_vertex_reconstructs_from_checkpoint(self):
-        # an isolated vertex has no guest copy anywhere and (never having
-        # changed state) no delta-log entry: the persisted barrier
-        # checkpoint is the only reconstruction source
+        # an isolated vertex has no guest copy anywhere: the persisted
+        # barrier checkpoint is the only reconstruction source
         graph = erdos_renyi(40, 120, seed=5)
         iso = max(graph.sorted_vertices()) + 1
         graph.add_vertex(iso)
@@ -378,122 +332,6 @@ class TestScaleGFailover:
 
 
 # ---------------------------------------------------------------------------
-# delta log
-# ---------------------------------------------------------------------------
-class TestDeltaLog:
-    def _coordinator(self, depth=3):
-        # single-worker placement: every vertex is solitary, so everything
-        # changed lands in the log
-        graph = erdos_renyi(12, 24, seed=1)
-        dgraph = _dgraph(graph, workers=1)
-        config = MembershipConfig(delta_log_depth=depth)
-        return FailoverCoordinator(dgraph, config), graph
-
-    def test_records_solitary_changes_and_charges_meters(self):
-        from repro.pregel.metrics import RunMetrics
-
-        coordinator, graph = self._coordinator()
-        metrics = RunMetrics(num_workers=1)
-        states = {u: True for u in graph.sorted_vertices()}
-        coordinator.record_deltas([0, 1], states, lambda s: 1, metrics)
-        assert coordinator.ledger_size == 2
-        assert metrics.recovery_delta_log_records == 2
-        assert metrics.recovery_delta_log_bytes > 0
-        found, value = coordinator._ledger_lookup(0)
-        assert found and value is True
-
-    def test_depth_bound_compacts_oldest_frames(self):
-        from repro.pregel.metrics import RunMetrics
-
-        coordinator, graph = self._coordinator(depth=3)
-        metrics = RunMetrics(num_workers=1)
-        states = {u: False for u in graph.sorted_vertices()}
-        for step in range(8):
-            states[step % 4] = not states[step % 4]
-            coordinator.record_deltas([step % 4], states, lambda s: 1,
-                                      metrics)
-        assert len(coordinator._frames) == 3
-        # compacted base + live frames still resolve to the newest value
-        for u in range(4):
-            found, value = coordinator._ledger_lookup(u)
-            assert found and value == states[u]
-
-    def test_vertices_with_guest_copies_stay_out(self):
-        from repro.pregel.metrics import RunMetrics
-
-        graph = erdos_renyi(20, 60, seed=2)
-        dgraph = _dgraph(graph, workers=4)
-        coordinator = FailoverCoordinator(dgraph, MembershipConfig())
-        metrics = RunMetrics(num_workers=4)
-        states = {u: True for u in graph.sorted_vertices()}
-        replicated = [
-            u for u in graph.sorted_vertices() if dgraph.guest_machines(u)
-        ]
-        coordinator.record_deltas(replicated, states, lambda s: 1, metrics)
-        assert coordinator.ledger_size == 0
-        assert metrics.recovery_delta_log_records == 0
-
-
-# ---------------------------------------------------------------------------
-# anti-entropy auditor (satellite 4)
-# ---------------------------------------------------------------------------
-class TestGuestAuditor:
-    @pytest.mark.parametrize("batch_size,k", [(1, 12), (5, 20)])
-    def test_catches_every_corruption_within_window(self, batch_size, k):
-        # Fig. 10 (single-update) and Fig. 11 (batched) shaped workloads:
-        # every injected corrupt_guest must be resolved, and every repair
-        # within audit_every audited supersteps of injection
-        from repro.bench.workloads import delete_reinsert_workload
-
-        graph = erdos_renyi(60, 180, seed=21)
-        ops = delete_reinsert_workload(graph, k, seed=4)
-        reference = DOIMISMaintainer(graph.copy(), num_workers=10)
-        reference.apply_stream(ops, batch_size=batch_size)
-
-        injector = FaultInjector(FaultPlan(seed=3, corrupt_prob=0.01))
-        faulted = DOIMISMaintainer(graph.copy(), num_workers=10,
-                                   faults=injector)
-        faulted.apply_stream(ops, batch_size=batch_size)
-        faulted.final_audit()
-
-        assert injector.stats.corruptions > 0
-        auditor = faulted.failover.auditor
-        assert auditor.corrupted_pairs() == []  # nothing escaped
-        assert len(auditor.findings) == injector.stats.corruptions
-        window = faulted.failover.config.audit_every
-        for finding in auditor.findings:
-            assert finding.outcome in ("repaired", "destroyed")
-            assert finding.resolved_clock - finding.injected_clock <= window
-
-        # read-repair restored bit-identical members and logical meters
-        assert faulted.independent_set() == reference.independent_set()
-        assert faulted.update_metrics.logical() == reference.update_metrics.logical()
-        assert _divergence_total(faulted.update_metrics) \
-            + _divergence_total(faulted.init_metrics) > 0
-        assert _divergence_total(reference.update_metrics) == 0
-
-    def test_audit_disabled_by_config(self):
-        injector = FaultInjector(FaultPlan(seed=3, corrupt_prob=0.01))
-        maintainer = DOIMISMaintainer(
-            erdos_renyi(40, 120, seed=5), num_workers=4, faults=injector,
-            membership=MembershipConfig(audit_every=0),
-        )
-        assert maintainer.final_audit() == 0
-        assert _divergence_total(maintainer.init_metrics) == 0
-
-    def test_corrupt_guest_chaos_preset_holds_oracle(self):
-        from repro.faults.chaos import ChaosWorkload, run_chaos_case
-
-        workload = ChaosWorkload(tag="AM", k=6, batch_size=3, workload_seed=1)
-        result = run_chaos_case(workload, "corrupt-guest", seed=0)
-        assert result.ok, result.failures
-        assert result.injected["corruptions"] > 0
-        assert result.divergence["divergence_detected"] > 0
-        assert (result.divergence["divergence_detected"]
-                == result.divergence["divergence_repaired"])
-
-
-# ---------------------------------------------------------------------------
 # degraded Pregel counterpart
 # ---------------------------------------------------------------------------
 class TestPregelFailover:
@@ -521,15 +359,13 @@ class TestPregelFailover:
     def test_injected_stragglers_never_trigger_failover(self):
         graph = erdos_renyi(50, 150, seed=22)
         program = DisMISPregelProgram()
-        config = MembershipConfig()
-        plan = FaultPlan(stragglers=tuple(
+        plan = FaultPlan(losses=(_DORMANT_LOSS,), stragglers=tuple(
             StragglerSpec(superstep=s, worker=0,
-                          delay_s=100 * config.detection_latency_s, run=0)
+                          delay_s=100 * DETECTION_LATENCY_S, run=0)
             for s in range(4)
         ))
         injector = FaultInjector(plan)
-        engine = PregelEngine(_dgraph(graph.copy()), faults=injector,
-                              membership=config)
+        engine = PregelEngine(_dgraph(graph.copy()), faults=injector)
         engine.run(program)
         assert injector.stats.stragglers > 0
         assert engine.failover.dead_workers == []
@@ -544,19 +380,16 @@ class TestPlumbing:
         graph = erdos_renyi(20, 60, seed=2)
         dgraph = _dgraph(graph)
         lossy = FaultInjector(FaultPlan(loss_prob=0.1))
-        corrupting = FaultInjector(FaultPlan(corrupt_prob=0.1))
+        draining = FaultInjector(
+            FaultPlan(drains=(DrainSpec(superstep=0, worker=1),))
+        )
         transient = FaultInjector(FaultPlan(crash_prob=0.1))
-        assert resolve_membership(None, lossy, dgraph) is not None
-        assert resolve_membership(None, corrupting, dgraph) is not None
-        assert resolve_membership(None, transient, dgraph) is None
-        assert resolve_membership(None, None, dgraph) is None
-        config = MembershipConfig(phi_threshold=4.0)
-        coordinator = resolve_membership(config, None, dgraph)
-        assert isinstance(coordinator, FailoverCoordinator)
-        assert coordinator.config.phi_threshold == 4.0
-        assert resolve_membership(coordinator, None, dgraph) is coordinator
-        with pytest.raises(WorkloadError, match="membership"):
-            resolve_membership(42, None, dgraph)
+        assert isinstance(resolve_membership(lossy, dgraph),
+                          FailoverCoordinator)
+        assert isinstance(resolve_membership(draining, dgraph),
+                          FailoverCoordinator)
+        assert resolve_membership(transient, dgraph) is None
+        assert resolve_membership(None, dgraph) is None
 
     def test_streaming_session_reports_failovers(self):
         from repro.bench.workloads import delete_reinsert_workload
@@ -592,20 +425,6 @@ class TestPlumbing:
         assert "4" in message and "8" in message
         # default: adopt the checkpoint's own count
         assert MISMaintainer.load(path).num_workers == 4
-
-    def test_explicit_membership_without_faults_is_inert(self):
-        # attaching a coordinator with no fault plan must leave the hot
-        # loop byte-identical: same members, same logical meters, zero
-        # recovery/divergence charges
-        graph = erdos_renyi(40, 120, seed=5)
-        reference = DOIMISMaintainer(graph.copy(), num_workers=4)
-        attached = DOIMISMaintainer(graph.copy(), num_workers=4,
-                                    membership=MembershipConfig())
-        assert attached.failover is not None
-        assert attached.independent_set() == reference.independent_set()
-        assert attached.init_metrics.logical() == reference.init_metrics.logical()
-        assert _recovery_total(attached.init_metrics) == 0
-        assert _divergence_total(attached.init_metrics) == 0
 
     def test_loss_under_stream_preset_holds_oracle(self):
         from repro.faults.chaos import ChaosWorkload, run_chaos_case

@@ -141,10 +141,6 @@ class TestDerived:
             "recovery_straggler_s", "recovery_backoff_s", "recovery_failovers",
             "recovery_detection_s", "recovery_reassigned_vertices",
             "recovery_reconstructed_vertices", "recovery_reactivated_vertices",
-            "recovery_delta_log_bytes", "recovery_delta_log_records",
-            "divergence_checks", "divergence_check_bytes",
-            "divergence_detected", "divergence_repaired",
-            "divergence_repair_bytes", "divergence_repair_messages",
             "rebalance_joins", "rebalance_drains", "rebalance_moved_vertices",
             "rebalance_resync_bytes", "rebalance_resync_messages",
             "rebalance_rank_entries", "rebalance_stall_s",

@@ -2,7 +2,7 @@
 
 The contract under test: :class:`ParallelRuntime` is a *pure* execution
 substrate.  Members, every logical meter, and the quarantined
-``recovery_*`` / ``divergence_*`` meters must be bit-identical to the
+``recovery_*`` / ``rebalance_*`` meters must be bit-identical to the
 default :class:`InlineExecutor` — on static computations, on update
 streams, and with the fault injector firing crashes, stragglers, and
 permanent worker losses inside the owning worker processes.
@@ -47,7 +47,7 @@ from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import erdos_renyi, path_graph
 from repro.graph.updates import EdgeDeletion, EdgeInsertion
 from repro.pregel.engine import PregelEngine
-from repro.pregel.metrics import LOGICAL_METERS, RunMetrics
+from repro.pregel.metrics import FAMILIES, LOGICAL_METERS, RunMetrics
 from repro.pregel.partition import HashPartitioner
 from repro.runtime import (
     BarrierDraws,
@@ -65,17 +65,14 @@ _PROCS = int(os.environ.get("REPRO_TEST_PROCS", "2"))
 
 #: every meter the runtimes must agree on, logical and quarantined alike
 _METERS = LOGICAL_METERS
-_FAULT_METERS = (
-    "recovery_crashes", "recovery_replayed_supersteps",
-    "recovery_compute_work", "recovery_straggler_s", "recovery_failovers",
-    "recovery_detection_s", "recovery_reassigned_vertices",
-    "recovery_reconstructed_vertices", "recovery_reactivated_vertices",
-)
 
 
 def _meter_tuple(metrics: RunMetrics, fault_meters: bool = False):
-    names = _METERS + (_FAULT_METERS if fault_meters else ())
-    return {name: getattr(metrics, name) for name in names}
+    meters = {name: getattr(metrics, name) for name in _METERS}
+    if fault_meters:
+        for prefix in FAMILIES:
+            meters.update(metrics.family(prefix))
+    return meters
 
 
 # ---------------------------------------------------------------------------
@@ -501,19 +498,89 @@ def test_close_releases_workers_and_shared_segments(monkeypatch, tmp_path):
                 shared_memory.SharedMemory(name=name)
 
 
+#: a caller-owned runtime shared by five engines over one array-built graph;
+#: prints the segments published and those still linked after ``close()``
+_CALLER_OWNED_RUNTIME_SCRIPT = """
+import gc
+from multiprocessing import shared_memory
+
+import numpy as np
+
+from repro.core.oimis import run_oimis
+from repro.graph.csr import CSRPartition
+from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.generators import chung_lu
+from repro.runtime import ParallelRuntime
+
+
+def main():
+    names = set()
+    publish = CSRPartition.publish_shared
+
+    def recording_publish(self):
+        meta = publish(self)
+        names.add(meta[0])
+        return meta
+
+    CSRPartition.publish_shared = recording_publish
+    edges = np.array(chung_lu(2000, 8, 2.3, seed=1).sorted_edges(),
+                     dtype=np.int64)
+    graph = DynamicGraph.from_edges(edges)
+    runtime = ParallelRuntime(procs=2)
+    for _ in range(5):
+        run_oimis(graph, runtime=runtime)
+    runtime.close()
+    linked = []
+    for name in sorted(names):
+        try:
+            shared_memory.SharedMemory(name=name).close()
+        except FileNotFoundError:
+            continue
+        linked.append(name)
+    gc.collect()
+    print(len(names), len(linked))
+
+
+if __name__ == "__main__":
+    main()
+"""
+
+
+def test_caller_owned_runtime_unlinks_every_segment_at_close(tmp_path):
+    """Engines never close a caller-owned runtime, so ``close()`` is where
+    the runtime unlinks every frame it swept on; a later garbage
+    collection of the engines' partitions must not touch that memory.
+    Runs in a subprocess (spawn start method, ``__main__`` guard) so a
+    crash fails the test instead of killing pytest."""
+    import subprocess
+    import sys
+
+    script = tmp_path / "caller_owned_runtime.py"
+    script.write_text(_CALLER_OWNED_RUNTIME_SCRIPT)
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True,
+        env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    published, linked = map(int, proc.stdout.split())
+    assert published == 5  # one frame per engine
+    assert linked == 0, proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # RunMetrics.merge_delta — the barrier reduce's accumulation primitive
 # ---------------------------------------------------------------------------
 def test_merge_delta_exactly_once_per_worker_per_superstep():
     """Feeding each worker's echoed increments exactly once, in ascending
     worker order, reproduces the inline totals bit-for-bit — including the
-    float meters and the quarantined ``recovery_*`` / ``divergence_*``
+    float meters and the quarantined ``recovery_*`` / ``rebalance_*``
     families."""
     per_superstep = [
         # superstep 0: three workers' deltas, ascending worker order
         [
             {"compute_work": 5, "messages": 2, "bytes_sent": 24,
-             "recovery_straggler_s": 0.1, "divergence_checks": 1},
+             "recovery_straggler_s": 0.1, "rebalance_moved_vertices": 1},
             {"compute_work": 3, "messages": 1, "bytes_sent": 8,
              "recovery_straggler_s": 0.2},
             {"compute_work": 7, "recovery_crashes": 1,
@@ -522,7 +589,7 @@ def test_merge_delta_exactly_once_per_worker_per_superstep():
         # superstep 1
         [
             {"compute_work": 2, "recovery_straggler_s": 0.3,
-             "divergence_checks": 2, "divergence_detected": 1},
+             "rebalance_moved_vertices": 2, "rebalance_stall_s": 0.05},
             {"compute_work": 4, "messages": 6, "bytes_sent": 96},
             {"compute_work": 1, "wall_time_s": 0.05},
         ],
@@ -542,13 +609,13 @@ def test_merge_delta_quarantined_families_never_touch_logical_meters():
     metrics = RunMetrics()
     metrics.merge_delta({
         "recovery_crashes": 1, "recovery_straggler_s": 0.5,
-        "divergence_checks": 3, "divergence_repaired": 1,
+        "rebalance_drains": 3, "rebalance_stall_s": 0.05,
     })
     assert not any(metrics.logical().values())
     assert metrics.recovery_crashes == 1
     assert metrics.recovery_straggler_s == 0.5
-    assert metrics.divergence_checks == 3
-    assert metrics.divergence_repaired == 1
+    assert metrics.rebalance_drains == 3
+    assert metrics.rebalance_stall_s == 0.05
 
 
 def test_merge_delta_peak_meters_max_merge():
