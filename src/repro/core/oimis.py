@@ -60,6 +60,9 @@ class OIMISProgram(ScaleGProgram):
         # exercise adversarial initializations too.)
         return True
 
+    def initial_states(self, dgraph: DistributedGraph) -> Dict[int, bool]:
+        return dict.fromkeys(dgraph.vertices(), True)
+
     def compute(self, ctx: ScaleGContext) -> None:
         old = ctx.state
         new_in = True

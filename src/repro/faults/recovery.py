@@ -3,8 +3,8 @@
 ScaleG/Pregel recovery follows the classic BSP rollback protocol:
 
 1. at the top of every superstep (while an injector is active) the engine
-   captures a :class:`SuperstepCheckpoint` — vertex states, the pending
-   activation set, and the guest directory;
+   captures a :class:`SuperstepCheckpoint` — vertex states and the pending
+   activation set;
 2. :func:`fault_barrier` wraps every sweep: it draws the barrier's fault
    schedule once, before the sweep, on every backend; a crash detected at
    the barrier aborts the attempt *before* any buffered write commits,
@@ -67,26 +67,17 @@ class SuperstepCheckpoint:
     states: Dict[int, Any]
     #: pending activations — the vertices due to run this superstep
     active: List[int]
-    #: guest directory: vertex -> machines holding a guest copy
-    guests: Dict[int, List[int]]
 
     @classmethod
     def capture(cls, superstep: int, states: Dict[int, Any],
-                active: List[int], dgraph=None) -> "SuperstepCheckpoint":
-        """Snapshot the barrier state (guest tables included when the engine
-        runs on ScaleG's guest directory; Pregel has no guest copies)."""
-        guests: Dict[int, List[int]] = {}
-        if dgraph is not None:
-            guests = {
-                u: machines
-                for u in states
-                if (machines := dgraph.guest_machines(u))
-            }
+                active: List[int]) -> "SuperstepCheckpoint":
+        """Snapshot the barrier state.  The guest directory is not part of
+        it: a crash aborts the superstep before any graph change, and
+        recovery re-prices lost guest copies from the live directory."""
         return cls(
             superstep=superstep,
             states=_snapshot_states(states),
             active=list(active),
-            guests=guests,
         )
 
     def restore(self, states: Dict[int, Any]) -> List[int]:
@@ -107,13 +98,14 @@ class SuperstepCheckpoint:
             "superstep": self.superstep,
             "active": sorted(self.active),
             "states": {str(u): self.states[u] for u in sorted(self.states)},
-            "guests": {str(u): self.guests[u] for u in sorted(self.guests)},
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any],
                      path: str = "<payload>") -> "SuperstepCheckpoint":
-        """Rebuild from :meth:`to_payload` output, validating the header."""
+        """Rebuild from :meth:`to_payload` output, validating the header.
+        Keys this build does not read (an older payload's ``guests``) are
+        ignored."""
         if not isinstance(payload, dict) or payload.get("format") != FORMAT:
             raise CheckpointError(path, f"not a {FORMAT} document")
         version = payload.get("version")
@@ -127,8 +119,6 @@ class SuperstepCheckpoint:
                 superstep=int(payload["superstep"]),
                 states={int(u): s for u, s in payload["states"].items()},
                 active=[int(u) for u in payload["active"]],
-                guests={int(u): [int(w) for w in ws]
-                        for u, ws in payload.get("guests", {}).items()},
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CheckpointError(path, f"malformed payload: {exc}") from exc

@@ -17,7 +17,7 @@ view so a whole superstep sweep becomes a few vectorized numpy passes:
   (:func:`repro.pregel.partition.home_array`);
 - ``in_``      — the packed membership bitmap (one ``bool`` per row),
   synced from the engine's state dict at run entry and updated in place
-  at every barrier commit;
+  from each kernel sweep's changed rows at every barrier commit;
 - ``guests``   — each row's guest-copy count (workers other than its home
   hosting a neighbour), what the fault-free barrier charges a state
   change; master-side only, never published.
@@ -30,7 +30,10 @@ vertex insertion/removal schedules a full rebuild.
 takes the graph's own arrays (:func:`~repro.graph.dynamic_graph.csr_arrays`)
 when the graph is still unmutated since it was bulk-built, so it never
 walks the adjacency sets; those arrays are read-only, and the first
-in-place repair writes to a copy.
+in-place repair writes to a copy.  It also takes ``home``, ``guests`` and
+the row map from the guest directory built from the same arrays
+(:meth:`~repro.graph.distributed_graph.DistributedGraph.rows_of`) instead
+of computing them a second time.
 
 For the multi-process runtime the arrays are published once into a single
 ``multiprocessing.shared_memory`` segment; worker processes map it
@@ -166,7 +169,8 @@ class CSRPartition:
             self._dirty_keys.clear()
 
     def _rebuild(self) -> None:
-        ids, indptr, nbr = csr_arrays(self._graph)
+        arrays = csr_arrays(self._graph)
+        ids, indptr, nbr = arrays
         n = ids.size
         if n:
             if int(ids[0]) < 0 or int(ids[-1]) >= 1 << 32:
@@ -179,13 +183,18 @@ class CSRPartition:
         self.keys = (np.diff(indptr) << 32) | ids
         self.indptr = indptr
         self.nbr = nbr
-        self.home = home_array(self._dgraph.partitioner, ids)
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        self.guests = self._guest_counts(rows, nbr, self.home)
+        built = self._dgraph.rows_of(arrays)
+        if built is None:
+            # the graph changed since the directory was built, so its
+            # slots are not these rows
+            self.home = home_array(self._dgraph.partitioner, ids)
+            owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+            built = (self.home, self._guest_counts(owners, nbr, self.home),
+                     dict(zip(ids.tolist(), range(n))))
+        self.home, self.guests, self._index = built
+        self._ids_list = list(self._index)
         self.in_ = np.zeros(n, np.bool_)
         self._bitmap_in_shm = False
-        self._ids_list = ids.tolist()
-        self._index = dict(zip(self._ids_list, range(n)))
         self.structure_version += 1
         self.rebuilds += 1
 
@@ -288,23 +297,13 @@ class CSRPartition:
             self.in_ = vals
             self._bitmap_in_shm = False
 
-    def apply_new_states(self, new_states: Dict[int, Any]) -> None:
-        """Fold one barrier's committed states into the bitmap (in place,
-        so a published shared frame sees the writes without reshipping)."""
-        if not new_states:
-            return
-        count = len(new_states)
-        rows = np.searchsorted(
-            self.ids,
-            np.fromiter(new_states.keys(), np.int64, count=count),
-        )
-        self.in_[rows] = np.fromiter(
-            new_states.values(), np.bool_, count=count
-        )
-
     def index_of(self, vertex_ids) -> Any:
-        """Row indices of ``vertex_ids`` (every id must be present)."""
+        """Row indices of ``vertex_ids``: distinct ids in ascending order,
+        every one present.  As many ids as rows are every row, so a static
+        run's first sweep takes ``arange`` without a search."""
         count = len(vertex_ids)
+        if count == self.ids.size:
+            return np.arange(count, dtype=np.int64)
         arr = np.fromiter(vertex_ids, np.int64, count=count)
         return np.searchsorted(self.ids, arr)
 
@@ -444,11 +443,16 @@ def _sweep_arrays(arrs, active_idx, full_scan: bool, suffix_only: bool,
     lens = indptr[a + 1] - starts
     total = int(lens.sum())
     if total:
-        offs = np.zeros(n_a, np.int64)
-        np.cumsum(lens[:-1], out=offs[1:])
         owners = np.repeat(np.arange(n_a, dtype=np.int64), lens)
-        flat = np.arange(total, dtype=np.int64) - offs[owners] + starts[owners]
-        nbrs = arrs.nbr[flat]
+        if n_a == indptr.size - 1:
+            # every row (active rows are distinct): the rows' slices are
+            # nbr itself, in row order
+            nbrs = arrs.nbr
+        else:
+            offs = np.zeros(n_a, np.int64)
+            np.cumsum(lens[:-1], out=offs[1:])
+            nbrs = arrs.nbr[np.arange(total, dtype=np.int64)
+                            - offs[owners] + starts[owners]]
         nkeys = keys[nbrs]
         prefix = nkeys < keys[a][owners]
         pcounts = np.bincount(
@@ -586,8 +590,8 @@ def route_activations(part, kernel, extras, record):
     included), remote pairs charged the piggybacked activation entry
     (every OIMIS activation source changed state, so it is always in the
     synced set).  Returns the next active vertex ids, ascending and
-    deduplicated.  Must run *after* the barrier committed
-    (``apply_new_states``) — the predicate reads post-commit state.
+    deduplicated.  Must run *after* the barrier committed the changed
+    rows into ``part.in_`` — the predicate reads post-commit state.
     """
     from repro.pregel.metrics import ACTIVATION_ENTRY_BYTES
 

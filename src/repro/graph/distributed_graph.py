@@ -21,7 +21,7 @@ back to zero) for the next new vertex.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -70,10 +70,11 @@ class DistributedGraph:
         self._w = w = partitioner.num_workers
         # one bulk build from the graph's CSR arrays: slot i is row i, and
         # its counts are exactly what add_vertex/add_edge would reach
-        ids, indptr, nbr = csr_arrays(graph)
+        ids, indptr, nbr = arrays = csr_arrays(graph)
         n = ids.size
         home = home_array(partitioner, ids)
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        degrees = np.diff(indptr)
+        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
         flags, counts = guest_flags(rows, home[nbr], home, w)
         self._slot: Dict[int, int] = dict(zip(ids.tolist(), range(n)))
         #: per slot: vertex id, home worker, guest copies
@@ -84,6 +85,9 @@ class DistributedGraph:
         #: (the home worker's column included, so deletions stay O(1))
         self._counts = _int64_array(counts)
         self._free: List[int] = []
+        #: the graph's arrays this directory was built from, until its
+        #: first mutation (see :meth:`rows_of`)
+        self._built_from: Optional[Tuple[Any, Any, Any]] = arrays
         # per-worker aggregates (home vertices, home degree sum, hosted
         # guest copies), kept in lock-step with the directory so the
         # uniform memory snapshot is O(num_workers)
@@ -91,8 +95,8 @@ class DistributedGraph:
             home, minlength=w
         ).tolist()
         self._home_degree_sum: List[int] = np.bincount(
-            home[rows], minlength=w
-        ).tolist()
+            home, weights=degrees, minlength=w
+        ).astype(np.int64).tolist()
         self._guest_copies: List[int] = flags.sum(axis=0).tolist()
 
     @classmethod
@@ -138,6 +142,19 @@ class DistributedGraph:
         base = slot * self._w
         counts = self._counts[base:base + self._w]
         return [w for w, c in enumerate(counts) if c and w != home]
+
+    def rows_of(self, arrays) -> Optional[Tuple[Any, Any, Dict[int, int]]]:
+        """Copies of ``(home, guests, {id: row})`` for the CSR rows of
+        ``arrays`` (:func:`~repro.graph.dynamic_graph.csr_arrays`' tuple)
+        when this directory was built from that very tuple and has not
+        been mutated since -- slot ``i`` is then row ``i`` -- else
+        ``None``.  The CSR mirror's first build takes them from here
+        instead of recomputing them."""
+        if arrays is not self._built_from:
+            return None
+        return (np.frombuffer(self._home, np.int64).copy(),
+                np.frombuffer(self._guests, np.int64).copy(),
+                self._slot.copy())
 
     def num_guest_copies(self, u: int) -> int:
         slot = self._slot.get(u)
@@ -209,6 +226,7 @@ class DistributedGraph:
         self._graph.remove_vertex(u)
         slot = self._slot.pop(u, None)
         if slot is not None:
+            self._built_from = None
             # every count of the slot is back to zero: free it for reuse
             self._home_vertices[self._home[slot]] -= 1
             self._free.append(slot)
@@ -217,6 +235,7 @@ class DistributedGraph:
     def _new_slot(self, u: int) -> int:
         """Give new vertex ``u`` a slot (a freed one first) and count it
         on its home worker."""
+        self._built_from = None
         home = self._partitioner.worker_of(u)
         if self._free:
             slot = self._free.pop()
@@ -239,6 +258,7 @@ class DistributedGraph:
         Returns the number of guest copies created (``delta=+1``) or removed
         (``delta=-1``) at ``u`` and at ``v`` respectively (0 or 1 each).
         """
+        self._built_from = None
         hu = self._home[su]
         hv = self._home[sv]
         self._home_degree_sum[hu] += delta

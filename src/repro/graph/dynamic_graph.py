@@ -58,31 +58,57 @@ def id_array(values, shape_tail: Tuple[int, ...] = ()) -> Any:
     Ids must be integers (Python or numpy) in the ``int64`` range.  Anything
     else -- a float, a string, ``None``, an id outside ``int64`` -- raises
     :class:`GraphError` naming the first such id: numpy never casts a float
-    to an int here.
+    to an int here.  An integer ndarray and a ``range`` convert without
+    per-id Python; anything else converts in one pass, each id through
+    ``operator.index`` straight into the array.
     """
-    if not isinstance(values, np.ndarray):
-        values = list(values)
-    if len(values) == 0:
-        return np.empty((0,) + shape_tail, np.int64)
-    try:
-        arr = np.asarray(values)
-    except ValueError:  # ragged pairs
-        arr = None
-    if arr is None or arr.shape[1:] != shape_tail:
-        bad = next((x for x in values if np.shape(x) != shape_tail),
-                   values[0])
-        what = "a (u, v) pair" if shape_tail else "a vertex id"
-        raise GraphError(f"expected {what}, got {bad!r}")
-    kind = arr.dtype.kind
-    if kind == "i" or (kind == "u" and arr.max() <= _INT64_MAX):
-        return arr.astype(np.int64, copy=False)
-    # floats, strings, objects, or ints numpy could not fit in one dtype:
-    # check every id as given
     if isinstance(values, np.ndarray):
-        flat = values.ravel().tolist()
-    else:
-        flat = list(chain.from_iterable(values) if shape_tail else values)
-    for x in flat:
+        if values.shape[1:] != shape_tail and values.size:
+            _bad_shape(values, shape_tail)
+        kind = values.dtype.kind
+        if kind == "i" or (kind == "u" and values.max(initial=0)
+                           <= _INT64_MAX):
+            return values.astype(np.int64, copy=False) \
+                .reshape((-1,) + shape_tail)
+        values = values.tolist()  # floats, strings, objects: check each
+    elif isinstance(values, range) and not shape_tail and (
+            not values or _INT64_MIN <= min(values[0], values[-1])
+            and max(values[0], values[-1]) <= _INT64_MAX):
+        return np.arange(values.start, values.stop, values.step, np.int64)
+    elif not isinstance(values, (list, tuple)):
+        values = list(values)
+    flat, width = values, 1
+    if shape_tail:
+        width = shape_tail[0]
+        try:
+            # a count check alone would take [(1, 2, 3), (4,)] for 2 pairs
+            malformed = bool(set(map(len, values)) - {width})
+        except TypeError:  # an element without a length
+            malformed = True
+        if malformed:
+            _bad_shape(values, shape_tail)
+        flat = chain.from_iterable(values)
+    try:
+        arr = np.fromiter(map(operator.index, flat), np.int64,
+                          count=len(values) * width)
+    except (TypeError, OverflowError):
+        _bad_id(chain.from_iterable(values) if shape_tail else values)
+        raise
+    return arr.reshape((len(values),) + shape_tail)
+
+
+def _bad_shape(values, shape_tail: Tuple[int, ...]) -> None:
+    """Raise :class:`GraphError` naming the first element of ``values``
+    that is not a vertex id (``shape_tail=()``) or a ``(u, v)`` pair."""
+    bad = next(x for x in values if np.shape(x) != shape_tail)
+    what = "a (u, v) pair" if shape_tail else "a vertex id"
+    raise GraphError(f"expected {what}, got {bad!r}")
+
+
+def _bad_id(ids) -> None:
+    """Raise :class:`GraphError` naming the first of ``ids`` that is not an
+    integer in the ``int64`` range (return if there is none)."""
+    for x in ids:
         try:
             ok = _INT64_MIN <= operator.index(x) <= _INT64_MAX
         except TypeError:
@@ -91,8 +117,6 @@ def id_array(values, shape_tail: Tuple[int, ...] = ()) -> Any:
             raise GraphError(
                 f"vertex id {x!r} is not an integer in the int64 range"
             )
-    return np.array([operator.index(x) for x in flat],
-                    np.int64).reshape(arr.shape)
 
 
 def csr_arrays(graph: "DynamicGraph") -> Tuple[Any, Any, Any]:
@@ -135,32 +159,39 @@ def _edge_csr(edges, vertices) -> Tuple[Any, Any, Any, Any]:
     if loops.size:
         raise SelfLoopError(int(pairs[loops[0], 0]))
     # every id occurrence -- `vertices` first, then the endpoints
-    # u0 v0 u1 v1 ... -- mapped to its row; an id's first occurrence is
-    # where an incremental build inserts it
+    # u0 v0 u1 v1 ... -- mapped to its row, then sorted by (row,
+    # occurrence): each row's occurrences in input order.  A row's first
+    # occurrence is where an incremental build inserts its id, and its
+    # later ones, read as directed pairs (occurrence -> the edge's other
+    # end), are its insertion order: edge k adds v to u's set, then u to
+    # v's
     occ = np.concatenate((extra, pairs.ravel()))
+    size = occ.size
     ids, row = np.unique(occ, return_inverse=True)
-    first = np.full(ids.size, occ.size, np.int64)
-    np.minimum.at(first, row, np.arange(occ.size, dtype=np.int64))
-    ends = row[extra.size:].reshape(-1, 2)
+    n = ids.size
+    by_row = np.sort(row * size + np.arange(size, dtype=np.int64))
+    by_row %= max(size, 1)
+    starts = np.zeros(n, np.int64)
+    np.cumsum(np.bincount(row, minlength=n)[:-1], out=starts[1:])
+    first = by_row[starts]
+    pos = by_row[by_row >= extra.size] - extra.size
+    ends = row[extra.size:]
     # one key per undirected edge; an incremental build keeps each key's
-    # first occurrence, the least edge index in its run
-    key = (np.minimum(ends[:, 0], ends[:, 1]) * ids.size
-           + np.maximum(ends[:, 0], ends[:, 1]))
-    by_key = np.argsort(key)
-    run = np.ones(key.size, np.bool_)
-    run[1:] = key[by_key[1:]] != key[by_key[:-1]]
-    kept = np.minimum.reduceat(by_key, np.flatnonzero(run))
-    # the kept edges' endpoint occurrences j = 2k (u) and 2k + 1 (v),
-    # grouped by row in input order, read as directed pairs
-    # (occurrence -> the edge's other end), are each row's insertion
-    # order: edge k adds v to u's set, then u to v's
-    size = ends.size
-    pos = (2 * kept[:, None] + np.arange(2, dtype=np.int64)).ravel()
-    flat = ends.ravel()
-    pos = np.sort(flat[pos] * size + pos) % max(size, 1)
-    nbr = flat[pos ^ 1]
-    indptr = np.zeros(ids.size + 1, np.int64)
-    np.cumsum(np.bincount(flat[pos], minlength=ids.size), out=indptr[1:])
+    # first occurrence (the least edge index in its run) and skips the
+    # rest.  One plain sort finds whether any key repeats; only then
+    # does an argsort pick the occurrences to keep
+    lo = np.minimum(ends[0::2], ends[1::2])
+    key = lo * n + (ends[0::2] + ends[1::2] - lo)
+    if key.size and (np.diff(np.sort(key)) == 0).any():
+        by_key = np.argsort(key)
+        run = np.ones(key.size, np.bool_)
+        run[1:] = key[by_key[1:]] != key[by_key[:-1]]
+        kept = np.zeros(key.size, np.bool_)
+        kept[np.minimum.reduceat(by_key, np.flatnonzero(run))] = True
+        pos = pos[kept[pos >> 1]]
+    nbr = ends[pos ^ 1]
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(ends[pos], minlength=n), out=indptr[1:])
     return ids, indptr, nbr, np.argsort(first)
 
 

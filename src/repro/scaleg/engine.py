@@ -63,6 +63,12 @@ class ScaleGProgram(ABC):
     def initial_state(self, dgraph: "DistributedGraph", u: int) -> Any:
         """State of ``u`` before the first superstep."""
 
+    def initial_states(self, dgraph: "DistributedGraph") -> Dict[int, Any]:
+        """Every vertex's :meth:`initial_state`, in the graph's vertex
+        order: a static run's starting states.  Programs whose vertices
+        all start alike override this with one ``dict.fromkeys``."""
+        return {u: self.initial_state(dgraph, u) for u in dgraph.vertices()}
+
     @abstractmethod
     def compute(self, ctx: "ScaleGContext") -> None:
         """One vertex's superstep: read neighbour states, set own state,
@@ -332,9 +338,7 @@ class ScaleGEngine(BSPEngine):
         started = time.perf_counter()
 
         if states is None:
-            states = {
-                u: program.initial_state(self.dgraph, u) for u in graph.vertices()
-            }
+            states = program.initial_states(self.dgraph)
         self._states = states
         if max_supersteps is None:
             max_supersteps = 4 * max(graph.num_vertices, 1) + 16
@@ -374,7 +378,7 @@ class ScaleGEngine(BSPEngine):
                 checkpoint = None
                 if injector is not None:
                     checkpoint = SuperstepCheckpoint.capture(
-                        superstep, states, active, dgraph
+                        superstep, states, active
                     )
 
                 try:
@@ -430,8 +434,11 @@ class ScaleGEngine(BSPEngine):
                     continue
 
                 self._commit(states, new_states, dirty)
-                if self._csr is not None:
-                    self._csr.apply_new_states(new_states)
+                if sweep.csr is not None:
+                    # the sweep's own rows, written in place: a published
+                    # shared frame sees them without reshipping
+                    self._csr.in_[sweep.csr.changed_idx] = \
+                        sweep.csr.changed_val
 
                 # --- charge state sync: once per (synced vertex, guest machine)
                 record.state_changes = len(changed)

@@ -109,7 +109,9 @@ class SnapshotRegistry:
     ----------
     maintainer:
         Anything with the :class:`~repro.core.doimis.DOIMISMaintainer`
-        read surface (``dgraph``, ``independent_set()``).
+        read surface (``dgraph``, ``independent_set()``): a maintainer,
+        or the :class:`~repro.stream.StreamingSession` feeding one, whose
+        set is the last committed window's.
     frontier_fn:
         Zero-argument callable returning the ingress frontier (the last
         *accepted* sequence id) — staleness of a snapshot is
@@ -168,7 +170,7 @@ class SnapshotRegistry:
             )
             self._struct_version = part.structure_version
         ids, keys, indptr, nbr = self._struct
-        members = sorted(self._maintainer.independent_set())
+        members = self._maintainer.independent_set()
         in_ = np.zeros(ids.size, np.bool_)
         if members:
             rows = np.searchsorted(

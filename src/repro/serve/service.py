@@ -226,8 +226,10 @@ class IngestionService:
         if serve_reads:
             from repro.serve.reads import QueryEngine, SnapshotRegistry
 
+            # epochs publish the session's committed set, so birth and
+            # each commit walk the maintainer's states once
             self.reads = SnapshotRegistry(
-                maintainer, frontier_fn=lambda: self._next_seq - 1
+                self.session, frontier_fn=lambda: self._next_seq - 1
             )
             self.query_engine = QueryEngine(self.reads)
         if _recovered is None:

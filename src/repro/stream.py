@@ -132,6 +132,13 @@ class StreamingSession:
         """The maintained set as of the last flush (buffered ops excluded)."""
         return set(self._membership)
 
+    @property
+    def dgraph(self):
+        """The maintainer's partitioned graph: with :meth:`independent_set`,
+        the read surface a :class:`~repro.serve.reads.SnapshotRegistry`
+        publishes the committed set from."""
+        return self.maintainer.dgraph
+
     # ------------------------------------------------------------------
     def offer(self, op: EdgeUpdate, timestamp: Optional[float] = None):
         """Feed one event; returns the :class:`WindowReport` if it caused a

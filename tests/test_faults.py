@@ -184,6 +184,17 @@ class TestSuperstepCheckpoint:
         assert back.states == states
         assert back.active == [1, 2]
 
+    def test_payload_with_guest_tables_still_loads(self):
+        # payloads once carried the guest directory; it is ignored now
+        payload = SuperstepCheckpoint.capture(2, {1: True, 4: False},
+                                              [4]).to_payload()
+        assert "guests" not in payload
+        back = SuperstepCheckpoint.from_payload(
+            dict(payload, guests={"1": [0, 2]})
+        )
+        assert (back.superstep, back.states, back.active) \
+            == (2, {1: True, 4: False}, [4])
+
     def test_payload_validation(self):
         with pytest.raises(CheckpointError, match="not a"):
             SuperstepCheckpoint.from_payload({"format": "something-else"})

@@ -12,6 +12,8 @@ older than the graph, and set-up builds no row.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,25 @@ def assert_rows_match(ids, indptr, nbr, graph):
         row = ids[nbr[indptr[i]:indptr[i + 1]]].tolist()
         assert len(row) == graph.degree(u)
         assert set(row) == graph.neighbors(u)
+
+
+def independent_mirror(dgraph):
+    """A fresh CSR mirror of ``dgraph`` whose build computes home, guests
+    and the row map itself: the directory offers it nothing."""
+    part = CSRPartition(dgraph)
+    dgraph.rows_of = lambda arrays: None
+    try:
+        part.ensure()
+    finally:
+        del dgraph.rows_of
+    return part
+
+
+def assert_same_mirror(part, ref):
+    for name in ("ids", "keys", "indptr", "nbr", "home", "guests"):
+        assert np.array_equal(getattr(part, name), getattr(ref, name)), name
+    assert list(part._index.items()) == list(ref._index.items())
+    assert part._ids_list == ref._ids_list
 
 
 @st.composite
@@ -220,6 +241,7 @@ class TestIdDomain:
         ([(1, None)], (), "None"),
         ([(1, 2)], [1.0], "1.0"),
         (np.array([[1.0, 2.0]]), (), "1.0"),
+        ([(1, 2), (3, np.float64(4.0))], (), re.escape(repr(np.float64(4.0)))),
     ])
     def test_non_integer_ids_rejected(self, edges, vertices, bad):
         with pytest.raises(GraphError, match=f"vertex id {bad} is not"):
@@ -230,9 +252,20 @@ class TestIdDomain:
             MISMaintainer.from_edges([(0.5, 1.5)])
 
     def test_malformed_pairs_rejected(self):
-        for edges in ([(1, 2, 3)], [(1, 2), (3,)], [5]):
+        # the last two hold 2 ids per pair on average, so a conversion
+        # that only counted ids would take them
+        for edges in ([(1, 2, 3)], [(1, 2), (3,)], [5],
+                      [(1, 2, 3), (4,)], [(1,), (2, 3, 4)]):
             with pytest.raises(GraphError, match="expected a \\(u, v\\) pair"):
                 DynamicGraph.from_edges(edges)
+
+    def test_mixed_integer_types_build_as_plain_ints(self):
+        mixed = [(np.int64(3), 1), (True, np.int32(5)), (3, False),
+                 (np.uint8(7), np.int64(1))]
+        plain = [(3, 1), (1, 5), (3, 0), (7, 1)]
+        graph = DynamicGraph.from_edges(mixed, vertices=[np.int16(9), 2])
+        assert_same_graph(graph, incremental(plain, [9, 2]))
+        assert all(type(u) is int for u in graph.vertices())
 
     def test_int64_extremes_accepted(self):
         lo, hi = -(2 ** 63), 2 ** 63 - 1
@@ -294,10 +327,51 @@ class TestArrayFreshness:
         part = dgraph._csr_partition
         assert part.rebuilds == 1
         assert_rows_match(part.ids, part.indptr, part.nbr, graph)
+        # the directory missed those updates: nothing was taken from it
+        assert_same_mirror(part, independent_mirror(dgraph))
         fresh = incremental(list(graph.edges()), graph.vertices())
         assert_rows_match(*csr_arrays(fresh), graph)
         members = {u for u, inside in result.states.items() if inside}
         assert is_greedy_fixpoint(graph, members)
+
+    @pytest.mark.parametrize("partitioner", [
+        HashPartitioner(4), ExplicitPartitioner({0: 2, 5: 1, 9: 0}, 3),
+    ])
+    def test_mirror_from_the_directory_equals_an_independent_build(
+            self, partitioner, tmp_path):
+        edges = _service_graph()
+        maintainer = MISMaintainer.from_edges(
+            edges, vertices=range(300), partitioner=partitioner
+        )
+        # the first build took the directory's rows
+        assert maintainer.dgraph.rows_of(csr_arrays(maintainer.graph)) \
+            is not None
+        assert_same_mirror(maintainer.dgraph._csr_partition,
+                           independent_mirror(maintainer.dgraph))
+        path = str(tmp_path / "ck")
+        maintainer.save(path)
+        restored = MISMaintainer.load(path, partitioner=partitioner)
+        assert restored.dgraph.rows_of(csr_arrays(restored.graph)) \
+            is not None
+        assert_same_mirror(restored.dgraph._csr_partition,
+                           independent_mirror(restored.dgraph))
+        # an edge update repairs the mirror; a removed vertex and a new
+        # one, which takes the freed slot (so slots are no longer rows),
+        # rebuild it
+        part = restored.dgraph._csr_partition
+        restored.delete_edge(*edges[0])
+        restored.delete_vertex(5)
+        restored.insert_vertex(300, [0, 7, 299])
+        assert part.rebuilds == 2
+        assert restored.dgraph.rows_of(csr_arrays(restored.graph)) is None
+        assert_same_mirror(part, independent_mirror(restored.dgraph))
+
+    def test_two_setups_repeat(self):
+        edges = _service_graph(n=2000, m=8000, seed=3)
+        first, second = (MISMaintainer.from_edges(edges, vertices=range(2000))
+                         for _ in range(2))
+        assert first.init_metrics.logical() == second.init_metrics.logical()
+        assert list(first._states.items()) == list(second._states.items())
 
     def test_copy_does_not_share_arrays(self):
         graph = DynamicGraph.from_edges([(1, 2)])
