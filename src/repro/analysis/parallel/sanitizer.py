@@ -356,9 +356,9 @@ class SanitizedBackend(ExecutionBackend):
         self._engine = engine
         self.inner.bind(engine)
 
-    def begin_run(self, program, states: Dict[int, Any]) -> None:
+    def begin_run(self, program) -> None:
         self._pending = None
-        self.inner.begin_run(program, states)
+        self.inner.begin_run(program)
 
     def close(self) -> None:
         self.inner.close()

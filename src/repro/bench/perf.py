@@ -23,8 +23,8 @@ across ``procs`` ∈ {1, 2, 4, 8}, asserting bit-identical logical meters and
 recording the measured speedup curve (trend data, machine-dependent — the
 entry carries ``cpu_count`` so a 1-core runner's flat curve reads as what
 it is).  Every scenario sweeps on the default flat-array CSR layout
-(:mod:`repro.graph.csr`); the process runtime maps it as a shared-memory
-frame.  ``serve_*`` scenarios push a seeded bursty trace through the
+(:mod:`repro.graph.csr`); the process runtime copies it into the
+shared-memory frame its workers map.  ``serve_*`` scenarios push a seeded bursty trace through the
 durable ingestion service (:mod:`repro.serve`) and record sustained
 updates/s and per-window latency percentiles; their logical
 sections are pinned too, because every serve control decision is a function

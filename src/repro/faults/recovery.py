@@ -17,11 +17,6 @@ ScaleG/Pregel recovery follows the classic BSP rollback protocol:
    rebuild bytes — lands on the ``recovery_*`` meters, never the logical
    ones, so a recovered run's logical meters are bit-identical to the
    fault-free run's (the chaos oracle).
-
-The checkpoint's JSON payload carries the same ``format`` / ``version``
-header keys as a :meth:`~repro.core.maintainer.MISMaintainer.save` file
-(plus sorted vertex keys), so both fail loudly on a foreign or future
-payload.
 """
 
 from __future__ import annotations
@@ -32,13 +27,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.errors import CheckpointError, WorkerFailure, WorkerLoss
+from repro.errors import WorkerFailure, WorkerLoss
 from repro.pregel.metrics import MESSAGE_OVERHEAD_BYTES, VERTEX_ID_BYTES
 from repro.runtime.base import BarrierDraws
-
-FORMAT = "repro-mis-superstep-checkpoint"
-VERSION = 1
-
 
 #: state types whose snapshot can be the value itself
 _IMMUTABLE_TYPES = (bool, int, float, str, bytes, frozenset, type(None), Enum)
@@ -86,42 +77,6 @@ class SuperstepCheckpoint:
         states.clear()
         states.update(_snapshot_states(self.states))
         return list(self.active)
-
-    # ------------------------------------------------------------------
-    # persistence (MISMaintainer.save conventions)
-    # ------------------------------------------------------------------
-    def to_payload(self) -> Dict[str, Any]:
-        """A JSON-able payload (states must themselves be JSON-able)."""
-        return {
-            "format": FORMAT,
-            "version": VERSION,
-            "superstep": self.superstep,
-            "active": sorted(self.active),
-            "states": {str(u): self.states[u] for u in sorted(self.states)},
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any],
-                     path: str = "<payload>") -> "SuperstepCheckpoint":
-        """Rebuild from :meth:`to_payload` output, validating the header.
-        Keys this build does not read (an older payload's ``guests``) are
-        ignored."""
-        if not isinstance(payload, dict) or payload.get("format") != FORMAT:
-            raise CheckpointError(path, f"not a {FORMAT} document")
-        version = payload.get("version")
-        if not isinstance(version, int) or version > VERSION or version < 1:
-            raise CheckpointError(
-                path, f"unsupported checkpoint version {version!r} "
-                f"(this build reads <= {VERSION})"
-            )
-        try:
-            return cls(
-                superstep=int(payload["superstep"]),
-                states={int(u): s for u, s in payload["states"].items()},
-                active=[int(u) for u in payload["active"]],
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise CheckpointError(path, f"malformed payload: {exc}") from exc
 
 
 def guest_rebuild_cost(dgraph, crashed_workers, sync_bytes_of,

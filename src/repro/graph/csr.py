@@ -35,12 +35,9 @@ the row map from the guest directory built from the same arrays
 (:meth:`~repro.graph.distributed_graph.DistributedGraph.rows_of`) instead
 of computing them a second time.
 
-For the multi-process runtime the arrays are published once into a single
-``multiprocessing.shared_memory`` segment; worker processes map it
-(zero-copy) and per-barrier frames shrink to the active row indices down
-and compact typed delta arrays back — no pickled graph, states or
-activation-request object graphs.  The master's bitmap *is* the shared
-view after publication, so barrier commits propagate without reshipping.
+The multi-process runtime (:mod:`repro.runtime.parallel`) copies these
+arrays into the shared-memory frame its workers map; this module holds
+only private arrays, the sweep kernel and activation routing.
 """
 
 from __future__ import annotations
@@ -108,18 +105,13 @@ class CSRPartition:
         self._index: Dict[int, int] = {}
         self._ids_list: List[int] = []
         #: bumped whenever ids/keys/indptr/nbr/home change (repairs and
-        #: rebuilds both); the shared-memory publisher keys off it
+        #: rebuilds both); the process runtime's frame and the snapshot
+        #: registry recopy those arrays only when it moves
         self.structure_version = 0
         self.rebuilds = 0
         self.repairs = 0
         self._needs_rebuild = True
         self._dirty_keys: set = set()
-        # shared-memory publication state
-        self._shm = None
-        self._shm_epoch = 0
-        self._shm_meta = None
-        self._published_version = -1
-        self._bitmap_in_shm = False
 
     # -- attachment -----------------------------------------------------
     @classmethod
@@ -194,7 +186,6 @@ class CSRPartition:
         self.home, self.guests, self._index = built
         self._ids_list = list(self._index)
         self.in_ = np.zeros(n, np.bool_)
-        self._bitmap_in_shm = False
         self.structure_version += 1
         self.rebuilds += 1
 
@@ -268,17 +259,6 @@ class CSRPartition:
         return guest_flags(owners, self.home[targets], row_home,
                            self._dgraph.num_workers)[0].sum(axis=1)
 
-    def mark_membership_change(self) -> None:
-        """Invalidate the published frame after a membership transition.
-
-        A voluntary join/drain changes the effective placement overlay, so
-        any shared-memory frame published before the transition must not be
-        reused: bumping :attr:`structure_version` makes the next
-        :meth:`publish_shared` reship the frame instead of short-circuiting
-        on the cached version.
-        """
-        self.structure_version += 1
-
     # -- state bitmap ---------------------------------------------------
     def sync_states(self, states: Dict[int, Any]) -> None:
         """(Re)load the membership bitmap from the engine's state dict.
@@ -287,15 +267,10 @@ class CSRPartition:
         guarantee it); missing entries raise ``KeyError`` rather than
         silently diverging from the dict path.
         """
-        n = len(self._ids_list)
-        vals = np.fromiter(
-            map(states.__getitem__, self._ids_list), np.bool_, count=n
+        self.in_ = np.fromiter(
+            map(states.__getitem__, self._ids_list), np.bool_,
+            count=len(self._ids_list),
         )
-        if self.in_ is not None and self.in_.shape == (n,):
-            self.in_[:] = vals  # keeps any shared-memory backing
-        else:
-            self.in_ = vals
-            self._bitmap_in_shm = False
 
     def index_of(self, vertex_ids) -> Any:
         """Row indices of ``vertex_ids``: distinct ids in ascending order,
@@ -306,105 +281,6 @@ class CSRPartition:
             return np.arange(count, dtype=np.int64)
         arr = np.fromiter(vertex_ids, np.int64, count=count)
         return np.searchsorted(self.ids, arr)
-
-    # -- shared-memory publication --------------------------------------
-    def publish_shared(self) -> Tuple[str, int, list]:
-        """Publish (or refresh) the arrays into one shared-memory segment.
-
-        Returns the frame meta ``(segment_name, epoch, layout)`` a worker
-        process needs to map the arrays.  When the structure is unchanged
-        since the last publication this is a cheap no-op returning the
-        cached meta — the master's bitmap already lives inside the
-        segment, so barrier commits are visible without any copy.
-        """
-        self.ensure()
-        if (
-            self._shm is not None
-            and self._published_version == self.structure_version
-            and self._bitmap_in_shm
-        ):
-            return self._shm_meta
-        if self._bitmap_in_shm and self.in_ is not None:
-            # re-laying out a reused segment: the live bitmap still aliases
-            # the buffer at its *old* offset, and a structure change (nbr
-            # grew/shrank) shifts every later offset — copying the earlier
-            # arrays would clobber the bitmap before it is read.  Detach it
-            # into private memory first; the copy loop re-homes it below.
-            self.in_ = np.array(self.in_)
-            self._bitmap_in_shm = False
-        arrays = [
-            ("ids", self.ids),
-            ("keys", self.keys),
-            ("indptr", self.indptr),
-            ("nbr", self.nbr),
-            ("home", self.home),
-            ("in_", self.in_),
-        ]
-        need = sum(int(a.nbytes) for _, a in arrays)
-        if self._shm is None or self._shm.size < need:
-            from multiprocessing import shared_memory
-
-            self.release_shared()
-            # headroom so steady edge churn re-uses the segment in place
-            capacity = max(need + need // 2 + 4096, 1)
-            self._shm = shared_memory.SharedMemory(create=True, size=capacity)
-        layout = []
-        offset = 0
-        buf = self._shm.buf
-        bitmap_view = None
-        for name, arr in arrays:
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=buf,
-                              offset=offset)
-            view[...] = arr
-            layout.append((name, arr.dtype.str, arr.shape, offset))
-            offset += int(arr.nbytes)
-            if name == "in_":
-                bitmap_view = view
-        # the master's bitmap IS the shared view from here on: barrier
-        # commits write straight into the frame the workers map
-        self.in_ = bitmap_view
-        self._bitmap_in_shm = True
-        self._shm_epoch += 1
-        self._published_version = self.structure_version
-        self._shm_meta = (self._shm.name, self._shm_epoch, layout)
-        return self._shm_meta
-
-    def release_shared(self) -> None:
-        """Close and unlink the published segment (idempotent teardown).
-
-        A live bitmap is copied out of the segment first, so the partition
-        stays usable; the next :meth:`publish_shared` makes a new one."""
-        if self._shm is not None and self._bitmap_in_shm \
-                and self.in_ is not None:
-            self.in_ = np.array(self.in_)  # detach before unmapping
-        self._drop_segment()
-
-    def _drop_segment(self) -> None:
-        """Unlink the segment without reading it.  A bitmap still aliasing
-        it keeps the mapping alive until the array itself is freed."""
-        shm = self._shm
-        if shm is None:
-            return
-        self._shm = None
-        self._shm_meta = None
-        self._published_version = -1
-        self._bitmap_in_shm = False
-        try:
-            shm.close()
-        except (OSError, BufferError):  # an aliasing bitmap still maps it
-            pass
-        try:
-            shm.unlink()
-        except (OSError, FileNotFoundError):  # pragma: no cover
-            pass
-
-    def __del__(self):  # pragma: no cover - interpreter teardown ordering
-        # a finaliser never reads mapped memory: during cycle collection
-        # the segment may already be unmapped
-        try:
-            self._drop_segment()
-        except Exception:
-            pass
 
 
 # ---------------------------------------------------------------------------
@@ -614,115 +490,3 @@ def route_activations(part, kernel, extras, record):
     head = np.ones(targets.size, np.bool_)
     head[1:] = targets[1:] != targets[:-1]
     return part.ids[targets[head]].tolist()
-
-
-# ---------------------------------------------------------------------------
-# worker-process side (multi-process runtime)
-# ---------------------------------------------------------------------------
-class WorkerCSRView:
-    """A worker process's zero-copy mapping of the published frame."""
-
-    def __init__(self, meta):
-        from multiprocessing import shared_memory
-
-        name, epoch, layout = meta
-        # The master owns the segment's lifecycle; a worker must attach
-        # WITHOUT registering it with the (shared) resource tracker, or
-        # the tracker's refcount diverges and the master's unlink warns
-        # (bpo-39959).  Python 3.13 has track=False for exactly this;
-        # earlier versions need the registration suppressed around the
-        # attach.
-        try:
-            self.shm = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:  # Python < 3.13: no track= parameter
-            from multiprocessing import resource_tracker
-
-            orig_register = resource_tracker.register
-            resource_tracker.register = lambda *a, **k: None
-            try:
-                self.shm = shared_memory.SharedMemory(name=name)
-            finally:
-                resource_tracker.register = orig_register
-        self.name = name
-        self.epoch = 0
-        self.remap(meta)
-
-    def remap(self, meta) -> None:
-        _, epoch, layout = meta
-        buf = self.shm.buf
-        for name, dtype, shape, offset in layout:
-            setattr(self, name, np.ndarray(
-                shape, dtype=np.dtype(dtype), buffer=buf, offset=offset
-            ))
-        self.epoch = epoch
-
-    def close(self) -> None:
-        for name in ("ids", "keys", "indptr", "nbr", "home", "in_"):
-            if hasattr(self, name):
-                delattr(self, name)
-        try:
-            self.shm.close()
-        except (OSError, BufferError):  # pragma: no cover - best effort
-            pass
-
-
-def worker_attach(view: Optional[WorkerCSRView], meta) -> WorkerCSRView:
-    """(Re)map the published frame inside a worker process."""
-    name = meta[0]
-    if view is not None:
-        if view.name == name:
-            view.remap(meta)
-            return view
-        view.close()
-    return WorkerCSRView(meta)
-
-
-def worker_sweep(view: WorkerCSRView, active_idx, cfg):
-    """One worker's share of a kernel sweep, wire-encoded.
-
-    Row indices travel as ``int32`` (row counts are far below 2^31) and
-    the request pairs as (unique sources, run lengths, targets) — the
-    source column is non-decreasing, so run-length grouping shrinks it to
-    one entry per requesting vertex.  :func:`decode_worker_sweep` is the
-    inverse.
-    """
-    _strategy_value, full_scan, suffix_only, num_workers = cfg
-    compute_work, worker_work, changed_idx, changed_val, req_src, req_tgt = (
-        _sweep_arrays(view, active_idx.astype(np.int64), full_scan,
-                      suffix_only, num_workers)
-    )
-    if req_src.size:
-        starts = np.flatnonzero(np.diff(req_src)) + 1
-        bounds = np.concatenate(
-            (np.zeros(1, np.int64), starts,
-             np.array([req_src.size], np.int64))
-        )
-        sources = req_src[bounds[:-1]].astype(np.int32)
-        counts = np.diff(bounds).astype(np.int32)
-    else:
-        sources = np.empty(0, np.int32)
-        counts = np.empty(0, np.int32)
-    return (
-        compute_work,
-        worker_work,
-        changed_idx.astype(np.int32),
-        changed_val,
-        sources,
-        counts,
-        req_tgt.astype(np.int32),
-    )
-
-
-def decode_worker_sweep(payload):
-    """Decode one worker's wire frame back to int64 row-index arrays."""
-    compute_work, worker_work, changed_idx, changed_val, sources, counts, \
-        req_tgt = payload
-    req_src = np.repeat(sources.astype(np.int64), counts)
-    return (
-        compute_work,
-        worker_work,
-        changed_idx.astype(np.int64),
-        changed_val,
-        req_src,
-        req_tgt.astype(np.int64),
-    )

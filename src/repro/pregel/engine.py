@@ -224,7 +224,7 @@ class PregelEngine(BSPEngine):
         injector = self._faults
         failover = self._failover
         runtime = self._runtime
-        self._begin_run(program, states)
+        self._begin_run(program)
 
         inbox: Dict[int, List[Any]] = {}
         #: wire bytes delivered per destination last superstep — the cost of

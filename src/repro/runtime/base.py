@@ -107,7 +107,7 @@ class ExecutionBackend:
     """Interface every execution backend implements.
 
     Lifecycle: ``bind(engine)`` once per run entry, ``begin_run`` after the
-    engine resolved program + states, then one ``sweep_*`` call per
+    engine resolved the program, then one ``sweep_*`` call per
     superstep (``draws`` is the barrier fault schedule, or ``None`` when no
     fault plan is attached), ``commit`` after each barrier that commits,
     and ``close`` when the owning engine/maintainer is done.
@@ -119,7 +119,7 @@ class ExecutionBackend:
     def bind(self, engine) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def begin_run(self, program, states: Dict[int, Any]) -> None:
+    def begin_run(self, program) -> None:
         raise NotImplementedError  # pragma: no cover - interface
 
     def sweep_scaleg(self, active, superstep: int, draws=None) -> ScaleGSweep:
@@ -157,7 +157,7 @@ class InlineExecutor(ExecutionBackend):
             self._engine = engine
             self._ctx = None
 
-    def begin_run(self, program, states: Dict[int, Any]) -> None:
+    def begin_run(self, program) -> None:
         self._program = program
         self._ctx = None
 
@@ -319,13 +319,13 @@ class BSPEngine:
         self._runtime.close()
 
     # -- run scaffolding -------------------------------------------------
-    def _begin_run(self, program, states: Dict[int, Any]) -> None:
+    def _begin_run(self, program) -> None:
         """Run entry: advance the fault schedule's run index and hand the
-        backend this run's program and states."""
+        backend this run's program."""
         if self._faults is not None:
             self._faults.begin_run()
         self._runtime.bind(self)
-        self._runtime.begin_run(program, states)
+        self._runtime.begin_run(program)
 
     @contextmanager
     def _rollback_on_error(self, states: Dict[int, Any],

@@ -4,24 +4,29 @@
 CSR-kernel program (:meth:`~repro.scaleg.engine.ScaleGProgram.csr_kernel`,
 swept by :class:`~repro.scaleg.engine.ScaleGEngine` on its default
 representation) out across ``N`` persistent OS worker processes (stdlib
-:mod:`multiprocessing`, spawn-safe, no extra dependencies).  There is one
-frame protocol:
+:mod:`multiprocessing`, spawn-safe, no extra dependencies).  This module
+is the only one that knows about shared memory.  There is one frame
+protocol:
 
-- The master publishes the engine's
-  :class:`~repro.graph.csr.CSRPartition` into one shared-memory segment
+- The runtime owns at most one shared-memory segment for its lifetime
   and every worker maps it zero-copy — the paper's "local guest copy"
-  view of every neighbour's state.  The master's membership bitmap *is*
-  the shared view, so a barrier commit reaches the workers without a
-  message.  Rows whose home partition is ``w`` are swept by process
-  ``w % N``, where ``N`` is the live pool size at each dispatch.
+  view of every neighbour's state.  It holds the swept
+  :class:`~repro.graph.csr.CSRPartition`'s ``ids``, ``keys``, ``indptr``,
+  ``nbr``, ``home`` and ``in_``.  The structure arrays are copied in when
+  the swept partition or its ``structure_version`` changes (in place
+  unless the segment is too small); the membership bitmap, ``n`` bytes,
+  is copied in before every dispatch.  The master's bitmap stays a
+  private array, so a barrier commit needs no message and a crashed
+  superstep needs no undo on any worker.  Rows whose home partition is
+  ``w`` are swept by process ``w % N``, where ``N`` is the live pool size
+  at each dispatch.
 - Per barrier, one length-prefixed frame (``Connection`` frames every
   message with a length header) goes down each pipe: the frame meta
   (segment name, epoch, layout — only when it changed since the last
   ship), the process's active *row indices*, the kernel config and the
   process's slice of the barrier fault draws.  One frame comes back:
   work counters, changed rows with their new values, run-length encoded
-  activation requests (:func:`~repro.graph.csr.worker_sweep`) and the
-  fault-slice echo.
+  activation requests (:func:`_worker_sweep`) and the fault-slice echo.
 - The barrier merge is deterministic: rows are unique across processes,
   so changed rows sorted by row and requests stably sorted by source row
   are exactly the inline sweep's order, and the same
@@ -55,13 +60,16 @@ import multiprocessing
 import os
 import pickle
 import traceback
-import weakref
+from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ParallelRuntimeError
 from repro.runtime.base import BarrierDraws, ExecutionBackend, ScaleGSweep
+
+#: the partition arrays the frame holds, in segment order
+_FRAME_ARRAYS = ("ids", "keys", "indptr", "nbr", "home", "in_")
 
 
 def _send_msg(conn, obj: Any) -> None:
@@ -80,14 +88,118 @@ def _recv_msg(conn) -> Any:
 # ---------------------------------------------------------------------------
 # worker-process side
 # ---------------------------------------------------------------------------
+class WorkerCSRView:
+    """A worker process's zero-copy mapping of the runtime's frame."""
+
+    def __init__(self, meta):
+        name = meta[0]
+        # The master owns the segment's lifecycle; a worker must attach
+        # WITHOUT registering it with the (shared) resource tracker, or
+        # the tracker's refcount diverges and the master's unlink warns
+        # (bpo-39959).  Python 3.13 has track=False for exactly this;
+        # earlier versions need the registration suppressed around the
+        # attach.
+        try:
+            self.shm = shared_memory.SharedMemory(name=name, track=False)
+        except TypeError:  # Python < 3.13: no track= parameter
+            from multiprocessing import resource_tracker
+
+            orig_register = resource_tracker.register
+            resource_tracker.register = lambda *a, **k: None
+            try:
+                self.shm = shared_memory.SharedMemory(name=name)
+            finally:
+                resource_tracker.register = orig_register
+        self.name = name
+        self.remap(meta)
+
+    def remap(self, meta) -> None:
+        buf = self.shm.buf
+        for name, dtype, shape, offset in meta[2]:
+            setattr(self, name, np.ndarray(
+                shape, dtype=np.dtype(dtype), buffer=buf, offset=offset
+            ))
+
+    def close(self) -> None:
+        for name in _FRAME_ARRAYS:
+            if hasattr(self, name):
+                delattr(self, name)
+        try:
+            self.shm.close()
+        except (OSError, BufferError):  # pragma: no cover - best effort
+            pass
+
+
+def _worker_attach(view: Optional[WorkerCSRView], meta) -> WorkerCSRView:
+    """(Re)map the frame inside a worker process: the same segment is
+    remapped in place, a new one (the master grew it) replaces it."""
+    if view is not None:
+        if view.name == meta[0]:
+            view.remap(meta)
+            return view
+        view.close()
+    return WorkerCSRView(meta)
+
+
+def _worker_sweep(view: WorkerCSRView, active_idx, cfg):
+    """One worker's share of a kernel sweep, wire-encoded.
+
+    Row indices travel as ``int32`` (row counts are far below 2^31) and
+    the request pairs as (unique sources, run lengths, targets) — the
+    source column is non-decreasing, so run-length grouping shrinks it to
+    one entry per requesting vertex.  :func:`_decode_sweep` is the
+    inverse.
+    """
+    from repro.graph.csr import _sweep_arrays
+
+    _strategy_value, full_scan, suffix_only, num_workers = cfg
+    compute_work, worker_work, changed_idx, changed_val, req_src, req_tgt = (
+        _sweep_arrays(view, active_idx.astype(np.int64), full_scan,
+                      suffix_only, num_workers)
+    )
+    if req_src.size:
+        starts = np.flatnonzero(np.diff(req_src)) + 1
+        bounds = np.concatenate(
+            (np.zeros(1, np.int64), starts,
+             np.array([req_src.size], np.int64))
+        )
+        sources = req_src[bounds[:-1]].astype(np.int32)
+        counts = np.diff(bounds).astype(np.int32)
+    else:
+        sources = np.empty(0, np.int32)
+        counts = np.empty(0, np.int32)
+    return (
+        compute_work,
+        worker_work,
+        changed_idx.astype(np.int32),
+        changed_val,
+        sources,
+        counts,
+        req_tgt.astype(np.int32),
+    )
+
+
+def _decode_sweep(payload):
+    """Decode one worker's wire frame back to int64 row-index arrays."""
+    compute_work, worker_work, changed_idx, changed_val, sources, counts, \
+        req_tgt = payload
+    req_src = np.repeat(sources.astype(np.int64), counts)
+    return (
+        compute_work,
+        worker_work,
+        changed_idx.astype(np.int64),
+        changed_val,
+        req_src,
+        req_tgt.astype(np.int64),
+    )
+
+
 def _worker_main(conn) -> None:
     """Entry point of one persistent worker process (spawn-importable).
 
     Serves two message kinds: ``csr_sweep`` (one kernel sweep over the
     mapped frame) and ``close``.
     """
-    from repro.graph import csr
-
     #: mapped shared-memory CSR frame the sweeps scan, if any
     csr_view = None
 
@@ -110,12 +222,12 @@ def _worker_main(conn) -> None:
             if kind == "csr_sweep":
                 _, meta, active_idx, cfg, draw_slice = msg
                 if meta is not None:
-                    csr_view = csr.worker_attach(csr_view, meta)
+                    csr_view = _worker_attach(csr_view, meta)
                 if csr_view is None:
                     raise ParallelRuntimeError(
                         "csr sweep dispatched before any frame meta"
                     )
-                reply = ("ok", csr.worker_sweep(csr_view, active_idx, cfg),
+                reply = ("ok", _worker_sweep(csr_view, active_idx, cfg),
                          draw_slice)
             else:
                 reply = ("err", f"unknown message kind {kind!r}")
@@ -147,10 +259,10 @@ class ParallelRuntime(ExecutionBackend):
 
     One instance may be shared across engines and reused across runs; the
     pool starts lazily on the first sweep and :meth:`close` (or garbage
-    collection) tears it down, unlinking every shared-memory frame this
-    runtime swept on.  Workers hold no replica of their own: a different
-    engine or graph simply publishes a different frame, whose meta the
-    next sweep ships.
+    collection) tears it down and unlinks the runtime's one shared-memory
+    segment.  Workers hold no replica of their own: a sweep of a
+    different engine or graph copies that partition into the same
+    segment, and the next dispatch ships the new meta.
     """
 
     kind = "process"
@@ -163,12 +275,17 @@ class ParallelRuntime(ExecutionBackend):
         self._engine = None
         self._conns: List[Any] = []
         self._workers: List[Any] = []
-        #: (segment name, epoch) of the CSR frame meta the workers hold
-        self._csr_shipped: Optional[Tuple[str, int]] = None
-        #: partitions whose shared-memory frame this runtime swept on;
-        #: :meth:`close` releases them (weak: a collected partition has
-        #: already unlinked its segment)
-        self._published = weakref.WeakSet()
+        #: the one segment this runtime owns (None until the first sweep)
+        self._shm = None
+        #: the partition and ``structure_version`` the segment mirrors
+        self._frame_part = None
+        self._frame_version = -1
+        #: ``(name, dtype, shape, offset)`` of each array in the segment
+        self._layout: List[Tuple[str, str, tuple, int]] = []
+        #: bumped whenever the layout is rewritten
+        self._epoch = 0
+        #: the epoch whose meta the workers hold
+        self._shipped_epoch: Optional[int] = None
         # pipe-traffic accounting (bytes actually pickled per direction);
         # reset via reset_frame_stats(), read via frame_stats()
         self.frames_sent = 0
@@ -208,7 +325,7 @@ class ParallelRuntime(ExecutionBackend):
     def bind(self, engine) -> None:
         self._engine = engine
 
-    def begin_run(self, program, states: Dict[int, Any]) -> None:
+    def begin_run(self, program) -> None:
         """Refuse a run the frame protocol cannot sweep — before any
         process spawns."""
         if getattr(self._engine, "_csr_kernel", None) is None:
@@ -221,26 +338,25 @@ class ParallelRuntime(ExecutionBackend):
 
     def commit(self, new_states: Dict[int, Any]) -> None:
         """Nothing to ship: the engine writes the barrier into the
-        partition's bitmap, which is the shared frame the workers map."""
+        partition's private bitmap, and the next dispatch copies that
+        bitmap into the frame."""
 
     def prestart(self, num_partitions: Optional[int] = None) -> None:
         """Spawn the worker pool now (benchmarks exclude spawn latency)."""
         self._ensure_workers(num_partitions)
 
     def close(self) -> None:
-        """Stop the worker processes and unlink every shared-memory frame
-        they swept on; the runtime stays reusable (the next sweep respawns
-        the pool and republishes the frame)."""
+        """Stop the worker processes, unlink the shared-memory segment and
+        drop the bound engine; the runtime stays reusable (the next run
+        binds again, respawns the pool and publishes a new segment)."""
         conns, workers = self._conns, self._workers
         self._conns = []
         self._workers = []
-        self._csr_shipped = None
+        self._engine = None
+        self._shipped_epoch = None
         for conn, proc in zip(conns, workers):
             self._stop(conn, proc)
-        published = list(self._published)
-        self._published.clear()
-        for part in published:
-            part.release_shared()
+        self._unlink()
 
     def __del__(self):  # pragma: no cover - interpreter shutdown ordering
         try:
@@ -253,6 +369,59 @@ class ParallelRuntime(ExecutionBackend):
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+    # -- the shared-memory frame ----------------------------------------
+    def _publish(self, part) -> Tuple[str, int, list]:
+        """Copy ``part`` into the runtime's segment; returns the frame meta
+        ``(segment name, epoch, layout)`` a worker maps.
+
+        The structure arrays are copied only when ``part`` or its
+        ``structure_version`` changed since the last publish; the bitmap
+        is copied every time.  A segment too small for the arrays is
+        unlinked and replaced by a larger one.
+        """
+        arrays = [getattr(part, name) for name in _FRAME_ARRAYS]
+        stale = (part is not self._frame_part
+                 or part.structure_version != self._frame_version)
+        if stale:
+            need = sum(int(arr.nbytes) for arr in arrays)
+            if self._shm is None or self._shm.size < need:
+                self._unlink()
+                # headroom so steady edge churn republishes in place
+                self._shm = shared_memory.SharedMemory(
+                    create=True, size=need + need // 2 + 4096
+                )
+            self._layout = []
+            offset = 0
+            for name, arr in zip(_FRAME_ARRAYS, arrays):
+                self._layout.append((name, arr.dtype.str, arr.shape, offset))
+                offset += int(arr.nbytes)
+            self._frame_part = part
+            self._frame_version = part.structure_version
+            self._epoch += 1
+        buf = self._shm.buf
+        for arr, (name, dtype, shape, offset) in zip(arrays, self._layout):
+            if stale or name == "in_":
+                np.ndarray(shape, dtype=dtype, buffer=buf,
+                           offset=offset)[...] = arr
+        return (self._shm.name, self._epoch, self._layout)
+
+    def _unlink(self) -> None:
+        """Close and unlink the segment without reading it (safe from a
+        finaliser: no array view of it outlives :meth:`_publish`)."""
+        shm = self._shm
+        self._shm = None
+        self._frame_part = None
+        if shm is None:
+            return
+        try:
+            shm.close()
+        except (OSError, BufferError):  # pragma: no cover - best effort
+            pass
+        try:
+            shm.unlink()
+        except FileNotFoundError:  # pragma: no cover - already gone
+            pass
 
     # -- pool management -------------------------------------------------
     def _spawn(self, index: int) -> None:
@@ -293,7 +462,7 @@ class ParallelRuntime(ExecutionBackend):
             num_partitions = self._engine.dgraph.num_workers
         for index in range(max(1, min(self.procs, num_partitions))):
             self._spawn(index)
-        self._csr_shipped = None
+        self._shipped_epoch = None
 
     def _send(self, p: int, msg) -> None:
         data = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
@@ -359,23 +528,19 @@ class ParallelRuntime(ExecutionBackend):
     def sweep_scaleg(self, active, superstep: int, draws=None) -> ScaleGSweep:
         """One kernel sweep fanned out over the shared-memory frame.
 
-        Down-link per process: the frame meta (only when the structure
+        Down-link per process: the frame meta (only when the layout
         changed since the last ship), its slice of active row indices,
         the kernel config and its fault-draw slice.  Up-link: work
         counters, four typed delta arrays and the draw echo.
         """
-        from repro.graph.csr import decode_worker_sweep
-
         engine = self._engine
         part = engine._csr
         kernel = engine._csr_kernel
         self._ensure_workers()
         self.sweeps_dispatched += 1
         a = part.index_of(active)
-        meta = part.publish_shared()
-        self._published.add(part)
-        token = (meta[0], meta[1])
-        ship_meta = meta if token != self._csr_shipped else None
+        meta = self._publish(part)
+        ship_meta = meta if meta[1] != self._shipped_epoch else None
         nprocs = len(self._conns)
         num_workers = engine.dgraph.num_workers
         proc_of = part.home[a] % nprocs
@@ -384,14 +549,14 @@ class ParallelRuntime(ExecutionBackend):
         for p in range(nprocs):
             self._send(p, ("csr_sweep", ship_meta,
                            a[proc_of == p].astype(np.int32), cfg, slices[p]))
-        self._csr_shipped = token
+        self._shipped_epoch = meta[1]
         compute_work = 0
         worker_work = [0] * num_workers
         deltas = []
         echo_parts = []
         for p in range(nprocs):
             _, payload, echo = self._recv_ok(p)
-            cw, ww, *arrays = decode_worker_sweep(payload)
+            cw, ww, *arrays = _decode_sweep(payload)
             compute_work += cw
             for w in range(num_workers):
                 worker_work[w] += ww[w]

@@ -282,14 +282,6 @@ class ScaleGEngine(BSPEngine):
         self._csr = None
         self._csr_kernel = None
 
-    def close(self) -> None:
-        """Release the execution backend's resources (worker processes,
-        published shared-memory frames)."""
-        super().close()
-        part = getattr(self.dgraph, "_csr_partition", None)
-        if part is not None:
-            part.release_shared()
-
     def attach_csr(self, program: ScaleGProgram):
         """The settled CSR mirror a run of ``program`` sweeps on, attached
         to the graph on first use; ``None`` when the run takes the dict
@@ -364,7 +356,7 @@ class ScaleGEngine(BSPEngine):
         else:
             self._ranked = program.rank_cache(graph)
         runtime = self._runtime
-        self._begin_run(program, states)
+        self._begin_run(program)
 
         superstep = 0
         ran_supersteps = 0
@@ -435,8 +427,8 @@ class ScaleGEngine(BSPEngine):
 
                 self._commit(states, new_states, dirty)
                 if sweep.csr is not None:
-                    # the sweep's own rows, written in place: a published
-                    # shared frame sees them without reshipping
+                    # the sweep's own rows, written in place; the process
+                    # runtime copies the bitmap into its frame per dispatch
                     self._csr.in_[sweep.csr.changed_idx] = \
                         sweep.csr.changed_val
 
@@ -503,9 +495,12 @@ class ScaleGEngine(BSPEngine):
                     )
                 own_metrics.observe(record, keep_record=keep_records)
                 if failover is not None:
-                    self._apply_membership_transitions(
-                        failover, injector, superstep, states,
-                        own_metrics, program.sync_bytes,
+                    # voluntary joins/drains due at this barrier — applied
+                    # after commit, so a crash raised this superstep has
+                    # already rolled back; costs quarantined in rebalance_*
+                    failover.barrier_transitions(
+                        superstep, states, own_metrics, program.sync_bytes,
+                        injector,
                     )
                 active = sorted(next_active)
                 superstep += 1
@@ -566,34 +561,14 @@ class ScaleGEngine(BSPEngine):
         return next_active
 
     # ------------------------------------------------------------------
-    def _apply_membership_transitions(
-        self, failover, injector, superstep: int, states: Dict[int, Any],
-        metrics: RunMetrics, sync_bytes,
-    ) -> None:
-        """Apply voluntary joins/drains due at this barrier's end.
-
-        Runs *after* commit, so a crash raised earlier this superstep has
-        already rolled back before any transition consumes (and the
-        injector's fire-once keys make a replayed barrier safe anyway).
-        A transition invalidates the published CSR frame: the partition's
-        structure version bumps so the next sweep reships it.
-        """
-        applied_before = len(failover.transitions)
-        failover.barrier_transitions(
-            superstep, states, metrics, sync_bytes, injector
-        )
-        if len(failover.transitions) > applied_before and self._csr is not None:
-            self._csr.mark_membership_change()
-
-    # ------------------------------------------------------------------
     def _recovery_sweep(self, program: ScaleGProgram, targets: List[int],
                         superstep: int, metrics: RunMetrics) -> None:
         """Re-examine the DOIMIS affected set after a failover.
 
         Every reconstructed host and each of its neighbours recomputes
         against the restored barrier states.  Reconstruction is exact —
-        surviving guest copies are barrier-fresh, the delta log and the
-        checkpoint are barrier snapshots — so this sweep *verifies* rather
+        surviving guest copies are barrier-fresh and the checkpoint is a
+        barrier snapshot — so this sweep *verifies* rather
         than repairs: state writes and activation requests are discarded
         (the replayed superstep redoes the real work), and the verification
         work is charged to ``recovery_compute_work`` so the logical meters

@@ -28,10 +28,11 @@ from repro.core.doimis import DOIMISMaintainer
 from repro.core.maintainer import MISMaintainer
 from repro.core.oimis import OIMISProgram, run_oimis
 from repro.core.weighted import WeightedMISMaintainer
-from repro.graph.csr import CSRPartition, WorkerCSRView, resolve_representation
+from repro.graph.csr import CSRPartition, resolve_representation
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.generators import barabasi_albert, chung_lu, erdos_renyi
 from repro.graph.updates import EdgeDeletion, EdgeInsertion
+from repro.runtime.parallel import ParallelRuntime, WorkerCSRView
 from repro.scaleg.engine import ScaleGEngine
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -147,40 +148,49 @@ def test_vertex_addition_triggers_rebuild():
     _assert_rows_equivalent(part, _fresh_mirror(dgraph))
 
 
+def _assert_view_mirrors(meta, part):
+    view = WorkerCSRView(meta)
+    try:
+        for name in ("ids", "keys", "indptr", "nbr", "home", "in_"):
+            assert np.array_equal(
+                getattr(view, name), getattr(part, name)
+            ), f"shared array {name} diverged"
+    finally:
+        view.close()
+
+
 def test_publish_shared_roundtrip():
     graph = erdos_renyi(25, 70, seed=8)
     dgraph = DistributedGraph.create(graph, 3)
     part = CSRPartition.attach(dgraph)
     part.ensure()
-    meta = part.publish_shared()
+    runtime = ParallelRuntime(procs=1)  # publishing spawns no process
     try:
-        assert part.publish_shared() is meta  # unchanged → cached meta
-        view = WorkerCSRView(meta)
-        try:
-            for name in ("ids", "keys", "indptr", "nbr", "home", "in_"):
-                assert np.array_equal(
-                    getattr(view, name), getattr(part, name)
-                ), f"shared array {name} diverged"
-        finally:
-            view.close()
+        meta = runtime._publish(part)
+        # unchanged structure: same segment, same layout epoch
+        assert runtime._publish(part) == meta
+        _assert_view_mirrors(meta, part)
     finally:
-        part.release_shared()
+        runtime.close()
 
 
 def test_republish_after_layout_shift_preserves_bitmap():
-    # regression: republishing into a *reused* segment after a repair
-    # that grew ``nbr`` shifts every later offset; the live shm-backed
-    # bitmap used to be clobbered by the earlier arrays' copies before
-    # it was read, poisoning master and workers alike
+    # a repair that grows ``nbr`` shifts every later offset in the reused
+    # segment; a worker must then see the master's current arrays and
+    # bitmap, and a partition too big for the segment moves to a new one
+    from multiprocessing import shared_memory
+
     graph = erdos_renyi(30, 60, seed=9)
     dgraph = DistributedGraph.create(graph, 3)
     part = CSRPartition.attach(dgraph)
     part.ensure()
-    part.publish_shared()
+    runtime = ParallelRuntime(procs=1)
     try:
+        first = runtime._publish(part)
         bitmap = np.zeros(part.ids.size, dtype=np.bool_)
         bitmap[::3] = True
-        part.in_[:] = bitmap  # master bitmap lives inside the segment
+        part.in_[:] = bitmap  # a barrier commit on the master's bitmap
+        nnz = part.nbr.size
         vertices = sorted(graph.vertices())
         added = []
         for u in vertices:
@@ -191,15 +201,22 @@ def test_republish_after_layout_shift_preserves_bitmap():
             if len(added) >= 5:
                 break
         part.ensure()
-        meta = part.publish_shared()  # same segment, shifted layout
+        assert part.nbr.size > nnz
+        meta = runtime._publish(part)  # same segment, shifted layout
+        assert meta[0] == first[0] and meta[1] == first[1] + 1
         assert np.array_equal(part.in_, bitmap)
-        view = WorkerCSRView(meta)
-        try:
-            assert np.array_equal(view.in_, bitmap)
-        finally:
-            view.close()
+        _assert_view_mirrors(meta, part)
+        big = CSRPartition.attach(
+            DistributedGraph.create(erdos_renyi(400, 1600, seed=9), 3)
+        )
+        big.ensure()
+        grown = runtime._publish(big)
+        assert grown[0] != first[0]
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=first[0])
+        _assert_view_mirrors(grown, big)
     finally:
-        part.release_shared()
+        runtime.close()
 
 
 def _topology(kind: str, n: int, seed: int):

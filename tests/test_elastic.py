@@ -356,16 +356,6 @@ class TestDrainedFaultExclusion:
 # satellite: CSR representation across transitions
 # ---------------------------------------------------------------------------
 class TestCSRTransitions:
-    def test_mark_membership_change_bumps_structure_version(self):
-        from repro.graph.csr import CSRPartition
-
-        graph = erdos_renyi(30, 60, seed=2)
-        dgraph = DistributedGraph(graph, HashPartitioner(3))
-        csr = CSRPartition(dgraph)
-        before = csr.structure_version
-        csr.mark_membership_change()
-        assert csr.structure_version == before + 1
-
     def test_transition_invalidates_published_csr_frame(self):
         graph, ops = _workload(n=50, m=120)
         plan = FaultPlan(seed=0, drains=(

@@ -15,7 +15,6 @@ from repro.core.doimis import DOIMISMaintainer
 from repro.core.maintainer import MISMaintainer
 from repro.core.oimis import OIMISProgram, independent_set_from_states
 from repro.errors import (
-    CheckpointError,
     SyncRetryExhausted,
     SuperstepLimitExceeded,
     WorkerFailure,
@@ -172,39 +171,6 @@ class TestSuperstepCheckpoint:
         states[9] = True
         ck.restore(states)
         assert 9 not in states
-
-    def test_payload_roundtrip(self):
-        states = {2: True, 1: False}
-        ck = SuperstepCheckpoint.capture(5, states, [1, 2])
-        payload = ck.to_payload()
-        assert payload["format"] == "repro-mis-superstep-checkpoint"
-        assert payload["version"] == 1
-        back = SuperstepCheckpoint.from_payload(payload)
-        assert back.superstep == 5
-        assert back.states == states
-        assert back.active == [1, 2]
-
-    def test_payload_with_guest_tables_still_loads(self):
-        # payloads once carried the guest directory; it is ignored now
-        payload = SuperstepCheckpoint.capture(2, {1: True, 4: False},
-                                              [4]).to_payload()
-        assert "guests" not in payload
-        back = SuperstepCheckpoint.from_payload(
-            dict(payload, guests={"1": [0, 2]})
-        )
-        assert (back.superstep, back.states, back.active) \
-            == (2, {1: True, 4: False}, [4])
-
-    def test_payload_validation(self):
-        with pytest.raises(CheckpointError, match="not a"):
-            SuperstepCheckpoint.from_payload({"format": "something-else"})
-        good = SuperstepCheckpoint.capture(0, {1: True}, [1]).to_payload()
-        bad_version = dict(good, version=99)
-        with pytest.raises(CheckpointError, match="version 99"):
-            SuperstepCheckpoint.from_payload(bad_version)
-        del good["states"]
-        with pytest.raises(CheckpointError, match="malformed"):
-            SuperstepCheckpoint.from_payload(good)
 
 
 class TestScaleGRecovery:

@@ -475,7 +475,8 @@ class TestSharedReadPath:
         service = shared_service
         self._drive(service, 80, 7)
         part = CSRPartition.attach(service.maintainer.dgraph)
-        assert part._bitmap_in_shm  # the sweeps ran over the shared frame
+        # the sweeps ran over the process runtime's shared frame ...
+        assert service.maintainer.runtime.frame_stats()["sweeps_dispatched"]
         snapshot = service.reads.latest()
         # ... but the epoch is a private copy the writer never touches
         assert not np.shares_memory(snapshot.in_, part.in_)

@@ -279,14 +279,14 @@ def test_csr_frame_sweep_matches_inline(faults, procs):
     runtime = ParallelRuntime(procs=procs, start_method="fork")
     try:
         runtime.bind(engine)
-        runtime.begin_run(program, states)
+        runtime.begin_run(program)
         frame = runtime.sweep_scaleg(active, 0)
     finally:
         runtime.close()
         engine.close()
     inline = InlineExecutor()
     inline.bind(engine)
-    inline.begin_run(program, states)
+    inline.begin_run(program)
     reference = inline.sweep_scaleg(active, 0)
     assert reference.changed and reference.compute_work
     assert _sweep_fields(frame) == _sweep_fields(reference)
@@ -456,21 +456,20 @@ def test_close_then_reuse_respawns_workers():
 def test_close_releases_workers_and_shared_segments(monkeypatch, tmp_path):
     """After ``close()``, and separately after a crash-style ``abandon()``,
     of a reads-on service over the process runtime, no worker process
-    survives and every segment the sweeps published is unlinked."""
+    survives and every segment the runtime published is unlinked."""
     from multiprocessing import shared_memory
 
-    from repro.graph.csr import CSRPartition
     from repro.serve import IngestionService
 
     segments = set()
-    publish = CSRPartition.publish_shared
+    publish = ParallelRuntime._publish
 
-    def recording_publish(self):
-        meta = publish(self)
+    def recording_publish(self, part):
+        meta = publish(self, part)
         segments.add(meta[0])
         return meta
 
-    monkeypatch.setattr(CSRPartition, "publish_shared", recording_publish)
+    monkeypatch.setattr(ParallelRuntime, "_publish", recording_publish)
     base = erdos_renyi(60, 150, seed=5)
     ops = delete_reinsert_workload(base, 10, seed=2)
     for teardown in ("close", "abandon"):
@@ -498,16 +497,19 @@ def test_close_releases_workers_and_shared_segments(monkeypatch, tmp_path):
                 shared_memory.SharedMemory(name=name)
 
 
-#: a caller-owned runtime shared by five engines over one array-built graph;
-#: prints the segments published and those still linked after ``close()``
+#: a caller-owned runtime shared by three maintainers dropped without
+#: ``close()`` and then five engines over one array-built graph; prints the
+#: segments the runtime published, then how many of them are linked after
+#: the maintainers, after ``gc.collect()``, after the engines and after
+#: ``close()``
 _CALLER_OWNED_RUNTIME_SCRIPT = """
 import gc
 from multiprocessing import shared_memory
 
 import numpy as np
 
+from repro.core.maintainer import MISMaintainer
 from repro.core.oimis import run_oimis
-from repro.graph.csr import CSRPartition
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import chung_lu
 from repro.runtime import ParallelRuntime
@@ -515,30 +517,41 @@ from repro.runtime import ParallelRuntime
 
 def main():
     names = set()
-    publish = CSRPartition.publish_shared
+    publish = ParallelRuntime._publish
 
-    def recording_publish(self):
-        meta = publish(self)
+    def recording_publish(self, part):
+        meta = publish(self, part)
         names.add(meta[0])
         return meta
 
-    CSRPartition.publish_shared = recording_publish
+    def linked():
+        count = 0
+        for name in sorted(names):
+            try:
+                shared_memory.SharedMemory(name=name).close()
+            except FileNotFoundError:
+                continue
+            count += 1
+        return count
+
+    ParallelRuntime._publish = recording_publish
     edges = np.array(chung_lu(2000, 8, 2.3, seed=1).sorted_edges(),
                      dtype=np.int64)
-    graph = DynamicGraph.from_edges(edges)
     runtime = ParallelRuntime(procs=2)
+    maintainers = [MISMaintainer.from_edges(edges, runtime=runtime)
+                   for _ in range(3)]
+    counts = [linked()]
+    del maintainers
+    gc.collect()
+    counts.append(linked())
+    graph = DynamicGraph.from_edges(edges)
     for _ in range(5):
         run_oimis(graph, runtime=runtime)
+    counts.append(linked())
     runtime.close()
-    linked = []
-    for name in sorted(names):
-        try:
-            shared_memory.SharedMemory(name=name).close()
-        except FileNotFoundError:
-            continue
-        linked.append(name)
+    counts.append(linked())
     gc.collect()
-    print(len(names), len(linked))
+    print(len(names), *counts)
 
 
 if __name__ == "__main__":
@@ -547,11 +560,11 @@ if __name__ == "__main__":
 
 
 def test_caller_owned_runtime_unlinks_every_segment_at_close(tmp_path):
-    """Engines never close a caller-owned runtime, so ``close()`` is where
-    the runtime unlinks every frame it swept on; a later garbage
-    collection of the engines' partitions must not touch that memory.
-    Runs in a subprocess (spawn start method, ``__main__`` guard) so a
-    crash fails the test instead of killing pytest."""
+    """A caller-owned runtime owns one segment whichever engines sweep
+    on it: dropped maintainers and garbage collection leave at most that
+    one linked, and ``close()`` unlinks it.  Runs in a subprocess (spawn
+    start method, ``__main__`` guard) so a crash fails the test instead of
+    killing pytest."""
     import subprocess
     import sys
 
@@ -563,9 +576,9 @@ def test_caller_owned_runtime_unlinks_every_segment_at_close(tmp_path):
         env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    published, linked = map(int, proc.stdout.split())
-    assert published == 5  # one frame per engine
-    assert linked == 0, proc.stdout
+    published, *linked = map(int, proc.stdout.split())
+    assert published == 1, proc.stdout  # one segment, reused by every engine
+    assert linked == [1, 1, 1, 0], proc.stdout
 
 
 # ---------------------------------------------------------------------------
