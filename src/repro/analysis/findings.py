@@ -95,7 +95,7 @@ RULES: Dict[str, Rule] = {
                 "returned sweep delta"
             ),
             hint=(
-                "build the write into the ScaleGSweep/PregelSweep result "
+                "build the write into the ScaleGSweep result "
                 "(new_states, changed, requests) and let the engine apply "
                 "it at the barrier; keep worker-local scratch self-rooted"
             ),

@@ -13,8 +13,8 @@ Unlike the vertex-program rules, the P family is scoped **by construct**,
 not by class ancestry, so ``repro-mis lint`` can run it over any tree
 without false positives outside the runtime layer:
 
-- **P1 (sweep purity)** fires inside *sweep scopes* — ``sweep_scaleg`` /
-  ``sweep_pregel`` methods and ``_worker_sweep_*`` functions.  Worker-side
+- **P1 (sweep purity)** fires inside *sweep scopes* — ``sweep_scaleg``
+  methods and ``_worker_sweep_*`` functions.  Worker-side
   sweep code may not mutate engine/graph/metrics state it did not create:
   no attribute or subscript stores, no mutator-method calls, no ``del``
   against the engine/host/graph/states/metrics roots (or any alias of
@@ -91,7 +91,7 @@ def _iter_functions(tree: ast.AST) -> Iterator[Tuple[ast.FunctionDef, Optional[a
 
 def _is_sweep_scope(func: ast.FunctionDef, cls: Optional[ast.ClassDef]) -> bool:
     return (
-        func.name in ("sweep_scaleg", "sweep_pregel")
+        func.name == "sweep_scaleg"
         or func.name.startswith("_worker_sweep")
     )
 
@@ -145,7 +145,7 @@ def _foreign_roots(func: ast.FunctionDef) -> Set[str]:
 def _collect_foreign_aliases(func: ast.FunctionDef, roots: Set[str]) -> Set[str]:
     """Names provably aliasing foreign state (attribute/subscript chains).
 
-    ``states = engine._states`` and ``aggs = host._aggregators`` alias;
+    ``states = engine._states`` and ``home = host.dgraph._home`` alias;
     wrapping the right-hand side in any call copies (or at least takes
     responsibility), so the target is no alias.  Mirrors the S1 alias
     analysis: two passes, order-free, rebinding to a non-alias anywhere

@@ -1,4 +1,4 @@
-"""Opt-in runtime checker for the BSP engines: the superstep race sanitizer.
+"""Opt-in runtime checker for the ScaleG engine: the superstep race sanitizer.
 
 The static rules prove what the AST can see; this module catches the rest
 at runtime.  A :class:`RaceSanitizer` wraps any
@@ -6,8 +6,8 @@ at runtime.  A :class:`RaceSanitizer` wraps any
 :class:`SanitizedBackend` that records per-worker read/write vertex sets
 each superstep and flags, as :class:`~repro.errors.RaceViolation`:
 
-- **mid-superstep-commit** — the sweep's read set (active vertices plus,
-  on ScaleG, their neighbours) changed between dispatch and return: a
+- **mid-superstep-commit** — the sweep's read set (active vertices plus
+  their neighbours) changed between dispatch and return: a
   program or worker wrote state before the barrier instead of returning it
   in the sweep delta (the double-buffer rule B1 and P1 ban statically).
   The violation names the first moved vertex in ascending order.
@@ -32,8 +32,8 @@ byte-identically under any ``PYTHONHASHSEED``.  Comparing two trace logs
 localizes a divergence to the first superstep whose read or write digest
 differs.  The convergence check adds no trace entry.
 
-Enabling: pass ``sanitize=True`` (or a :class:`RaceSanitizer`) to an
-engine/maintainer constructor; ``None`` and ``False`` leave it off.
+Enabling: pass ``sanitize=True`` (or a :class:`RaceSanitizer`) to a
+ScaleG engine or maintainer constructor; ``None`` and ``False`` leave it off.
 ``strict=True`` (default) raises on the first violation; ``strict=False``
 collects into :attr:`RaceSanitizer.violations` so a sweep can survey a
 whole run.
@@ -47,7 +47,7 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.verification import mis_violations
 from repro.errors import RaceViolation
-from repro.runtime.base import ExecutionBackend, PregelSweep, ScaleGSweep
+from repro.runtime.base import ExecutionBackend, ScaleGSweep
 
 #: keyed-hash domain for every trace digest — a fixed key (not the process
 #: hash seed) is what makes traces replayable under any ``PYTHONHASHSEED``
@@ -102,7 +102,9 @@ class SuperstepTrace:
     """One checked superstep's keyed-hash record (replayable evidence)."""
 
     superstep: int
-    mode: str  # "scaleg" | "pregel"
+    #: always ``"scaleg"``; kept because :meth:`digest` hashes it, so
+    #: traces stay comparable with earlier runs
+    mode: str
     #: keyed hash of the dispatched read set's (vertex, state) pairs
     read_digest: str
     #: logical worker -> keyed hash of its sorted written-vertex ids
@@ -227,7 +229,6 @@ class RaceSanitizer:
 
     def check_sweep(
         self,
-        mode: str,
         superstep: int,
         active: Iterable[int],
         read_order: List[int],
@@ -286,7 +287,7 @@ class RaceSanitizer:
                 )
         entry = SuperstepTrace(
             superstep=superstep,
-            mode=mode,
+            mode="scaleg",
             read_digest=_digest(after),
             write_digests={
                 w: _digest(str(u) for u in sorted(ids))
@@ -379,7 +380,6 @@ class SanitizedBackend(ExecutionBackend):
         sweep = self.inner.sweep_scaleg(active, superstep, draws)
         after = _state_material(states, read_order)
         self._pending = self.sanitizer.check_sweep(
-            "scaleg",
             superstep,
             active,
             read_order,
@@ -387,30 +387,6 @@ class SanitizedBackend(ExecutionBackend):
             after,
             sweep.changed,
             sweep.forced,
-            engine.dgraph.worker_of,
-        )
-        return sweep
-
-    def sweep_pregel(
-        self, states, active, superstep: int, inbox, draws=None
-    ) -> PregelSweep:
-        if self._pending is not None:
-            self.sanitizer._finalize_pending()
-            self._pending = None
-        engine = self._engine
-        read_order = sorted(set(active))
-        before = _state_material(states, read_order)
-        sweep = self.inner.sweep_pregel(states, active, superstep, inbox, draws)
-        after = _state_material(states, read_order)
-        self._pending = self.sanitizer.check_sweep(
-            "pregel",
-            superstep,
-            active,
-            read_order,
-            before,
-            after,
-            sorted(sweep.new_states),
-            (),
             engine.dgraph.worker_of,
         )
         return sweep

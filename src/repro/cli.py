@@ -124,9 +124,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     try:
         if args.algorithm == "oimis":
             if args.engine == "pregel":
-                run = run_oimis_pregel(
-                    graph, num_workers=args.workers, runtime=runtime
-                )
+                run = run_oimis_pregel(graph, num_workers=args.workers)
             else:
                 run = run_oimis(
                     graph, num_workers=args.workers,
@@ -742,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument(
         "--runtime", choices=("inline", "process"), default="inline",
         help="execution backend: inline (serial, default) or process "
-        "(multi-core worker pool; bit-identical results)",
+        "(multi-core worker pool; bit-identical results; scaleg only)",
     )
     compute.add_argument(
         "--procs", type=int, default=None, metavar="N",
@@ -1089,6 +1087,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error("--checkpoint-every must be >= 0")
         if args.checkpoint_every and not args.checkpoint:
             parser.error("--checkpoint-every needs --checkpoint PATH")
+    if (args.command == "compute" and args.engine == "pregel"
+            and args.runtime == "process"):
+        parser.error("--engine pregel runs inline only; drop --runtime process")
     if args.command == "generate" and args.model == "dataset" and not args.dataset:
         parser.error("generate dataset needs --dataset TAG")
     if args.command == "query":

@@ -198,9 +198,6 @@ class DisMISPregelProgram(PregelProgram):
             VERTEX_ID_BYTES + DEGREE_BYTES + STATUS_BYTES
         )
 
-    def contract_members(self, states: Dict[int, Dict[str, Any]]) -> Set[int]:
-        return {u for u, s in states.items() if s["status"] == Status.IN}
-
 
 class DisMISRun:
     """Outcome of a DisMIS computation."""
@@ -229,29 +226,31 @@ def run_dismis(
     """Compute the independent set of a static graph with DisMIS.
 
     ``engine`` selects ``"scaleg"`` (the paper's deployment, default) or
-    ``"pregel"`` (classic message passing).  ``runtime`` selects the
-    execution backend; a string-selected process runtime is closed before
-    returning, a backend instance stays owned by the caller.
+    ``"pregel"`` (classic message passing, which runs inline only: any
+    ``runtime`` but ``None``/``"inline"`` raises :class:`ValueError`).
+    ``runtime`` selects ScaleG's execution backend; a string-selected
+    process runtime is closed before returning, a backend instance stays
+    owned by the caller.
     """
     from repro.runtime.base import ExecutionBackend
 
-    dgraph = DistributedGraph(graph, partitioner or HashPartitioner(num_workers))
-    if engine == "scaleg":
-        bsp = ScaleGEngine(dgraph, runtime=runtime)
-        program = DisMISProgram()
-    elif engine == "pregel":
-        bsp = PregelEngine(dgraph, runtime=runtime)
-        program = DisMISPregelProgram()
-    else:
+    if engine not in ("scaleg", "pregel"):
         raise ValueError(f"unknown engine {engine!r}; use 'scaleg' or 'pregel'")
-    try:
-        result = bsp.run(program, metrics=metrics)
-    finally:
-        if not isinstance(runtime, ExecutionBackend):
-            bsp.close()
-    if engine == "scaleg":
-        statuses = dict(result.states)
-    else:
+    if engine == "pregel" and runtime not in (None, "inline"):
+        raise ValueError(
+            f"the Pregel engine runs inline only, not on runtime {runtime!r}"
+        )
+    dgraph = DistributedGraph(graph, partitioner or HashPartitioner(num_workers))
+    if engine == "pregel":
+        result = PregelEngine(dgraph).run(DisMISPregelProgram(), metrics=metrics)
         statuses = {u: s["status"] for u, s in result.states.items()}
+    else:
+        bsp = ScaleGEngine(dgraph, runtime=runtime)
+        try:
+            result = bsp.run(DisMISProgram(), metrics=metrics)
+        finally:
+            if not isinstance(runtime, ExecutionBackend):
+                bsp.close()
+        statuses = dict(result.states)
     independent = {u for u, s in statuses.items() if s == Status.IN}
     return DisMISRun(independent, statuses, result.metrics)

@@ -157,9 +157,6 @@ class OIMISPregelProgram(PregelProgram):
             VERTEX_ID_BYTES + DEGREE_BYTES + STATUS_BYTES
         )
 
-    def contract_members(self, states: Dict[int, Dict[str, Any]]) -> Set[int]:
-        return {u for u, s in states.items() if s["in"]}
-
 
 def independent_set_from_states(states: Dict[int, bool]) -> Set[int]:
     """Extract ``{u | u.in}`` from an OIMIS state map."""
@@ -211,18 +208,12 @@ def run_oimis_pregel(
     num_workers: int = 10,
     partitioner=None,
     metrics: Optional[RunMetrics] = None,
-    runtime=None,
 ) -> "OIMISRun":
     """Compute the independent set with the message-passing variant."""
     dgraph = DistributedGraph(
         graph, partitioner or HashPartitioner(num_workers)
     )
-    engine = PregelEngine(dgraph, runtime=runtime)
-    try:
-        result = engine.run(OIMISPregelProgram(), metrics=metrics)
-    finally:
-        if not isinstance(runtime, ExecutionBackend):
-            engine.close()
+    result = PregelEngine(dgraph).run(OIMISPregelProgram(), metrics=metrics)
     states = {u: s["in"] for u, s in result.states.items()}
     return OIMISRun(
         independent_set=independent_set_from_states(states),

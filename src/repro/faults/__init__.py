@@ -8,8 +8,8 @@ robustness oracle: the maintained set is the *unique* greedy fixpoint of
 - :class:`~repro.faults.plan.FaultPlan` — seeded, reproducible schedules of
   worker crashes, dropped/duplicated/reordered guest-sync records,
   straggler delays, permanent worker losses, and planned joins/drains;
-- :class:`~repro.faults.injector.FaultInjector` — the runtime the engines
-  consult at their interception points (sync emission, barrier commit,
+- :class:`~repro.faults.injector.FaultInjector` — the runtime the ScaleG
+  engine consults at its interception points (sync emission, barrier commit,
   worker sweep), with consumption semantics and a retry policy;
 - :mod:`~repro.faults.recovery` — superstep checkpoints and the
   rollback-and-replay cost model (guest-table rebuild from host state);

@@ -17,8 +17,8 @@ The injector is the mutable half of the fault layer: it wraps a pure
   ``recovery_backoff_s``); more drops than retries escalate to
   :class:`~repro.errors.SyncRetryExhausted`.
 
-One injector may serve many engine runs (an update stream); both engines
-accept it through their constructors.
+One injector may serve many engine runs (an update stream); the ScaleG
+engine and the maintainers accept it through their constructors.
 """
 
 from __future__ import annotations

@@ -308,21 +308,25 @@ class FailoverCoordinator:
     # ------------------------------------------------------------------
     # failover
     # ------------------------------------------------------------------
-    def _declare_lost(self, lost_workers: Iterable[int], superstep: int,
-                      checkpoint, states: Dict[int, Any], metrics, bytes_of):
-        """The head both failover paths share.
+    def fail_over(self, lost_workers: Iterable[int], superstep: int,
+                  checkpoint, states: Dict[int, Any], metrics,
+                  sync_bytes_of) -> List[int]:
+        """Handle permanent losses declared at this superstep's barrier.
 
-        Declares this barrier's lost workers dead, charges the detection
-        latency, and ships every lost host vertex its barrier value (from
-        a surviving guest copy or the barrier checkpoint, priced by
-        ``bytes_of``).  Returns ``(lost, old_eff, lost_hosts, affected)``:
-        the newly dead workers (empty when all were already dead), the
-        effective placement *before* the failover, the lost host vertices,
-        and the DOIMIS affected set (lost hosts + their neighbours).
+        Declares the workers dead, reassigns their partitions to survivors
+        (rendezvous, minimal), restores each lost host vertex to its
+        barrier value, re-prices guest-copy re-establishment, and returns
+        the DOIMIS affected set (lost hosts + their neighbours) for the
+        engine's recovery sweep.  A lost host ships from a surviving guest
+        copy (every copy is barrier-fresh: ScaleG syncs each change to
+        every guest machine) or, when every replica died with it, from the
+        barrier checkpoint.  All costs land on ``recovery_*``.
         """
+        from repro.scaleg.guest import surviving_guest_machines
+
         lost = sorted(w for w in set(lost_workers) if not self.view.is_dead(w))
         if not lost:
-            return [], {}, [], set()
+            return []
         if len(self._alive) - len(lost) < 1:
             raise WorkerFailure(
                 lost[0], superstep,
@@ -346,51 +350,11 @@ class FailoverCoordinator:
             state = checkpoint.states.get(u, states.get(u))
             metrics.recovery_resync_bytes += (
                 MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES
-                + (bytes_of(state) if state is not None else 8)
+                + (sync_bytes_of(state) if state is not None else 8)
             )
             metrics.recovery_resync_messages += 1
         metrics.recovery_reassigned_vertices += len(lost_hosts)
         metrics.recovery_reconstructed_vertices += len(lost_hosts)
-        return lost, old_eff, lost_hosts, affected
-
-    def _close_failover(self, lost: List[int], superstep: int,
-                        affected, sources: Dict[str, int], metrics) -> List[int]:
-        """Record the failover event; return the affected set to re-sweep."""
-        dgraph = self._dgraph
-        reactivate = sorted(u for u in affected if dgraph.has_vertex(u))
-        metrics.recovery_reactivated_vertices += len(reactivate)
-        self.events.append(FailoverEvent(
-            superstep=superstep,
-            workers=tuple(lost),
-            reassigned=sum(sources.values()),
-            sources=sources,
-        ))
-        return reactivate
-
-    def fail_over(self, lost_workers: Iterable[int], superstep: int,
-                  checkpoint, states: Dict[int, Any], metrics,
-                  sync_bytes_of) -> List[int]:
-        """Handle permanent losses declared at this superstep's barrier.
-
-        Declares the workers dead, reassigns their partitions to survivors
-        (rendezvous, minimal), restores each lost host vertex to its
-        barrier value, re-prices guest-copy re-establishment, and returns
-        the DOIMIS affected set (lost hosts + their neighbours) for the
-        engine's recovery sweep.  A lost host ships from a surviving guest
-        copy (every copy is barrier-fresh: ScaleG syncs each change to
-        every guest machine) or, when every replica died with it, from the
-        barrier checkpoint.  All costs land on ``recovery_*``.
-        """
-        from repro.scaleg.guest import surviving_guest_machines
-
-        lost, old_eff, lost_hosts, affected = self._declare_lost(
-            lost_workers, superstep, checkpoint, states, metrics,
-            sync_bytes_of,
-        )
-        if not lost:
-            return []
-        dgraph = self._dgraph
-        lost_set = set(lost)
         sources = {"guest": 0, "checkpoint": 0}
         for u in lost_hosts:
             replicated = surviving_guest_machines(
@@ -419,34 +383,14 @@ class FailoverCoordinator:
                     + (sync_bytes_of(state) if state is not None else 8)
                 )
                 metrics.recovery_resync_messages += 1
-        return self._close_failover(lost, superstep, affected, sources,
-                                    metrics)
-
-    def fail_over_degraded(self, lost_workers: Iterable[int], superstep: int,
-                           checkpoint, states: Dict[int, Any], metrics,
-                           state_bytes_of) -> List[int]:
-        """The Pregel counterpart: no guest copies.
-
-        A message-passing engine has no replicas of host state, so every
-        lost vertex is reconstructed from the persisted barrier checkpoint
-        (degraded: the whole partition ships from stable storage), and the
-        affected set is re-activated by explicit messages.
-        """
-        lost, _old_eff, lost_hosts, affected = self._declare_lost(
-            lost_workers, superstep, checkpoint, states, metrics,
-            state_bytes_of,
-        )
-        if not lost:
-            return []
-        reactivate = self._close_failover(
-            lost, superstep, affected,
-            {"guest": 0, "checkpoint": len(lost_hosts)}, metrics,
-        )
-        # re-activation travels as explicit messages in Pregel
-        metrics.recovery_resync_bytes += len(reactivate) * (
-            MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES
-        )
-        metrics.recovery_resync_messages += len(reactivate)
+        reactivate = sorted(u for u in affected if dgraph.has_vertex(u))
+        metrics.recovery_reactivated_vertices += len(reactivate)
+        self.events.append(FailoverEvent(
+            superstep=superstep,
+            workers=tuple(lost),
+            reassigned=sum(sources.values()),
+            sources=sources,
+        ))
         return reactivate
 
     # ------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Superstep checkpoints and recovery costing.
 
-ScaleG/Pregel recovery follows the classic BSP rollback protocol:
+ScaleG recovery follows the classic BSP rollback protocol:
 
 1. at the top of every superstep (while an injector is active) the engine
    captures a :class:`SuperstepCheckpoint` — vertex states and the pending
@@ -106,8 +106,8 @@ def guest_rebuild_cost(dgraph, crashed_workers, sync_bytes_of,
 @contextmanager
 def fault_barrier(injector, superstep: int, num_workers: int,
                   metrics) -> Iterator[Optional[BarrierDraws]]:
-    """One superstep's barrier fault step, the same for both engines and
-    every backend.  Wraps the compute sweep.
+    """One superstep's barrier fault step, the same on every backend.
+    Wraps the ScaleG compute sweep.
 
     On entry it draws the schedule once, in the order the barrier consumes
     it: straggler delays per worker, then losses, then crashes — crashes

@@ -1,17 +1,6 @@
-"""Classic message-passing Pregel runtime (simulated BSP cluster)."""
+"""Classic message-passing Pregel engine: the paper's baseline."""
 
 from repro.pregel.engine import PregelContext, PregelEngine, PregelProgram, PregelResult
-from repro.pregel.library import (
-    BFSProgram,
-    ConnectedComponentsProgram,
-    DegreeStatsProgram,
-    PageRankProgram,
-    bfs_distances,
-    component_members,
-    connected_components,
-    degree_stats,
-    pagerank,
-)
 from repro.pregel.message import Message
 from repro.pregel.metrics import RunMetrics, SuperstepRecord
 from repro.pregel.partition import (
@@ -23,16 +12,7 @@ from repro.pregel.partition import (
 )
 
 __all__ = [
-    "BFSProgram",
-    "ConnectedComponentsProgram",
-    "DegreeStatsProgram",
     "ExplicitPartitioner",
-    "PageRankProgram",
-    "bfs_distances",
-    "component_members",
-    "connected_components",
-    "degree_stats",
-    "pagerank",
     "HashPartitioner",
     "Message",
     "Partitioner",

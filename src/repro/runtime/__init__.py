@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the BSP engines.
+"""Pluggable execution backends for the ScaleG engine.
 
 ``InlineExecutor`` (default) runs every logical worker serially in the
 calling process; ``ParallelRuntime`` fans the compute sweep out over
@@ -13,7 +13,6 @@ from repro.runtime.base import (
     BSPEngine,
     ExecutionBackend,
     InlineExecutor,
-    PregelSweep,
     ScaleGSweep,
     resolve_runtime,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "ExecutionBackend",
     "InlineExecutor",
     "ParallelRuntime",
-    "PregelSweep",
     "ScaleGSweep",
     "resolve_runtime",
 ]

@@ -1,8 +1,9 @@
-"""Pluggable execution backends for the BSP engines.
+"""Pluggable execution backends for the ScaleG engine.
 
-Both engines (:class:`~repro.scaleg.engine.ScaleGEngine` and
-:class:`~repro.pregel.engine.PregelEngine`) drive their per-superstep
-*compute sweep* through an :class:`ExecutionBackend`:
+:class:`~repro.scaleg.engine.ScaleGEngine` drives its per-superstep
+*compute sweep* through an :class:`ExecutionBackend` (the message-passing
+:class:`~repro.pregel.engine.PregelEngine` baseline runs its own inline
+loop):
 
 - :class:`InlineExecutor` — today's behavior and the default: all logical
   workers execute serially in the calling process.  This is the reference
@@ -11,14 +12,14 @@ Both engines (:class:`~repro.scaleg.engine.ScaleGEngine` and
   processes that sweep CSR-kernel programs over a shared-memory frame;
   only per-superstep row indices and typed deltas cross the pipe.
 
-Both engines subclass :class:`BSPEngine`, which resolves the engine
+The engine subclasses :class:`BSPEngine`, which resolves the engine
 options once and owns the backend.
 
 The contract that makes backends interchangeable: a sweep is a *pure
 function* of ``(states as of the last barrier, active set, superstep)``.
 Everything order-sensitive — barrier commit, sync charging, activation
 filtering, fault processing, recovery — stays in the engine, fed from the
-:class:`ScaleGSweep` / :class:`PregelSweep` the backend returns.  The
+:class:`ScaleGSweep` the backend returns.  The
 backend merges per-partition results in partition order (ascending vertex
 id within the sweep), so members, ``members_checksum`` and every logical
 meter are bit-identical across backends; ``bench-perf --check`` and the
@@ -93,21 +94,11 @@ class ScaleGSweep:
     csr: Any = None
 
 
-@dataclass
-class PregelSweep:
-    """One Pregel compute sweep's outcome, merged in partition order."""
-
-    #: vertex -> new state for every vertex whose state changed
-    new_states: Dict[int, Any]
-    compute_work: int
-    worker_work: List[int]
-
-
 class ExecutionBackend:
     """Interface every execution backend implements.
 
     Lifecycle: ``bind(engine)`` once per run entry, ``begin_run`` after the
-    engine resolved the program, then one ``sweep_*`` call per
+    engine resolved the program, then one ``sweep_scaleg`` call per
     superstep (``draws`` is the barrier fault schedule, or ``None`` when no
     fault plan is attached), ``commit`` after each barrier that commits,
     and ``close`` when the owning engine/maintainer is done.
@@ -125,11 +116,6 @@ class ExecutionBackend:
     def sweep_scaleg(self, active, superstep: int, draws=None) -> ScaleGSweep:
         raise NotImplementedError  # pragma: no cover - interface
 
-    def sweep_pregel(
-        self, states, active, superstep: int, inbox, draws=None
-    ) -> PregelSweep:
-        raise NotImplementedError  # pragma: no cover - interface
-
     def commit(self, new_states: Dict[int, Any]) -> None:
         """A barrier committed ``new_states`` into the master states."""
 
@@ -140,7 +126,7 @@ class ExecutionBackend:
 class InlineExecutor(ExecutionBackend):
     """Serial in-process execution — the reference backend.
 
-    The sweep bodies below are the engines' original hot loops, moved
+    The sweep body below is the engine's original hot loop, moved
     verbatim; every instruction that touches a meter runs in the same
     order, so this backend *defines* bit-identity.
     """
@@ -210,34 +196,9 @@ class InlineExecutor(ExecutionBackend):
             worker_work=worker_work,
         )
 
-    # -- Pregel ---------------------------------------------------------
-    def sweep_pregel(
-        self, states, active, superstep: int, inbox, draws=None
-    ) -> PregelSweep:
-        engine = self._engine
-        worker_of = engine.dgraph.worker_of
-        from repro.pregel.engine import PregelContext
-
-        program_compute = self._program.compute
-        worker_work = [0] * engine.dgraph.num_workers
-        compute_work = 0
-        new_states: Dict[int, Any] = {}
-        for u in active:
-            ctx = PregelContext(engine, u, superstep, inbox.get(u, []), states[u])
-            program_compute(ctx)
-            compute_work += ctx._work
-            worker_work[worker_of(u)] += max(ctx._work, 1)
-            if ctx._changed:
-                new_states[u] = ctx._new_state
-        return PregelSweep(
-            new_states=new_states,
-            compute_work=compute_work,
-            worker_work=worker_work,
-        )
-
 
 def resolve_runtime(runtime, procs: Optional[int] = None) -> ExecutionBackend:
-    """Resolve the engine constructors' ``runtime=`` argument.
+    """Resolve the engine constructor's ``runtime=`` argument.
 
     ``None`` or ``"inline"`` build an :class:`InlineExecutor`; ``"process"``
     builds a :class:`~repro.runtime.parallel.ParallelRuntime` with ``procs``
@@ -259,7 +220,7 @@ def resolve_runtime(runtime, procs: Optional[int] = None) -> ExecutionBackend:
 
 
 class BSPEngine:
-    """The core both BSP engines share.
+    """The core of :class:`~repro.scaleg.engine.ScaleGEngine`.
 
     Resolves the engine options once, owns the execution backend (wrapped
     in the race sanitizer when one is on), and supplies the protocol-free

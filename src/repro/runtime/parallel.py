@@ -48,10 +48,11 @@ The frame belongs to the sweep protocol alone: the snapshot read path
 (:mod:`repro.serve.reads`) publishes private array copies and never
 talks to the workers.  Frames carry only numpy arrays, tuples and
 primitives — no program, state or graph object is ever pickled.  A
-sweep with no CSR kernel (the Pregel engine, DisMIS, the weighted
-program, ``representation="dict"``) is refused by
+sweep with no CSR kernel (DisMIS, the weighted program,
+``representation="dict"``) is refused by
 :meth:`ParallelRuntime.begin_run` before any process spawns; such
-programs run on the inline runtime.
+programs run on the inline runtime.  The Pregel engine takes no runtime
+at all.
 """
 
 from __future__ import annotations

@@ -10,13 +10,12 @@ from repro.analysis.parallel import (
     resolve_sanitizer,
 )
 from repro.analysis.parallel.sanitize import run_sanitize_case
-from repro.core.oimis import OIMISProgram, OIMISPregelProgram
+from repro.core.oimis import OIMISProgram
 from repro.errors import RaceViolation
 from repro.faults.chaos import CHAOS_WORKLOADS
 from repro.graph import generators
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.pregel.engine import PregelEngine
 from repro.pregel.metrics import RunMetrics
 from repro.pregel.partition import HashPartitioner
 from repro.runtime.base import InlineExecutor
@@ -203,14 +202,6 @@ def test_oimis_scaleg_passes_sanitizer():
     assert sanitizer.runs_checked == 1
     assert sanitizer.violations == []
     assert engine.sanitizer is sanitizer
-
-
-def test_oimis_pregel_passes_sanitizer():
-    sanitizer = RaceSanitizer()
-    engine = PregelEngine(_dgraph(_er_graph(), 4), sanitize=sanitizer)
-    engine.run(OIMISPregelProgram())
-    assert sanitizer.supersteps_checked > 0
-    assert sanitizer.violations == []
 
 
 def test_trace_digest_is_deterministic_across_runs():

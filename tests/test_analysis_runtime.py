@@ -7,7 +7,7 @@ from repro.analysis.parallel import RaceSanitizer
 from repro.bench.workloads import delete_reinsert_workload
 from repro.core.dismis import DisMISProgram, Status, run_dismis
 from repro.core.maintainer import MISMaintainer
-from repro.core.oimis import OIMISProgram, OIMISPregelProgram
+from repro.core.oimis import OIMISProgram
 from repro.errors import RaceViolation
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.generators import erdos_renyi, path_graph
@@ -43,10 +43,6 @@ class _LyingProgram(OIMISProgram):
         return set(states)
 
 
-class _LyingPregelProgram(OIMISPregelProgram):
-    contract_members = _LyingProgram.contract_members
-
-
 # -- double-buffer isolation --
 def test_in_place_mutation_raises_at_barrier():
     engine = ScaleGEngine(_dgraph(path_graph(6)), sanitize=True)
@@ -79,10 +75,6 @@ def test_oimis_scaleg_passes_contracts():
     assert any(_checked_run(ScaleGEngine, graph, OIMISProgram()).states.values())
 
 
-def test_oimis_pregel_passes_contracts():
-    _checked_run(PregelEngine, erdos_renyi(60, 150, seed=9), OIMISPregelProgram())
-
-
 def test_dismis_results_unchanged_by_contracts():
     graph = erdos_renyi(60, 150, seed=2)
     result = _checked_run(ScaleGEngine, graph, DisMISProgram())
@@ -104,7 +96,6 @@ def _lying_run(engine_cls, program):
 
 def test_lying_contract_members_raises_independence():
     assert _lying_run(ScaleGEngine, _LyingProgram()) == "independence"
-    assert _lying_run(PregelEngine, _LyingPregelProgram()) == "independence"
 
 
 def _first_failure(n, members):
@@ -146,4 +137,6 @@ def test_contracts_off_by_default():
     with pytest.raises(TypeError):
         ScaleGEngine(dgraph, **{"contracts": True})  # option deleted
     with pytest.raises(TypeError):
-        PregelEngine(dgraph, None)  # engine options are keyword-only
+        ScaleGEngine(dgraph, None)  # engine options are keyword-only
+    with pytest.raises(TypeError):
+        PregelEngine(dgraph, sanitize=True)  # the Pregel baseline has none

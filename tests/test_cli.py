@@ -58,10 +58,13 @@ class TestCompute:
         main(["compute", path, "--engine", "pregel", "--algorithm", "oimis", "-o", str(b)])
         assert a.read_text() == b.read_text()
 
-    def test_process_runtime_refuses_pregel(self, graph_file, capsys):
-        path, _ = graph_file
-        assert main(["compute", path, "--engine", "pregel",
-                     "--runtime", "process", "--procs", "2"]) == 1
+    def test_process_runtime_refuses_pregel(self, tmp_path, capsys):
+        # an argparse error before the graph is read: the path need not exist
+        missing = str(tmp_path / "no-such-graph.txt")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compute", missing, "--engine", "pregel",
+                  "--runtime", "process", "--procs", "2"])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "inline" in err
         assert "Traceback" not in err

@@ -50,6 +50,19 @@ class TestResults:
         with pytest.raises(ValueError):
             run_dismis(path_graph(3), engine="spark")
 
+    def test_pregel_refuses_a_runtime_before_building_the_engine(
+        self, monkeypatch
+    ):
+        assert run_dismis(path_graph(3), engine="pregel",
+                          runtime="inline").independent_set == {0, 2}
+
+        def no_engine(dgraph):
+            raise AssertionError("engine built before the runtime check")
+
+        monkeypatch.setattr("repro.core.dismis.PregelEngine", no_engine)
+        with pytest.raises(ValueError, match="inline only"):
+            run_dismis(path_graph(3), engine="pregel", runtime="process")
+
 
 class TestTheorem41:
     """DisMIS(G) == OIMIS(G) on both engines."""

@@ -46,7 +46,6 @@ from repro.faults.chaos import (
 )
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.generators import erdos_renyi
-from repro.pregel.engine import PregelEngine
 from repro.pregel.metrics import RunMetrics
 from repro.pregel.partition import HashPartitioner
 from repro.runtime import ParallelRuntime
@@ -279,27 +278,6 @@ class TestElasticBitIdentity:
         assert len(events) == 1
         assert events[0].moved == residents
 
-    def test_pregel_engine_applies_transitions(self):
-        graph = erdos_renyi(50, 120, seed=5)
-        from repro.core.oimis import OIMISPregelProgram
-
-        def run(faults):
-            dgraph = DistributedGraph(graph.copy(), HashPartitioner(5))
-            engine = PregelEngine(dgraph, faults=faults)
-            metrics = RunMetrics(num_workers=5)
-            engine.run(OIMISPregelProgram(), metrics=metrics)
-            return engine, metrics
-
-        _ref_engine, ref_metrics = run(None)
-        plan = FaultPlan(seed=0, drains=(
-            DrainSpec(superstep=1, worker=1, run=0),
-        ))
-        engine, metrics = run(FaultInjector(plan))
-        assert metrics.logical() == ref_metrics.logical()
-        assert metrics.rebalance_drains == 1
-        assert engine.failover is not None
-        assert engine.failover.epoch == 1
-
     def test_drain_racing_crash_converges(self):
         result = run_chaos_case(CHAOS_WORKLOADS[0], "drain-crash-race", 0)
         assert result.ok, result.failures
@@ -356,23 +334,6 @@ class TestDrainedFaultExclusion:
 # satellite: CSR representation across transitions
 # ---------------------------------------------------------------------------
 class TestCSRTransitions:
-    def test_transition_invalidates_published_csr_frame(self):
-        graph, ops = _workload(n=50, m=120)
-        plan = FaultPlan(seed=0, drains=(
-            DrainSpec(superstep=0, worker=1, run=1),
-        ))
-        maintainer = DOIMISMaintainer(
-            graph.copy(), num_workers=4,
-            strategy=ActivationStrategy.SAME_STATUS,
-            faults=FaultInjector(plan), representation="csr",
-        )
-        csr = maintainer._engine._csr
-        assert csr is not None
-        before = csr.structure_version
-        maintainer.apply_stream(ops, batch_size=10)
-        assert maintainer.failover.epoch == 1
-        assert csr.structure_version > before
-
     @pytest.mark.parametrize("procs", [1, 2, 4])
     def test_csr_elastic_bit_identical_across_procs(self, procs):
         graph, ops = _workload(n=50, m=120)

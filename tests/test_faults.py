@@ -10,7 +10,6 @@ meters — all overhead lands on the ``recovery_*`` family.
 import pytest
 
 from repro.core.activation import ActivationStrategy
-from repro.core.dismis import DisMISPregelProgram
 from repro.core.doimis import DOIMISMaintainer
 from repro.core.maintainer import MISMaintainer
 from repro.core.oimis import OIMISProgram, independent_set_from_states
@@ -32,7 +31,6 @@ from repro.faults import (
 )
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.generators import erdos_renyi, path_graph
-from repro.pregel.engine import PregelEngine
 from repro.pregel.partition import HashPartitioner
 from repro.scaleg.engine import ScaleGEngine
 
@@ -242,63 +240,6 @@ class TestScaleGRecovery:
         with pytest.raises(SuperstepLimitExceeded):
             engine.run(program, states=states, max_supersteps=1)
         # no partially converged superstep leaks into the caller's states
-        assert states == original
-
-
-class TestPregelRecovery:
-    def test_crash_replay_matches_fault_free(self):
-        graph = erdos_renyi(60, 180, seed=21)
-        program = DisMISPregelProgram()
-        reference = PregelEngine(_dgraph(graph.copy())).run(program)
-
-        injector = FaultInjector(
-            FaultPlan(crashes=(CrashSpec(superstep=1, worker=0, run=0),))
-        )
-        faulted = PregelEngine(_dgraph(graph.copy()), faults=injector).run(program)
-
-        assert injector.stats.crashes == 1
-        assert faulted.metrics.recovery_crashes == 1
-        assert faulted.metrics.recovery_replayed_supersteps == 1
-        assert (program.contract_members(faulted.states)
-                == program.contract_members(reference.states))
-        assert faulted.metrics.logical() == reference.metrics.logical()
-
-    def test_seeded_mixed_faults_match_fault_free(self):
-        graph = erdos_renyi(50, 150, seed=22)
-        program = DisMISPregelProgram()
-        reference = PregelEngine(_dgraph(graph.copy())).run(program)
-        injector = FaultInjector(FaultPlan(
-            seed=4, crash_prob=0.05, drop_prob=0.02, duplicate_prob=0.02,
-            reorder_prob=1.0,
-        ))
-        faulted = PregelEngine(_dgraph(graph.copy()), faults=injector).run(program)
-        assert injector.stats.total > 0
-        assert (program.contract_members(faulted.states)
-                == program.contract_members(reference.states))
-        assert faulted.metrics.logical() == reference.metrics.logical()
-
-    def test_aggregates_survive_crash_replay(self):
-        # DisMIS uses a SumAggregator; the aborted sweep's contributions
-        # must not double-count after rollback-and-replay
-        graph = erdos_renyi(50, 150, seed=23)
-        program = DisMISPregelProgram()
-        reference = PregelEngine(_dgraph(graph.copy())).run(program)
-        injector = FaultInjector(
-            FaultPlan(crashes=(CrashSpec(superstep=2, worker=1, run=0),))
-        )
-        faulted = PregelEngine(_dgraph(graph.copy()), faults=injector).run(program)
-        assert faulted.aggregates == reference.aggregates
-
-    def test_superstep_limit_restores_states(self):
-        graph = erdos_renyi(40, 120, seed=24)
-        dgraph = _dgraph(graph)
-        program = DisMISPregelProgram()
-        states = {u: program.initial_state(dgraph, u)
-                  for u in graph.vertices()}
-        original = {u: s for u, s in states.items()}
-        engine = PregelEngine(dgraph)
-        with pytest.raises(SuperstepLimitExceeded):
-            engine.run(program, states=states, max_supersteps=1)
         assert states == original
 
 

@@ -21,7 +21,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core.dismis import DisMISPregelProgram
 from repro.core.doimis import DOIMISMaintainer
 from repro.core.maintainer import MISMaintainer
 from repro.errors import CheckpointError
@@ -40,7 +39,6 @@ from repro.faults.membership import DETECTION_LATENCY_S
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.generators import erdos_renyi
 from repro.graph.rank_cache import degree_rank_key
-from repro.pregel.engine import PregelEngine
 from repro.pregel.partition import HashPartitioner
 
 _SRC_ROOT = str(Path(repro.__file__).resolve().parents[1])
@@ -329,47 +327,6 @@ class TestScaleGFailover:
         assert faulted.init_metrics.logical() == reference.init_metrics.logical()
         assert _recovery_total(reference.init_metrics) == 0
         assert _recovery_total(faulted.init_metrics) > 0
-
-
-# ---------------------------------------------------------------------------
-# degraded Pregel counterpart
-# ---------------------------------------------------------------------------
-class TestPregelFailover:
-    def test_loss_matches_fault_free(self):
-        graph = erdos_renyi(60, 180, seed=21)
-        program = DisMISPregelProgram()
-        reference = PregelEngine(_dgraph(graph.copy())).run(program)
-        injector = FaultInjector(
-            FaultPlan(losses=(LossSpec(superstep=1, worker=2, run=0),))
-        )
-        engine = PregelEngine(_dgraph(graph.copy()), faults=injector)
-        faulted = engine.run(program)
-        assert injector.stats.losses == 1
-        assert engine.failover is not None
-        assert engine.failover.dead_workers == [2]
-        assert (program.contract_members(faulted.states)
-                == program.contract_members(reference.states))
-        assert faulted.metrics.logical() == reference.metrics.logical()
-        assert faulted.metrics.recovery_failovers == 1
-        # degraded path: everything reloads from the barrier checkpoint
-        (event,) = engine.failover.events
-        assert event.sources["guest"] == 0
-        assert event.sources["checkpoint"] == event.reassigned
-
-    def test_injected_stragglers_never_trigger_failover(self):
-        graph = erdos_renyi(50, 150, seed=22)
-        program = DisMISPregelProgram()
-        plan = FaultPlan(losses=(_DORMANT_LOSS,), stragglers=tuple(
-            StragglerSpec(superstep=s, worker=0,
-                          delay_s=100 * DETECTION_LATENCY_S, run=0)
-            for s in range(4)
-        ))
-        injector = FaultInjector(plan)
-        engine = PregelEngine(_dgraph(graph.copy()), faults=injector)
-        engine.run(program)
-        assert injector.stats.stragglers > 0
-        assert engine.failover.dead_workers == []
-        assert engine.failover.events == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,11 @@
 
 import pytest
 
+from repro.core.dismis import DisMISPregelProgram
 from repro.errors import SuperstepLimitExceeded
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.generators import path_graph, star_graph
-from repro.pregel.aggregator import SumAggregator
-from repro.pregel.combiner import DedupCombiner
+from repro.graph.generators import erdos_renyi, path_graph
 from repro.pregel.engine import PregelEngine, PregelProgram
 from repro.pregel.partition import ExplicitPartitioner, HashPartitioner
 
@@ -133,42 +132,15 @@ class TestCosts:
         assert result.metrics.messages == 0
 
 
-class TestCombinersAndAggregators:
-    def test_dedup_combiner_reduces_traffic(self):
-        g = star_graph(5)
-
-        class Noisy(PregelProgram):
-            def initial_state(self, dgraph, u):
-                return None
-
-            def compute(self, ctx):
-                if ctx.superstep == 0 and ctx.vertex != 0:
-                    # every leaf sends the same payload to the centre twice
-                    ctx.send(0, "ping", 8)
-                    ctx.send(0, "ping", 8)
-
-            def combiner(self):
-                return DedupCombiner()
-
-        result = PregelEngine(_dgraph(g, 2, {u: u % 2 for u in range(6)})).run(Noisy())
-        # per sending worker at most one "ping" survives to the centre
-        assert result.metrics.messages <= 2
-
-    def test_sum_aggregator_visible_next_superstep(self, path5):
-        class Counting(PregelProgram):
-            def initial_state(self, dgraph, u):
-                return None
-
-            def compute(self, ctx):
-                if ctx.superstep == 0:
-                    ctx.aggregate("actives", 1)
-                    ctx.broadcast("x", 1)
-                else:
-                    ctx.set_state(ctx.aggregated("actives"))
-
-            def aggregators(self):
-                return {"actives": SumAggregator()}
-
-        result = PregelEngine(_dgraph(path5)).run(Counting())
-        assert all(result.states[u] == 5 for u in path5.vertices())
-        assert result.aggregates["actives"] == 0  # last superstep contributed nothing
+class TestPregelRecovery:
+    def test_superstep_limit_restores_states(self):
+        graph = erdos_renyi(40, 120, seed=24)
+        dgraph = _dgraph(graph, workers=4)
+        program = DisMISPregelProgram()
+        states = {u: program.initial_state(dgraph, u)
+                  for u in graph.vertices()}
+        original = {u: s for u, s in states.items()}
+        engine = PregelEngine(dgraph)
+        with pytest.raises(SuperstepLimitExceeded):
+            engine.run(program, states=states, max_supersteps=1)
+        assert states == original

@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from repro.core.activation import ActivationStrategy
 from repro.core.maintainer import MISMaintainer
 from repro.core.oimis import (
-    OIMISPregelProgram,
     OIMISProgram,
     independent_set_from_states,
     run_oimis,
@@ -46,7 +45,6 @@ from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import erdos_renyi, path_graph
 from repro.graph.updates import EdgeDeletion, EdgeInsertion
-from repro.pregel.engine import PregelEngine
 from repro.pregel.metrics import FAMILIES, LOGICAL_METERS, RunMetrics
 from repro.pregel.partition import HashPartitioner
 from repro.runtime import (
@@ -213,8 +211,8 @@ def _chaos_run(plan: FaultPlan, runtime=None):
     return independent_set_from_states(result.states), result.metrics
 
 
-# the process runtime sweeps CSR kernels only, so ScaleG is the one engine
-# these cases run on (Pregel is refused, see below); the ids name it
+# the process runtime sweeps CSR kernels only, and ScaleG is the one engine
+# that takes a runtime; the ids name it
 @pytest.mark.parametrize("case", sorted(_FAULT_CASES),
                          ids=lambda case: f"{case}-scaleg")
 def test_chaos_equivalence(case, proc_runtime):
@@ -300,10 +298,6 @@ def test_csr_frame_sweep_matches_inline(faults, procs):
 # ---------------------------------------------------------------------------
 # sweeps without a CSR kernel are refused before any process spawns
 # ---------------------------------------------------------------------------
-def _run_pregel_oimis(dgraph, runtime):
-    PregelEngine(dgraph, runtime=runtime).run(OIMISPregelProgram())
-
-
 def _run_dismis_scaleg(dgraph, runtime):
     ScaleGEngine(dgraph, runtime=runtime).run(DisMISProgram())
 
@@ -315,7 +309,6 @@ def _run_dict_scaleg(dgraph, runtime):
 
 
 _NO_KERNEL_RUNS = {
-    "pregel-oimis": _run_pregel_oimis,
     "scaleg-dismis": _run_dismis_scaleg,
     "scaleg-dict": _run_dict_scaleg,
 }
