@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -1076,8 +1077,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StdoutGuard:
+    """``sys.stdout`` while :func:`main` runs.
+
+    A reader that closes the pipe early (``repro-mis compute g.txt |
+    head -1``) silences the rest of the output, which goes to
+    ``os.devnull`` from then on, and the command runs to its end: it
+    writes the files and checkpoints it was asked for and exits with the
+    status it would have had if every line had been read.  No traceback.
+    """
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            return self.stream.write(text)
+        except BrokenPipeError:
+            self._silence()
+            return len(text)
+
+    def flush(self) -> None:
+        try:
+            self.stream.flush()
+        except BrokenPipeError:
+            self._silence()
+
+    def _silence(self) -> None:
+        # point the descriptor at /dev/null: what is still buffered, and
+        # the interpreter's flush at exit, then go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, self.stream.fileno())
+        finally:
+            os.close(devnull)
+
+    def __getattr__(self, name: str):
+        return getattr(self.stream, name)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point (returns the process exit code)."""
+    """CLI entry point (returns the process exit code).  A closed stdout
+    does not stop a command (see :class:`_StdoutGuard`)."""
+    guard = _StdoutGuard(sys.stdout)
+    sys.stdout = guard
+    try:
+        return _main(argv)
+    finally:
+        guard.flush()
+        sys.stdout = guard.stream
+
+
+def _main(argv: Optional[List[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "maintain":

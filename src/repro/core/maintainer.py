@@ -94,22 +94,35 @@ class MISMaintainer(DOIMISMaintainer):
         ``version``, ``num_workers``, ``strategy``, ``updates_applied``,
         ``n``, ``nnz`` and ``crc32``, the CRC-32 of everything after the
         header), then four ``np.save`` blocks: ``ids``, ``indptr``, ``nbr``
-        (neighbour row indices) and the membership bitmap.  The arrays are
-        the attached CSR mirror's; a ``representation="dict"`` maintainer
-        builds them with :func:`~repro.graph.csr.csr_arrays` and attaches
-        no mirror.  The stored set is the fixpoint already, so a restore
-        recomputes nothing (:meth:`load` only verifies it).
+        (neighbour row indices) and the membership bitmap.  The arrays,
+        bitmap included, are those of the CSR mirror the engine sweeps on
+        (its bitmap is synced from the state dict first when a rebuild
+        left it stale).  A ``representation="dict"`` maintainer takes the
+        members from its state dict, and the structure from the mirror if
+        the read path attached one, else from
+        :func:`~repro.graph.csr.csr_arrays`.  The stored set is the
+        fixpoint already, so a restore recomputes nothing (:meth:`load`
+        only verifies it).
         """
-        part = getattr(self._dgraph, "_csr_partition", None)
+        members = None
+        part = self._engine.attach_csr(self._program)
         if part is not None:
-            part.ensure()
+            if not part.states_synced:
+                part.sync_states(self._states)
+            members = part.in_
+        else:
+            part = getattr(self._dgraph, "_csr_partition", None)
+            if part is not None:
+                part.ensure()
+        if part is not None:
             ids, indptr, nbr = part.ids, part.indptr, part.nbr
         else:
             ids, indptr, nbr = csr_arrays(self.graph)
-        members = np.fromiter(
-            map(self._states.__getitem__, ids.tolist()), np.bool_,
-            count=ids.size,
-        )
+        if members is None:
+            members = np.fromiter(
+                map(self._states.__getitem__, ids.tolist()), np.bool_,
+                count=ids.size,
+            )
         body = io.BytesIO()
         for array in (ids, indptr, nbr, members):
             np.save(body, array, allow_pickle=False)

@@ -16,8 +16,13 @@ view so a whole superstep sweep becomes a few vectorized numpy passes:
 - ``home``     — the owning logical worker per row
   (:func:`repro.pregel.partition.home_array`);
 - ``in_``      — the packed membership bitmap (one ``bool`` per row),
-  synced from the engine's state dict at run entry and updated in place
-  from each kernel sweep's changed rows at every barrier commit;
+  synced from the engine's state dict at run entry (a static run starts
+  it from the kernel's initial states instead, and keeps its states
+  nowhere else) and updated in place from each kernel sweep's changed
+  rows at every barrier commit.  ``states_synced`` says whether it holds
+  the states the engine last committed: a rebuild leaves a placeholder
+  until the next sync, which checkpoints
+  (:meth:`~repro.core.maintainer.MISMaintainer.save`) then do first;
 - ``guests``   — each row's guest-copy count (workers other than its home
   hosting a neighbour), what the fault-free barrier charges a state
   change; master-side only, never published.
@@ -49,7 +54,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.graph.distributed_graph import guest_flags
-from repro.graph.dynamic_graph import csr_arrays
+from repro.graph.dynamic_graph import csr_arrays, vertex_rows
 from repro.pregel.partition import home_array
 
 _REPRESENTATIONS = ("dict", "csr")
@@ -101,6 +106,9 @@ class CSRPartition:
         self.nbr = None
         self.home = None
         self.in_ = None
+        #: whether ``in_`` holds the engine's last committed states (see
+        #: the module docstring)
+        self.states_synced = False
         self.guests = None
         self._index: Dict[int, int] = {}
         self._ids_list: List[int] = []
@@ -186,6 +194,7 @@ class CSRPartition:
         self.home, self.guests, self._index = built
         self._ids_list = list(self._index)
         self.in_ = np.zeros(n, np.bool_)
+        self.states_synced = False
         self.structure_version += 1
         self.rebuilds += 1
 
@@ -271,6 +280,14 @@ class CSRPartition:
             map(states.__getitem__, self._ids_list), np.bool_,
             count=len(self._ids_list),
         )
+        self.states_synced = True
+
+    def states_dict(self) -> Dict[int, bool]:
+        """The bitmap as a state dict keyed by the graph's own vertex
+        objects, in its vertex order: what a static run that kept its
+        states in the bitmap returns."""
+        rows = vertex_rows(self._graph, self.ids)
+        return dict(zip(self._graph.vertex_keys(), self.in_[rows].tolist()))
 
     def index_of(self, vertex_ids) -> Any:
         """Row indices of ``vertex_ids``: distinct ids in ascending order,
@@ -414,6 +431,12 @@ class OIMISKernel:
 
         return self.strategy is not ActivationStrategy.ALL
 
+    @staticmethod
+    def initial_bitmap(size: int) -> Any:
+        """A static run's starting bitmap: every vertex in the set
+        (Algorithm 2 line 2, as :meth:`OIMISProgram.initial_state`)."""
+        return np.ones(size, np.bool_)
+
     def config(self, num_workers: int) -> Tuple[str, bool, bool, int]:
         """Wire form shipped to worker processes (primitives only)."""
         return (self.strategy.value, self.full_scan, self.suffix_only,
@@ -439,15 +462,22 @@ class OIMISKernel:
         here.  The sweep carries the typed delta arrays as
         :class:`CSRSweepExtras` and an empty request list: the engine's
         barrier routes the activations from the arrays
-        (:func:`route_activations`).
+        (:func:`route_activations`).  While a static run keeps its states
+        in the bitmap (the engine's state dict is ``None``), the barrier
+        reads the arrays alone, so ``new_states`` and ``changed`` stay
+        empty.
         """
         from repro.runtime.base import ScaleGSweep
 
         (compute_work, worker_work, changed_idx, changed_val,
          req_src, req_tgt) = arrays
-        changed_ids = engine._csr.ids[changed_idx].tolist()
+        if engine._states is None:
+            new_states, changed_ids = {}, []
+        else:
+            changed_ids = engine._csr.ids[changed_idx].tolist()
+            new_states = dict(zip(changed_ids, changed_val.tolist()))
         return ScaleGSweep(
-            new_states=dict(zip(changed_ids, changed_val.tolist())),
+            new_states=new_states,
             changed=changed_ids,
             forced=[],
             requests=[],

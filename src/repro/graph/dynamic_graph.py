@@ -150,9 +150,59 @@ def csr_arrays(graph: "DynamicGraph") -> Tuple[Any, Any, Any]:
     return arrays
 
 
+def vertex_rows(graph: "DynamicGraph", ids) -> Any:
+    """The row in ``ids`` -- ascending, every vertex of ``graph`` once,
+    as :func:`csr_arrays` returns them -- of each vertex of ``graph`` in
+    its vertex (insertion) order.
+
+    A graph still holding the arrays of its bulk build returns the row
+    order that build kept, with no per-vertex pass; otherwise the
+    vertices are looked up in ``ids``.
+    """
+    if graph._order is not None and graph._arrays[0] is ids:
+        return graph._order
+    return np.searchsorted(ids, np.fromiter(
+        graph.vertex_keys(), np.int64, count=len(graph)
+    ))
+
+
+#: the widest id span, per id occurrence, that :func:`_relabel` maps
+#: through a bitmap instead of a sort
+_DENSE_SPAN = 4
+
+
+def _relabel(occ) -> Tuple[Any, Any]:
+    """``np.unique(occ, return_inverse=True)``: the distinct ids ascending,
+    and each occurrence's index among them (its row).
+
+    When the ids span at most :data:`_DENSE_SPAN` times as many values as
+    there are occurrences, a ``present`` bitmap over ``[min, max]`` and
+    its running count give the same arrays in a few linear passes instead
+    of a sort; sparser ids keep the sort.
+    """
+    if occ.size:
+        lo = int(occ.min())
+        span = int(occ.max()) - lo + 1  # a Python int: no int64 overflow
+        if span <= _DENSE_SPAN * occ.size:
+            # occ - lo lies in [0, span), so int64 holds it exactly
+            offset = occ - lo
+            present = np.zeros(span, np.bool_)
+            present[offset] = True
+            rank = np.cumsum(present, dtype=np.int64)
+            rank -= 1
+            return np.flatnonzero(present) + lo, rank[offset]
+    return np.unique(occ, return_inverse=True)
+
+
 def _edge_csr(edges, vertices) -> Tuple[Any, Any, Any, Any]:
     """:meth:`DynamicGraph.from_edges`' arrays: ``(ids, indptr, nbr)`` plus
-    the row order an incremental build inserts vertices in."""
+    the row order an incremental build inserts vertices in.
+
+    Every id occurrence is mapped to its row by :func:`_relabel` -- a
+    bitmap over the id span when ids are dense (the common case: ids
+    ``0..n-1``), ``np.unique`` otherwise; both give the same rows.  A
+    self-loop raises :class:`SelfLoopError` and a bad id
+    :class:`GraphError`, each naming the first offender."""
     pairs = id_array(edges, (2,))
     extra = id_array(vertices)
     loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
@@ -167,7 +217,7 @@ def _edge_csr(edges, vertices) -> Tuple[Any, Any, Any, Any]:
     # v's
     occ = np.concatenate((extra, pairs.ravel()))
     size = occ.size
-    ids, row = np.unique(occ, return_inverse=True)
+    ids, row = _relabel(occ)
     n = ids.size
     by_row = np.sort(row * size + np.arange(size, dtype=np.int64))
     by_row %= max(size, 1)
@@ -214,7 +264,7 @@ class DynamicGraph:
 
     __slots__ = (
         "_adj", "_rank_caches", "_default_rank_cache", "_mutation_observers",
-        "_arrays", "_base", "_lazy", "_m",
+        "_arrays", "_order", "_base", "_lazy", "_m",
     )
 
     def __init__(self) -> None:
@@ -238,6 +288,9 @@ class DynamicGraph:
         # (ids, indptr, nbr) this graph was built from or last walked into
         # (see csr_arrays); every mutator drops it before touching a set
         self._arrays: Optional[Tuple[Any, Any, Any]] = None
+        # the row of each vertex in insertion order, kept with a bulk
+        # build's arrays (see vertex_rows)
+        self._order = None
 
     # ------------------------------------------------------------------
     # construction
@@ -312,9 +365,13 @@ class DynamicGraph:
         the arrays."""
         graph = cls()
         ids_list = ids.tolist()
-        rows = range(ids.size) if order is None else order.tolist()
+        if order is None:
+            rows = range(ids.size)
+            order = np.arange(ids.size, dtype=np.int64)
+        else:
+            rows = order.tolist()
         graph._adj = dict(zip(map(ids_list.__getitem__, rows), rows))
-        nbr = graph._keep_arrays(ids, indptr, nbr)[2]
+        nbr = graph._keep_arrays(ids, indptr, nbr, order)[2]
         graph._m = nbr.size // 2
         if ids.size:
             # row sets will reference the keys' int objects (no int per
@@ -341,14 +398,18 @@ class DynamicGraph:
             self._base = None
         return row
 
-    def _keep_arrays(self, ids, indptr, nbr) -> Tuple[Any, Any, Any]:
-        """Keep read-only views of this graph's CSR arrays until the next
-        mutation (see :func:`csr_arrays`)."""
-        views = tuple(a.view() for a in (ids, indptr, nbr))
+    def _keep_arrays(self, ids, indptr, nbr,
+                     order=None) -> Tuple[Any, Any, Any]:
+        """Keep read-only views of this graph's CSR arrays, and of the row
+        ``order`` vertices were inserted in when it is known, until the
+        next mutation (see :func:`csr_arrays` and :func:`vertex_rows`)."""
+        views = tuple(a.view() for a in (ids, indptr, nbr, order)
+                      if a is not None)
         for view in views:
             view.flags.writeable = False
-        self._arrays = views
-        return views
+        self._arrays = views[:3]
+        self._order = views[3] if order is not None else None
+        return self._arrays
 
     def copy(self) -> "DynamicGraph":
         """Return a deep copy (adjacency sets and rank caches not shared).
@@ -366,7 +427,7 @@ class DynamicGraph:
     def add_vertex(self, u: int) -> None:
         """Add an isolated vertex.  Adding an existing vertex is a no-op."""
         if u not in self._adj:
-            self._arrays = None
+            self._arrays = self._order = None
             self._adj[u] = set()
             for obs in self._mutation_observers:
                 obs.on_add_vertex(u)
@@ -382,7 +443,7 @@ class DynamicGraph:
         are not notified separately.
         """
         nbrs = self._require(u)
-        self._arrays = None
+        self._arrays = self._order = None
         removed = [(u, v) for v in sorted(nbrs)]
         observers = self._mutation_observers
         if self._rank_caches:
@@ -446,7 +507,7 @@ class DynamicGraph:
         nbrs = self._row(u)
         if v in nbrs:
             raise EdgeExistsError(u, v)
-        self._arrays = None
+        self._arrays = self._order = None
         nbrs.add(v)
         self._row(v).add(u)
         self._m += 1
@@ -465,7 +526,7 @@ class DynamicGraph:
         """
         if v not in self._adj or not self.has_edge(u, v):
             raise EdgeNotFoundError(u, v)
-        self._arrays = None
+        self._arrays = self._order = None
         self._row(u).discard(v)
         self._row(v).discard(u)
         self._m -= 1

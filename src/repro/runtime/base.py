@@ -289,25 +289,33 @@ class BSPEngine:
         self._runtime.begin_run(program)
 
     @contextmanager
-    def _rollback_on_error(self, states: Dict[int, Any],
-                           metrics) -> Iterator[Dict[int, Any]]:
+    def _rollback_on_error(self, states: Optional[Dict[int, Any]], metrics,
+                           part=None) -> Iterator[Dict[int, Any]]:
         """Bracket a run's superstep loop.
 
         Yields the run's ``dirty`` map (the run-entry value of every state
         a barrier overwrote, filled by :meth:`_commit`).  If the loop
         raises, every dirty entry is restored, so callers resuming from
         ``states`` (dynamic maintenance) never see a partially converged
-        run.  The race sanitizer's per-run trace opens and closes here.
+        run.  ``part``, the CSR mirror the run sweeps on, gets back the
+        membership bitmap it held on entry: a run writes only bitmaps it
+        made itself (run entry and recovery each load a fresh one), so
+        that array is intact.  The race sanitizer's per-run trace opens
+        and closes here.
         """
         sanitizer = self._sanitizer
         if sanitizer is not None:
             sanitizer.begin_engine_run(metrics, self.dgraph.num_workers)
+        entry_bitmap = None if part is None else (part.in_,
+                                                  part.states_synced)
         dirty: Dict[int, Any] = {}
         try:
             yield dirty
         except BaseException:
             for u, value in sorted(dirty.items()):
                 states[u] = value
+            if entry_bitmap is not None:
+                part.in_, part.states_synced = entry_bitmap
             raise
         finally:
             if sanitizer is not None:

@@ -61,6 +61,7 @@ import multiprocessing
 import os
 import pickle
 import traceback
+import weakref
 from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -263,7 +264,10 @@ class ParallelRuntime(ExecutionBackend):
     collection) tears it down and unlinks the runtime's one shared-memory
     segment.  Workers hold no replica of their own: a sweep of a
     different engine or graph copies that partition into the same
-    segment, and the next dispatch ships the new meta.
+    segment, and the next dispatch ships the new meta.  The runtime
+    holds the bound engine and the partition its frame mirrors by weak
+    reference only, so an open runtime never keeps a dropped maintainer's
+    graph or mirror alive.
     """
 
     kind = "process"
@@ -273,12 +277,14 @@ class ParallelRuntime(ExecutionBackend):
             raise ValueError(f"procs must be >= 1, got {procs}")
         self.procs = procs if procs is not None else (os.cpu_count() or 1)
         self._mp = multiprocessing.get_context(start_method)
-        self._engine = None
+        #: weak reference to the engine bound at run entry (see _engine)
+        self._engine_ref = None
         self._conns: List[Any] = []
         self._workers: List[Any] = []
         #: the one segment this runtime owns (None until the first sweep)
         self._shm = None
-        #: the partition and ``structure_version`` the segment mirrors
+        #: weak reference to the partition the segment mirrors, and that
+        #: partition's ``structure_version`` at the last copy
         self._frame_part = None
         self._frame_version = -1
         #: ``(name, dtype, shape, offset)`` of each array in the segment
@@ -323,8 +329,14 @@ class ParallelRuntime(ExecutionBackend):
         self.sweeps_dispatched = 0
 
     # -- lifecycle ------------------------------------------------------
+    @property
+    def _engine(self):
+        """The engine bound at run entry, or ``None`` once it is gone."""
+        ref = self._engine_ref
+        return None if ref is None else ref()
+
     def bind(self, engine) -> None:
-        self._engine = engine
+        self._engine_ref = weakref.ref(engine)
 
     def begin_run(self, program) -> None:
         """Refuse a run the frame protocol cannot sweep — before any
@@ -353,7 +365,7 @@ class ParallelRuntime(ExecutionBackend):
         conns, workers = self._conns, self._workers
         self._conns = []
         self._workers = []
-        self._engine = None
+        self._engine_ref = None
         self._shipped_epoch = None
         for conn, proc in zip(conns, workers):
             self._stop(conn, proc)
@@ -379,10 +391,13 @@ class ParallelRuntime(ExecutionBackend):
         The structure arrays are copied only when ``part`` or its
         ``structure_version`` changed since the last publish; the bitmap
         is copied every time.  A segment too small for the arrays is
-        unlinked and replaced by a larger one.
+        unlinked and replaced by a larger one.  The last published
+        partition is held weakly: once it is collected, no later
+        partition can pass for it.
         """
         arrays = [getattr(part, name) for name in _FRAME_ARRAYS]
-        stale = (part is not self._frame_part
+        framed = self._frame_part
+        stale = (framed is None or framed() is not part
                  or part.structure_version != self._frame_version)
         if stale:
             need = sum(int(arr.nbytes) for arr in arrays)
@@ -397,7 +412,7 @@ class ParallelRuntime(ExecutionBackend):
             for name, arr in zip(_FRAME_ARRAYS, arrays):
                 self._layout.append((name, arr.dtype.str, arr.shape, offset))
                 offset += int(arr.nbytes)
-            self._frame_part = part
+            self._frame_part = weakref.ref(part)
             self._frame_version = part.structure_version
             self._epoch += 1
         buf = self._shm.buf

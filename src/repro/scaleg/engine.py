@@ -311,10 +311,20 @@ class ScaleGEngine(BSPEngine):
         ``keep_records`` disables per-superstep record retention for very
         long update streams (the aggregate counters still accumulate).
 
+        A static run (``states=None``) of a CSR-kernel program without a
+        fault plan or the race sanitizer keeps its states in the mirror's
+        membership bitmap alone: the bitmap starts from the kernel's
+        initial states, barriers write only the bitmap, and the state dict
+        is built once, when the run converges, in the graph's vertex
+        order.  Every other run keeps the dict and the bitmap in step.
+
         Exception safety: if the run raises (:class:`SuperstepLimitExceeded`,
         an unrecoverable :class:`WorkerFailure`, a race violation), every
-        entry of ``states`` is restored to its value at run entry — no
-        partially converged superstep leaks into a caller's resumed states.
+        entry of a caller's ``states`` is restored to its value at run
+        entry — no partially converged superstep leaks into a caller's
+        resumed states — and so is the mirror's bitmap.  States the engine
+        built itself (``states=None``) are not rolled back: no caller
+        holds them.
         """
         from repro.faults.recovery import (
             SuperstepCheckpoint,
@@ -329,9 +339,6 @@ class ScaleGEngine(BSPEngine):
         )
         started = time.perf_counter()
 
-        if states is None:
-            states = program.initial_states(self.dgraph)
-        self._states = states
         if max_supersteps is None:
             max_supersteps = 4 * max(graph.num_vertices, 1) + 16
 
@@ -346,8 +353,13 @@ class ScaleGEngine(BSPEngine):
         self._csr = None
         self._csr_kernel = None
         part = self.attach_csr(program)
+        in_bitmap = (states is None and part is not None and injector is None
+                     and self._sanitizer is None)
+        if states is None and not in_bitmap:
+            states = program.initial_states(self.dgraph)
+        # None while a static run keeps its states in the bitmap
+        self._states = states
         if part is not None:
-            part.sync_states(states)
             self._csr = part
             self._csr_kernel = program.csr_kernel()
             # kernel sweeps (and their recovery sweeps) never read the
@@ -360,7 +372,12 @@ class ScaleGEngine(BSPEngine):
 
         superstep = 0
         ran_supersteps = 0
-        with self._rollback_on_error(states, own_metrics) as dirty:
+        with self._rollback_on_error(states, own_metrics, part) as dirty:
+            if in_bitmap:
+                part.in_ = self._csr_kernel.initial_bitmap(part.ids.size)
+                part.states_synced = True
+            elif part is not None:
+                part.sync_states(states)
             while active:
                 if ran_supersteps >= max_supersteps:
                     raise SuperstepLimitExceeded(max_supersteps)
@@ -425,7 +442,11 @@ class ScaleGEngine(BSPEngine):
                         )
                     continue
 
-                self._commit(states, new_states, dirty)
+                if in_bitmap:
+                    record.state_changes = int(sweep.csr.changed_idx.size)
+                else:
+                    self._commit(states, new_states, dirty)
+                    record.state_changes = len(changed)
                 if sweep.csr is not None:
                     # the sweep's own rows, written in place; the process
                     # runtime copies the bitmap into its frame per dispatch
@@ -433,7 +454,6 @@ class ScaleGEngine(BSPEngine):
                         sweep.csr.changed_val
 
                 # --- charge state sync: once per (synced vertex, guest machine)
-                record.state_changes = len(changed)
                 sync_bytes = program.sync_bytes
                 if injector is None and sweep.csr is not None:
                     # fault-free kernel sweep (it never forces a sync): one
@@ -508,6 +528,8 @@ class ScaleGEngine(BSPEngine):
 
             self._check_convergence(program, states)
 
+        if in_bitmap:
+            states = self._states = part.states_dict()
         per_worker = self._memory_snapshot(program, states)
         own_metrics.observe_memory(per_worker)
         own_metrics.wall_time_s += time.perf_counter() - started

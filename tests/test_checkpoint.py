@@ -316,3 +316,71 @@ class TestCheckpoint:
         restored = MISMaintainer.load(path)
         assert restored.graph.has_vertex(9)
         assert 9 in restored.independent_set()
+
+
+class TestCheckpointBitmap:
+    """A checkpoint takes its members from the CSR mirror's bitmap, so the
+    bitmap must hold the maintained set whenever one can be saved."""
+
+    @staticmethod
+    def _restored(maintainer, tmp_path, name="ck.ckpt"):
+        path = tmp_path / name
+        maintainer.save(path)
+        return MISMaintainer.load(path, verify=False).independent_set()
+
+    def test_failed_batch_leaves_the_saved_set_true(self, tmp_path):
+        from repro.errors import SyncRetryExhausted
+        from repro.faults.plan import FaultPlan, SyncDropSpec
+        from repro.graph.generators import path_graph
+
+        # path 0-1-2-3: deleting (0, 1) flips vertex 1 into the set at
+        # superstep 0 of run 1 (run 0 is the static run); its sync to
+        # vertex 2's worker then drops more often than the 3 retries
+        # allow, after that barrier committed the flip
+        plan = FaultPlan(drops=(
+            SyncDropSpec(superstep=0, vertex=1, attempts=5, run=1),
+        ))
+        maintainer = MISMaintainer(path_graph(4), num_workers=2, faults=plan)
+        before = maintainer.independent_set()
+        with pytest.raises(SyncRetryExhausted):
+            maintainer.delete_edge(0, 1)
+        assert maintainer.independent_set() == before
+        assert self._restored(maintainer, tmp_path) == before
+
+    def test_failed_static_recompute_keeps_the_bitmap(self, tmp_path):
+        from repro.errors import SuperstepLimitExceeded
+
+        maintainer = MISMaintainer(erdos_renyi(40, 120, seed=8),
+                                   num_workers=3)
+        u, v = maintainer.graph.sorted_edges()[0]
+        maintainer.delete_edge(u, v)
+        before = maintainer.independent_set()
+        engine, program = maintainer._engine, maintainer._program
+        with pytest.raises(SuperstepLimitExceeded):
+            engine.run(program, max_supersteps=1)
+        assert self._restored(maintainer, tmp_path) == before
+
+    def test_vertex_updates_and_restores_save_the_state_dict(self, tmp_path):
+        m = MISMaintainer(erdos_renyi(30, 70, seed=2), num_workers=3)
+        # a new vertex rebuilds the mirror without a run: its bitmap is
+        # stale until the save syncs it
+        m.insert_vertex(100)
+        assert self._restored(m, tmp_path, "a.ckpt") == m.independent_set()
+        m.insert_vertex(101, [0, 1, 100])
+        m.delete_vertex(100)
+        assert self._restored(m, tmp_path, "b.ckpt") == m.independent_set()
+        restored = MISMaintainer.load(tmp_path / "b.ckpt")
+        assert self._restored(restored, tmp_path, "c.ckpt") \
+            == m.independent_set()
+
+    def test_dict_maintainer_with_a_read_mirror_saves_its_states(
+            self, tmp_path):
+        from repro.serve.reads import SnapshotRegistry
+
+        graph = erdos_renyi(40, 120, seed=6)
+        m = MISMaintainer(graph.copy(), num_workers=3,
+                          representation="dict")
+        SnapshotRegistry(m).publish()  # attaches a mirror the engine skips
+        for u, v in graph.sorted_edges()[:6]:
+            m.delete_edge(u, v)
+            assert self._restored(m, tmp_path) == m.independent_set()

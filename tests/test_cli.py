@@ -58,6 +58,38 @@ class TestCompute:
         main(["compute", path, "--engine", "pregel", "--algorithm", "oimis", "-o", str(b)])
         assert a.read_text() == b.read_text()
 
+    def test_closed_stdout_ends_quietly(self, graph_file, tmp_path):
+        """``compute g.txt | head -1``: the reader leaves after the first
+        line; the command still writes its members file and exits 0 with
+        nothing on stderr.  Unbuffered, so each line is its own write and
+        the later ones hit the closed pipe."""
+        import os
+        import subprocess
+        import sys
+
+        from repro.serial.greedy import greedy_mis
+
+        path, graph = graph_file
+        members = tmp_path / "members.txt"
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+        for extra in ([], ["--engine", "pregel", "--algorithm", "dismis"]):
+            members.unlink(missing_ok=True)
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "compute", path,
+                 "-o", str(members), *extra],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            )
+            assert proc.stdout.readline().startswith(b"loaded ")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait(timeout=120) == 0, err
+            assert err == b""
+            assert {int(line) for line in members.read_text().split()} \
+                == greedy_mis(graph)
+
     def test_process_runtime_refuses_pregel(self, tmp_path, capsys):
         # an argparse error before the graph is read: the path need not exist
         missing = str(tmp_path / "no-such-graph.txt")

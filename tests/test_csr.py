@@ -30,6 +30,7 @@ from repro.core.oimis import OIMISProgram, run_oimis
 from repro.core.weighted import WeightedMISMaintainer
 from repro.graph.csr import CSRPartition, resolve_representation
 from repro.graph.distributed_graph import DistributedGraph
+from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import barabasi_albert, chung_lu, erdos_renyi
 from repro.graph.updates import EdgeDeletion, EdgeInsertion
 from repro.runtime.parallel import ParallelRuntime, WorkerCSRView
@@ -250,17 +251,43 @@ def test_csr_bit_identical_to_dict_on_random_streams(
     assert actual == expected
 
 
-def test_csr_static_run_matches_dict():
+def _static_run_graphs():
+    """Copies of one graph: built edge by edge, bulk-built from shuffled
+    edges (insertion order not ascending), and bulk-built then mutated
+    (no kept build order)."""
     graph = erdos_renyi(80, 240, seed=11)
-    runs = {
-        rep: run_oimis(graph.copy(), num_workers=6, representation=rep)
-        for rep in ("dict", "csr")
-    }
-    assert (sorted(runs["csr"].independent_set)
-            == sorted(runs["dict"].independent_set))
-    for name in _METERS:
-        assert (getattr(runs["csr"].metrics, name)
-                == getattr(runs["dict"].metrics, name)), name
+    edges = graph.sorted_edges()
+    np.random.default_rng(3).shuffle(edges)
+
+    def incremental():
+        return graph.copy()
+
+    def bulk():
+        return DynamicGraph.from_edges(edges)
+
+    def mutated():
+        built = DynamicGraph.from_edges(edges)
+        built.add_edge(1000, edges[0][0])
+        built.remove_vertex(1000)
+        return built
+
+    return incremental, bulk, mutated
+
+
+def test_csr_static_run_matches_dict():
+    # a fault-free CSR static run keeps its states in the bitmap and
+    # builds the dict once: same states, in the same key order
+    for make in _static_run_graphs():
+        runs = {
+            rep: run_oimis(make(), num_workers=6, representation=rep)
+            for rep in ("dict", "csr")
+        }
+        assert list(runs["csr"].states.items()) \
+            == list(runs["dict"].states.items()), make.__name__
+        assert list(runs["csr"].states) == list(make().vertices())
+        for name in _METERS:
+            assert (getattr(runs["csr"].metrics, name)
+                    == getattr(runs["dict"].metrics, name)), name
 
 
 def test_fault_free_kernel_run_charges_syncs_from_the_mirror(monkeypatch):

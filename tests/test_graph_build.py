@@ -13,6 +13,7 @@ older than the graph, and set-up builds no row.
 from __future__ import annotations
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from repro.core.verification import is_greedy_fixpoint
 from repro.errors import GraphError, SelfLoopError
 from repro.graph.csr import CSRPartition
 from repro.graph.distributed_graph import DistributedGraph
+from repro.graph import dynamic_graph
 from repro.graph.dynamic_graph import DynamicGraph, csr_arrays
 from repro.pregel.partition import (
     ExplicitPartitioner,
@@ -228,6 +230,85 @@ class TestArrayBuild:
         with pytest.raises(SelfLoopError) as info:
             DynamicGraph.from_edges([(1, 2), (7, 7), (3, 3)])
         assert info.value.vertex == 7
+
+
+@st.composite
+def spread_edge_inputs(draw):
+    """Edges (duplicates and reversed duplicates included) and isolated
+    vertices whose ids sit at ``base + offset``: ``base`` anywhere in
+    ``int64``, its ends included, and the offsets packed tight or spread
+    thin, so the ids are dense or sparse for their count."""
+    width = draw(st.sampled_from([3, 40, 1 << 12, 1 << 20]))
+    top = (1 << 63) - width
+    base = draw(st.sampled_from([-(1 << 63), top, -width // 2, 0])
+                | st.integers(-(1 << 63), top))
+    ids = st.integers(0, width - 1).map(lambda offset: base + offset)
+    edges = draw(st.lists(
+        st.tuples(ids, ids).filter(lambda e: e[0] != e[1]), max_size=40
+    ))
+    if edges and draw(st.booleans()):
+        repeats = draw(st.lists(st.sampled_from(edges), max_size=10))
+        edges += [(v, u) if draw(st.booleans()) else (u, v)
+                  for u, v in repeats]
+    return edges, draw(st.lists(ids, max_size=8))
+
+
+def both_relabels():
+    """Patch contexts forcing :func:`_edge_csr`'s relabel through the
+    ``np.unique`` sort, then through the dense bitmap (spans up to
+    ``1 << 20`` ids, so the bitmap fits)."""
+    return (mock.patch.object(dynamic_graph, "_DENSE_SPAN", 0),
+            mock.patch.object(dynamic_graph, "_DENSE_SPAN", 1 << 21))
+
+
+class TestRelabel:
+    """``_edge_csr`` maps ids to rows through a bitmap when they are dense
+    and through ``np.unique`` otherwise; both must build the same graph."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spread_edge_inputs())
+    def test_dense_and_sorted_relabels_agree(self, case):
+        edges, vertices = case
+        built = []
+        for relabel in both_relabels():
+            with relabel:
+                built.append(dynamic_graph._edge_csr(edges, vertices))
+        by_sort, dense = built
+        for a, b in zip(by_sort, dense):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        natural = dynamic_graph._edge_csr(edges, vertices)
+        assert all(np.array_equal(a, b) for a, b in zip(natural, dense))
+        ref = incremental(edges, vertices)
+        for relabel in both_relabels():
+            with relabel:
+                assert_same_graph(
+                    DynamicGraph.from_edges(edges, vertices), ref
+                )
+
+    @pytest.mark.parametrize("edges, vertices", [
+        ([(1, 2), (5, 5), (3, 3)], ()),
+        ([(2 ** 62, 2 ** 62 + 1), (2 ** 62 + 1, 2 ** 62 + 1)], ()),
+        ([(-(2 ** 63), 2 ** 63 - 1), (9, 9)], [4]),
+    ])
+    def test_self_loop_error_names_the_first_loop(self, edges, vertices):
+        loop = next(u for u, v in edges if u == v)
+        for relabel in both_relabels():
+            with relabel, pytest.raises(SelfLoopError) as info:
+                DynamicGraph.from_edges(edges, vertices)
+            assert str(info.value) == str(SelfLoopError(loop))
+
+    def test_bad_id_error_is_the_same_on_both_branches(self):
+        for relabel in both_relabels():
+            with relabel, pytest.raises(
+                    GraphError, match=f"vertex id {2 ** 63} is not"):
+                DynamicGraph.from_edges([(1, 2), (3, 2 ** 63)])
+
+    def test_dense_ids_skip_the_sort(self):
+        edges = [(u, (7 * u + 3) % 500) for u in range(500)
+                 if u != (7 * u + 3) % 500]
+        with mock.patch.object(np, "unique", side_effect=AssertionError):
+            graph = DynamicGraph.from_edges(edges, vertices=range(500))
+        assert_same_graph(graph, incremental(edges, range(500)))
 
 
 class TestIdDomain:

@@ -574,6 +574,42 @@ def test_caller_owned_runtime_unlinks_every_segment_at_close(tmp_path):
     assert linked == [1, 1, 1, 0], proc.stdout
 
 
+def test_open_runtime_does_not_pin_a_dropped_maintainer():
+    """The runtime holds the bound engine and its frame's partition by
+    weak reference: a maintainer dropped without ``close()`` frees its
+    graph while the runtime stays open, the next maintainer's partition
+    re-lays the frame out, and ``close()`` still unlinks the segment."""
+    import gc
+    import weakref
+    from multiprocessing import shared_memory
+
+    graph = erdos_renyi(80, 240, seed=12)
+    expected = MISMaintainer(graph.copy(), num_workers=4)
+    u, v = graph.sorted_edges()[0]
+    expected.delete_edge(u, v)
+    runtime = ParallelRuntime(procs=2, start_method="fork")
+    try:
+        dropped = MISMaintainer(graph.copy(), num_workers=4, runtime=runtime)
+        dropped.delete_edge(u, v)
+        graph_ref = weakref.ref(dropped.dgraph)
+        epoch = runtime._epoch
+        del dropped
+        gc.collect()
+        assert graph_ref() is None
+        assert all(proc.is_alive() for proc in runtime._workers)
+        second = MISMaintainer(graph.copy(), num_workers=4, runtime=runtime)
+        assert runtime._epoch == epoch + 1  # a new partition: re-layout
+        second.delete_edge(u, v)
+        assert second.independent_set() == expected.independent_set()
+        assert _meter_tuple(second.update_metrics) \
+            == _meter_tuple(expected.update_metrics)
+        segment = runtime._shm.name
+    finally:
+        runtime.close()
+    with pytest.raises(FileNotFoundError):
+        shared_memory.SharedMemory(name=segment)
+
+
 # ---------------------------------------------------------------------------
 # RunMetrics.merge_delta — the barrier reduce's accumulation primitive
 # ---------------------------------------------------------------------------
