@@ -92,7 +92,8 @@ def id_array(values, shape_tail: Tuple[int, ...] = ()) -> Any:
         arr = np.fromiter(map(operator.index, flat), np.int64,
                           count=len(values) * width)
     except (TypeError, OverflowError):
-        _bad_id(chain.from_iterable(values) if shape_tail else values)
+        for x in chain.from_iterable(values) if shape_tail else values:
+            vertex_id(x)  # raises GraphError naming the first bad id
         raise
     return arr.reshape((len(values),) + shape_tail)
 
@@ -105,18 +106,24 @@ def _bad_shape(values, shape_tail: Tuple[int, ...]) -> None:
     raise GraphError(f"expected {what}, got {bad!r}")
 
 
-def _bad_id(ids) -> None:
-    """Raise :class:`GraphError` naming the first of ``ids`` that is not an
-    integer in the ``int64`` range (return if there is none)."""
-    for x in ids:
-        try:
-            ok = _INT64_MIN <= operator.index(x) <= _INT64_MAX
-        except TypeError:
-            ok = False
-        if not ok:
-            raise GraphError(
-                f"vertex id {x!r} is not an integer in the int64 range"
-            )
+def vertex_id(x) -> int:
+    """``x`` as a vertex id: an ``int`` in the ``int64`` range.
+
+    The one-id form of :func:`id_array`'s rule.  ``x`` converts through
+    ``operator.index`` (an exact ``int`` comes back as the same object, a
+    numpy integer as a Python ``int``); anything else -- a float, a
+    string, ``None``, an id outside ``int64`` -- raises :class:`GraphError`
+    naming it.
+    """
+    try:
+        i = x if type(x) is int else int(operator.index(x))
+    except TypeError:
+        i = None
+    if i is None or not _INT64_MIN <= i <= _INT64_MAX:
+        raise GraphError(
+            f"vertex id {x!r} is not an integer in the int64 range"
+        )
+    return i
 
 
 def csr_arrays(graph: "DynamicGraph") -> Tuple[Any, Any, Any]:

@@ -119,20 +119,26 @@ def read_update_stream(source: PathOrFile):
                     f"update stream line {lineno}: expected 'ins|del u v', got {raw!r}"
                 )
             kind = parts[0].lower()
+            if kind in ("ins", "insert", "+"):
+                record = EdgeInsertion
+            elif kind in ("del", "delete", "-"):
+                record = EdgeDeletion
+            else:
+                raise GraphError(
+                    f"update stream line {lineno}: unknown operation {parts[0]!r}"
+                )
             try:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError as exc:
                 raise GraphError(
                     f"update stream line {lineno}: non-integer vertex id in {raw!r}"
                 ) from exc
-            if kind in ("ins", "insert", "+"):
-                ops.append(EdgeInsertion(u, v))
-            elif kind in ("del", "delete", "-"):
-                ops.append(EdgeDeletion(u, v))
-            else:
+            try:
+                ops.append(record(u, v))
+            except GraphError as exc:  # an id outside int64
                 raise GraphError(
-                    f"update stream line {lineno}: unknown operation {parts[0]!r}"
-                )
+                    f"update stream line {lineno}: {exc}"
+                ) from exc
     finally:
         if owned:
             handle.close()

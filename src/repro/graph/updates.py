@@ -14,35 +14,64 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence, Set, Tuple, Union
 
 from repro.errors import WorkloadError
-from repro.graph.dynamic_graph import DynamicGraph, normalize_edge
+from repro.graph.dynamic_graph import DynamicGraph, normalize_edge, vertex_id
 
 
-@dataclass(frozen=True)
-class EdgeInsertion:
-    """Insert edge ``(u, v)`` — the paper's ``(ins, u, v)``."""
+class _EdgeRecord:
+    """The body both edge updates share: two id slots and no ``__dict__``.
 
-    u: int
-    v: int
+    A record is 48 bytes (``sys.getsizeof``; 152 with a ``__dict__``),
+    which matters because a stream, a service queue and a replayed log hold
+    one per event.  The constructor applies the library's id rule
+    (:func:`~repro.graph.dynamic_graph.vertex_id`), so a record that exists
+    holds two ``int`` ids in the ``int64`` range: a bad id is refused where
+    it enters, not in the middle of a batch or a log encode.  Each subclass
+    is a frozen dataclass over these slots (``repr``, kind-sensitive ``==``,
+    ``hash(op) == hash((u, v))``); ``__reduce__`` rebuilds through the
+    constructor, because pickle's default slot restore would write to a
+    frozen instance.
+    """
+
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: int, v: int) -> None:
+        _set_u(self, vertex_id(u))
+        _set_v(self, vertex_id(v))
+
+    def __reduce__(self):
+        return type(self), (self.u, self.v)
 
     @property
     def edge(self) -> Tuple[int, int]:
         return normalize_edge(self.u, self.v)
+
+
+# the slots' own setters: they bypass the frozen ``__setattr__`` at half
+# the cost of ``object.__setattr__``
+_set_u = _EdgeRecord.u.__set__
+_set_v = _EdgeRecord.v.__set__
+
+
+@dataclass(frozen=True, init=False)
+class EdgeInsertion(_EdgeRecord):
+    """Insert edge ``(u, v)`` — the paper's ``(ins, u, v)``."""
+
+    __slots__ = ()
+    u: int
+    v: int
 
     def inverse(self) -> "EdgeDeletion":
         """The operation that undoes this one."""
         return EdgeDeletion(self.u, self.v)
 
 
-@dataclass(frozen=True)
-class EdgeDeletion:
+@dataclass(frozen=True, init=False)
+class EdgeDeletion(_EdgeRecord):
     """Delete edge ``(u, v)`` — the paper's ``(del, u, v)``."""
 
+    __slots__ = ()
     u: int
     v: int
-
-    @property
-    def edge(self) -> Tuple[int, int]:
-        return normalize_edge(self.u, self.v)
 
     def inverse(self) -> EdgeInsertion:
         return EdgeInsertion(self.u, self.v)

@@ -56,6 +56,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
     BackpressureError,
+    GraphError,
     RecoveryError,
     ReproError,
     WALError,
@@ -314,10 +315,12 @@ class IngestionService:
             # block policy: resolve windows (deadlines ignored) until the
             # queue is back under the low watermark, then admit
             self._pump(force=True, target=self.admission.drain_target())
-        self._advance_clock(timestamp)
         seq = self._next_seq
-        self._next_seq += 1
+        # the seq and the clock tick are taken once the event is durable:
+        # an append that raises leaves no gap in the log's seqs
         self.wal.append(_event_payload(seq, op, timestamp))
+        self._next_seq += 1
+        self._advance_clock(timestamp)
         self.admission.accepted()
         self._queue.append((seq, op, timestamp))
         self._pump()
@@ -1047,7 +1050,19 @@ def _event_payload(
 def _decode_event(payload: Dict[str, Any]) -> EdgeUpdate:
     kind = payload.get("k")
     if kind == "ins":
-        return EdgeInsertion(int(payload["u"]), int(payload["v"]))
-    if kind == "del":
-        return EdgeDeletion(int(payload["u"]), int(payload["v"]))
-    raise WALError("<record>", f"unknown event kind {kind!r}")
+        record = EdgeInsertion
+    elif kind == "del":
+        record = EdgeDeletion
+    else:
+        raise WALError("<record>", f"unknown event kind {kind!r}")
+    seq, u, v = payload.get("q"), payload.get("u"), payload.get("v")
+    for x in (u, v):
+        # a logged id is a JSON integer: truncating 1.5 (or reading true
+        # as 1) would replay another event than the one submitted
+        if type(x) is not int:
+            raise WALError("<record>",
+                           f"event {seq!r}: vertex id {x!r} is not an integer")
+    try:
+        return record(u, v)
+    except GraphError as exc:  # outside int64
+        raise WALError("<record>", f"event {seq!r}: {exc}") from exc

@@ -8,8 +8,9 @@ error and continue with a corrected batch.
 import pytest
 
 from repro.core.doimis import DOIMISMaintainer
-from repro.errors import WorkloadError
-from repro.graph.generators import erdos_renyi
+from repro.core.maintainer import MISMaintainer
+from repro.errors import GraphError, WorkloadError
+from repro.graph.generators import erdos_renyi, path_graph
 from repro.graph.updates import EdgeDeletion, EdgeInsertion
 from repro.serial.greedy import greedy_mis
 
@@ -53,6 +54,19 @@ class TestAtomicity:
         with pytest.raises(WorkloadError, match="self-loop"):
             m.apply_batch([EdgeInsertion(0, 2), EdgeInsertion(3, 3)])
         _assert_unchanged(m, snap)
+
+    def test_out_of_range_id_refused_before_the_batch(self):
+        # the record refuses the id, so no half of the batch is applied
+        # (an int64 mirror once raised OverflowError mid-batch, leaving
+        # the graph 5 vertices and 3 edges and every later batch failing)
+        m = MISMaintainer(path_graph(3), num_workers=2)
+        snap = _snapshot(m)
+        with pytest.raises(GraphError, match=f"vertex id {2 ** 70} is not"):
+            m.apply_batch([EdgeInsertion(0, 2), EdgeInsertion(2 ** 70, 5)])
+        _assert_unchanged(m, snap)
+        assert (m.graph.num_vertices, m.graph.num_edges) == (3, 2)
+        m.apply_batch([EdgeInsertion(0, 2), EdgeInsertion(2, 5)])
+        assert m.independent_set() == greedy_mis(m.graph)
 
     def test_double_insert_within_batch_rejected(self, path5):
         m = DOIMISMaintainer(path5, num_workers=3)

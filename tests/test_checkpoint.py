@@ -67,6 +67,14 @@ class TestUpdateStreamIO:
         with pytest.raises(GraphError, match="non-integer"):
             read_update_stream(io.StringIO("ins a b\n"))
 
+    @pytest.mark.parametrize("bad", [2 ** 63, -(2 ** 63) - 1, 10 ** 20])
+    def test_out_of_range_id_names_its_line(self, bad):
+        from repro.errors import GraphError
+
+        text = f"ins 1 2\n# c\ndel {bad} 1\n"
+        with pytest.raises(GraphError, match=f"line 3: vertex id {bad} is"):
+            read_update_stream(io.StringIO(text))
+
     def test_file_roundtrip(self, tmp_path):
         ops = [EdgeInsertion(1, 2), EdgeDeletion(1, 2)]
         path = tmp_path / "ops.txt"

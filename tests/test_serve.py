@@ -13,12 +13,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 from repro.core.maintainer import MISMaintainer
 from repro.errors import (
     BackpressureError,
+    GraphError,
     RecoveryError,
     WALError,
     WorkloadError,
@@ -853,6 +855,97 @@ class TestRecovery:
         wal.close()
         with pytest.raises(WALError, match="no loadable maintainer"):
             IngestionService.recover(str(tmp_path / "w"))
+
+
+# ---------------------------------------------------------------------------
+# the id rule at the door: nothing is sequenced or logged that cannot replay
+# ---------------------------------------------------------------------------
+def _dir_bytes(directory):
+    return {name: Path(directory, name).read_bytes()
+            for name in sorted(os.listdir(directory))}
+
+
+class TestIdRule:
+    def test_numpy_ids_recover_bit_identically(self, tmp_path):
+        ops, timestamps = bursty_trace(
+            load_dataset("AM"), TraceConfig(num_ops=200, seed=7))
+        dirs, cuts = [], []
+        for name, convert in (("int", int), ("numpy", np.int64)):
+            service = _service(tmp_path, name=name, checkpoint_every=2)
+            converted = [type(op)(convert(op.u), convert(op.v))
+                         for op in ops]
+            cuts.append(_run_to_crash(service, converted, timestamps))
+            dirs.append(service.wal_dir)
+        assert cuts[0] == cuts[1]
+        assert _dir_bytes(dirs[0]) == _dir_bytes(dirs[1])
+        recovered = [
+            IngestionService.recover(d, controller=_small_controller(),
+                                     checkpoint_every=3)
+            for d in dirs
+        ]
+        for service in recovered:
+            for op, ts in zip(ops[cuts[0]:], timestamps[cuts[0]:]):
+                service.submit(op, ts)
+            service.close()
+        ref, other = recovered
+        assert other.applied_watermark == ref.applied_watermark
+        assert other.logical_totals() == ref.logical_totals()
+        assert (sorted(other.maintainer.independent_set())
+                == sorted(ref.maintainer.independent_set()))
+        assert _dir_bytes(dirs[0]) == _dir_bytes(dirs[1])
+        problems, summary = audit_log(dirs[1])
+        assert problems == [] and summary["applied"] == 200
+
+    @pytest.mark.parametrize("bad", [1.5, "7", None, 2 ** 63, 2 ** 70])
+    def test_bad_id_is_refused_before_a_seq(self, tmp_path, bad):
+        ops, timestamps = bursty_trace(
+            load_dataset("AM"), TraceConfig(num_ops=20, seed=3))
+        service = _service(tmp_path)
+        with pytest.raises(GraphError, match="is not an integer"):
+            service.submit(EdgeInsertion(bad, 3), timestamps[0])
+        seqs = [service.submit(op, ts).seq
+                for op, ts in zip(ops, timestamps)]
+        service.close()
+        assert seqs == list(range(1, 21))
+        problems, summary = audit_log(service.wal_dir)
+        assert problems == [] and summary["applied"] == 20
+
+    def test_failed_append_takes_no_seq(self, tmp_path, monkeypatch):
+        ops, timestamps = bursty_trace(
+            load_dataset("AM"), TraceConfig(num_ops=20, seed=3))
+        service = _service(tmp_path)
+        real_append = WriteAheadLog.append
+
+        def full_disk(wal, payload):
+            if payload["t"] == "ev":
+                raise OSError(28, "No space left on device")
+            real_append(wal, payload)
+
+        monkeypatch.setattr(WriteAheadLog, "append", full_disk)
+        with pytest.raises(OSError):
+            service.submit(ops[0], timestamps[0])
+        monkeypatch.setattr(WriteAheadLog, "append", real_append)
+        seqs = [service.submit(op, ts).seq
+                for op, ts in zip(ops, timestamps)]
+        service.close()
+        assert seqs == list(range(1, 21))
+        problems, summary = audit_log(service.wal_dir)
+        assert problems == [] and summary["applied"] == 20
+
+    @pytest.mark.parametrize("u", [1.5, "7", True, None, 2 ** 63])
+    def test_recover_refuses_a_logged_bad_id(self, tmp_path, u):
+        ops, timestamps = bursty_trace(
+            load_dataset("AM"), TraceConfig(num_ops=10, seed=3))
+        service = _service(tmp_path)
+        for op, ts in zip(ops, timestamps):
+            service.submit(op, ts)
+        service.close()
+        forger = WriteAheadLog(service.wal_dir)
+        forger.scan()
+        forger.append({"t": "ev", "q": 11, "k": "ins", "u": u, "v": 3})
+        forger.close()
+        with pytest.raises(WALError, match="event 11: vertex id"):
+            IngestionService.recover(service.wal_dir)
 
 
 # ---------------------------------------------------------------------------
