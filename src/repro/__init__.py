@@ -31,13 +31,10 @@ from repro.core.maintainer import MISMaintainer
 from repro.core.oimis import OIMISRun, run_oimis, run_oimis_pregel
 from repro.core.weighted import WeightedMISMaintainer, weighted_greedy_mis
 from repro.serve import (
-    AdaptiveWindowController,
     AdmissionConfig,
-    FixedWindowController,
     IngestionService,
     RetryPolicy,
     TraceConfig,
-    WindowConfig,
     WriteAheadLog,
     bursty_trace,
 )
@@ -62,7 +59,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ActivationStrategy",
-    "AdaptiveWindowController",
     "AdmissionConfig",
     "DDisMISRecompute",
     "DISTRIBUTED_ALGORITHM_NAMES",
@@ -71,7 +67,6 @@ __all__ = [
     "DynamicGraph",
     "EdgeDeletion",
     "EdgeInsertion",
-    "FixedWindowController",
     "IngestionService",
     "MISMaintainer",
     "NaiveRecompute",
@@ -81,7 +76,6 @@ __all__ = [
     "StreamingSession",
     "TraceConfig",
     "WeightedMISMaintainer",
-    "WindowConfig",
     "WindowReport",
     "WriteAheadLog",
     "bursty_trace",

@@ -181,7 +181,7 @@ def _serve(
     admission_policy: str = "block",
     high_watermark: int = 512,
     low_watermark: int = 128,
-    max_window: int = 64,
+    window: int = 64,
     backoff_s: float = 0.2,
     read_mix: float = 0.0,
     read_batch: int = 32,
@@ -190,7 +190,7 @@ def _serve(
 
     Replays the trace through a full
     :class:`~repro.serve.service.IngestionService` — WAL, admission
-    control, adaptive windowing, retry/quarantine — via
+    control, ``window``-event windows, retry/quarantine — via
     :func:`repro.serve.drive`.  The logical section is pinned like any
     other scenario: every control decision (window boundaries, sheds,
     retries, quarantines) reads logical meters and event time only, so the
@@ -212,12 +212,10 @@ def _serve(
 
     from repro.core.maintainer import MISMaintainer
     from repro.serve import (
-        AdaptiveWindowController,
         AdmissionConfig,
         IngestionService,
         RetryPolicy,
         TraceConfig,
-        WindowConfig,
         audit_log,
         bursty_trace,
         drive,
@@ -236,10 +234,7 @@ def _serve(
     wal_dir = tempfile.mkdtemp(prefix="serve-bench-")
     try:
         with IngestionService(
-            maintainer, wal_dir,
-            controller=AdaptiveWindowController(WindowConfig(
-                min_window=4, max_window=max_window, initial_window=8,
-            )),
+            maintainer, wal_dir, window_size=window,
             admission=AdmissionConfig(
                 policy=admission_policy, high_watermark=high_watermark,
                 low_watermark=low_watermark,
@@ -284,8 +279,7 @@ def _serve(
             "windows": audit["commits"],
             "window_failures": service.stats.window_failures,
             "bisections": service.stats.bisections,
-            "max_pending": session["max_pending"],
-            "controller": service.controller.as_dict(),
+            "max_pending": service.max_pending,
         }
         return entry
     engine = service.query_engine
@@ -373,7 +367,7 @@ SCENARIOS: Dict[str, Callable[[], Dict[str, Any]]] = {
     "serve_bursty_AM": lambda: _serve("AM", 400, 7),
     "serve_poison_SL": lambda: _serve(
         "SL", 300, 11, poison_prob=0.05, admission_policy="shed",
-        high_watermark=24, low_watermark=8, max_window=16, backoff_s=0.5),
+        high_watermark=24, low_watermark=8, window=16, backoff_s=0.5),
     "serve_read_mix_AM": lambda: _serve("AM", 300, 7, read_mix=0.99),
     "elastic_scale_up_TW": lambda: _elastic_transitions(
         "TW", 100, 11, 25, joins=((10, 2), (11, 3))),

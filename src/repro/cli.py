@@ -18,8 +18,8 @@ Subcommands
                Fig. 10/11 workloads and assert the convergence oracle:
                bit-identical final set and logical meters.
 ``serve``      run the durable ingestion service (:mod:`repro.serve`) on a
-               seeded bursty trace: WAL + admission control + adaptive
-               windowing + retry/quarantine, with ``--check`` auditing
+               seeded bursty trace: WAL + admission control + fixed-count
+               windows + retry/quarantine, with ``--check`` auditing
                exactly-once accounting and ``--chaos`` running the
                kill-and-recover bit-identity oracle.  ``--read-mix R``
                interleaves a seeded query stream (fraction R of traffic)
@@ -398,13 +398,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.graph.datasets import load_dataset
     from repro.serve import (
-        AdaptiveWindowController,
         AdmissionConfig,
-        FixedWindowController,
         IngestionService,
         RetryPolicy,
         TraceConfig,
-        WindowConfig,
         audit_log,
         bursty_trace,
         drive,
@@ -438,13 +435,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
 
-    if args.fixed_window is not None:
-        controller = FixedWindowController(args.fixed_window)
-    else:
-        controller = AdaptiveWindowController(WindowConfig(
-            min_window=args.window_min, max_window=args.window_max,
-            initial_window=args.window_init,
-        ))
     trace_graph = load_dataset(args.dataset)
     operations, timestamps = bursty_trace(trace_graph, TraceConfig(
         num_ops=args.ops, seed=args.seed, poison_prob=args.poison_prob,
@@ -456,7 +446,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     wal_dir = args.wal_dir or tempfile.mkdtemp(prefix="repro-serve-")
     try:
         with IngestionService(
-            maintainer, wal_dir, controller=controller,
+            maintainer, wal_dir, window_size=args.window,
             admission=AdmissionConfig(
                 policy=args.admission, high_watermark=args.high_watermark,
                 low_watermark=args.low_watermark,
@@ -484,7 +474,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                           if ingest_wall else 0.0)
             print(f"serve: dataset={args.dataset} ops={args.ops} "
                   f"seed={args.seed} poison={args.poison_prob} "
-                  f"admission={args.admission}")
+                  f"admission={args.admission} window={args.window}")
             print(f"  accepted          {summary['accepted']}")
             print(f"  shed              {summary['shed']}")
             print(f"  rejected          {summary['rejected']}")
@@ -499,9 +489,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"  window wall p95   {session['wall_time_p95_s']:.5f} s")
             print(f"  window wall p99   {session['wall_time_p99_s']:.5f} s")
             print(f"  max pending       {session['max_pending']}")
-            ctl = summary["controller"]
-            print(f"  controller        window={ctl['window_size']} "
-                  f"grows={ctl['grows']} shrinks={ctl['shrinks']}")
             if "reads" in summary:
                 reads = summary["reads"]
                 served = reads["reads_served"]
@@ -827,8 +814,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the durable ingestion service on a seeded bursty trace "
-        "(WAL + recovery, admission control, retry/quarantine, adaptive "
-        "windowing)",
+        "(WAL + recovery, admission control, retry/quarantine, fixed-count "
+        "windows)",
     )
     serve.add_argument(
         "--dataset", default="AM", metavar="TAG",
@@ -845,18 +832,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--workers", type=int, default=10)
     serve.add_argument(
-        "--window-min", type=int, default=4,
-        help="adaptive window lower bound (default: 4)")
-    serve.add_argument(
-        "--window-max", type=int, default=256,
-        help="adaptive window upper bound (default: 256)")
-    serve.add_argument(
-        "--window-init", type=int, default=16,
-        help="adaptive window starting size (default: 16)")
-    serve.add_argument(
-        "--fixed-window", type=int, default=None, metavar="N",
-        help="disable adaptation and use a constant window of N ops",
-    )
+        "--window", type=int, default=256, metavar="N",
+        help="events per window, the paper's batch size b (default: 256)")
     serve.add_argument(
         "--admission", choices=("block", "shed", "error"), default="block",
         help="what happens above the high watermark: block the producer "

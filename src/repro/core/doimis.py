@@ -28,7 +28,7 @@ from repro.core.activation import ActivationStrategy
 from repro.core.oimis import OIMISProgram, independent_set_from_states
 from repro.errors import WorkloadError
 from repro.graph.distributed_graph import DistributedGraph
-from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.dynamic_graph import DynamicGraph, vertex_id
 from repro.graph.updates import (
     EdgeDeletion,
     EdgeInsertion,
@@ -209,20 +209,31 @@ class DOIMISMaintainer:
         """Insert vertex ``u`` (with optional incident edges) — Section VI.
 
         ``u`` first joins the set (``in = true``), then the incident edges
-        are processed as one batch.
+        are processed as one batch.  Atomic: the ids and the edge batch are
+        checked before ``u`` exists, and a batch that fails takes ``u``
+        back out.
         """
+        u = vertex_id(u)
         if self._dgraph.has_vertex(u):
             raise WorkloadError(f"vertex {u} already exists")
+        edges = [EdgeInsertion(u, v)
+                 for v in sorted({vertex_id(v) for v in neighbors})]
+        self._validate_batch(edges)
         self._dgraph.add_vertex(u)
         self._states[u] = True
-        edges = [EdgeInsertion(u, v) for v in sorted(set(neighbors))]
-        if edges:
-            self.apply_batch(edges)
-        else:
+        if not edges:
             self.updates_applied += 1
+            return
+        try:
+            self.apply_batch(edges)
+        except BaseException:
+            self._dgraph.remove_vertex(u)
+            self._states.pop(u, None)
+            raise
 
     def delete_vertex(self, u: int) -> None:
         """Delete vertex ``u``: batch-delete incident edges, then drop it."""
+        u = vertex_id(u)
         incident = [EdgeDeletion(u, v) for v in sorted(self.graph.neighbors(u))]
         if incident:
             self.apply_batch(incident)

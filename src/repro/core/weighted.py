@@ -278,8 +278,17 @@ class WeightedMISMaintainer(DOIMISMaintainer):
                       weight: float = 1.0) -> None:
         """Insert a weighted vertex (defaults to unit weight)."""
         _check_weight(u, weight)
+        previous = self.weights.get(u)
         self.weights[u] = weight
-        super().insert_vertex(u, neighbors)
+        try:
+            super().insert_vertex(u, neighbors)
+        except BaseException:
+            # a refused insertion leaves the weights as they were
+            if previous is None:
+                self.weights.pop(u, None)
+            else:
+                self.weights[u] = previous
+            raise
 
     def delete_vertex(self, u: int) -> None:
         super().delete_vertex(u)

@@ -452,12 +452,10 @@ class ServeChaosResult:
         }
 
 
-def _serve_controller():
-    from repro.serve import AdaptiveWindowController, WindowConfig
-
-    return AdaptiveWindowController(
-        WindowConfig(min_window=4, max_window=64, initial_window=8)
-    )
+#: events per window in the serve oracles.  The drain preset schedules
+#: its drains by engine run, so a 120-event trace must span enough windows
+#: to reach them (at 64 events none fires)
+_SERVE_WINDOW = 16
 
 
 def serve_crash_replay(
@@ -515,13 +513,13 @@ def serve_crash_replay(
     dir_crash = f"{root}/crashed"
     try:
         with IngestionService(
-            make_maintainer(), dir_ref, controller=_serve_controller(),
+            make_maintainer(), dir_ref, window_size=_SERVE_WINDOW,
             retry=retry, checkpoint_every=3,
         ) as reference:
             drive(reference, ops, timestamps)
 
         crashed = IngestionService(
-            make_maintainer(), dir_crash, controller=_serve_controller(),
+            make_maintainer(), dir_crash, window_size=_SERVE_WINDOW,
             retry=retry, checkpoint_every=3,
         )
         cut = 0
@@ -545,7 +543,7 @@ def serve_crash_replay(
                 "runtime": runtime_factory() if runtime_factory else None,
                 "faults": faults_factory() if faults_factory else None,
             },
-            controller=_serve_controller(), retry=retry, checkpoint_every=3,
+            window_size=_SERVE_WINDOW, retry=retry, checkpoint_every=3,
         ) as recovered:
             result.replayed_windows = recovered.stats.replayed_windows
             result.replayed_events = recovered.stats.replayed_events
@@ -621,7 +619,7 @@ def serve_drain_replay(
                     faults=faults,
                 ),
                 f"{root}/{label}",
-                controller=_serve_controller(), checkpoint_every=3,
+                window_size=_SERVE_WINDOW, checkpoint_every=3,
             ) as service:
                 drive(service, ops, timestamps)
             runs[label] = service

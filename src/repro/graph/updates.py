@@ -83,11 +83,18 @@ class VertexInsertion:
 
     Per Section VI of the paper, a vertex insertion is processed by first
     adding ``u`` to the MIS (``u.in = true``) and then applying all incident
-    edges as one batch.
+    edges as one batch.  The constructor applies the id rule to ``u`` and
+    every neighbour, as edge records do; ``neighbors`` becomes a tuple.
     """
 
     u: int
     neighbors: Tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "u", vertex_id(self.u))
+        object.__setattr__(
+            self, "neighbors", tuple(vertex_id(v) for v in self.neighbors)
+        )
 
     def edge_updates(self) -> List[EdgeInsertion]:
         return [EdgeInsertion(self.u, v) for v in self.neighbors]
@@ -98,6 +105,9 @@ class VertexDeletion:
     """Delete vertex ``u``: batch-delete incident edges, then drop ``u``."""
 
     u: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "u", vertex_id(self.u))
 
 
 EdgeUpdate = Union[EdgeInsertion, EdgeDeletion]

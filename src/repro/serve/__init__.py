@@ -2,7 +2,7 @@
 
 The :class:`IngestionService` wraps a checkpointable maintainer with a
 write-ahead log + crash recovery, admission control/backpressure,
-retry-with-quarantine for poison windows, and adaptive windowing.  See
+retry-with-quarantine for poison windows, and fixed-count windowing.  See
 DESIGN.md §13 for the architecture and the WAL format.
 
 :func:`drive` is the one loop that pushes a trace through a service
@@ -19,11 +19,6 @@ from repro.serve.admission import (
     AdmissionConfig,
     AdmissionController,
     AdmissionStats,
-)
-from repro.serve.controller import (
-    AdaptiveWindowController,
-    FixedWindowController,
-    WindowConfig,
 )
 from repro.serve.reads import (
     EpochSnapshot,
@@ -54,14 +49,12 @@ from repro.serve.wal import (
 )
 
 __all__ = [
-    "AdaptiveWindowController",
     "AdmissionConfig",
     "AdmissionController",
     "AdmissionStats",
     "DEAD_LETTER_NAME",
     "EpochSnapshot",
     "FSYNC_POLICIES",
-    "FixedWindowController",
     "IngestionService",
     "LOGICAL_METERS",
     "POISON_ID_GAP",
@@ -74,7 +67,6 @@ __all__ = [
     "SubmitResult",
     "TraceConfig",
     "WALRecord",
-    "WindowConfig",
     "WriteAheadLog",
     "audit_log",
     "bursty_trace",

@@ -8,7 +8,7 @@ ingestion service.  It wraps a checkpointable maintainer
 **Durability** — every admitted event is appended to a
 :class:`~repro.serve.wal.WriteAheadLog` *before* it is buffered; every
 applied window writes a commit record carrying the last applied sequence
-id, the cumulative logical meters and the window controller's snapshot.
+id and the cumulative logical meters.
 :meth:`recover` rebuilds a crashed service: load the newest maintainer
 checkpoint, re-apply committed windows *with their recorded boundaries*
 (idempotent — only events past the checkpoint's watermark replay, and the
@@ -31,10 +31,8 @@ to the dead-letter log (``dead-letter.jsonl``) and recorded as WAL
 quarantine records so replay skips them too.  The stream keeps moving;
 every valid event still applies exactly once.
 
-**Adaptive windowing** — an
-:class:`~repro.serve.controller.AdaptiveWindowController` grows/shrinks
-the window between configured bounds from observed churn and per-window
-convergence cost (the paper's Fig. 11 trade-off, closed-loop).
+**Fixed-count windowing** — every window is cut at ``window_size``
+events, the paper's static batch size ``b`` (Fig. 11 sweeps it).
 
 The service is synchronous and single-threaded, like every engine in this
 repo: "blocking" a producer means resolving windows inline before its
@@ -65,12 +63,11 @@ from repro.errors import (
 from repro.graph.updates import EdgeDeletion, EdgeInsertion, EdgeUpdate
 from repro.pregel.metrics import LOGICAL_METERS
 from repro.serve.admission import AdmissionConfig, AdmissionController
-from repro.serve.controller import AdaptiveWindowController
 from repro.serve.wal import WriteAheadLog
 from repro.stream import StreamingSession, WindowReport
 
-#: the session never cuts windows itself — the service does, through the
-#: adaptive controller — so its own trigger is pushed out of reach
+#: the session never cuts windows itself — the service does, at its own
+#: ``window_size`` — so the session's trigger is pushed out of reach
 _UNBOUNDED_WINDOW = 1 << 62
 
 DEAD_LETTER_NAME = "dead-letter.jsonl"
@@ -140,7 +137,6 @@ class _RecoveredState:
     next_seq: int
     watermark: int
     totals: Dict[str, int]
-    controller_snapshot: Dict[str, Any]
     windows_committed: int
     clock: float
     tail: List[Tuple[int, EdgeUpdate, Optional[float]]]
@@ -165,9 +161,11 @@ class IngestionService:
         Directory for the write-ahead log, checkpoints and the
         dead-letter log.  Must not already contain a log — recover an
         existing one with :meth:`recover`.
-    controller / admission / retry:
-        The window controller (default adaptive), admission config and
-        retry policy.
+    window_size:
+        Events per window (default 256); the last window of a drain may
+        be shorter.
+    admission / retry:
+        Admission config and retry policy.
     checkpoint_every:
         Write a maintainer checkpoint every N committed windows (0 keeps
         only the initial and closing checkpoints).
@@ -180,7 +178,7 @@ class IngestionService:
         self,
         maintainer,
         wal_dir: str,
-        controller: Optional[AdaptiveWindowController] = None,
+        window_size: int = 256,
         admission: Optional[AdmissionConfig] = None,
         retry: Optional[RetryPolicy] = None,
         fsync: str = "commit",
@@ -194,6 +192,10 @@ class IngestionService:
             raise WorkloadError(
                 f"checkpoint_every must be >= 0, got {checkpoint_every}"
             )
+        if type(window_size) is not int or window_size < 1:
+            raise WorkloadError(
+                f"window_size must be an integer >= 1, got {window_size!r}"
+            )
         if not hasattr(maintainer, "save"):
             raise WorkloadError(
                 "IngestionService needs a checkpointable maintainer "
@@ -202,8 +204,7 @@ class IngestionService:
             )
         self.maintainer = maintainer
         self.wal_dir = wal_dir
-        self.controller = controller if controller is not None \
-            else AdaptiveWindowController()
+        self.window_size = window_size
         self.admission = AdmissionController(admission or AdmissionConfig())
         self.retry = retry or RetryPolicy()
         self.checkpoint_every = checkpoint_every
@@ -216,6 +217,9 @@ class IngestionService:
         self._window_seqs: List[int] = []
         self._attempts = 0
         self._next_retry_at = 0.0
+        #: most accepted events ever pending at once (queue plus any stuck
+        #: window): the backlog's high-water mark
+        self.max_pending = 0
         self._dead_letter = None
         self._closed = False
         # epoch-consistent read path: a snapshot registry publishing at
@@ -259,7 +263,6 @@ class IngestionService:
             self.windows_committed = _recovered.windows_committed
             self.totals = dict(_recovered.totals)
             self._clock = _recovered.clock
-            self.controller.restore(_recovered.controller_snapshot)
             self.stats.replayed_windows = _recovered.replayed_windows
             self.stats.replayed_events = _recovered.replayed_events
             self.stats.truncated_bytes = _recovered.truncated_bytes
@@ -323,6 +326,7 @@ class IngestionService:
         self._advance_clock(timestamp)
         self.admission.accepted()
         self._queue.append((seq, op, timestamp))
+        self.max_pending = max(self.max_pending, self.pending)
         self._pump()
         return SubmitResult(accepted=True, seq=seq)
 
@@ -347,7 +351,7 @@ class IngestionService:
             if total == 0 or (force and total <= target):
                 return
             if self.session.pending == 0:
-                if not force and len(self._queue) < self.controller.window_size:
+                if not force and len(self._queue) < self.window_size:
                     return
                 self._cut_window()
             if (self._attempts and not force
@@ -357,7 +361,7 @@ class IngestionService:
                 return
 
     def _cut_window(self) -> None:
-        take = min(self.controller.window_size, len(self._queue))
+        take = min(self.window_size, len(self._queue))
         for _ in range(take):
             seq, op, ts = self._queue.popleft()
             self._window_seqs.append(seq)
@@ -401,9 +405,6 @@ class IngestionService:
     ) -> None:
         self._accrue(before)
         self.windows_committed += 1
-        self.controller.observe(
-            report.operations, report.supersteps, report.churn
-        )
         first, last = self._window_seqs[0], self._window_seqs[-1]
         self.wal.append({
             "t": "cm",
@@ -412,7 +413,6 @@ class IngestionService:
             "l": last,
             "n": report.operations,
             "tot": dict(self.totals),
-            "ctl": self.controller.snapshot(),
             "ep": self._membership_epoch(),
         })
         self._applied_watermark = last
@@ -575,7 +575,6 @@ class IngestionService:
             "file": name,
             "w": self.windows_committed,
             "tot": dict(self.totals),
-            "ctl": self.controller.snapshot(),
         })
         self.stats.checkpoints += 1
         self._prune_checkpoints(keep=2)
@@ -652,8 +651,9 @@ class IngestionService:
         }
         summary.update(self.admission.stats.as_dict())
         summary.update(self.stats.as_dict())
-        summary["controller"] = self.controller.as_dict()
-        summary["session"] = self.session.totals()
+        # the session only ever buffers one window; the backlog is ours
+        summary["session"] = dict(self.session.totals(),
+                                  max_pending=self.max_pending)
         summary["logical_totals"] = self.logical_totals()
         if self.query_engine is not None:
             summary["reads"] = self.query_engine.read_stats()
@@ -667,7 +667,7 @@ class IngestionService:
         cls,
         wal_dir: str,
         maintainer_kwargs: Optional[Dict[str, Any]] = None,
-        controller: Optional[AdaptiveWindowController] = None,
+        window_size: int = 256,
         admission: Optional[AdmissionConfig] = None,
         retry: Optional[RetryPolicy] = None,
         fsync: str = "commit",
@@ -682,10 +682,13 @@ class IngestionService:
         checkpoint, re-apply every commit past its watermark using the
         commit's *recorded* window boundaries (skipping quarantined
         seqs), assert the recomputed cumulative meters equal each
-        commit's stored meters, restore the controller snapshot, then
-        re-buffer the uncommitted tail.  Retry state (attempt counters,
-        backoff deadlines) is deliberately not durable — a stuck window
-        restarts its budget after recovery.
+        commit's stored meters, then re-buffer the uncommitted tail.
+        Retry state (attempt counters, backoff deadlines) is deliberately
+        not durable — a stuck window restarts its budget after recovery.
+        Replay cuts come from the log, so ``window_size`` only shapes the
+        windows cut after recovery; it need not match the crashed
+        service's.  A ``ctl`` key in ``cm`` / ``ck`` records (logs written
+        while window sizes were adaptive) is ignored.
 
         ``maintainer_kwargs`` pass through to
         :meth:`~repro.core.maintainer.MISMaintainer.load` (``runtime``,
@@ -761,7 +764,6 @@ class IngestionService:
         watermark = int(base["q"])
         totals = {k: int(v) for k, v in base["tot"].items()}
         windows_committed = int(base["w"])
-        controller_snapshot = dict(base["ctl"])
         replay_batches = []
         replayed_events = 0
         for commit in commits:
@@ -785,7 +787,6 @@ class IngestionService:
             replayed_events += len(batch)
             watermark = last
             windows_committed = int(commit["w"])
-            controller_snapshot = dict(commit["ctl"])
         # the uncommitted tail goes back into the ingress queue in order
         tail = [
             (seq, events[seq][0], events[seq][1])
@@ -801,7 +802,6 @@ class IngestionService:
             next_seq=scan.next_seq,
             watermark=int(base["q"]),
             totals=totals,
-            controller_snapshot=controller_snapshot,
             windows_committed=windows_committed,
             clock=clock,
             tail=tail,
@@ -813,7 +813,7 @@ class IngestionService:
         service = cls(
             maintainer,
             wal_dir,
-            controller=controller,
+            window_size=window_size,
             admission=admission,
             retry=retry,
             fsync=fsync,
@@ -859,9 +859,6 @@ class IngestionService:
                     f"[{batch[0][0]}, {batch[-1][0]}] diverged from the "
                     f"recorded meters: {drifted}"
                 )
-        # controller state reflects every commit (snapshot restored by the
-        # constructor); replaying must not observe() on top of that
-        self.controller.restore(recovered.controller_snapshot)
         self._applied_watermark = max(
             self._applied_watermark,
             max((b[-1][0] for b, _ in recovered.replay_batches if b),
@@ -873,6 +870,7 @@ class IngestionService:
         self._publish_epoch()
         for seq, op, ts in recovered.tail:
             self._queue.append((seq, op, ts))
+        self.max_pending = max(self.max_pending, self.pending)
         self._pump()
 
     # ------------------------------------------------------------------

@@ -26,13 +26,14 @@ determinism check relies on).  Record types, via the ``"t"`` key:
     ``del``), endpoints ``u``/``v``, optional timestamp ``ts``;
 ``cm``
     a window commit: the seq range ``[f, l]`` that just applied as one
-    batch, the window index ``w``, the service's *cumulative* logical
-    meters ``tot`` and the adaptive controller snapshot ``ctl`` — the
-    watermark that makes replay idempotent;
+    batch (the watermark that makes replay idempotent), the window index
+    ``w``, the service's *cumulative* logical meters ``tot`` and the
+    cluster shape ``ep``.  Logs written while window sizes were adaptive
+    also carry a controller snapshot ``ctl``, which recovery ignores;
 ``ck``
     a maintainer checkpoint: applied watermark ``q``, the checkpoint
     file's name ``file`` (relative to the log directory), plus the same
-    ``tot``/``ctl``/``w`` bookkeeping as a commit;
+    ``tot``/``w`` bookkeeping as a commit;
 ``qr``
     a quarantined (poison) operation: its seq ``q`` and the reason —
     replay must skip it exactly like the live run did.

@@ -4,9 +4,10 @@ import pytest
 
 from repro.core.activation import ActivationStrategy
 from repro.core.doimis import DOIMISMaintainer
-from repro.errors import WorkloadError
+from repro.core.maintainer import MISMaintainer
+from repro.errors import ReproError, WorkloadError
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.generators import erdos_renyi
+from repro.graph.generators import erdos_renyi, path_graph
 from repro.graph.updates import (
     EdgeDeletion,
     EdgeInsertion,
@@ -219,6 +220,61 @@ class TestVertexOperations:
         m.insert_edge(4, 100)
         assert m.graph.has_vertex(100)
         assert m.independent_set() == greedy_mis(m.graph)
+
+    @pytest.mark.parametrize("u, neighbors", [
+        (1.5, ()), (2 ** 70, ()), (5, (5,)), (5, (1.5,)),
+    ])
+    def test_refused_vertex_insertion_changes_nothing(self, u, neighbors):
+        m = MISMaintainer(path_graph(3))
+        before = _snapshot(m)
+        with pytest.raises(ReproError):
+            m.apply(VertexInsertion(u, neighbors))
+        with pytest.raises(ReproError):
+            m.insert_vertex(u, neighbors)
+        assert _snapshot(m) == before
+        m.verify()
+
+    @pytest.mark.parametrize("u", [1.5, 2 ** 70])
+    def test_refused_vertex_deletion_changes_nothing(self, u):
+        m = MISMaintainer(path_graph(3))
+        before = _snapshot(m)
+        with pytest.raises(ReproError):
+            m.apply(VertexDeletion(u))
+        with pytest.raises(ReproError):
+            m.delete_vertex(u)
+        assert _snapshot(m) == before
+        m.verify()
+
+    def test_failed_incident_batch_takes_the_vertex_back_out(
+        self, monkeypatch
+    ):
+        m = MISMaintainer(path_graph(3))
+        before = _snapshot(m)
+
+        def fail(*args, **kwargs):
+            raise WorkloadError("injected")
+
+        monkeypatch.setattr(m._engine, "run", fail)
+        with pytest.raises(WorkloadError, match="injected"):
+            m.insert_vertex(5, (0, 9))
+        monkeypatch.undo()
+        assert _snapshot(m) == before
+        m.verify()
+
+    def test_vertex_records_apply_the_id_rule(self):
+        import numpy as np
+
+        op = VertexInsertion(np.int64(7), [np.int64(1), 2])
+        assert op == VertexInsertion(7, (1, 2))
+        assert type(op.u) is int
+        assert all(type(v) is int for v in op.neighbors)
+        assert VertexDeletion(np.int64(7)).u == 7
+
+
+def _snapshot(m):
+    """Vertices, edges and per-vertex states of a maintainer."""
+    return (sorted(m.graph.vertices()), m.graph.sorted_edges(),
+            dict(m._states))
 
 
 class TestMetricsAccounting:

@@ -409,7 +409,7 @@ class TestServeElastic:
         wal_dir = str(tmp_path / "roundtrip")
         ops, timestamps = self._trace(num_ops=80)
         service = IngestionService(
-            self._maintainer(), wal_dir, checkpoint_every=3,
+            self._maintainer(), wal_dir, window_size=16, checkpoint_every=3,
         )
         cut = 0
         for i, (op, ts) in enumerate(zip(ops, timestamps)):
@@ -431,7 +431,7 @@ class TestServeElastic:
         wal_dir = str(tmp_path / "mismatch")
         ops, timestamps = self._trace(num_ops=80)
         service = IngestionService(
-            self._maintainer(), wal_dir, checkpoint_every=3,
+            self._maintainer(), wal_dir, window_size=16, checkpoint_every=3,
         )
         for op, ts in zip(ops, timestamps):
             service.submit(op, ts)

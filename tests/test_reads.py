@@ -25,17 +25,16 @@ from repro.graph.datasets import load_dataset
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import erdos_renyi
 from repro.serve import (
-    AdaptiveWindowController,
     AdmissionConfig,
     IngestionService,
     QueryEngine,
     SnapshotRegistry,
     TraceConfig,
-    WindowConfig,
     bursty_trace,
 )
 
 _HIGH_WATERMARK = 64
+_WINDOW = 16
 
 
 def _maintainer(tag="AM", **kw):
@@ -43,9 +42,7 @@ def _maintainer(tag="AM", **kw):
 
 
 def _service(tmp_path, name="wal", tag="AM", serve_reads=True, **kw):
-    kw.setdefault("controller", AdaptiveWindowController(WindowConfig(
-        min_window=4, max_window=32, initial_window=8,
-    )))
+    kw.setdefault("window_size", _WINDOW)
     kw.setdefault("admission", AdmissionConfig(
         policy="block", high_watermark=_HIGH_WATERMARK, low_watermark=16,
     ))
@@ -390,10 +387,7 @@ class TestServiceReadPath:
 
         recovered = IngestionService.recover(
             crashed.wal_dir, serve_reads=True,
-            controller=AdaptiveWindowController(WindowConfig(
-                min_window=4, max_window=32, initial_window=8,
-            )),
-            checkpoint_every=0,
+            window_size=_WINDOW, checkpoint_every=0,
         )
         snapshot = recovered.reads.latest()
         assert snapshot.watermark == recovered.applied_watermark > 0

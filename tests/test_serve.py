@@ -1,7 +1,7 @@
 """Tests for the durable ingestion service (``repro.serve``).
 
 Covers the WAL format (segments, checksums, torn tails, rotation), the
-admission policies, the adaptive window controller, the bursty trace
+admission policies, fixed-count windows, the bursty trace
 generator, retry/bisect/quarantine exactly-once semantics, and — the heart
 of the subsystem — crash recovery that is bit-identical to a run that
 never crashed.
@@ -9,6 +9,7 @@ never crashed.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -28,16 +29,13 @@ from repro.errors import (
 from repro.graph.datasets import load_dataset
 from repro.graph.updates import EdgeDeletion, EdgeInsertion, VertexInsertion
 from repro.serve import (
-    AdaptiveWindowController,
     AdmissionConfig,
     AdmissionController,
     DEAD_LETTER_NAME,
-    FixedWindowController,
     IngestionService,
     LOGICAL_METERS,
     RetryPolicy,
     TraceConfig,
-    WindowConfig,
     WriteAheadLog,
     audit_log,
     bursty_trace,
@@ -48,10 +46,8 @@ from repro.serve import (
 _SRC_ROOT = str(Path(repro.__file__).resolve().parents[1])
 
 
-def _small_controller(max_window=32):
-    return AdaptiveWindowController(WindowConfig(
-        min_window=4, max_window=max_window, initial_window=8,
-    ))
+#: small enough that the short test traces span many windows
+_WINDOW = 16
 
 
 def _maintainer(tag="AM", **kw):
@@ -59,7 +55,7 @@ def _maintainer(tag="AM", **kw):
 
 
 def _service(tmp_path, name="wal", tag="AM", **kw):
-    kw.setdefault("controller", _small_controller())
+    kw.setdefault("window_size", _WINDOW)
     kw.setdefault("checkpoint_every", 3)
     return IngestionService(_maintainer(tag), str(tmp_path / name), **kw)
 
@@ -214,71 +210,26 @@ class TestAdmission:
 
 
 # ---------------------------------------------------------------------------
-# adaptive window controller
+# fixed-count windows
 # ---------------------------------------------------------------------------
-class TestController:
-    def test_grows_under_headroom(self):
-        ctl = AdaptiveWindowController(WindowConfig(
-            min_window=4, max_window=64, initial_window=8,
-            target_supersteps=24.0))
-        size = ctl.observe(operations=8, supersteps=2, churn=1)
-        assert size > 8
-        assert ctl.grows == 1
+class TestWindowSize:
+    def test_window_size_validation(self, tmp_path):
+        for i, bad in enumerate((0, -3, 2.5, True, "8")):
+            with pytest.raises(WorkloadError, match="window_size"):
+                _service(tmp_path, name=f"w{i}", window_size=bad)
 
-    def test_shrinks_on_cost_blowout(self):
-        ctl = AdaptiveWindowController(WindowConfig(
-            min_window=4, max_window=64, initial_window=16,
-            target_supersteps=10.0))
-        size = ctl.observe(operations=16, supersteps=50, churn=2)
-        assert size == 8
-        assert ctl.shrinks == 1
-
-    def test_shrinks_on_churn_spike(self):
-        ctl = AdaptiveWindowController(WindowConfig(
-            min_window=4, max_window=64, initial_window=16,
-            target_supersteps=100.0, churn_threshold=1.5))
-        size = ctl.observe(operations=10, supersteps=5, churn=40)
-        assert size == 8
-
-    def test_respects_bounds(self):
-        ctl = AdaptiveWindowController(WindowConfig(
-            min_window=4, max_window=16, initial_window=8))
-        for _ in range(10):
-            ctl.observe(operations=ctl.window_size, supersteps=1, churn=0)
-        assert ctl.window_size == 16
-        for _ in range(10):
-            ctl.observe(operations=ctl.window_size, supersteps=500, churn=0)
-        assert ctl.window_size == 4
-
-    def test_snapshot_restore_bit_exact(self):
-        ctl = AdaptiveWindowController(_small_controller().config)
-        for ops, steps, churn in ((8, 3, 2), (16, 7, 5), (32, 40, 1)):
-            ctl.observe(ops, steps, churn)
-        snap = json.loads(json.dumps(ctl.snapshot()))  # through JSON, as WAL
-        other = AdaptiveWindowController(ctl.config)
-        other.restore(snap)
-        assert other.snapshot() == ctl.snapshot()
-        assert other.window_size == ctl.window_size
-
-    def test_restore_rejects_malformed(self):
-        with pytest.raises(WorkloadError, match="malformed controller"):
-            AdaptiveWindowController().restore({"w": "many"})
-        with pytest.raises(WorkloadError, match="malformed controller"):
-            AdaptiveWindowController().restore({})
-
-    def test_fixed_controller_never_moves(self):
-        ctl = FixedWindowController(12)
-        ctl.observe(operations=12, supersteps=9999, churn=9999)
-        assert ctl.window_size == 12
-        assert ctl.grows == 0 and ctl.shrinks == 0
-
-    def test_config_validation(self):
-        with pytest.raises(WorkloadError):
-            WindowConfig(min_window=10, max_window=4)
-        with pytest.raises(WorkloadError):
-            WindowConfig(initial_window=1000)
-        with pytest.raises(WorkloadError):
-            WindowConfig(growth=0.5)
+    def test_every_window_is_cut_at_window_size(self, tmp_path):
+        ops, _ = bursty_trace(load_dataset("AM"),
+                              TraceConfig(num_ops=50, seed=3))
+        service = _service(tmp_path, window_size=8)
+        for op in ops:
+            service.submit(op)
+        assert service.windows_committed == 6 and service.pending == 2
+        service.close()
+        sizes = [r.payload["n"] for r in
+                 WriteAheadLog(service.wal_dir).iter_records()
+                 if r.payload["t"] == "cm"]
+        assert sizes == [8] * 6 + [2]  # close() drains the short tail
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +397,7 @@ class TestService:
         # two queued events reach the high watermark, so "shed" sheds the
         # next event and "block" drains the queue before admitting it
         service = _service(
-            tmp_path, controller=FixedWindowController(64),
+            tmp_path, window_size=64,
             admission=AdmissionConfig(
                 policy=policy, high_watermark=2, low_watermark=0,
             ),
@@ -583,11 +534,37 @@ class TestDrive:
 
 
 class TestRetryQuarantine:
+    def test_max_pending_counts_the_queue_behind_a_stuck_window(
+        self, tmp_path
+    ):
+        graph = load_dataset("AM")
+        missing = next(v for v in sorted(graph.vertices())
+                       if v != 0 and not graph.has_edge(0, v))
+        ops, _ = bursty_trace(graph, TraceConfig(num_ops=23, seed=3))
+        service = _service(
+            tmp_path, window_size=4,
+            retry=RetryPolicy(max_retries=1, backoff_base_s=50.0),
+        )
+        # the first window holds a poison deletion and fails; untimed
+        # events tick the clock by 1, so its 50 s backoff outlasts the
+        # rest of the trace and the queue grows behind it
+        for op in [EdgeDeletion(0, missing)] + ops:
+            service.submit(op)
+        assert service.stats.retries_scheduled == 1
+        assert service.pending == 24
+        service.close()
+        summary = service.stats_summary()
+        assert summary["session"]["max_pending"] == 24
+        assert service.session.max_pending == 4
+        assert service.stats.quarantined == 1
+        problems, audit = audit_log(service.wal_dir)
+        assert problems == [] and audit["applied"] == 23
+
     def test_transient_failure_retried_without_quarantine(self, tmp_path):
         flaky = _FlakyMaintainer(_maintainer(), failures=1)
         service = IngestionService(
             flaky, str(tmp_path / "wal"),
-            controller=FixedWindowController(5),
+            window_size=5,
             retry=RetryPolicy(max_retries=2, backoff_base_s=0.5),
             checkpoint_every=0,
         )
@@ -685,8 +662,7 @@ class TestRecovery:
         cut = _run_to_crash(crashed, ops, timestamps)
 
         recovered = IngestionService.recover(
-            crashed.wal_dir, controller=_small_controller(),
-            checkpoint_every=3)
+            crashed.wal_dir, window_size=_WINDOW, checkpoint_every=3)
         assert recovered.stats.replayed_windows > 0
         for op, ts in zip(ops[cut:], timestamps[cut:]):
             recovered.submit(op, ts)
@@ -709,15 +685,13 @@ class TestRecovery:
         cut = _run_to_crash(crashed, ops, timestamps)
 
         first = IngestionService.recover(
-            crashed.wal_dir, controller=_small_controller(),
-            checkpoint_every=3)
+            crashed.wal_dir, window_size=_WINDOW, checkpoint_every=3)
         watermark = first.applied_watermark
         totals = first.logical_totals()
         first.abandon()
 
         second = IngestionService.recover(
-            crashed.wal_dir, controller=_small_controller(),
-            checkpoint_every=3)
+            crashed.wal_dir, window_size=_WINDOW, checkpoint_every=3)
         assert second.applied_watermark == watermark
         assert second.logical_totals() == totals
         for op, ts in zip(ops[cut:], timestamps[cut:]):
@@ -750,7 +724,7 @@ class TestRecovery:
 
         recovered = IngestionService.recover(
             crashed.wal_dir, maintainer_kwargs={"num_workers": 6},
-            controller=_small_controller(), retry=retry, checkpoint_every=3)
+            window_size=_WINDOW, retry=retry, checkpoint_every=3)
         for op, ts in zip(ops[cut:], timestamps[cut:]):
             recovered.submit(op, ts)
         recovered.close()
@@ -772,8 +746,7 @@ class TestRecovery:
         with open(segments[-1], "ab") as handle:
             handle.write(b"\x00\x00\x00\x20half-a-record")
         recovered = IngestionService.recover(
-            crashed.wal_dir, controller=_small_controller(),
-            checkpoint_every=3)
+            crashed.wal_dir, window_size=_WINDOW, checkpoint_every=3)
         assert recovered.stats.truncated_bytes > 0
         for op, ts in zip(ops[cut:], timestamps[cut:]):
             recovered.submit(op, ts)
@@ -795,12 +768,11 @@ class TestRecovery:
         forger.append({
             "t": "cm", "w": 999, "f": watermark + 1, "l": watermark + 1,
             "n": 1, "tot": {name: 1 for name in LOGICAL_METERS},
-            "ctl": {"w": 8, "es": 0.0, "ec": 0.0, "n": 0, "g": 0, "s": 0},
         })
         forger.close()
         with pytest.raises(RecoveryError, match="diverged from the recorded"):
             IngestionService.recover(
-                crashed.wal_dir, controller=_small_controller())
+                crashed.wal_dir, window_size=_WINDOW)
 
     def test_recover_falls_back_past_a_corrupt_checkpoint(self, tmp_path):
         ops, timestamps = bursty_trace(
@@ -828,8 +800,7 @@ class TestRecovery:
             handle.write(bytes([byte[0] ^ 0xFF]))
 
         recovered = IngestionService.recover(
-            crashed.wal_dir, controller=_small_controller(),
-            checkpoint_every=3)
+            crashed.wal_dir, window_size=_WINDOW, checkpoint_every=3)
         commits = [r for r in records if r["t"] == "cm"]
         past = [c for c in commits if c["l"] > older["q"]]
         # replay starts at the older checkpoint's watermark, which is
@@ -844,6 +815,68 @@ class TestRecovery:
         assert (sorted(recovered.maintainer.independent_set())
                 == sorted(reference.maintainer.independent_set()))
         assert recovered.logical_totals() == reference.logical_totals()
+
+    def test_log_with_controller_snapshots_recovers(self, tmp_path):
+        """Logs written while window sizes were adaptive carry a ``ctl``
+        snapshot in every ``cm`` / ``ck`` record; recovery ignores it."""
+        ops, timestamps = bursty_trace(
+            load_dataset("AM"), TraceConfig(num_ops=160, seed=7))
+        crashed = _service(tmp_path, name="crashed", checkpoint_every=0)
+        cut = _run_to_crash(crashed, ops, timestamps)
+        legacy = tmp_path / "legacy"
+        shutil.copytree(crashed.wal_dir, legacy)
+        records = [r.payload for r in
+                   WriteAheadLog(str(legacy)).iter_records()]
+        for segment in legacy.glob("wal-*.log"):
+            segment.unlink()
+        ctl = {"w": 32, "es": 0.3125, "ec": 0.75, "n": 4, "g": 2, "s": 0}
+        with WriteAheadLog(str(legacy)) as wal:
+            for payload in records:
+                if payload["t"] in ("cm", "ck"):
+                    payload = dict(payload, ctl=ctl)
+                wal.append(payload)
+        assert sum("ctl" in r.payload for r in
+                   WriteAheadLog(str(legacy)).iter_records()) >= 4
+
+        finished = []
+        for directory in (crashed.wal_dir, str(legacy)):
+            service = IngestionService.recover(
+                directory, window_size=_WINDOW, checkpoint_every=3)
+            for op, ts in zip(ops[cut:], timestamps[cut:]):
+                service.submit(op, ts)
+            service.close()
+            finished.append(service)
+        plain, old = finished
+        assert old.stats.replayed_windows == plain.stats.replayed_windows > 0
+        assert (sorted(old.maintainer.independent_set())
+                == sorted(plain.maintainer.independent_set()))
+        assert old.logical_totals() == plain.logical_totals()
+        problems, summary = audit_log(old.wal_dir)
+        assert problems == [] and summary["applied"] == 160
+
+    def test_recover_with_another_window_size(self, tmp_path):
+        ops, timestamps = bursty_trace(
+            load_dataset("AM"), TraceConfig(num_ops=160, seed=7))
+        crashed = _service(tmp_path, name="crashed", checkpoint_every=0)
+        cut = _run_to_crash(crashed, ops, timestamps)
+        recovered = IngestionService.recover(
+            crashed.wal_dir, window_size=5, checkpoint_every=3)
+        replayed_to = recovered.applied_watermark
+        for op, ts in zip(ops[cut:], timestamps[cut:]):
+            recovered.submit(op, ts)
+        recovered.close()
+        recovered.maintainer.verify()  # the greedy fixpoint
+        problems, summary = audit_log(recovered.wal_dir)
+        assert problems == [] and summary["applied"] == 160
+        sizes = [r.payload["n"] for r in
+                 WriteAheadLog(recovered.wal_dir).iter_records()
+                 if r.payload["t"] == "cm"]
+        before = [r.payload["n"] for r in
+                  WriteAheadLog(recovered.wal_dir).iter_records()
+                  if r.payload["t"] == "cm"
+                  and r.payload["l"] <= replayed_to]
+        assert set(before) == {_WINDOW}
+        assert max(sizes[len(before):]) == 5
 
     def test_recover_requires_records(self, tmp_path):
         with pytest.raises(WALError, match="no log records"):
@@ -879,7 +912,7 @@ class TestIdRule:
         assert cuts[0] == cuts[1]
         assert _dir_bytes(dirs[0]) == _dir_bytes(dirs[1])
         recovered = [
-            IngestionService.recover(d, controller=_small_controller(),
+            IngestionService.recover(d, window_size=_WINDOW,
                                      checkpoint_every=3)
             for d in dirs
         ]
@@ -997,16 +1030,14 @@ import tempfile
 from repro.graph.datasets import load_dataset
 from repro.core.maintainer import MISMaintainer
 from repro.serve import (IngestionService, bursty_trace, TraceConfig,
-                         AdaptiveWindowController, WindowConfig, RetryPolicy)
+                         RetryPolicy)
 
 ops, timestamps = bursty_trace(
     load_dataset("SL"), TraceConfig(num_ops=120, seed=11, poison_prob=0.05))
 maintainer = MISMaintainer(load_dataset("SL"), num_workers=6,
                            representation="csr")
 service = IngestionService(
-    maintainer, tempfile.mkdtemp(),
-    controller=AdaptiveWindowController(WindowConfig(
-        min_window=4, max_window=32, initial_window=8)),
+    maintainer, tempfile.mkdtemp(), window_size=16,
     retry=RetryPolicy(max_retries=1, backoff_base_s=0.2),
     checkpoint_every=3)
 for op, ts in zip(ops, timestamps):
@@ -1086,9 +1117,9 @@ class TestAudit:
             wal.append({"t": "ev", "q": seq, "k": "ins",
                         "u": seq, "v": seq + 1})
         wal.append({"t": "cm", "w": 1, "f": 1, "l": 1, "n": 1,
-                    "tot": {}, "ctl": {}})
+                    "tot": {}})
         wal.append({"t": "cm", "w": 2, "f": 3, "l": 3, "n": 1,
-                    "tot": {}, "ctl": {}})
+                    "tot": {}})
         wal.close()
         problems, _ = audit_log(str(tmp_path))
         assert any("lost" in p for p in problems)

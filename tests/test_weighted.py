@@ -186,6 +186,17 @@ class TestMaintainer:
         assert 50 not in m.weights
         m.verify()
 
+    def test_refused_vertex_insert_keeps_weights(self):
+        m = WeightedMISMaintainer(path_graph(4), num_workers=2)
+        before = dict(m.weights)
+        with pytest.raises(WorkloadError, match="already exists"):
+            m.insert_vertex(1, weight=9.0)
+        with pytest.raises(WorkloadError, match="self-loop"):
+            m.insert_vertex(50, neighbors=[0, 50], weight=9.0)
+        assert m.weights == before
+        assert not m.graph.has_vertex(50)
+        m.verify()
+
     def test_new_endpoint_via_edge_gets_unit_weight(self):
         g = path_graph(3)
         m = WeightedMISMaintainer(g, num_workers=2)
