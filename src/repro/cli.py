@@ -88,9 +88,6 @@ def _resolve_cli_runtime(args: argparse.Namespace):
     """Build the execution backend the ``--runtime``/``--procs`` flags ask
     for (``None`` keeps the engines' inline default)."""
     if args.runtime != "process":
-        if args.procs is not None:
-            print("note: --procs only applies with --runtime process",
-                  file=sys.stderr)
         return None
     from repro.runtime import ParallelRuntime
 
@@ -830,35 +827,42 @@ def build_parser() -> argparse.ArgumentParser:
         help="probability an event is a poison operation destined for the "
         "dead-letter log (default: 0)",
     )
-    serve.add_argument("--workers", type=int, default=10)
+    # the service options below (all but --runtime/--procs, --chaos and
+    # --format) default to None so that --chaos, whose oracle takes none
+    # of them, can tell a given flag from an omitted one;
+    # _check_serve_args fills in _SERVE_DEFAULTS otherwise
+    serve.add_argument("--workers", type=int, help="default: 10")
     serve.add_argument(
-        "--window", type=int, default=256, metavar="N",
-        help="events per window, the paper's batch size b (default: 256)")
+        "--window", type=int, metavar="N",
+        help="events per window, the paper's batch size b (default: 256); "
+        "with --admission shed or error, at most --high-watermark")
     serve.add_argument(
-        "--admission", choices=("block", "shed", "error"), default="block",
+        "--admission", choices=("block", "shed", "error"),
         help="what happens above the high watermark: block the producer "
         "while draining, shed the event, or raise (default: block)",
     )
-    serve.add_argument("--high-watermark", type=int, default=512)
-    serve.add_argument("--low-watermark", type=int, default=128)
+    serve.add_argument("--high-watermark", type=int,
+                       help="default: 512")
+    serve.add_argument("--low-watermark", type=int,
+                       help="default: 128")
     serve.add_argument(
-        "--retries", type=int, default=2,
+        "--retries", type=int,
         help="failed-window retries before bisection (default: 2)")
     serve.add_argument(
-        "--backoff", type=float, default=0.5,
+        "--backoff", type=float,
         help="base retry backoff in event-time seconds (default: 0.5)")
     serve.add_argument(
-        "--checkpoint-every", type=int, default=8, metavar="N",
+        "--checkpoint-every", type=int, metavar="N",
         help="maintainer checkpoint every N committed windows "
         "(0: only the initial and closing checkpoints; default: 8)",
     )
     serve.add_argument(
-        "--fsync", choices=("always", "commit", "never"), default="commit",
+        "--fsync", choices=("always", "commit", "never"),
         help="WAL durability: always (every record), commit (control "
         "records only, default), never (OS-buffered)",
     )
     serve.add_argument(
-        "--wal-dir", default=None, metavar="DIR",
+        "--wal-dir", metavar="DIR",
         help="log directory to create (kept afterwards; default: a "
         "temporary directory, removed on exit)",
     )
@@ -868,19 +872,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--procs", type=int, default=None, metavar="N")
     serve.add_argument(
-        "--read-mix", type=float, default=0.0, metavar="R",
+        "--read-mix", type=float, metavar="R",
         help="fraction of traffic served as reads, in [0, 1): interleave "
         "a seeded query stream (R/(1-R) reads per accepted write) against "
         "the epoch-consistent snapshot read path (default: 0 — read path "
         "off)",
     )
     serve.add_argument(
-        "--read-batch", type=int, default=32, metavar="N",
+        "--read-batch", type=int, metavar="N",
         help="vertices per batch lookup; interleaved reads are 80%% point, "
         "10%% why-not and 10%% batch queries (default: 32)",
     )
     serve.add_argument(
-        "--check", action="store_true",
+        "--check", action="store_true", default=None,
         help="audit the WAL after the run: exit non-zero unless every "
         "accepted event applied or quarantined exactly once (with "
         "--read-mix, also assert reads were served from committed epochs)",
@@ -1105,9 +1109,47 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stdout = guard.stream
 
 
+#: the service options of ``serve`` and their defaults; the crash/replay
+#: oracle (``serve --chaos``) runs its own service and takes none of them
+_SERVE_DEFAULTS = {
+    "workers": 10, "window": 256, "admission": "block",
+    "high_watermark": 512, "low_watermark": 128, "retries": 2,
+    "backoff": 0.5, "checkpoint_every": 8, "fsync": "commit",
+    "wal_dir": None, "read_mix": 0.0, "read_batch": 32, "check": False,
+}
+
+
+def _check_serve_args(parser: argparse.ArgumentParser,
+                      args: argparse.Namespace) -> None:
+    """Refuse ``serve`` options that would be ignored or could not apply
+    an event, then fill in the defaults of the omitted ones."""
+    given = [name for name in _SERVE_DEFAULTS
+             if getattr(args, name) is not None]
+    if args.chaos:
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            parser.error(f"serve --chaos ignores {flags}: the crash/replay "
+                         "oracle runs its own fixed service settings")
+        return
+    for name, default in _SERVE_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    if args.admission != "block" and args.window > args.high_watermark:
+        parser.error(
+            f"--window {args.window} exceeds --high-watermark "
+            f"{args.high_watermark} under --admission {args.admission}: "
+            "the queue would never hold a full window"
+        )
+
+
 def _main(argv: Optional[List[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "runtime", "process") != "process" \
+            and args.procs is not None:
+        parser.error("--procs only applies with --runtime process")
+    if args.command == "serve":
+        _check_serve_args(parser, args)
     if args.command == "maintain":
         if bool(args.resume) == bool(args.graph):
             parser.error("maintain needs exactly one of --graph or --resume")

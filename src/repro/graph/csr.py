@@ -31,7 +31,13 @@ The mirror registers as a :class:`DynamicGraph` mutation observer (the
 same protocol the rank caches use) and repairs itself incrementally: an
 edge update re-keys its endpoints and refetches only their two rows;
 vertex insertion/removal schedules a full rebuild.
-``ensure()`` settles all pending repairs before a run.  The first build
+``ensure()`` settles all pending repairs before a run, then makes
+``(ids, indptr, nbr)`` the graph's adjacency of record: the rows the
+graph built since the last settle turn back into rows of these arrays
+(:meth:`DynamicGraph._rebase`), so between windows the graph holds no
+adjacency set and no second copy of the arrays.  An in-place repair
+writes only its dirty endpoints' rows, which the graph still holds as
+sets until that settle.  The first build
 takes the graph's own arrays (:func:`~repro.graph.dynamic_graph.csr_arrays`)
 when the graph is still unmutated since it was bulk-built, so it never
 walks the adjacency sets; those arrays are read-only, and the first
@@ -54,7 +60,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.graph.distributed_graph import guest_flags
-from repro.graph.dynamic_graph import csr_arrays, vertex_rows
+from repro.graph.dynamic_graph import csr_arrays, row_spans, vertex_rows
 from repro.pregel.partition import home_array
 
 _REPRESENTATIONS = ("dict", "csr")
@@ -159,7 +165,11 @@ class CSRPartition:
 
     # -- build / repair -------------------------------------------------
     def ensure(self) -> None:
-        """Settle every pending repair; cheap no-op when already fresh."""
+        """Settle every pending repair, then hand the graph these arrays
+        as its adjacency of record: every row it built since the last
+        settle turns back into a lazy row of them
+        (:meth:`DynamicGraph._rebase`).  Cheap when already fresh and no
+        row was built."""
         if self._needs_rebuild or self.ids is None:
             self._rebuild()
             self._needs_rebuild = False
@@ -167,6 +177,7 @@ class CSRPartition:
         elif self._dirty_keys:
             self._repair()
             self._dirty_keys.clear()
+        self._graph._rebase(self.ids, self.indptr, self.nbr, self._index)
 
     def _rebuild(self) -> None:
         arrays = csr_arrays(self._graph)
@@ -235,13 +246,9 @@ class CSRPartition:
                 if not nbr.flags.writeable:
                     # still the graph's read-only build arrays: take a copy
                     nbr = self.nbr = nbr.copy()
-                # scatter every refetched row in one shot: map flat's
-                # positions onto the rows' existing slices
-                starts = indptr[rows_arr]
-                offs = np.zeros(rows_arr.size, np.int64)
-                np.cumsum(counts[:-1], out=offs[1:])
-                nbr[np.arange(flat.size, dtype=np.int64)
-                    - offs[owners] + starts[owners]] = flat
+                # scatter every refetched row in one shot onto the rows'
+                # existing slices
+                nbr[row_spans(indptr[rows_arr], counts)] = flat
             else:
                 new_rows = np.split(flat, np.cumsum(counts[:-1]))
                 lens = np.diff(indptr)

@@ -17,10 +17,17 @@ and no set at all: each vertex maps to its row of those (read-only) base
 arrays until the row is first touched, when :meth:`DynamicGraph._row`
 builds its set in the order an incremental build would have.  Set-up
 therefore pays only for the rows it reads -- the static run sweeps the
-arrays and reads none -- and the base arrays are dropped once every row
-is built.  The graph also keeps the arrays until its first mutation, and
-:func:`csr_arrays` hands them out instead of walking the rows, so the
-guest directory and the CSR mirror are built from the same arrays.
+arrays and reads none.  The graph also keeps the arrays until its first
+mutation, and :func:`csr_arrays` hands them out instead of walking the
+rows, so the guest directory and the CSR mirror are built from the same
+arrays.
+
+Once a CSR mirror (:class:`repro.graph.csr.CSRPartition`) settles, its
+arrays are the base instead: every settle re-points the rows built since
+the last one back to rows of the mirror's arrays (:meth:`_rebase`), so a
+window's sets last only until its commit and the graph keeps one base
+layout.  A graph without a mirror keeps every built set, and drops its
+base arrays once every row is built.
 """
 
 from __future__ import annotations
@@ -133,28 +140,56 @@ def csr_arrays(graph: "DynamicGraph") -> Tuple[Any, Any, Any]:
     The one array builder behind the guest directory, the CSR mirror
     (:meth:`repro.graph.csr.CSRPartition._rebuild`) and checkpoints.  The
     result is kept on the graph until its first mutation: later calls
-    return the same (read-only) arrays instead of walking the sets again.
-    Order within a row is the build's: insertion order from
+    return the same (read-only) arrays instead of walking the rows again.
+    A walk builds no row: an untouched row is copied from the arrays it
+    indexes, a built one read from its set.  Order within a row is
+    therefore the build's -- insertion order from
     :meth:`DynamicGraph.from_edges`, the input's from
-    :meth:`DynamicGraph.from_csr`, set order from a walk (which builds
-    every untouched row); nothing reads it.
+    :meth:`DynamicGraph.from_csr`, the mirror's for a row it settled --
+    or set order for a built row; nothing reads it.
     """
     arrays = graph._arrays
     if arrays is None:
         order = graph.sorted_vertices()
         n = len(order)
         ids = np.fromiter(order, np.int64, count=n)
-        adj = [graph.neighbors(u) for u in order]
+        rows = list(map(graph._adj.__getitem__, order))
+        # each vertex's row in the base arrays, or -1 where a set holds it
+        src = np.fromiter((r if type(r) is int else -1 for r in rows),
+                          np.int64, count=n)
+        built = np.flatnonzero(src < 0)
+        sets = [rows[i] for i in built.tolist()]
+        lens = np.empty(n, np.int64)
+        lens[built] = np.fromiter(map(len, sets), np.int64, count=len(sets))
+        lazy = np.flatnonzero(src >= 0)
+        if lazy.size:
+            base_ids, base_ptr, base_nbr = graph._base
+            src = src[lazy]
+            lens[lazy] = base_ptr[src + 1] - base_ptr[src]
         indptr = np.zeros(n + 1, np.int64)
-        np.cumsum(np.fromiter(map(len, adj), np.int64, count=n),
-                  out=indptr[1:])
-        # one flat pass over the adjacency sets, then a vectorized id → row
+        np.cumsum(lens, out=indptr[1:])
+        # every row's neighbour ids, then a vectorized id → row
         # translation (ids are ascending, so searchsorted is exact)
-        nbr = np.searchsorted(ids, np.fromiter(
-            chain.from_iterable(adj), np.int64, count=int(indptr[-1])
-        ))
-        arrays = graph._keep_arrays(ids, indptr, nbr)
+        flat = np.empty(int(indptr[-1]), np.int64)
+        if lazy.size:
+            flat[row_spans(indptr[lazy], lens[lazy])] = base_ids[
+                base_nbr[row_spans(base_ptr[src], lens[lazy])]
+            ]
+        if sets:
+            spans = row_spans(indptr[built], lens[built])
+            flat[spans] = np.fromiter(chain.from_iterable(sets), np.int64,
+                                      count=spans.size)
+        arrays = graph._keep_arrays(ids, indptr, np.searchsorted(ids, flat))
     return arrays
+
+
+def row_spans(starts, lens) -> Any:
+    """The positions of the slices ``[starts[i], starts[i] + lens[i])``,
+    one slice after another."""
+    offs = np.zeros(lens.size, np.int64)
+    np.cumsum(lens[:-1], out=offs[1:])
+    return (np.repeat(starts - offs, lens)
+            + np.arange(int(lens.sum()), dtype=np.int64))
 
 
 def vertex_rows(graph: "DynamicGraph", ids) -> Any:
@@ -271,17 +306,21 @@ class DynamicGraph:
 
     __slots__ = (
         "_adj", "_rank_caches", "_default_rank_cache", "_mutation_observers",
-        "_arrays", "_order", "_base", "_lazy", "_m",
+        "_arrays", "_order", "_base", "_lazy", "_built", "_m",
     )
 
     def __init__(self) -> None:
         # vertex -> adjacency set, or -> its row of the base arrays until
         # the row is first touched (see _row); insertion-ordered
         self._adj: Dict[int, Union[Set[int], int]] = {}
-        #: (row bounds, neighbour row indices, ids as an object array) of
-        #: a bulk build, while any row is still untouched
-        self._base: Optional[Tuple[List[int], Any, Any]] = None
+        #: ``(ids, indptr, nbr)`` the untouched rows index: the bulk
+        #: build's arrays, then the CSR mirror's once it settles (see
+        #: _rebase); dropped when every row is built
+        self._base: Optional[Tuple[Any, Any, Any]] = None
         self._lazy = 0  # untouched rows
+        #: vertices whose row was built from the current base (see
+        #: _rebase)
+        self._built: List[int] = []
         self._m = 0  # edges
         # rank-ordered adjacency caches kept in lock-step with mutations
         # (see repro.graph.rank_cache); attached lazily, so plain graphs
@@ -378,32 +417,50 @@ class DynamicGraph:
         else:
             rows = order.tolist()
         graph._adj = dict(zip(map(ids_list.__getitem__, rows), rows))
-        nbr = graph._keep_arrays(ids, indptr, nbr, order)[2]
+        arrays = graph._keep_arrays(ids, indptr, nbr, order)
         graph._m = nbr.size // 2
         if ids.size:
-            # row sets will reference the keys' int objects (no int per
-            # entry)
-            graph._base = (indptr.tolist(), nbr,
-                           np.array(ids_list, dtype=object))
+            graph._base = arrays
             graph._lazy = ids.size
         return graph
 
     def _row(self, u: int) -> Set[int]:
         """The adjacency set of ``u`` (``KeyError`` if absent), built from
         the base arrays on first touch.  Every reader and mutator reaches
-        a row through here; the base arrays list a row's neighbours in
-        insertion order, so the set iterates as an incremental build's."""
+        a row through here; a bulk build's arrays list a row's neighbours
+        in insertion order, so the set iterates as an incremental
+        build's."""
         row = self._adj[u]
         if type(row) is not int:
             return row
-        bounds, nbr, ids = self._base
+        ids, indptr, nbr = self._base
         row = self._adj[u] = set(
-            ids[nbr[bounds[row]:bounds[row + 1]]].tolist()
+            ids[nbr[indptr[row]:indptr[row + 1]]].tolist()
         )
         self._lazy -= 1
-        if not self._lazy:
+        if self._lazy:
+            self._built.append(u)
+        else:  # every row built: the next settle re-points them all
             self._base = None
+            self._built = []
         return row
+
+    def _rebase(self, ids, indptr, nbr, index: Dict[int, int]) -> None:
+        """Make the CSR mirror's settled arrays -- ``ids``, ``indptr``,
+        ``nbr`` and the ``{id: row}`` map ``index`` -- this graph's
+        adjacency of record: every built row turns back into its row of
+        them.  While the base is still this ``ids`` array only the rows
+        built since the last call are re-pointed (O(rows built)), since a
+        repair keeps every row where it was; after a rebuild, or another
+        mirror's settle, every vertex is (O(n))."""
+        adj = self._adj
+        base = self._base
+        stale = self._built if base is not None and base[0] is ids else adj
+        for u in stale:
+            adj[u] = index[u]
+        self._lazy = len(adj)
+        self._base = (ids, indptr, nbr) if adj else None
+        self._built = []
 
     def _keep_arrays(self, ids, indptr, nbr,
                      order=None) -> Tuple[Any, Any, Any]:
@@ -564,7 +621,11 @@ class DynamicGraph:
     # neighbourhoods
     # ------------------------------------------------------------------
     def neighbors(self, u: int) -> Set[int]:
-        """The neighbour set of ``u`` (a live view; do not mutate)."""
+        """The neighbour set of ``u`` (a live view; do not mutate).
+
+        On a graph with a CSR mirror the view is live only until the
+        mirror's next settle, which turns the row back into a row of its
+        arrays; a later call builds a fresh set."""
         return self._require(u)
 
     def degree(self, u: int) -> int:
@@ -575,8 +636,8 @@ class DynamicGraph:
         except KeyError:
             raise VertexNotFoundError(u) from None
         if type(row) is int:
-            bounds = self._base[0]
-            return bounds[row + 1] - bounds[row]
+            indptr = self._base[1]
+            return int(indptr[row + 1] - indptr[row])
         return len(row)
 
     def average_degree(self) -> float:

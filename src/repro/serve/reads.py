@@ -206,29 +206,40 @@ class SnapshotRegistry:
 
 
 class LatencySamples:
-    """Append-only ``float64`` sample buffer: 8 B per sample (capacity
-    doubles when full) instead of a Python float object per read, with
-    the exact nearest-rank percentiles of :func:`repro.util.percentile`."""
+    """Ring of the most recent :attr:`CAPACITY` latency samples, 8 B each
+    in one ``float64`` array (it starts at 1,024 slots and doubles up to
+    the cap), with the exact nearest-rank percentiles of
+    :func:`repro.util.percentile` over the ring and an all-time running
+    :meth:`total`."""
+
+    #: samples the percentiles cover: the most recent this many
+    CAPACITY = 1 << 16
 
     def __init__(self):
         self._buf = np.empty(1024, np.float64)
-        self._size = 0
+        self._count = 0  # samples ever appended
+        self._total = 0.0
 
     def append(self, value: float) -> None:
-        if self._size == self._buf.size:
-            grown = np.empty(2 * self._buf.size, np.float64)
-            grown[:self._size] = self._buf
+        count = self._count
+        size = self._buf.size
+        if count == size and size < self.CAPACITY:
+            grown = np.empty(min(2 * size, self.CAPACITY), np.float64)
+            grown[:size] = self._buf
             self._buf = grown
-        self._buf[self._size] = value
-        self._size += 1
+        self._buf[count % self.CAPACITY] = value
+        self._count = count + 1
+        self._total += value
 
     def percentiles(self, qs) -> List[float]:
-        """Nearest-rank percentile of the samples for each ``q``."""
-        ordered = np.sort(self._buf[:self._size])
+        """Nearest-rank percentile of the ring's samples for each ``q``."""
+        ordered = np.sort(self._buf[:min(self._count, self.CAPACITY)])
         return [float(percentile(ordered, q)) for q in qs]
 
     def total(self) -> float:
-        return float(self._buf[:self._size].sum())
+        """Sum of every sample ever appended, the ring's evicted ones
+        included."""
+        return self._total
 
 
 class QueryEngine:
@@ -428,7 +439,11 @@ class QueryEngine:
 
     def read_stats(self) -> Dict[str, Any]:
         """Everything :meth:`logical_stats` has, plus the epoch frontier
-        and nearest-rank read-latency percentiles (milliseconds)."""
+        and nearest-rank read-latency percentiles (milliseconds).
+
+        The percentiles cover the most recent
+        :attr:`LatencySamples.CAPACITY` reads (65,536); ``reads_per_s``
+        covers every read served, over their summed latency."""
         stats: Dict[str, Any] = dict(self.logical_stats())
         latest = self._registry.latest()
         if latest is not None:

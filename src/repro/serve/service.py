@@ -129,6 +129,25 @@ class SubmitResult:
     shed: bool = False
 
 
+def _check_window(window_size: int,
+                  admission: Optional[AdmissionConfig]) -> None:
+    """Refuse a ``window_size`` that is not an integer >= 1, or that
+    exceeds the high watermark under ``shed`` or ``error`` admission:
+    there the queue never holds a full window, so nothing would apply
+    until a drain and every event past the watermark would be refused."""
+    if type(window_size) is not int or window_size < 1:
+        raise WorkloadError(
+            f"window_size must be an integer >= 1, got {window_size!r}"
+        )
+    if admission is not None and admission.policy != "block" \
+            and window_size > admission.high_watermark:
+        raise WorkloadError(
+            f"window_size {window_size} exceeds high_watermark "
+            f"{admission.high_watermark} under {admission.policy!r} "
+            f"admission: the queue would never hold a full window"
+        )
+
+
 @dataclass
 class _RecoveredState:
     """What :meth:`IngestionService.recover` hands the constructor."""
@@ -163,7 +182,8 @@ class IngestionService:
         existing one with :meth:`recover`.
     window_size:
         Events per window (default 256); the last window of a drain may
-        be shorter.
+        be shorter.  Under ``shed`` or ``error`` admission it may not
+        exceed the high watermark (:class:`WorkloadError`).
     admission / retry:
         Admission config and retry policy.
     checkpoint_every:
@@ -192,10 +212,7 @@ class IngestionService:
             raise WorkloadError(
                 f"checkpoint_every must be >= 0, got {checkpoint_every}"
             )
-        if type(window_size) is not int or window_size < 1:
-            raise WorkloadError(
-                f"window_size must be an integer >= 1, got {window_size!r}"
-            )
+        _check_window(window_size, admission)
         if not hasattr(maintainer, "save"):
             raise WorkloadError(
                 "IngestionService needs a checkpointable maintainer "
@@ -696,6 +713,7 @@ class IngestionService:
         """
         from repro.core.maintainer import MISMaintainer
 
+        _check_window(window_size, admission)
         wal = WriteAheadLog(wal_dir, segment_bytes=segment_bytes, fsync=fsync)
         scan = wal.scan()
         if not scan.records:

@@ -295,3 +295,40 @@ class TestServeCommand:
     def test_read_mix_out_of_range_is_clean_error(self, capsys):
         assert main(["serve", "--ops", "20", "--read-mix", "1.0"]) == 1
         assert "read_mix must be in [0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy", ["shed", "error"])
+    def test_window_above_the_watermark_is_refused(self, capsys, policy):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--dataset", "SL", "--ops", "500", "--seed", "7",
+                  "--admission", policy, "--high-watermark", "24",
+                  "--low-watermark", "8", "--poison-prob", "0.05",
+                  "--check"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--window 256 exceeds --high-watermark 24" in err
+
+    @pytest.mark.parametrize("flag", [
+        ["--window", "8"], ["--admission", "block"],
+        ["--high-watermark", "24"], ["--low-watermark", "8"],
+        ["--retries", "1"], ["--backoff", "0.2"], ["--fsync", "never"],
+        ["--checkpoint-every", "2"], ["--workers", "3"],
+        ["--wal-dir", "wal"], ["--read-mix", "0.5"], ["--read-batch", "4"],
+        ["--check"],
+    ])
+    def test_chaos_refuses_the_flags_its_oracle_ignores(self, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--chaos", "--ops", "40"] + flag)
+        assert exit_info.value.code == 2
+        assert f"serve --chaos ignores {flag[0]}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["compute", "graph.txt"], ["maintain", "updates.txt", "--graph", "g"],
+    ["serve"], ["rebalance"], ["serve", "--runtime", "inline"],
+])
+def test_procs_without_the_process_runtime_is_refused(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + ["--procs", "2"])
+    assert exit_info.value.code == 2
+    assert "--procs only applies with --runtime process" \
+        in capsys.readouterr().err

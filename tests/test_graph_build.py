@@ -568,15 +568,25 @@ def _service_graph(n=300, m=1200, seed=7):
 
 class TestSetupBuildsNoRow:
     """Set-up pays only for the rows it touches: the static run sweeps the
-    arrays, and a window reads only its endpoints' rows."""
+    arrays, a window builds only its endpoints' rows, and the mirror's
+    settle turns them back into rows of its arrays."""
 
-    def test_service_setup_then_one_window(self, tmp_path):
+    def test_service_setup_then_one_window(self, tmp_path, monkeypatch):
         edges = _service_graph()
         maintainer = MISMaintainer.from_edges(edges, vertices=range(300))
         service = IngestionService(maintainer, str(tmp_path / "wal"),
                                    serve_reads=True, checkpoint_every=1)
         graph = maintainer.graph
         assert built_rows(graph) == set()
+        built = []
+        real_row = DynamicGraph._row
+
+        def spy(self, u):
+            if type(self._adj[u]) is int:
+                built.append(u)
+            return real_row(self, u)
+
+        monkeypatch.setattr(DynamicGraph, "_row", spy)
         present = {(min(e), max(e)) for e in edges}
         absent = next((u, v) for u in range(300) for v in range(u + 1, 300)
                       if (u, v) not in present)
@@ -585,7 +595,9 @@ class TestSetupBuildsNoRow:
             service.submit(op)
         service.drain()
         assert service.windows_committed >= 1
-        assert built_rows(graph) == {w for op in ops for w in (op.u, op.v)}
+        assert sorted(built) == sorted({w for op in ops
+                                        for w in (op.u, op.v)})
+        assert built_rows(graph) == set()
         service.close()
         maintainer.verify()
 
@@ -597,3 +609,152 @@ class TestSetupBuildsNoRow:
         restored = MISMaintainer.load(path, verify=False)
         assert built_rows(restored.graph) == set()
         assert restored.independent_set() == maintainer.independent_set()
+
+
+# ---------------------------------------------------------------------------
+# between windows, the CSR mirror's arrays are the graph's only adjacency
+# ---------------------------------------------------------------------------
+_WINDOW_OPS = st.lists(st.one_of(
+    st.tuples(st.just("edges"),
+              st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                       min_size=1, max_size=6)),
+    st.tuples(st.just("insert_vertex"),
+              st.sets(st.integers(0, 40), min_size=1, max_size=3)),
+    st.tuples(st.just("delete_vertex"), st.integers(0, 40)),
+    st.tuples(st.just("swap"), st.tuples(st.integers(0, 80),
+                                         st.integers(0, 80))),
+), min_size=1, max_size=8)
+
+
+class TestMirrorIsTheAdjacency:
+    """Every settle of the CSR mirror turns the rows a window built back
+    into rows of the mirror's arrays; the graph still answers as a plain
+    one-update-at-a-time replay."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11))
+                          .filter(lambda e: e[0] != e[1]), max_size=30),
+           windows=_WINDOW_OPS)
+    def test_windows_leave_no_row_built(self, edges, windows):
+        maintainer = MISMaintainer.from_edges(edges, vertices=range(12),
+                                              num_workers=3)
+        ref = incremental(edges, range(12))
+        graph = maintainer.graph
+        next_id = 12
+        for kind, arg in windows:
+            live = sorted(ref.vertices())
+            if kind == "edges":
+                ops, seen = [], set()
+                for i, j in arg:
+                    u, v = live[i % len(live)], live[j % len(live)]
+                    if u == v or (min(u, v), max(u, v)) in seen:
+                        continue
+                    seen.add((min(u, v), max(u, v)))
+                    if ref.has_edge(u, v):
+                        ref.remove_edge(u, v)
+                        ops.append(EdgeDeletion(u, v))
+                    else:
+                        ref.add_edge(u, v)
+                        ops.append(EdgeInsertion(u, v))
+                if not ops:
+                    continue
+                maintainer.apply_batch(ops)
+            elif kind == "swap":
+                # (a, b), (c, d) -> (a, d), (c, b): every degree stays, so
+                # the mirror rewrites the rows in place
+                present = sorted(ref.edges())
+                if not present:
+                    continue
+                (a, b), (c, d) = (present[i % len(present)] for i in arg)
+                if len({a, b, c, d}) < 4 or ref.has_edge(a, d) \
+                        or ref.has_edge(c, b):
+                    continue
+                ops = [EdgeDeletion(a, b), EdgeDeletion(c, d),
+                       EdgeInsertion(a, d), EdgeInsertion(c, b)]
+                for op in ops:
+                    if isinstance(op, EdgeDeletion):
+                        ref.remove_edge(op.u, op.v)
+                    else:
+                        ref.add_edge(op.u, op.v)
+                maintainer.apply_batch(ops)
+            elif kind == "insert_vertex":
+                nbrs = {live[i % len(live)] for i in arg}
+                maintainer.insert_vertex(next_id, nbrs)
+                for v in nbrs:
+                    ref.add_edge(next_id, v)
+                next_id += 1
+            else:
+                # a vertex with an edge, so that the deletion runs a window
+                # (an isolated one leaves the graph without one)
+                linked = [u for u in live if ref.degree(u)]
+                if not linked:
+                    continue
+                u = linked[arg % len(linked)]
+                maintainer.delete_vertex(u)
+                ref.remove_vertex(u)
+            assert built_rows(graph) == set()
+            assert graph.num_edges == ref.num_edges
+            assert list(graph.vertices()) == list(ref.vertices())
+            assert all(graph.degree(u) == ref.degree(u)
+                       for u in ref.vertices())
+            assert all(graph.neighbors(u) == ref.neighbors(u)
+                       for u in ref.vertices())
+        assert is_greedy_fixpoint(ref, maintainer.independent_set())
+
+    def test_dict_path_with_a_mirror_matches_without(self, tmp_path):
+        from repro.graph.datasets import load_dataset
+        from repro.serve import TraceConfig, bursty_trace
+
+        ops, timestamps = bursty_trace(load_dataset("AM"),
+                                       TraceConfig(num_ops=300, seed=5))
+        results = []
+        for reads in (False, True):
+            maintainer = MISMaintainer(load_dataset("AM"), num_workers=6,
+                                       representation="dict")
+            service = IngestionService(maintainer, str(tmp_path / str(reads)),
+                                       window_size=16, serve_reads=reads)
+            for op, ts in zip(ops, timestamps):
+                service.submit(op, ts)
+            service.close()
+            part = getattr(maintainer.dgraph, "_csr_partition", None)
+            assert (part is not None) == reads
+            if reads:
+                assert part.repairs + part.rebuilds > 10
+            results.append((maintainer.update_metrics.logical(),
+                            maintainer.independent_set()))
+        assert results[0] == results[1]
+
+    def test_graph_and_mirror_bytes_per_vertex(self):
+        import gc
+        import tracemalloc
+
+        n = 5000
+        rng = np.random.default_rng(3)
+        pairs = rng.integers(0, n, (4 * n, 2))
+        tracemalloc.start()
+        try:
+            maintainer = MISMaintainer.from_edges(
+                pairs[pairs[:, 0] != pairs[:, 1]], vertices=range(n))
+            graph = maintainer.graph
+            for _ in range(40):
+                ops, seen = [], set()
+                for u, v in rng.integers(0, n, (64, 2)).tolist():
+                    if u == v or (min(u, v), max(u, v)) in seen:
+                        continue
+                    seen.add((min(u, v), max(u, v)))
+                    ops.append(EdgeDeletion(u, v) if graph.has_edge(u, v)
+                               else EdgeInsertion(u, v))
+                maintainer.apply_batch(ops)
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = snapshot.filter_traces([
+            tracemalloc.Filter(True, "*repro/graph/dynamic_graph.py"),
+            tracemalloc.Filter(True, "*repro/graph/csr.py"),
+        ]).statistics("filename")
+        # about 207 B/vertex: the mirror's arrays, the {id: row} map and
+        # the static run's states.  A set per touched row, as when every
+        # built row was kept, took about 777 B/vertex here
+        assert sum(stat.size for stat in held) / n < 300
+        assert built_rows(graph) == set()

@@ -274,6 +274,21 @@ class TestQueryEngine:
         ]
         assert samples.total() == pytest.approx(sum(values))
 
+    def test_latency_samples_keep_a_ring_of_the_latest(self):
+        from repro.serve.reads import LatencySamples
+        from repro.util import percentile
+
+        rng = np.random.default_rng(11)
+        values = rng.exponential(1e-3, 200_000)
+        samples = LatencySamples()
+        for value in values.tolist():
+            samples.append(value)
+        assert samples._buf.size == 65_536 == LatencySamples.CAPACITY
+        kept = sorted(values[-65_536:].tolist())
+        qs = (1 / 65_536, 0.5, 0.95, 0.99, 1.0)
+        assert samples.percentiles(qs) == [percentile(kept, q) for q in qs]
+        assert samples.total() == pytest.approx(float(values.sum()))
+
 
 # ---------------------------------------------------------------------------
 # service wiring: epochs at commits, recovery, staleness, membership

@@ -231,6 +231,26 @@ class TestWindowSize:
                  if r.payload["t"] == "cm"]
         assert sizes == [8] * 6 + [2]  # close() drains the short tail
 
+    @pytest.mark.parametrize("policy", ["shed", "error"])
+    def test_window_above_the_watermark_is_refused(self, tmp_path, policy):
+        admission = AdmissionConfig(policy=policy, high_watermark=24,
+                                    low_watermark=8)
+        with pytest.raises(WorkloadError, match="window_size 25 exceeds "
+                           "high_watermark 24"):
+            _service(tmp_path, name="new", window_size=25,
+                     admission=admission)
+        assert not (tmp_path / "new").exists()
+        service = _service(tmp_path, window_size=24, admission=admission)
+        service.submit(EdgeInsertion(0, 2))
+        service.close()
+        with pytest.raises(WorkloadError, match="window_size 256 exceeds "
+                           "high_watermark 24"):
+            IngestionService.recover(service.wal_dir, admission=admission)
+        # the block policy drains instead of refusing, so any window fits
+        _service(tmp_path, name="block", window_size=25,
+                 admission=AdmissionConfig(high_watermark=24,
+                                           low_watermark=8)).abandon()
+
 
 # ---------------------------------------------------------------------------
 # bursty trace generator
@@ -394,10 +414,12 @@ class TestService:
     def test_non_finite_timestamp_rejected_unlogged(
         self, tmp_path, policy, stamp
     ):
-        # two queued events reach the high watermark, so "shed" sheds the
-        # next event and "block" drains the queue before admitting it
+        # both edges exist, so the two queued events form a window that
+        # fails and waits out its backoff at the high watermark: "shed"
+        # sheds the next event and "block" drains the queue before
+        # admitting it
         service = _service(
-            tmp_path, window_size=64,
+            tmp_path, window_size=2,
             admission=AdmissionConfig(
                 policy=policy, high_watermark=2, low_watermark=0,
             ),
@@ -458,7 +480,7 @@ class TestService:
         # a stuck window freezes the pipeline, so the queue can exceed the
         # watermark while retries wait out their (event-time) backoff
         service = _service(
-            tmp_path, tag="SL",
+            tmp_path, tag="SL", window_size=8,
             admission=AdmissionConfig(
                 policy="error", high_watermark=10, low_watermark=2),
             retry=RetryPolicy(max_retries=3, backoff_base_s=1000.0),
@@ -517,10 +539,17 @@ class TestDrive:
         service.close()
 
     def test_error_policy_drops_rejected_events(self, tmp_path):
-        service = _service(tmp_path, admission=AdmissionConfig(
-            policy="error", high_watermark=4, low_watermark=1))
+        # a poison window waits out a long backoff, so the queue reaches
+        # the watermark and later events are rejected
+        service = _service(
+            tmp_path, tag="SL", window_size=4,
+            admission=AdmissionConfig(
+                policy="error", high_watermark=8, low_watermark=1),
+            retry=RetryPolicy(max_retries=3, backoff_base_s=1000.0),
+        )
         ops, timestamps = bursty_trace(
-            load_dataset("AM"), TraceConfig(num_ops=40, seed=3))
+            load_dataset("SL"),
+            TraceConfig(num_ops=40, seed=3, poison_prob=0.1))
         wall, staleness = drive(service, ops, timestamps)
         stats = service.admission.stats
         assert wall >= 0.0 and staleness == []
@@ -529,8 +558,8 @@ class TestDrive:
         assert service.pending == 0  # drive drained what it accepted
         service.close()
         problems, summary = audit_log(service.wal_dir)
-        assert problems == []
-        assert summary["applied"] == stats.accepted
+        assert problems == [] and summary["quarantined"] > 0
+        assert summary["applied"] + summary["quarantined"] == stats.accepted
 
 
 class TestRetryQuarantine:
